@@ -17,13 +17,11 @@ from .finset import (
     Diagram,
     FinSet,
     FiniteMap,
-    PushoutResult,
     QuotientResult,
     compose,
     finite_colimit,
     identity,
     joint_coequalizer,
-    pushout,
 )
 
 
@@ -131,10 +129,6 @@ class ArrowColimit:
         return CommSquare(self.apex, target, ut, ub)
 
 
-def arrow_colimit(diagram: ArrowDiagram) -> ArrowColimit:
-    return ArrowColimit(diagram)
-
-
 @dataclass(frozen=True)
 class ArrowQuotient:
     """Joint coequaliser in the arrow category with its mediating factory."""
@@ -163,31 +157,3 @@ def arrow_joint_coequalizer(
     apex = ArrowObject(top.induced(compose(bot.q, codomain.map)))
     q = CommSquare(codomain, apex, top.q, bot.q)
     return ArrowQuotient(apex, q, top, bot)
-
-
-@dataclass(frozen=True)
-class ArrowPushout:
-    apex: ArrowObject
-    left: CommSquare
-    right: CommSquare
-    top: PushoutResult
-    bot: PushoutResult
-
-    def induced(self, u: CommSquare, v: CommSquare) -> CommSquare:
-        if u.dst != v.dst:
-            raise DiagramError("mediating cospan of squares must share a target")
-        return CommSquare(
-            self.apex, u.dst, self.top.induced(u.top, v.top), self.bot.induced(u.bot, v.bot)
-        )
-
-
-def arrow_pushout(f: CommSquare, g: CommSquare) -> ArrowPushout:
-    """Pointwise pushout of the span of squares X <-f- A -g-> B."""
-    if f.src != g.src:
-        raise DiagramError("pushout span of squares must share its source")
-    top = pushout(f.top, g.top)
-    bot = pushout(f.bot, g.bot)
-    apex = ArrowObject(top.induced(compose(bot.left, f.dst.map), compose(bot.right, g.dst.map)))
-    left = CommSquare(f.dst, apex, top.left, bot.left)
-    right = CommSquare(g.dst, apex, top.right, bot.right)
-    return ArrowPushout(apex, left, right, top, bot)

@@ -258,21 +258,27 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         trace=trace,
     )
     if trace.mode == "special":
-        _check_special_algebra(trace, result, st)
+        lhs, rhs = special_algebra_routes(
+            trace.engine, trace.double_engine, result.beta_square(st.extended)
+        )
+        if lhs != rhs:
+            raise DiagramError("extracted algebra violates the pair-composition law")
     return result
 
 
-def _check_special_algebra(trace: ChainTrace, result: FactorisationResult, st) -> None:
-    """The algebra map must treat a composable pair the same whether it
-    fills through the composite or in two stages."""
-    beta = result.beta_square(st.extended)
-    gam = trace.double_engine.compose_comparison(result.right)
-    lam = trace.double_engine.iterate_comparison(result.right)
-    t_beta = trace.engine.extend(beta)
-    lhs = square_compose(beta, gam)
-    rhs = square_compose(beta, square_compose(t_beta, lam))
-    if lhs != rhs:
-        raise DiagramError("extracted algebra violates the pair-composition law")
+def special_algebra_routes(
+    engine: StepEngine, dengine: DoubleEngine, beta: CommSquare
+) -> tuple[CommSquare, CommSquare]:
+    """The two squares a special algebra ``beta: Tg -> g`` must make equal:
+    filling a composable pair through its composite (``beta`` after the
+    composition comparison) and in two stages (``beta`` after its own
+    extension after the iteration comparison)."""
+    g = beta.dst
+    through_composite = square_compose(beta, dengine.compose_comparison(g))
+    two_stage = square_compose(
+        beta, square_compose(engine.extend(beta), dengine.iterate_comparison(g))
+    )
+    return through_composite, two_stage
 
 
 def solve_lift(result: FactorisationResult, problem: LiftingProblem) -> FiniteMap:

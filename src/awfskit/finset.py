@@ -191,11 +191,6 @@ def joint_coequalizer(
     return QuotientResult(apex, FiniteMap(cod, apex, table))
 
 
-def coequalizer(f: FiniteMap, g: FiniteMap) -> QuotientResult:
-    """Single-pair case of joint_coequalizer."""
-    return joint_coequalizer([(f, g)])
-
-
 @dataclass(frozen=True)
 class PushoutResult:
     """Pushout of f: A -> X along g: A -> B.
@@ -262,9 +257,6 @@ class CoconeWitness:
     apex: FinSet
     legs: tuple[FiniteMap, ...]
 
-    def class_of(self, vertex: int, element: int) -> int:
-        return self.legs[vertex].table[element]
-
     def induced(self, maps: Sequence[FiniteMap]) -> FiniteMap:
         """Unique u with u . leg_i = maps[i] for a commuting cocone."""
         if len(maps) != len(self.legs):
@@ -287,13 +279,6 @@ class CoconeWitness:
         if cod is None:
             raise DiagramError("cannot mediate out of an empty diagram without a target")
         return FiniteMap(self.apex, cod, tuple(out))
-
-
-def empty_cocone_induced(witness: CoconeWitness, target: FinSet) -> FiniteMap:
-    """Mediating map out of the empty colimit (the apex is empty)."""
-    if witness.legs:
-        raise DiagramError("not an empty colimit")
-    return FiniteMap(witness.apex, target, ())
 
 
 def finite_colimit(diagram: Diagram) -> CoconeWitness:

@@ -115,10 +115,6 @@ class RawMap:
         return FiniteMap(FinSet(self.dom), FinSet(self.cod), tuple(self.table))
 
 
-def raw_identity(n: int) -> RawMap:
-    return RawMap(n, n, tuple(range(n)))
-
-
 # ---------------------------------------------------------------------------
 # finite categories with named cells
 # ---------------------------------------------------------------------------

@@ -9,25 +9,31 @@ and ``lifting_squares``) and a target map ``f``, this module builds:
 * the one-step extension ``Tf`` as a pushout, together with the unit
   square ``f -> Tf``, the inclusion of the domain carrier, and the
   adjoined cell of every lifting problem,
-* the universal-property mediator: a square out of the extension is the
-  same thing as a square ``f -> g`` plus a natural choice of fillers,
 * the functorial action on squares, and the two comparison squares that
   relate the pair-indexed extension to the plain one.
 
-Two construction paths produce structurally identical tables: the general
-path materialises the comma category and runs the colimit/pushout
-factories (and is therefore able to mediate), while the fast path —
-available when the shape has no connecting squares and all generator
-realisations are injective — computes the same canonical numbering by
-rank arithmetic without enumerating problems.  The general path is
-guarded by a problem-count budget; the fast path is exempt.
+Two step constructions produce identical tables, and ``fast_eligible``
+picks one from the shape alone.  When the shape has no connecting squares
+and every generator realisation is injective, ``fast_step`` computes the
+canonical numbering by rank arithmetic without enumerating problems;
+otherwise ``step`` materialises the comma category and runs the
+colimit/pushout factories, guarded by a problem-count budget.
+
+Every square out of an extension is fixed by where it sends the
+inclusion and the free entries of every adjoined cell, which together
+cover the extension carrier.  The functorial action and the comparison
+squares are all written that way, by one classification routine, on
+either kind of step.  The universal-property mediator (``mediate`` and
+``restrict_square``) and the constructions built on it (``extend_square``,
+``route="mediated"``) compute the same squares through the colimit; they
+are kept as an independent cross-check for the oracles and the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .arrows import (
     ArrowColimit,
@@ -67,10 +73,6 @@ class SizeBudget:
 ProblemKey = tuple  # (generator name, top table, bottom table)
 
 
-def problem_key(gen: str, top_table, bot_table) -> ProblemKey:
-    return (gen, tuple(top_table), tuple(bot_table))
-
-
 @dataclass(frozen=True)
 class LiftingProblem:
     """A commuting square from a generator realisation into the target."""
@@ -98,61 +100,37 @@ def count_problems_bound(u: ArrowObject, f: ArrowObject) -> int:
     return (f.top.size ** u.top.size) * (f.bot.size ** len(free))
 
 
-def count_problems(u: ArrowObject, f: ArrowObject) -> int:
-    """Exact number of lifting problems of ``u`` in ``f``.
+def _problem_tables(u: ArrowObject, f: ArrowObject, free: Sequence[int]) -> Iterator[tuple]:
+    """Top and bottom tables of every lifting problem of ``u`` in ``f``.
 
-    Iterates over top components; exact also for non-injective realisations,
-    where some top components admit no commuting bottom.
+    Canonical order: top components lexicographically, then the free
+    bottom coordinates ``free`` lexicographically (the others are forced
+    by the top component, which is skipped when it forces a coordinate
+    two different ways).
     """
-    reps, free = _image_reps(u.map)
-    if len(reps) == u.top.size:  # injective: every top component extends
-        return count_problems_bound(u, f)
-    per_free = f.bot.size ** len(free)
-    total = 0
+    ut, ft = u.map.table, f.map.table
+    forced_twice = len(set(ut)) != len(ut)
     for s0 in itertools.product(range(f.top.size), repeat=u.top.size):
-        pinned: dict[int, int] = {}
-        ok = True
-        for a, b in enumerate(u.map.table):
-            v = f.map.table[s0[a]]
-            if pinned.setdefault(b, v) != v:
-                ok = False
-                break
-        if ok:
-            total += per_free
-    return total
+        s1 = [0] * u.bot.size
+        for a, b in enumerate(ut):
+            s1[b] = ft[s0[a]]
+        if forced_twice and any(s1[b] != ft[s0[a]] for a, b in enumerate(ut)):
+            continue
+        for vals in itertools.product(range(f.bot.size), repeat=len(free)):
+            for b, v in zip(free, vals):
+                s1[b] = v
+            yield s0, tuple(s1)
 
 
 def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[LiftingProblem]:
-    """All lifting problems of ``u`` in ``f``, in canonical order.
-
-    Canonical order: top components lexicographically, then the free
-    bottom coordinates lexicographically (pinned coordinates are forced).
-    """
-    reps, free = _image_reps(u.map)
-    for s0 in itertools.product(range(f.top.size), repeat=u.top.size):
-        pinned: dict[int, int] = {}
-        ok = True
-        for a, b in enumerate(u.map.table):
-            v = f.map.table[s0[a]]
-            if pinned.setdefault(b, v) != v:
-                ok = False
-                break
-        if not ok:
-            continue
-        base = [pinned.get(b, 0) for b in range(u.bot.size)]
-        for vals in itertools.product(range(f.bot.size), repeat=len(free)):
-            table = list(base)
-            for b, v in zip(free, vals):
-                table[b] = v
-            yield LiftingProblem(
-                gen,
-                CommSquare(
-                    u,
-                    f,
-                    FiniteMap(u.top, f.top, s0),
-                    FiniteMap(u.bot, f.bot, tuple(table)),
-                ),
-            )
+    """All lifting problems of ``u`` in ``f``, in the canonical order of
+    ``_problem_tables``."""
+    _, free = _image_reps(u.map)
+    for s0, s1 in _problem_tables(u, f, free):
+        yield LiftingProblem(
+            gen,
+            CommSquare(u, f, FiniteMap(u.top, f.top, s0), FiniteMap(u.bot, f.bot, s1)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +212,8 @@ class _FastGen:
 
     name: str
     u: ArrowObject
-    reps: dict
     free: list
+    layout: tuple  # per bottom position: (True, index in free) or (False, top preimage)
     top_count: int  # |X|^|A|
     free_count: int  # |Y|^(free positions)
     cells_before: int  # adjoined cells contributed by earlier generators
@@ -253,27 +231,22 @@ class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
 
-    General instances additionally carry the comma category, the counit,
-    the colimit and pushout factories (needed by ``mediate``), the paste
-    map from the colimit's bottom carrier, and the recorded pushout-unit
-    square used as a diagnostic.
+    General instances (built by ``step``) additionally carry the comma
+    category with its colimit and counit, the pushout, and every cell as a
+    map; only they can ``mediate``.  Fast instances (built by
+    ``fast_step``) compute each cell from the rank of its problem.
     """
 
     def __init__(self, shape, target: ArrowObject):
         self.shape = shape
         self.target = target
-        self.lean = True
         self.extended: ArrowObject = None  # type: ignore[assignment]
         self.unit: CommSquare = None  # type: ignore[assignment]
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
         self.density: Optional[DensityStep] = None
         self.po: Optional[PushoutResult] = None
-        self.paste: Optional[FiniteMap] = None
         self.cells: Optional[dict] = None
-        self.pushout_unit: Optional[CommSquare] = None
         self._fast: Optional[dict] = None
-
-    # -- common views ------------------------------------------------------
 
     @property
     def size(self) -> int:
@@ -281,7 +254,7 @@ class StepStructure:
 
     @property
     def has_factories(self) -> bool:
-        return not self.lean
+        return self.density is not None
 
     @property
     def problem_list(self) -> list[LiftingProblem]:
@@ -302,16 +275,12 @@ class StepStructure:
         carrier of its generator into the extension carrier."""
         if self.cells is not None:
             return self.cells[key]
-        return self._fast_cell(key)
+        return FiniteMap(self._fast[key[0]].u.bot, self.extended.top, self._cell_table(key))
 
-    def cell_for(self, gen: str, square: CommSquare) -> FiniteMap:
-        """The adjoined cell of the problem given as a generator name plus
-        its commuting square into the target."""
-        return self.cell((gen, square.top.table, square.bot.table))
-
-    # -- fast path ---------------------------------------------------------
-
-    def _fast_cell(self, key: ProblemKey) -> FiniteMap:
+    def _cell_table(self, key: ProblemKey) -> tuple:
+        """The table of ``cell(key)``, without building the map."""
+        if self.cells is not None:
+            return self.cells[key].table
         gen, s0, s1 = key
         meta: _FastGen = self._fast[gen]
         x = self.target.top.size
@@ -319,17 +288,33 @@ class StepStructure:
         rank = 0
         for v in s0:
             rank = rank * x + v
-        fr = 0
         for b in meta.free:
-            fr = fr * y + s1[b]
-        rank = rank * meta.free_count + fr
+            rank = rank * y + s1[b]
         base = x + meta.cells_before + rank * meta.fcount
-        pos = {b: i for i, b in enumerate(meta.free)}
-        table = tuple(
-            s0[meta.reps[b]] if b in meta.reps else base + pos[b]
-            for b in range(meta.u.bot.size)
-        )
-        return FiniteMap(meta.u.bot, self.extended.top, table)
+        return tuple(base + i if free else s0[i] for free, i in meta.layout)
+
+    def adjoined(self) -> Iterator[tuple]:
+        """Every problem that adjoins cells, in canonical order, as
+        ``(generator, top table, bottom table, free, positions)``: the
+        entries of its cell at the bottom positions ``free`` (those outside
+        the generator's image) are the carrier elements ``positions``.
+        Together with the inclusion these entries cover the carrier."""
+        if self._fast is not None:
+            for meta in self._fast.values():
+                if not meta.fcount:
+                    continue
+                pos = self.target.top.size + meta.cells_before
+                for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
+                    yield meta.name, s0, s1, meta.free, range(pos, pos + meta.fcount)
+                    pos += meta.fcount
+            return
+        for name, u in self.shape.lifting_generators():
+            _, free = _image_reps(u.map)
+            if not free:
+                continue
+            for s0, s1 in _problem_tables(u, self.target, free):
+                ct = self.cells[(name, s0, s1)].table
+                yield name, s0, s1, free, [ct[b] for b in free]
 
 
 def fast_eligible(shape) -> bool:
@@ -352,9 +337,11 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     cells_before = 0
     for name, u in shape.lifting_generators():
         reps, free = _image_reps(u.map)
-        top_count = x ** u.top.size
-        free_count = y ** len(free)
-        meta = _FastGen(name, u, reps, free, top_count, free_count, cells_before)
+        layout = tuple(
+            (True, free.index(b)) if b not in reps else (False, reps[b])
+            for b in range(u.bot.size)
+        )
+        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
         metas[name] = meta
         if meta.fcount:
             cells_before += meta.block * meta.fcount
@@ -386,12 +373,10 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     """The general one-step extension, with mediating factories."""
     density = density_step(shape, target, budget)
     struct = StepStructure(shape, target)
-    struct.lean = False
     struct.density = density
     po = pushout(density.counit.top, density.colim.apex.map)
     struct.po = po
     struct.inclusion = po.left
-    struct.paste = po.right
     tmap = po.induced(target.map, density.counit.bot)
     struct.extended = ArrowObject(tmap)
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
@@ -399,9 +384,6 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
         p.key: compose(po.right, density.colim.bot.legs[i])
         for i, p in enumerate(density.comma.problems)
     }
-    struct.pushout_unit = CommSquare(
-        density.apex, ArrowObject(struct.inclusion), density.counit.top, po.right
-    )
     return struct
 
 
@@ -417,9 +399,6 @@ class OneStepLifting:
 
     base: CommSquare
     phi: Mapping
-
-    def filler(self, key: ProblemKey) -> FiniteMap:
-        return self.phi[key]
 
 
 def restrict_square(struct: StepStructure, t: CommSquare) -> OneStepLifting:
@@ -440,6 +419,9 @@ def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
     across connecting squares), then the descended map and the base square
     combine through the pushout factory.  The factories re-verify their
     defining equations, so an inconsistent lifting cannot slip through.
+    The engine builds its squares by classification instead; this is the
+    independent construction that ``oracle_kappa`` and the tests check
+    the classification against.
     """
     if not struct.has_factories:
         raise DiagramError("fast step structure cannot mediate; build the general step")
@@ -471,7 +453,9 @@ def extend_square(
     struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
 ) -> CommSquare:
     """Functorial action of the one-step extension on a square ``f -> g``,
-    built through the universal property of the source extension."""
+    built through the universal property of the source extension.  Not used
+    by the engine: it is the independent reference ``classify_extend`` is
+    tested against."""
     if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
     if alpha.is_identity():
@@ -484,53 +468,51 @@ def extend_square(
     return mediate(struct_src, OneStepLifting(base, phi))
 
 
-def _iter_cell_keys(struct: StepStructure):
-    """Canonical iteration over the problems that contribute adjoined cells
-    of a fast structure: yields (generator, meta, top table, bottom table).
+# ---------------------------------------------------------------------------
+# squares out of an extension, by classification
+# ---------------------------------------------------------------------------
 
-    Skips generators whose realisation is surjective (they adjoin nothing),
-    so the cost is proportional to the number of adjoined cells rather than
-    the full problem count.
-    """
-    x = struct.target.top.size
-    y = struct.target.bot.size
-    ft = struct.target.map.table
-    for name, meta in struct._fast.items():
-        if meta.fcount == 0:
-            continue
-        b_size = meta.u.bot.size
-        for s0 in itertools.product(range(x), repeat=meta.u.top.size):
-            base = [0] * b_size
-            for b, a in meta.reps.items():
-                base[b] = ft[s0[a]]
-            for vals in itertools.product(range(y), repeat=meta.fcount):
-                s1 = list(base)
-                for b, v in zip(meta.free, vals):
-                    s1[b] = v
-                yield name, meta, s0, tuple(s1)
+
+def _classify(
+    src: StepStructure,
+    dst: ArrowObject,
+    incl_image: Sequence[int],
+    cell_image: Callable[[str, tuple, tuple], Sequence[int]],
+    bot: FiniteMap,
+) -> CommSquare:
+    """The square ``src.extended -> dst`` with bottom ``bot`` that sends the
+    inclusion of each point ``v`` of the target to ``incl_image[v]`` and the
+    cell of each problem ``(gen, s0, s1)`` to the table ``cell_image(gen,
+    s0, s1)``.  The inclusion and the free entries of the cells cover the
+    extension carrier, so these determine the top table."""
+    top = [0] * src.size
+    for v, pos in enumerate(src.inclusion.table):
+        top[pos] = incl_image[v]
+    for gen, s0, s1, free, positions in src.adjoined():
+        image = cell_image(gen, s0, s1)
+        for b, pos in zip(free, positions):
+            top[pos] = image[b]
+    return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, tuple(top)), bot)
 
 
 def classify_extend(
     struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
 ) -> CommSquare:
-    """The same functorial action, written out directly from its
-    classification: the inclusion part follows ``alpha`` into the target
-    inclusion, and each adjoined cell lands on the cell of the transported
-    problem.  Requires fast structures; agrees with ``extend_square`` where
-    both apply (the classification determines the mediated square)."""
-    if struct_src._fast is None or alpha.src != struct_src.target or alpha.dst != struct_dst.target:
+    """The functorial action of the one-step extension on a square ``alpha:
+    f -> g``: the inclusion follows ``alpha`` into the inclusion of ``g``,
+    and each adjoined cell lands on the cell of the problem ``alpha``
+    transports it to."""
+    if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
     at, ab = alpha.top.table, alpha.bot.table
     kd = struct_dst.inclusion.table
-    top = [kd[at[v]] for v in range(struct_src.target.top.size)]
-    for gen, meta, s0, s1 in _iter_cell_keys(struct_src):
-        cell = struct_dst.cell((gen, tuple(at[v] for v in s0), tuple(ab[v] for v in s1)))
-        ct = cell.table
-        top.extend(ct[b] for b in meta.free)
-    return CommSquare(
-        struct_src.extended,
+    return _classify(
+        struct_src,
         struct_dst.extended,
-        FiniteMap(struct_src.extended.top, struct_dst.extended.top, tuple(top)),
+        [kd[w] for w in at],
+        lambda gen, s0, s1: struct_dst._cell_table(
+            (gen, tuple(at[v] for v in s0), tuple(ab[v] for v in s1))
+        ),
         alpha.bot,
     )
 
@@ -548,8 +530,9 @@ class StepEngine:
     """Memoised one-step extensions over a fixed shape.
 
     ``step`` returns the general structure (with factories, budgeted);
-    ``step_tables`` returns the cheapest structure adequate for cell and
-    unit lookups — the fast one when the shape allows it.
+    ``step_tables`` returns the structure used for cells, units and
+    classification: the fast one when ``fast_eligible`` accepts the shape
+    (unless the general one is already built), the general one otherwise.
     """
 
     def __init__(self, shape, budget: Optional[SizeBudget] = None):
@@ -581,20 +564,12 @@ class StepEngine:
             return self.step(f)
         return self.step_fast(f)
 
-    def unit(self, f: ArrowObject) -> CommSquare:
-        return self.step_tables(f).unit
-
     def extend(self, alpha: CommSquare) -> CommSquare:
-        """The one-step extension applied to a square.
-
-        Routes through the direct classification tables when the shape
-        allows it; otherwise mediates through the source colimit.
-        """
+        """The one-step extension applied to a square, by classification
+        (``classify_extend``) on the steps of its two ends."""
         if alpha.is_identity():
             return identity_square(self.step_tables(alpha.src).extended)
-        if self._fast_ok:
-            return classify_extend(self.step_fast(alpha.src), self.step_tables(alpha.dst), alpha)
-        return extend_square(self.step(alpha.src), self.step_tables(alpha.dst), alpha)
+        return classify_extend(self.step_tables(alpha.src), self.step_tables(alpha.dst), alpha)
 
 
 class DoubleEngine:
@@ -613,28 +588,26 @@ class DoubleEngine:
         self.pairs = pres.composable_pairs()
         self.single = single if single is not None else StepEngine(pres, budget)
         self.paired = StepEngine(self.pairs, budget)
+        self._right_tables = {
+            p.name: pres.uarrow(p.right).map.table for p in self.pairs.pairs
+        }
         self._compose_memo: dict = {}
         self._iterate_memo: dict = {}
-
-    @property
-    def _fast_ok(self) -> bool:
-        return self.paired._fast_ok and self.single._fast_ok
 
     def compose_comparison(self, f: ArrowObject, route: Optional[str] = None) -> CommSquare:
         """The square from the pair-indexed extension to the plain one that
         lifts each pair problem through the pair's composite arrow.
 
-        ``route`` forces construction ``"fast"`` (direct classification
-        tables) or ``"mediated"`` (through the pair colimit); by default the
-        fast route is taken whenever the shapes allow it.
+        It is built by classification, memoised, on whichever steps the
+        two shapes get.  ``route="mediated"`` builds it instead through the
+        pair colimit, as an independent cross-check; ``route="fast"`` is
+        the classification without the memo.
         """
         if route is None:
             key = _arrow_key(f)
-            if key in self._compose_memo:
-                return self._compose_memo[key]
-            out = self._compose_fast(f) if self._fast_ok else self._compose_mediated(f)
-            self._compose_memo[key] = out
-            return out
+            if key not in self._compose_memo:
+                self._compose_memo[key] = self._compose_fast(f)
+            return self._compose_memo[key]
         if route == "fast":
             return self._compose_fast(f)
         if route == "mediated":
@@ -642,18 +615,15 @@ class DoubleEngine:
         raise ValueError(f"unknown route {route!r}")
 
     def _compose_fast(self, f: ArrowObject) -> CommSquare:
-        s2 = self.paired.step_fast(f)
+        s2 = self.paired.step_tables(f)
         s1 = self.single.step_tables(f)
-        top = list(s1.inclusion.table)
-        for pname, meta, s0, s1tab in _iter_cell_keys(s2):
-            pair = self.pairs.pair(pname)
-            cell = s1.cell((pair.composite, s0, s1tab))
-            ct = cell.table
-            top.extend(ct[b] for b in meta.free)
-        return CommSquare(
-            s2.extended,
+        return _classify(
+            s2,
             s1.extended,
-            FiniteMap(s2.extended.top, s1.extended.top, tuple(top)),
+            s1.inclusion.table,
+            lambda pname, s0, s1tab: s1._cell_table(
+                (self.pairs.pair(pname).composite, s0, s1tab)
+            ),
             identity(f.bot),
         )
 
@@ -670,43 +640,19 @@ class DoubleEngine:
         """The square from the pair-indexed extension to the twice-iterated
         plain one that lifts each pair problem in two stages: first through
         the left arrow against ``f``, then through the right arrow against
-        the extension of ``f``.  ``route`` as in ``compose_comparison``."""
+        the extension of ``f``.  By classification it is ``iterate_then``
+        with the identity on that extension; ``route`` as in
+        ``compose_comparison``."""
         if route is None:
             key = _arrow_key(f)
-            if key in self._iterate_memo:
-                return self._iterate_memo[key]
-            out = self._iterate_fast(f) if self._fast_ok else self._iterate_mediated(f)
-            self._iterate_memo[key] = out
-            return out
+            if key not in self._iterate_memo:
+                self._iterate_memo[key] = self.iterate_comparison(f, route="fast")
+            return self._iterate_memo[key]
         if route == "fast":
-            return self._iterate_fast(f)
+            return self.iterate_then(f, identity_square(self.single.step_tables(f).extended))
         if route == "mediated":
             return self._iterate_mediated(f)
         raise ValueError(f"unknown route {route!r}")
-
-    def _two_stage_cell(self, s1, s11, pname, s0, s1tab):
-        pair = self.pairs.pair(pname)
-        right_u = self.pres.uarrow(pair.right)
-        rt = right_u.map.table
-        inner = s1.cell((pair.left, s0, tuple(s1tab[rt[b]] for b in range(right_u.top.size))))
-        return s11.cell((pair.right, inner.table, s1tab))
-
-    def _iterate_fast(self, f: ArrowObject) -> CommSquare:
-        s2 = self.paired.step_fast(f)
-        s1 = self.single.step_tables(f)
-        s11 = self.single.step_tables(s1.extended)
-        k1, k11 = s1.inclusion.table, s11.inclusion.table
-        top = [k11[k1[v]] for v in range(f.top.size)]
-        for pname, meta, s0, s1tab in _iter_cell_keys(s2):
-            cell = self._two_stage_cell(s1, s11, pname, s0, s1tab)
-            ct = cell.table
-            top.extend(ct[b] for b in meta.free)
-        return CommSquare(
-            s2.extended,
-            s11.extended,
-            FiniteMap(s2.extended.top, s11.extended.top, tuple(top)),
-            identity(f.bot),
-        )
 
     def _iterate_mediated(self, f: ArrowObject) -> CommSquare:
         s2 = self.paired.step(f)
@@ -724,40 +670,31 @@ class DoubleEngine:
 
     def iterate_then(self, stage: ArrowObject, collapse: CommSquare) -> CommSquare:
         """The composite of ``collapse`` (a square out of the one-step
-        extension of ``stage``) after the two-stage comparison — computed
-        without materialising the twice-iterated extension, whose carrier
-        grows quadratically and dwarfs everything else in chain runs."""
-        if not self._fast_ok:
-            return square_compose(self.single.extend(collapse), self.iterate_comparison(stage))
-        s2 = self.paired.step_fast(stage)
+        extension of ``stage``) after the two-stage comparison, by
+        classification: each pair cell lands on the cell of its right arrow
+        against the extension of ``stage``, moved along ``collapse``.  The
+        twice-iterated extension, whose carrier grows quadratically and
+        dwarfs everything else in chain runs, is never built."""
+        s2 = self.paired.step_tables(stage)
         s1 = self.single.step_tables(stage)
         if collapse.src != s1.extended:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
-        k1, knext = s1.inclusion.table, snext.inclusion.table
-        ct_, cb_ = collapse.top.table, collapse.bot.table
-        top = [knext[ct_[k1[v]]] for v in range(stage.top.size)]
-        for pname, meta, s0, s1tab in _iter_cell_keys(s2):
+        ct, cb = collapse.top.table, collapse.bot.table
+
+        def cell_image(pname, s0, s1tab):
             pair = self.pairs.pair(pname)
-            right_u = self.pres.uarrow(pair.right)
-            rt = right_u.map.table
-            inner = s1.cell((pair.left, s0, tuple(s1tab[rt[b]] for b in range(right_u.top.size))))
-            outer = snext.cell(
-                (pair.right, tuple(ct_[v] for v in inner.table), tuple(cb_[v] for v in s1tab))
+            rt = self._right_tables[pname]
+            inner = s1._cell_table((pair.left, s0, tuple(s1tab[r] for r in rt)))
+            return snext._cell_table(
+                (pair.right, tuple(ct[v] for v in inner), tuple(cb[v] for v in s1tab))
             )
-            ot = outer.table
-            top.extend(ot[b] for b in meta.free)
-        return CommSquare(
-            s2.extended,
+
+        knext = snext.inclusion.table
+        return _classify(
+            s2,
             snext.extended,
-            FiniteMap(s2.extended.top, snext.extended.top, tuple(top)),
+            [knext[ct[w]] for w in s1.inclusion.table],
+            cell_image,
             collapse.bot,
         )
-
-
-def compose_comparison(pres, f: ArrowObject, budget: Optional[SizeBudget] = None) -> CommSquare:
-    return DoubleEngine(pres, budget).compose_comparison(f)
-
-
-def iterate_comparison(pres, f: ArrowObject, budget: Optional[SizeBudget] = None) -> CommSquare:
-    return DoubleEngine(pres, budget).iterate_comparison(f)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arrows import ArrowObject, CommSquare, square_compose
-from .chain import FactorisationResult
+from .chain import FactorisationResult, special_algebra_routes
 from .errors import NonNaturalLifting, SizeBudgetExceeded
 from .finset import FiniteMap, compose, identity
 from .step import (
@@ -168,11 +168,7 @@ def _algebra_violations(pres, mode: str, g: ArrowObject, beta0: FiniteMap,
         return out
     if mode == "special" and dengine is not None:
         beta = CommSquare(st.extended, g, beta0, identity(g.bot))
-        gam = dengine.compose_comparison(g)
-        t_beta = engine.extend(beta)
-        lam = dengine.iterate_comparison(g)
-        lhs = square_compose(beta, gam)
-        rhs = square_compose(beta, square_compose(t_beta, lam))
+        lhs, rhs = special_algebra_routes(engine, dengine, beta)
         for v in range(lhs.top.dom.size):
             if lhs.top.table[v] != rhs.top.table[v]:
                 out.append(

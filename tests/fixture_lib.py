@@ -62,6 +62,30 @@ def composite_pres() -> DoubleCatPresentation:
     )
 
 
+def retract_pres() -> DoubleCatPresentation:
+    """A point ``a`` with a retraction ``d`` onto it, whose other composite
+    ``p`` is idempotent; ``d`` and ``p`` are not injective, so the one-step
+    extensions take the general path."""
+    return DoubleCatPresentation.build(
+        objects={"x1": 1, "x2": 2},
+        varrows=[
+            ("e1", "x1", "x1", [0]),
+            ("e2", "x2", "x2", [0, 1]),
+            ("a", "x1", "x2", [0]),
+            ("d", "x2", "x1", [0, 0]),
+            ("p", "x2", "x2", [0, 0]),
+        ],
+        vid={"x1": "e1", "x2": "e2"},
+        vcomp=[("a", "d", "e1"), ("d", "a", "p"), ("p", "p", "p"), ("p", "d", "d"), ("a", "p", "a")],
+    )
+
+
+def codiag_pres() -> PlainPresentation:
+    """A generator collapsing two points onto one (not injective) next to
+    the split-epi generator."""
+    return PlainPresentation.build(generators=[("d", 2, 1, [0, 0]), ("j", 0, 1, [])])
+
+
 def growth_pres() -> PlainPresentation:
     """A single generator whose codomain is strictly larger than its
     domain; iterating the one-step construction keeps growing."""

@@ -5,17 +5,16 @@ import random
 import pytest
 
 from awfskit.arrows import (
+    ArrowColimit,
     ArrowDiagram,
     CommSquare,
     arrow,
-    arrow_colimit,
     arrow_joint_coequalizer,
-    arrow_pushout,
     identity_square,
     square_compose,
 )
 from awfskit.errors import CompositionError, DiagramError
-from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
+from awfskit.finset import FinSet, FiniteMap, identity
 
 
 def fmap(dom, cod, table):
@@ -80,7 +79,7 @@ def test_colimit_of_two_vertex_chain():
     v0 = arrow(1, 1, [0])
     v1 = arrow(2, 1, [0, 0])
     e = CommSquare(v0, v1, fmap(1, 2, [0]), fmap(1, 1, [0]))
-    colim = arrow_colimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+    colim = ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
     assert colim.apex.top.size == 2
     assert colim.apex.bot.size == 1
     assert colim.apex.map.table == (0, 0)
@@ -93,7 +92,7 @@ def test_colimit_induced_square():
     v0 = arrow(1, 1, [0])
     v1 = arrow(2, 1, [0, 0])
     e = CommSquare(v0, v1, fmap(1, 2, [0]), fmap(1, 1, [0]))
-    colim = arrow_colimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+    colim = ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
     target = v1
     cocone = [CommSquare(v0, target, fmap(1, 2, [0]), fmap(1, 1, [0])), identity_square(v1)]
     u = colim.induced(cocone, target)
@@ -104,7 +103,7 @@ def test_colimit_induced_square():
 
 
 def test_colimit_of_empty_diagram():
-    colim = arrow_colimit(ArrowDiagram([], []))
+    colim = ArrowColimit(ArrowDiagram([], []))
     assert colim.apex.top.size == 0
     assert colim.apex.bot.size == 0
     u = colim.induced([], arrow(2, 1, [0, 0]))
@@ -116,7 +115,7 @@ def test_colimit_rejects_edge_endpoint_mismatch():
     v1 = arrow(2, 1, [0, 0])
     e = identity_square(v1)
     with pytest.raises(DiagramError):
-        arrow_colimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+        ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
 
 
 def test_colimit_random_diagrams_legs_commute():
@@ -137,7 +136,7 @@ def test_colimit_random_diagrams_legs_commute():
             fibers = {y: [x for x in range(fd.top.size) if fd.map.table[x] == y] for y in range(ysize)}
             top = [rng.choice(fibers[fs.map.table[x]]) for x in range(fs.top.size)]
             edges.append((s, d, CommSquare(fs, fd, fmap(fs.top.size, fd.top.size, top), identity(FinSet(ysize)))))
-        colim = arrow_colimit(ArrowDiagram(verts, edges))
+        colim = ArrowColimit(ArrowDiagram(verts, edges))
         for s, d, e in edges:
             glued = square_compose(colim.leg(d), e)
             assert glued.top.table == colim.leg(s).top.table
@@ -184,32 +183,3 @@ def test_joint_coequalizer_rejects_non_parallel_pairs():
     v = identity_square(arrow(2, 2, [1, 0]))
     with pytest.raises(DiagramError):
         arrow_joint_coequalizer([(u, v)], codomain=c)
-
-
-# ---------------------------------------------------------------------------
-# pushouts of squares
-# ---------------------------------------------------------------------------
-
-
-def test_pushout_along_identity_square():
-    a = arrow(1, 1, [0])
-    x = arrow(2, 2, [0, 1])
-    f = CommSquare(a, x, fmap(1, 2, [0]), fmap(1, 2, [0]))
-    po = arrow_pushout(f, identity_square(a))
-    assert po.apex.top.size == 2
-    assert po.apex.bot.size == 2
-    assert po.apex.map.table == (0, 1)
-    assert is_iso(po.left.top) is not None
-    assert is_iso(po.left.bot) is not None
-    assert po.right.top.table == (0,)
-    # mediating square through the cospan (identity on x, f)
-    m = po.induced(identity_square(x), f)
-    glued = square_compose(m, po.left)
-    assert glued.top.table == (0, 1)
-
-
-def test_pushout_rejects_mismatched_span():
-    f = identity_square(arrow(1, 1, [0]))
-    g = identity_square(arrow(2, 2, [0, 1]))
-    with pytest.raises(DiagramError):
-        arrow_pushout(f, g)

@@ -15,7 +15,7 @@ import pytest
 
 from awfskit.arrows import ArrowObject, square_compose
 from awfskit.finset import compose
-from awfskit.step import DoubleEngine, compose_comparison, iterate_comparison
+from awfskit.step import DoubleEngine
 
 from fixture_lib import (
     abc_pres,
@@ -24,11 +24,14 @@ from fixture_lib import (
     f_1to1,
     f_2to3,
     f_3to2,
+    retract_pres,
     split_epi_pres,
 )
 
 
-DOUBLES = [split_epi_pres(), abc_pres(), composite_pres()]
+# The first three shapes take the fast step; the retract takes the general one.
+DOUBLES = [split_epi_pres(), abc_pres(), composite_pres(), retract_pres()]
+DOUBLE_IDS = ["split-epi", "abc", "composite", "retract"]
 MAPS = [f_3to2(), f_1to1(), f_0to1(), f_2to3()]
 
 
@@ -37,7 +40,7 @@ def aobj(f) -> ArrowObject:
 
 
 class TestComposeComparison:
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_boundaries_and_unit_equation(self, pres, f):
         engine = DoubleEngine(pres)
@@ -48,7 +51,7 @@ class TestComposeComparison:
         assert gamma.src == s2.extended and gamma.dst == s1.extended
         assert square_compose(gamma, s2.unit) == s1.unit
 
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_cells_land_on_the_composite_cells(self, pres, f):
         engine = DoubleEngine(pres)
@@ -75,7 +78,7 @@ class TestComposeComparison:
 
 
 class TestIterateComparison:
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_boundaries_and_unit_equation(self, pres, f):
         engine = DoubleEngine(pres)
@@ -87,7 +90,7 @@ class TestIterateComparison:
         assert lam.src == s2.extended and lam.dst == s11.extended
         assert square_compose(lam, s2.unit) == square_compose(s11.unit, s1.unit)
 
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_cells_lift_in_two_stages(self, pres, f):
         engine = DoubleEngine(pres)
@@ -118,7 +121,7 @@ class TestRoutes:
     the comparison squares must agree, and the fused composite must equal
     composing its factors."""
 
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_fast_equals_mediated(self, pres, f):
         engine = DoubleEngine(pres)
@@ -130,7 +133,7 @@ class TestRoutes:
             target, route="mediated"
         )
 
-    @pytest.mark.parametrize("pres", DOUBLES, ids=["split-epi", "abc", "composite"])
+    @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     def test_fused_composite_equals_composed_factors(self, pres):
         from awfskit.arrows import CommSquare, identity_square
         from awfskit.finset import FiniteMap, FinSet
@@ -158,14 +161,7 @@ class TestRoutes:
             engine.iterate_comparison(aobj(f_1to1()), route="nonsense")
 
 
-class TestWrappers:
-    def test_module_level_wrappers_match_engine_results(self):
-        pres = abc_pres()
-        target = aobj(f_1to1())
-        engine = DoubleEngine(pres)
-        assert compose_comparison(pres, target) == engine.compose_comparison(target)
-        assert iterate_comparison(pres, target) == engine.iterate_comparison(target)
-
+class TestMemo:
     def test_comparisons_are_memoised(self):
         engine = DoubleEngine(abc_pres())
         target = aobj(f_1to1())

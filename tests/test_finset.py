@@ -20,7 +20,6 @@ from awfskit.finset import (
     Diagram,
     FinSet,
     FiniteMap,
-    coequalizer,
     compose,
     coproduct,
     finite_colimit,
@@ -149,7 +148,7 @@ def test_joint_coequalizer_frozen_example():
 
 def test_coequalizer_of_equal_maps_is_identity():
     f = fmap(2, 3, [0, 2])
-    res = coequalizer(f, f)
+    res = joint_coequalizer([(f, f)])
     assert res.q.table == (0, 1, 2)
 
 
@@ -188,7 +187,7 @@ def test_quotient_induced_unique_by_enumeration():
         d = rng.randint(0, 3)
         t1 = [rng.randrange(y) for _ in range(d)]
         t2 = [rng.randrange(y) for _ in range(d)]
-        res = coequalizer(fmap(d, y, t1), fmap(d, y, t2))
+        res = joint_coequalizer([(fmap(d, y, t1), fmap(d, y, t2))])
         z = rng.randint(1, 4)
         # pick h constant on classes by factoring a random map through q
         w = [rng.randrange(z) for _ in range(res.apex.size)]
@@ -201,7 +200,7 @@ def test_quotient_induced_unique_by_enumeration():
 
 
 def test_quotient_induced_rejects_non_coequalising():
-    res = coequalizer(fmap(1, 3, [0]), fmap(1, 3, [2]))
+    res = joint_coequalizer([(fmap(1, 3, [0]), fmap(1, 3, [2]))])
     with pytest.raises(UniversalityError):
         res.induced(fmap(3, 2, [0, 1, 1]))
 
@@ -268,7 +267,7 @@ def test_colimit_span_frozen_example():
     )
     w = finite_colimit(d)
     assert w.apex.size == 2
-    assert w.class_of(0, 0) == 0 and w.class_of(2, 0) == 1
+    assert w.legs[0].table == (0,) and w.legs[2].table == (1,)
 
 
 def test_colimit_single_vertex():

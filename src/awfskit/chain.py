@@ -36,7 +36,6 @@ from .step import (
     LiftingProblem,
     SizeBudget,
     StepEngine,
-    StepStructure,
 )
 
 
@@ -61,10 +60,6 @@ class ChainTrace:
     @property
     def carrier_sizes(self) -> list[int]:
         return [s.top.size for s in self.stages]
-
-    def stage_structure(self, n: int) -> StepStructure:
-        """Extension tables of stage ``n``."""
-        return self.engine.step_tables(self.stages[n])
 
     def connecting(self, n: int, m: int) -> CommSquare:
         """The composite connecting square from stage ``n`` to stage ``m``."""

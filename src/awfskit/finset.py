@@ -86,18 +86,6 @@ def is_iso(f: FiniteMap) -> Optional[FiniteMap]:
     return FiniteMap(f.cod, f.dom, tuple(inv))
 
 
-def coproduct(parts: Sequence[FinSet]) -> tuple[FinSet, list[FiniteMap]]:
-    """Disjoint union with injections, blocks in argument order."""
-    total = sum(p.size for p in parts)
-    apex = FinSet(total)
-    legs = []
-    offset = 0
-    for p in parts:
-        legs.append(FiniteMap(p, apex, tuple(range(offset, offset + p.size))))
-        offset += p.size
-    return apex, legs
-
-
 class _UnionFind:
     """Disjoint sets over {0, .., n-1} with path halving."""
 

@@ -18,13 +18,22 @@ and additionally records which vertical arrow each pair composes to.
 
 Identity horizontal arrows, identity squares, and composites involving
 them are implied rather than listed; they use the reserved name prefix
-``1_``.  Validation reports every violated axiom as data with a witness
-naming the offending cells.
+``1_``.  Identity vertical arrows are listed arrows that ``vid`` names.
+
+Validation reports every violated axiom as data with a witness naming the
+offending cells.  Each composition table (the plain category; the
+horizontal, vertical and square categories of a double presentation) is
+checked by the one ``FiniteCategory`` checker.  Name and reference faults
+carry plain labels (``invalid-name``, ``reserved-name``,
+``duplicate-name``, ``unknown-reference``); law faults carry the table's
+prefix (``horizontal-``, ``vertical-``, ``square-``; none for a plain
+presentation), e.g. ``vertical-identity-law``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
@@ -33,6 +42,8 @@ from .finset import FinSet, FiniteMap, compose, identity
 
 ID_PREFIX = "1_"
 PAIR_SEP = "*"
+# labels of name and reference faults, which no table prefix qualifies
+NAME_FAULTS = frozenset({"invalid-name", "reserved-name", "duplicate-name", "unknown-reference"})
 
 
 def id_name(base: str) -> str:
@@ -73,7 +84,13 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    """Violations in the order found; a fault that two tables sharing a
+    cell both find (same axiom and witness) is listed once."""
+
     violations: list[Violation]
+
+    def __post_init__(self) -> None:
+        self.violations = list(dict.fromkeys(self.violations))
 
     @property
     def ok(self) -> bool:
@@ -130,81 +147,131 @@ class CatArrow:
 class FiniteCategory:
     """A finite category: named objects, named arrows, total composition.
 
-    Identity arrows are implied with reserved names; ``comp_given`` lists
-    the explicit composites (entries are keyed ``(first, then)`` in
-    diagrammatic order).  ``violations`` checks totality, boundary
-    compatibility, identity laws and associativity exhaustively.
+    Identities are implied arrows with reserved names, unless ``ids`` is
+    given: then each object's identity is the listed arrow ``ids`` names
+    (as ``vid`` does for vertical arrows).  Either way composites absorb
+    the identities; ``comp_given`` lists the other composites, keyed
+    ``(first, then)`` in diagrammatic order.  ``nouns`` name objects and
+    arrows in witnesses.
+
+    ``violations(prefix)`` is the one checker of every composition table
+    of a presentation: names, identities, boundaries, the unit law,
+    totality and associativity.  Name and reference faults keep their
+    plain labels; law faults carry ``prefix``.  ``composites`` is the
+    table computed once for the check.
     """
 
-    def __init__(self, objects: Iterable[str], gen_arrows: Iterable[CatArrow], comp_given):
+    def __init__(self, objects: Iterable[str], gen_arrows: Iterable[CatArrow], comp_given,
+                 ids: Optional[Mapping[str, str]] = None, nouns=("object", "arrow")):
         self.objects = tuple(objects)
         self.gen_arrows = tuple(gen_arrows)
         self.comp_given = _as_comp_dict(comp_given)
-        self.ids = {o: id_name(o) for o in self.objects}
-        self._idset = set(self.ids.values())
+        self.nouns = nouns
+        self.implied = ids is None
+        self.ids = {o: id_name(o) for o in self.objects} if ids is None else dict(ids)
         self.arrows: dict[str, CatArrow] = {}
-        for o in self.objects:
-            self.arrows[self.ids[o]] = CatArrow(self.ids[o], o, o)
+        if self.implied:
+            for o in self.objects:
+                self.arrows[self.ids[o]] = CatArrow(self.ids[o], o, o)
         for a in self.gen_arrows:
             self.arrows.setdefault(a.name, a)
-
-    def is_id(self, name: str) -> bool:
-        return name in self._idset
+        self._idset = {
+            n for o, n in self.ids.items()
+            if n in self.arrows and (self.arrows[n].dom, self.arrows[n].cod) == (o, o)
+        }
 
     def hom(self, dom: str, cod: str) -> list[str]:
         return [n for n, a in self.arrows.items() if a.dom == dom and a.cod == cod]
 
-    def composite(self, first: str, then: str) -> str:
-        """Name of ``then`` after ``first``; raises if the table has a hole."""
-        fa, ta = self.arrows[first], self.arrows[then]
-        if fa.cod != ta.dom:
-            raise CompositionError(f"arrows {first} and {then} are not composable")
+    def _lookup(self, first: str, then: str) -> Optional[str]:
         if (first, then) in self.comp_given:
             return self.comp_given[(first, then)]
         if first in self._idset:
             return then
         if then in self._idset:
             return first
-        raise InvalidPresentation(f"missing composite for ({first}, {then})")
+        return None
+
+    def composite(self, first: str, then: str) -> str:
+        """Name of ``then`` after ``first``; raises if the table has a hole."""
+        if self.arrows[first].cod != self.arrows[then].dom:
+            raise CompositionError(f"arrows {first} and {then} are not composable")
+        name = self._lookup(first, then)
+        if name is None:
+            raise InvalidPresentation(f"missing composite for ({first}, {then})")
+        return name
+
+    @property
+    def ok_arrows(self) -> set[str]:
+        """Arrows with valid unique names and known endpoints."""
+        return self._checked[1]
+
+    @property
+    def composites(self) -> dict[tuple[str, str], str]:
+        """The composite of every composable pair of ``ok_arrows`` whose
+        composite is defined and itself among ``ok_arrows``."""
+        return self._checked[2]
 
     def violations(self, prefix: str = "") -> list[Violation]:
+        return [
+            v if v.axiom in NAME_FAULTS else Violation(prefix + v.axiom, v.witness)
+            for v in self._checked[0]
+        ]
+
+    @cached_property
+    def _checked(self) -> tuple[list[Violation], set[str], dict[tuple[str, str], str]]:
         out: list[Violation] = []
-        bad = lambda axiom, witness: out.append(Violation(prefix + axiom, witness))
+        bad = lambda axiom, witness: out.append(Violation(axiom, witness))
+        obj, arr = self.nouns
 
         seen: set[str] = set()
         for o in self.objects:
             if not _valid_name(o):
-                bad("invalid-name", f"object {o!r}")
+                bad("invalid-name", f"{obj} {o!r}")
             elif is_id_name(o):
-                bad("reserved-name", f"object {o}")
+                bad("reserved-name", f"{obj} {o}")
             if o in seen:
-                bad("duplicate-name", f"object {o}")
+                bad("duplicate-name", f"{obj} {o}")
             seen.add(o)
         obj_ok = {o for o in self.objects if _valid_name(o) and not is_id_name(o)}
 
-        seen = set()
-        arrows_ok: set[str] = set(self._idset)
+        seen = set(self.ids.values()) if self.implied else set()
+        ok = {self.ids[o] for o in obj_ok} if self.implied else set()
         for a in self.gen_arrows:
-            ok = True
+            fine = True
             if not _valid_name(a.name):
-                bad("invalid-name", f"arrow {a.name!r}")
-                ok = False
+                bad("invalid-name", f"{arr} {a.name!r}")
+                fine = False
             elif is_id_name(a.name):
-                bad("reserved-name", f"arrow {a.name}")
-                ok = False
-            if a.name in seen or a.name in self._idset:
-                bad("duplicate-name", f"arrow {a.name}")
-                ok = False
+                bad("reserved-name", f"{arr} {a.name}")
+                fine = False
+            if a.name in seen:
+                bad("duplicate-name", f"{arr} {a.name}")
+                fine = False
             seen.add(a.name)
             if a.dom not in obj_ok or a.cod not in obj_ok:
-                bad("unknown-reference", f"arrow {a.name}: {a.dom} -> {a.cod}")
-                ok = False
-            if ok:
-                arrows_ok.add(a.name)
+                bad("unknown-reference", f"{arr} {a.name}: {a.dom} -> {a.cod}")
+                fine = False
+            if fine:
+                ok.add(a.name)
+
+        if not self.implied:
+            for o in sorted(obj_ok):
+                n = self.ids.get(o)
+                if n is None:
+                    bad("identity", f"{obj} {o} has no identity {arr}")
+                elif n not in ok:
+                    bad("identity", f"{obj} {o}: unknown {arr} {n}")
+                elif (self.arrows[n].dom, self.arrows[n].cod) != (o, o):
+                    bad("identity", f"{obj} {o}: {n} is not an endo-arrow on it")
+            known = set(self.objects)
+            for o in self.ids:
+                if o not in known:
+                    bad("unknown-reference", f"identity assignment for unknown {obj} {o}")
 
         for (first, then), result in self.comp_given.items():
-            if not all(n in arrows_ok for n in (first, then, result)):
-                bad("unknown-reference", f"composite ({first}, {then}) = {result}")
+            if not all(n in ok for n in (first, then, result)):
+                bad("unknown-reference", f"composite of {arr}s ({first}, {then}) = {result}")
                 continue
             fa, ta, ra = self.arrows[first], self.arrows[then], self.arrows[result]
             if fa.cod != ta.dom:
@@ -217,39 +284,60 @@ class FiniteCategory:
                 if result != expected:
                     bad("identity-law", f"({first}, {then}) = {result}, expected {expected}")
 
-        def resolve(first, then):
-            try:
-                name = self.composite(first, then)
-            except InvalidPresentation:
-                bad("composition-totality", f"({first}, {then})")
-                return None
-            except CompositionError:
-                return None
-            return name if name in arrows_ok else None
-
-        names = sorted(arrows_ok)
+        names = sorted(ok)
+        leaving: dict[str, list[str]] = {}
+        for n in names:
+            leaving.setdefault(self.arrows[n].dom, []).append(n)
+        table: dict[tuple[str, str], str] = {}
         for f in names:
-            for g in names:
-                if self.arrows[f].cod != self.arrows[g].dom:
-                    continue
-                fg = resolve(f, g)
-                for h in names:
-                    if self.arrows[g].cod != self.arrows[h].dom:
-                        continue
-                    try:
-                        gh = self.composite(g, h)
-                    except (InvalidPresentation, CompositionError):
-                        gh = None
-                    if fg is None or gh is None or gh not in arrows_ok:
-                        continue
-                    try:
-                        left = self.composite(fg, h)
-                        right = self.composite(f, gh)
-                    except (InvalidPresentation, CompositionError):
-                        continue
-                    if left != right:
-                        bad("associativity", f"(({f}, {g}), {h}): {left} != {right}")
-        return out
+            for g in leaving.get(self.arrows[f].cod, ()):
+                fg = self._lookup(f, g)
+                if fg is None:
+                    bad("composition-totality", f"({f}, {g})")
+                elif fg in ok:
+                    table[(f, g)] = fg
+        for (f, g), fg in table.items():
+            for h in leaving.get(self.arrows[g].cod, ()):
+                gh = table.get((g, h))
+                left, right = table.get((fg, h)), table.get((f, gh))
+                if gh is not None and left is not None and right is not None and left != right:
+                    bad("associativity", f"(({f}, {g}), {h}): {left} != {right}")
+        return out, ok, table
+
+
+def _functor_violations(cat: FiniteCategory, real: Mapping[str, tuple], axiom: str) -> list[Violation]:
+    """``axiom`` for every composite in the category's computed table whose
+    realisation (a tuple of maps per arrow) is not the composite of the
+    realisations of its factors."""
+    return [
+        Violation(axiom, f"composite ({f}, {g}) = {r}")
+        for (f, g), r in cat.composites.items()
+        if f in real and g in real and r in real
+        and any(c.table != compose(b, a).table for a, b, c in zip(real[f], real[g], real[r]))
+    ]
+
+
+def _first_by_name(specs) -> dict:
+    """Name -> first spec of that name (later duplicates are name faults)."""
+    out: dict = {}
+    for s in specs:
+        out.setdefault(s.name, s)
+    return out
+
+
+class _Validated:
+    """``ensure_valid`` for both presentation kinds: validate once and
+    raise ``InvalidPresentation``, carrying the report, on any violation."""
+
+    _report: ClassVar[Optional[ValidationReport]] = None
+
+    def ensure_valid(self) -> None:
+        if self._report is None:
+            self._report = self.validate()
+        if not self._report.ok:
+            err = InvalidPresentation(f"invalid presentation: {self._report.summary()}")
+            err.report = self._report
+            raise err
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +361,7 @@ class PlainMorSpec:
 
 
 @dataclass
-class PlainPresentation:
+class PlainPresentation(_Validated):
     """A finite category of named maps with named connecting squares."""
 
     generators: tuple[PlainGenSpec, ...]
@@ -286,8 +374,7 @@ class PlainPresentation:
         self.generators = tuple(self.generators)
         self.morphisms = tuple(self.morphisms)
         self.comp = _as_comp_dict(self.comp)
-        self._gens = {g.name: g for g in self.generators}
-        self._report: Optional[ValidationReport] = None
+        self._gens = _first_by_name(self.generators)
 
     @classmethod
     def build(cls, generators, morphisms=(), comp=()) -> "PlainPresentation":
@@ -314,16 +401,19 @@ class PlainPresentation:
         )
 
     def validate(self) -> ValidationReport:
-        out = self.category().violations("")
+        cat = self.category()
+        out = cat.violations("")
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
         gen_ok: dict[str, FiniteMap] = {}
-        for g in self.generators:
+        for g in self._gens.values():
             if not g.umap.wellformed():
                 bad("realisation-map", f"generator {g.name}")
-            elif g.name not in gen_ok:
+            else:
                 gen_ok[g.name] = g.umap.build()
-        mor_ok: dict[str, CommSquare] = {}
-        for m in self.morphisms:
+        mor_ok: dict[str, tuple[FiniteMap, FiniteMap]] = {}
+        for m in _first_by_name(self.morphisms).values():
+            if m.name not in cat.ok_arrows or is_id_name(m.name):
+                continue
             if m.dom not in gen_ok or m.cod not in gen_ok:
                 continue
             dom_map, cod_map = gen_ok[m.dom], gen_ok[m.cod]
@@ -340,23 +430,9 @@ class PlainPresentation:
             if compose(cod_map, top).table != compose(bot, dom_map).table:
                 bad("realisation-square", f"morphism {m.name}")
                 continue
-            mor_ok[m.name] = CommSquare(ArrowObject(dom_map), ArrowObject(cod_map), top, bot)
-        for (first, then), result in self.comp.items():
-            if not all(n in mor_ok for n in (first, then, result)):
-                continue
-            want_top = compose(mor_ok[then].top, mor_ok[first].top)
-            want_bot = compose(mor_ok[then].bot, mor_ok[first].bot)
-            if mor_ok[result].top.table != want_top.table or mor_ok[result].bot.table != want_bot.table:
-                bad("realisation-functor", f"composite ({first}, {then}) = {result}")
+            mor_ok[m.name] = (top, bot)
+        out += _functor_violations(cat, mor_ok, "realisation-functor")
         return ValidationReport(out)
-
-    def ensure_valid(self) -> None:
-        if self._report is None:
-            self._report = self.validate()
-        if not self._report.ok:
-            err = InvalidPresentation(f"invalid presentation: {self._report.summary()}")
-            err.report = self._report
-            raise err
 
     # --- view consumed by the one-step construction ---
 
@@ -440,15 +516,15 @@ class SquareSpec:
 
 
 @dataclass
-class DoubleCatPresentation:
+class DoubleCatPresentation(_Validated):
     """A finitely presented small double category realised in finite sets.
 
     The object category has the named ``objects`` (with carrier sizes) and
-    ``harrows``; the square category has the ``varrows`` as objects and the
-    ``squares`` as morphisms.  ``vid`` designates the identity vertical
-    arrow on each object, ``vcomp`` composes vertical arrows, and
-    ``square_vcomp`` composes squares vertically.  Composites involving
-    implied identity cells are implied.
+    ``harrows``; the vertical category has the same objects, the
+    ``varrows``, the identities ``vid`` and the composites ``vcomp``; the
+    square category has the ``varrows`` as objects and the ``squares`` as
+    morphisms, and ``square_vcomp`` composes squares vertically.
+    Composites involving identity cells are implied.
     """
 
     objects: tuple[tuple[str, int], ...]
@@ -474,11 +550,16 @@ class DoubleCatPresentation:
         self.square_vcomp = _as_comp_dict(self.square_vcomp)
         self.vid = dict(self.vid)
         self._sizes = {n: s for n, s in self.objects}
-        self._harrow = {h.name: h for h in self.harrows}
-        self._varrow = {v.name: v for v in self.varrows}
-        self._square = {s.name: s for s in self.squares}
-        self._vidset = set(self.vid.values())
-        self._report: Optional[ValidationReport] = None
+        self._harrow = _first_by_name(self.harrows)
+        self._varrow = _first_by_name(self.varrows)
+        self._square = _first_by_name(self.squares)
+        self._vcat = FiniteCategory(
+            [n for n, _ in self.objects],
+            [CatArrow(v.name, v.vdom, v.vcod) for v in self.varrows],
+            self.vcomp,
+            ids=self.vid,
+            nouns=("object", "vertical arrow"),
+        )
 
     @classmethod
     def build(cls, objects: Mapping[str, int], harrows=(), hcomp=(), varrows=(), vid=(),
@@ -503,14 +584,12 @@ class DoubleCatPresentation:
 
     # --- cell accessors (assume a valid presentation) ---
 
-    def object_size(self, name: str) -> int:
-        return self._sizes[name]
-
     def j0_category(self) -> FiniteCategory:
         return FiniteCategory(
             [n for n, _ in self.objects],
             [CatArrow(h.name, h.dom, h.cod) for h in self.harrows],
             self.hcomp,
+            nouns=("object", "horizontal arrow"),
         )
 
     def j1_category(self) -> FiniteCategory:
@@ -518,6 +597,7 @@ class DoubleCatPresentation:
             [v.name for v in self.varrows],
             [CatArrow(s.name, s.vsrc, s.vdst) for s in self.squares],
             self.square_comp,
+            nouns=("vertical arrow", "square"),
         )
 
     def hmap(self, name: str) -> FiniteMap:
@@ -532,21 +612,9 @@ class DoubleCatPresentation:
             FiniteMap(FinSet(self._sizes[v.vdom]), FinSet(self._sizes[v.vcod]), v.umap.table)
         )
 
-    def is_vid(self, vname: str) -> bool:
-        return vname in self._vidset
-
     def vcompose(self, first: str, then: str) -> str:
         """Name of the vertical composite (``first`` above ``then``)."""
-        fa, ta = self._varrow[first], self._varrow[then]
-        if fa.vcod != ta.vdom:
-            raise CompositionError(f"vertical arrows {first} and {then} are not composable")
-        if (first, then) in self.vcomp:
-            return self.vcomp[(first, then)]
-        if first in self._vidset:
-            return then
-        if then in self._vidset:
-            return first
-        raise InvalidPresentation(f"missing vertical composite for ({first}, {then})")
+        return self._vcat.composite(first, then)
 
     def square_boundary(self, name: str) -> tuple[str, str, str, str]:
         """(vsrc, vdst, h_top, h_bot) of a declared or implied identity square."""
@@ -596,126 +664,70 @@ class DoubleCatPresentation:
         out: list[Violation] = []
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
 
-        seen: set[str] = set()
-        obj_ok: set[str] = set()
         for n, s in self.objects:
-            ok = True
-            if not _valid_name(n):
-                bad("invalid-name", f"object {n!r}")
-                ok = False
-            elif is_id_name(n):
-                bad("reserved-name", f"object {n}")
-                ok = False
-            if n in seen:
-                bad("duplicate-name", f"object {n}")
-                ok = False
-            seen.add(n)
             if not isinstance(s, int) or s < 0:
                 bad("object-size", f"object {n}: {s!r}")
-                ok = False
-            if ok:
-                obj_ok.add(n)
+        obj_ok = {
+            n for n, s in self.objects
+            if _valid_name(n) and not is_id_name(n) and isinstance(s, int) and s >= 0
+        }
+        j0, vcat, j1 = self.j0_category(), self._vcat, self.j1_category()
+        out += j0.violations("horizontal-")
+        out += vcat.violations("vertical-")
+        out += j1.violations("square-")
+        h_ok, v_ok = j0.ok_arrows, vcat.ok_arrows
+        hnames = [
+            h.name for h in self._harrow.values()
+            if h.name in h_ok and not is_id_name(h.name) and {h.dom, h.cod} <= obj_ok
+        ]
+        vtable = vcat.composites
 
-        out += self.j0_category().violations("horizontal-")
-        hnames = {h.name for h in self.harrows if _valid_name(h.name) and not is_id_name(h.name)}
-        h_ok = set(hnames) | {id_name(o) for o in obj_ok}
-
-        seen = set()
-        v_ok: set[str] = set()
-        for v in self.varrows:
-            ok = True
-            if not _valid_name(v.name):
-                bad("invalid-name", f"vertical arrow {v.name!r}")
-                ok = False
-            elif is_id_name(v.name):
-                bad("reserved-name", f"vertical arrow {v.name}")
-                ok = False
-            if v.name in seen:
-                bad("duplicate-name", f"vertical arrow {v.name}")
-                ok = False
-            seen.add(v.name)
-            if v.vdom not in obj_ok or v.vcod not in obj_ok:
-                bad("unknown-reference", f"vertical arrow {v.name}: {v.vdom} -> {v.vcod}")
-                ok = False
-            if ok:
-                v_ok.add(v.name)
-
-        for o in sorted(obj_ok):
-            vn = self.vid.get(o)
-            if vn is None:
-                bad("vertical-identity", f"object {o} has no identity vertical arrow")
-            elif vn not in v_ok:
-                bad("vertical-identity", f"object {o}: unknown vertical arrow {vn}")
-            else:
-                v = self._varrow[vn]
-                if v.vdom != o or v.vcod != o:
-                    bad("vertical-identity", f"object {o}: {vn} is not an endo-arrow on it")
-        for o in self.vid:
-            if o not in self._sizes:
-                bad("unknown-reference", f"identity assignment for unknown object {o}")
-
-        out += self.j1_category().violations("square-")
         sq_ok: set[str] = set()
-        for s in self.squares:
-            ok = _valid_name(s.name) and not is_id_name(s.name)
-            if s.vsrc not in v_ok or s.vdst not in v_ok:
-                bad("unknown-reference", f"square {s.name}: {s.vsrc} -> {s.vdst}")
-                ok = False
+        for s in self._square.values():
             if s.h_top not in h_ok or s.h_bot not in h_ok:
                 bad("unknown-reference", f"square {s.name}: boundary {s.h_top}/{s.h_bot}")
-                ok = False
-            if ok:
+            elif s.name in j1.ok_arrows and not is_id_name(s.name) and {s.vsrc, s.vdst} <= v_ok:
                 sq_ok.add(s.name)
         sq_all_ok = sq_ok | {id_name(v) for v in v_ok}
-
-        j0 = self.j0_category()
-        j1 = self.j1_category()
 
         def hends(name):
             return (j0.arrows[name].dom, j0.arrows[name].cod)
 
-        for s in self.squares:
+        sq_fit: set[str] = set()
+        for s in self._square.values():
             if s.name not in sq_ok:
                 continue
             src, dst = self._varrow[s.vsrc], self._varrow[s.vdst]
+            fit = True
             if hends(s.h_top) != (src.vdom, dst.vdom):
                 bad("square-boundary", f"square {s.name}: top arrow {s.h_top}")
+                fit = False
             if hends(s.h_bot) != (src.vcod, dst.vcod):
                 bad("square-boundary", f"square {s.name}: bottom arrow {s.h_bot}")
-
-        def h_composite(first, then):
-            try:
-                name = j0.composite(first, then)
-            except (InvalidPresentation, CompositionError, KeyError):
-                return None
-            return name if name in h_ok else None
-
-        def boundary_or_none(name):
-            if name in sq_all_ok:
-                return self.square_boundary(name)
-            return None
+                fit = False
+            if fit:
+                sq_fit.add(s.name)
 
         for (first, then), result in self.square_comp.items():
-            bs = [boundary_or_none(n) for n in (first, then, result)]
-            if any(b is None for b in bs):
+            if not all(n in sq_all_ok for n in (first, then, result)):
                 continue
-            (fs, fd, ft, fb), (ts, td, tt, tb), (rs, rd, rt, rb) = bs
+            (_, fd, ft, fb), (ts, _, tt, tb), (_, _, rt, rb) = (
+                self.square_boundary(n) for n in (first, then, result)
+            )
             if fd != ts:
                 continue  # square-composition boundary errors already reported
-            want_top = h_composite(ft, tt)
-            want_bot = h_composite(fb, tb)
+            want_top = j0.composites.get((ft, tt))
+            want_bot = j0.composites.get((fb, tb))
             if want_top is not None and rt != want_top:
                 bad("source-functor", f"composite ({first}, {then}) = {result}: top {rt} != {want_top}")
             if want_bot is not None and rb != want_bot:
                 bad("target-functor", f"composite ({first}, {then}) = {result}: bottom {rb} != {want_bot}")
 
         # the identity-vertical functor must send every horizontal arrow to a square
-        e_sq: dict[str, str] = {}
-        vid_complete = all(o in self.vid and self.vid[o] in v_ok for o in obj_ok)
+        vid_complete = all(self.vid.get(o) in v_ok for o in obj_ok)
         if vid_complete:
-            for h in self.harrows:
-                if h.name not in hnames or h.dom not in obj_ok or h.cod not in obj_ok:
-                    continue
+            e_sq: dict[str, str] = {id_name(o): id_name(self.vid[o]) for o in obj_ok}
+            for h in map(self._harrow.get, hnames):
                 matches = [
                     s.name
                     for s in self.squares
@@ -729,70 +741,15 @@ class DoubleCatPresentation:
                     bad("vertical-identity-square", f"no square witnessing the identity vertical image of {h.name}")
                 else:
                     e_sq[h.name] = matches[0]
-            for o in obj_ok:
-                e_sq[id_name(o)] = id_name(self.vid[o])
             for (first, then), result in self.hcomp.items():
                 if first not in e_sq or then not in e_sq or result not in e_sq:
                     continue
-                try:
-                    got = j1.composite(e_sq[first], e_sq[then])
-                except (InvalidPresentation, CompositionError, KeyError):
-                    continue
-                if got != e_sq[result]:
+                got = j1.composites.get((e_sq[first], e_sq[then]))
+                if got is not None and got != e_sq[result]:
                     bad("vertical-identity-functor", f"identity square over ({first}, {then})")
 
-        # vertical composition of arrows
-        for (first, then), result in self.vcomp.items():
-            if first not in v_ok or then not in v_ok or result not in v_ok:
-                bad("unknown-reference", f"vertical composite ({first}, {then}) = {result}")
-                continue
-            fa, ta, ra = self._varrow[first], self._varrow[then], self._varrow[result]
-            if fa.vcod != ta.vdom:
-                bad("vertical-composition-boundary", f"({first}, {then}) not composable")
-                continue
-            if ra.vdom != fa.vdom or ra.vcod != ta.vcod:
-                bad("vertical-composition-boundary", f"({first}, {then}) = {result} has wrong boundary")
-            if first in self._vidset or then in self._vidset:
-                expected = then if first in self._vidset else first
-                if result != expected:
-                    bad("vertical-unit", f"({first}, {then}) = {result}, expected {expected}")
-
-        def v_composite(first, then):
-            try:
-                name = self.vcompose(first, then)
-            except CompositionError:
-                return None
-            except InvalidPresentation:
-                bad("vertical-composition-totality", f"({first}, {then})")
-                return None
-            return name if name in v_ok else None
-
-        vnames = [v.name for v in self.varrows if v.name in v_ok]
-        composable = {}
-        for f in vnames:
-            for g in vnames:
-                if self._varrow[f].vcod == self._varrow[g].vdom:
-                    composable[(f, g)] = v_composite(f, g)
-        for (f, g), fg in composable.items():
-            for h in vnames:
-                if self._varrow[g].vcod != self._varrow[h].vdom:
-                    continue
-                gh = composable.get((g, h))
-                if fg is None or gh is None:
-                    continue
-                if self._varrow[fg].vcod != self._varrow[h].vdom or self._varrow[f].vcod != self._varrow[gh].vdom:
-                    continue
-                try:
-                    left = self.vcompose(fg, h)
-                    right = self.vcompose(f, gh)
-                except (InvalidPresentation, CompositionError):
-                    continue
-                if left != right:
-                    bad("vertical-associativity", f"(({f}, {g}), {h}): {left} != {right}")
-
         # vertical composition of squares: totality, boundaries, functoriality
-        structural_ok = vid_complete and not out
-        if structural_ok:
+        if vid_complete and not out:
             pairs_sq = self._j2_square_pairs()
             for a, b in pairs_sq:
                 try:
@@ -806,32 +763,20 @@ class DoubleCatPresentation:
                 asrc, adst, atop, _ = self.square_boundary(a)
                 bsrc, bdst, _, bbot = self.square_boundary(b)
                 rsrc, rdst, rtop, rbot = self.square_boundary(r)
-                try:
-                    want_src = self.vcompose(asrc, bsrc)
-                    want_dst = self.vcompose(adst, bdst)
-                except (InvalidPresentation, CompositionError):
-                    continue
-                if (rsrc, rdst) != (want_src, want_dst) or rtop != atop or rbot != bbot:
+                want = (vtable[(asrc, bsrc)], vtable[(adst, bdst)])
+                if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
                     bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
             for (a, b), r in self.square_vcomp.items():
                 if a in sq_all_ok and b in sq_all_ok and is_id_name(a) and is_id_name(b):
-                    try:
-                        expected = self.vcompose(a[len(ID_PREFIX):], b[len(ID_PREFIX):])
-                    except (InvalidPresentation, CompositionError):
-                        continue
-                    if r != id_name(expected):
-                        bad("vertical-unit", f"squares ({a}, {b}) = {r}")
+                    expected = vtable.get((a[len(ID_PREFIX):], b[len(ID_PREFIX):]))
+                    if expected is not None and r != id_name(expected):
+                        bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
             # functoriality over composition of square pairs
-            pair_set = set(pairs_sq) | {
-                (id_name(f), id_name(g)) for (f, g) in composable if composable[(f, g)] is not None
-            }
+            pair_set = set(pairs_sq) | {(id_name(f), id_name(g)) for f, g in vtable}
+            ends = {n: self.square_boundary(n)[:2] for pair in pair_set for n in pair}
             for a, b in pair_set:
                 for c, d in pair_set:
-                    _, adst, _, _ = self.square_boundary(a)
-                    _, bdst, _, _ = self.square_boundary(b)
-                    csrc, _, _, _ = self.square_boundary(c)
-                    dsrc, _, _, _ = self.square_boundary(d)
-                    if adst != csrc or bdst != dsrc:
+                    if ends[a][1] != ends[c][0] or ends[b][1] != ends[d][0]:
                         continue
                     try:
                         ac = j1.composite(a, c)
@@ -843,29 +788,23 @@ class DoubleCatPresentation:
                     if lhs != rhs:
                         bad("vertical-composition-functor", f"(({a}, {b}), ({c}, {d}))")
 
-        # realisation: horizontal arrows
-        hmaps: dict[str, FiniteMap] = {}
-        for o in obj_ok:
-            hmaps[id_name(o)] = identity(FinSet(self._sizes[o]))
-        for h in self.harrows:
-            if h.name not in hnames or h.dom not in obj_ok or h.cod not in obj_ok:
-                continue
+        # realisations: horizontal and vertical arrows, squares
+        hmaps: dict[str, tuple[FiniteMap]] = {
+            id_name(o): (identity(FinSet(self._sizes[o])),) for o in obj_ok
+        }
+        for h in map(self._harrow.get, hnames):
             if not h.umap.wellformed() or (h.umap.dom, h.umap.cod) != (
                 self._sizes[h.dom],
                 self._sizes[h.cod],
             ):
                 bad("realisation-map", f"horizontal arrow {h.name}")
                 continue
-            hmaps[h.name] = h.umap.build()
-        for (first, then), result in self.hcomp.items():
-            if first in hmaps and then in hmaps and result in hmaps:
-                if hmaps[result].table != compose(hmaps[then], hmaps[first]).table:
-                    bad("realisation-horizontal-functor", f"composite ({first}, {then}) = {result}")
+            hmaps[h.name] = (h.umap.build(),)
+        out += _functor_violations(j0, hmaps, "realisation-horizontal-functor")
 
-        # realisation: vertical arrows and squares
-        vmaps: dict[str, FiniteMap] = {}
-        for v in self.varrows:
-            if v.name not in v_ok:
+        vmaps: dict[str, tuple[FiniteMap]] = {}
+        for v in self._varrow.values():
+            if v.name not in v_ok or not {v.vdom, v.vcod} <= obj_ok:
                 continue
             if not v.umap.wellformed() or (v.umap.dom, v.umap.cod) != (
                 self._sizes[v.vdom],
@@ -873,41 +812,23 @@ class DoubleCatPresentation:
             ):
                 bad("realisation-map", f"vertical arrow {v.name}")
                 continue
-            vmaps[v.name] = v.umap.build()
+            vmaps[v.name] = (v.umap.build(),)
         for o in sorted(obj_ok):
             vn = self.vid.get(o)
-            if vn in vmaps and vmaps[vn].table != tuple(range(self._sizes[o])):
-                bad("vertical-identity-realisation", f"identity vertical arrow {vn}")
-        for s in self.squares:
-            if s.name not in sq_ok or s.vsrc not in vmaps or s.vdst not in vmaps:
+            if vn in vmaps and (self._varrow[vn].vdom, self._varrow[vn].vcod) == (o, o):
+                if vmaps[vn][0].table != tuple(range(self._sizes[o])):
+                    bad("vertical-identity-realisation", f"identity vertical arrow {vn}")
+        for s in self._square.values():
+            if s.name not in sq_fit or s.vsrc not in vmaps or s.vdst not in vmaps:
                 continue
             if s.h_top not in hmaps or s.h_bot not in hmaps:
                 continue
-            lhs = compose(vmaps[s.vdst], hmaps[s.h_top])
-            rhs = compose(hmaps[s.h_bot], vmaps[s.vsrc])
-            if lhs.dom != rhs.dom or lhs.cod != rhs.cod or lhs.table != rhs.table:
+            lhs = compose(vmaps[s.vdst][0], hmaps[s.h_top][0])
+            rhs = compose(hmaps[s.h_bot][0], vmaps[s.vsrc][0])
+            if lhs.table != rhs.table:
                 bad("realisation-square", f"square {s.name}")
-        for f in vnames:
-            for g in vnames:
-                if self._varrow[f].vcod != self._varrow[g].vdom:
-                    continue
-                try:
-                    r = self.vcompose(f, g)
-                except (InvalidPresentation, CompositionError):
-                    continue
-                if f in vmaps and g in vmaps and r in vmaps:
-                    if vmaps[r].table != compose(vmaps[g], vmaps[f]).table:
-                        bad("realisation-vertical-functor", f"composite ({f}, {g}) = {r}")
-
+        out += _functor_violations(vcat, vmaps, "realisation-vertical-functor")
         return ValidationReport(out)
-
-    def ensure_valid(self) -> None:
-        if self._report is None:
-            self._report = self.validate()
-        if not self._report.ok:
-            err = InvalidPresentation(f"invalid presentation: {self._report.summary()}")
-            err.report = self._report
-            raise err
 
     # --- view consumed by the one-step construction ---
 

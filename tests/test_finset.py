@@ -21,7 +21,6 @@ from awfskit.finset import (
     FinSet,
     FiniteMap,
     compose,
-    coproduct,
     finite_colimit,
     identity,
     is_iso,
@@ -119,22 +118,6 @@ def test_iso_inverse_roundtrip():
     inv = is_iso(f)
     assert compose(inv, f).table == identity(FinSet(4)).table
     assert compose(f, inv).table == identity(FinSet(4)).table
-
-
-# ------------------------------------------------------------------ coproduct
-
-
-def test_coproduct_blocks():
-    apex, legs = coproduct([FinSet(2), FinSet(0), FinSet(3)])
-    assert apex.size == 5
-    assert legs[0].table == (0, 1)
-    assert legs[1].table == ()
-    assert legs[2].table == (2, 3, 4)
-
-
-def test_coproduct_empty_list():
-    apex, legs = coproduct([])
-    assert apex.size == 0 and legs == []
 
 
 # ------------------------------------------------------------- coequalizers

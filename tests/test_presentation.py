@@ -62,6 +62,80 @@ def test_category_rejects_reserved_names():
 
 
 # ---------------------------------------------------------------------------
+# finite categories with explicit identities
+# ---------------------------------------------------------------------------
+
+
+def _explicit(arrows, comp=(), ids=None):
+    """Objects x, y; identities ex, ey unless ``ids`` says otherwise."""
+    gens = [CatArrow("ex", "x", "x"), CatArrow("ey", "y", "y")] + [CatArrow(*a) for a in arrows]
+    return FiniteCategory(["x", "y"], gens, comp, ids={"x": "ex", "y": "ey"} if ids is None else ids)
+
+
+def test_explicit_identities_give_a_valid_category():
+    cat = _explicit([("f", "x", "y")])
+    assert cat.violations("vertical-") == []
+    assert cat.composites == {
+        ("ex", "ex"): "ex", ("ex", "f"): "f", ("ey", "ey"): "ey", ("f", "ey"): "f",
+    }
+
+
+def test_explicit_identities_are_absorbed_by_composites():
+    cat = _explicit([("f", "x", "y")])
+    assert cat.composite("ex", "f") == "f"
+    assert cat.composite("f", "ey") == "f"
+    assert cat.composite("ey", "ey") == "ey"
+    assert "1_x" not in cat.arrows
+
+
+def test_explicit_identity_missing():
+    cat = _explicit([], ids={"x": "ex"})
+    assert ("vertical-identity", "object y has no identity arrow") in [
+        (v.axiom, v.witness) for v in cat.violations("vertical-")
+    ]
+    # ey is then an ordinary endo-arrow whose square has no composite
+    assert "vertical-composition-totality" in [v.axiom for v in cat.violations("vertical-")]
+
+
+def test_explicit_identity_not_an_endo_arrow():
+    cat = _explicit([("f", "x", "y")], ids={"x": "ex", "y": "f"})
+    witnesses = [v.witness for v in cat.violations() if v.axiom == "identity"]
+    assert witnesses == ["object y: f is not an endo-arrow on it"]
+    assert cat.composite("ex", "f") == "f"
+    with pytest.raises(InvalidPresentation):
+        cat.composite("f", "ey")
+
+
+def test_explicit_identity_unknown_arrow_or_object():
+    cat = _explicit([], ids={"x": "ex", "y": "ghost", "z": "ex"})
+    pairs = [(v.axiom, v.witness) for v in cat.violations("vertical-")]
+    assert ("vertical-identity", "object y: unknown arrow ghost") in pairs
+    assert ("unknown-reference", "identity assignment for unknown object z") in pairs
+
+
+def test_explicit_identity_wrong_unit_law_entry():
+    cat = _explicit([("f", "x", "y"), ("g", "x", "y")], comp=[("ex", "f", "g")])
+    pairs = [(v.axiom, v.witness) for v in cat.violations("vertical-")]
+    assert pairs == [("vertical-identity-law", "(ex, f) = g, expected f")]
+
+
+def test_explicit_identity_nonassociative_table():
+    cat = _explicit(
+        [("f", "x", "x"), ("g", "x", "x")],
+        comp=[("f", "f", "g"), ("f", "g", "g"), ("g", "f", "f"), ("g", "g", "g")],
+    )
+    axioms = [v.axiom for v in cat.violations("vertical-")]
+    assert "vertical-associativity" in axioms
+    assert "vertical-composition-totality" not in axioms
+
+
+def test_name_faults_keep_plain_labels_under_a_prefix():
+    cat = _explicit([("1_f", "x", "y"), ("ex", "x", "ghost")])
+    axioms = [v.axiom for v in cat.violations("vertical-")]
+    assert axioms == ["reserved-name", "duplicate-name", "unknown-reference"]
+
+
+# ---------------------------------------------------------------------------
 # double presentations: validity of the shipped fixtures
 # ---------------------------------------------------------------------------
 
@@ -302,6 +376,44 @@ def test_plain_missing_composite_rejected():
         morphisms=[("s", "j", "j", [0], [0]), ("t", "j", "j", [0], [0])],
     )
     assert "composition-totality" in pres.validate().axioms()
+
+
+def test_non_composable_plain_entry_is_reported_not_raised():
+    pres = dataclasses.replace(two_gen_plain_pres(), comp={("s", "s"): "s"})
+    report = pres.validate()
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("composition-boundary", "(s, s) not composable")
+    ]
+
+
+def test_non_composable_horizontal_entry_is_reported_not_raised():
+    pres = DoubleCatPresentation.build(
+        objects={"x": 1, "y": 2},
+        harrows=[("h", "x", "y", [0])],
+        hcomp=[("h", "h", "h")],
+        varrows=[("ex", "x", "x", [0]), ("ey", "y", "y", [0, 1])],
+        vid={"x": "ex", "y": "ey"},
+        squares=[("sh", "ex", "ey", "h", "h")],
+    )
+    assert pres.validate().axioms() == ["horizontal-composition-boundary"]
+
+
+def test_square_with_wrong_boundary_is_reported_not_raised():
+    pres = DoubleCatPresentation.build(
+        objects={"x": 1, "y": 2},
+        varrows=[("ex", "x", "x", [0]), ("ey", "y", "y", [0, 1])],
+        vid={"x": "ex", "y": "ey"},
+        squares=[("s", "ex", "ey", "1_x", "1_x")],
+    )
+    assert pres.validate().axioms() == ["square-boundary", "square-boundary"]
+
+
+def test_duplicate_vertical_name_with_other_endpoints_is_one_fault():
+    pres = abc_pres()
+    dup = dataclasses.replace(pres, varrows=pres.varrows + (dataclasses.replace(pres.varrows[4], name="a"),))
+    assert [(v.axiom, v.witness) for v in dup.validate().violations] == [
+        ("duplicate-name", "vertical arrow a")
+    ]
 
 
 def test_raw_map_wellformedness():

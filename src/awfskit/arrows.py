@@ -61,7 +61,8 @@ class CommSquare:
             raise DiagramError("square top component has wrong boundaries")
         if self.bot.dom != self.src.bot or self.bot.cod != self.dst.bot:
             raise DiagramError("square bottom component has wrong boundaries")
-        if compose(self.dst.map, self.top).table != compose(self.bot, self.src.map).table:
+        dt, bt = self.dst.map.table, self.bot.table  # both composites are defined
+        if tuple(map(dt.__getitem__, self.top.table)) != tuple(map(bt.__getitem__, self.src.map.table)):
             raise DiagramError("square does not commute")
 
     def is_identity(self) -> bool:

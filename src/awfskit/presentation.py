@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Optional
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .arrows import ArrowObject, CommSquare
 from .errors import CompositionError, InvalidPresentation
@@ -637,26 +637,17 @@ class DoubleCatPresentation(_Validated):
             return id_name(base)
         raise InvalidPresentation(f"missing vertical composite of squares ({first}, {then})")
 
-    def _all_square_names(self) -> list[str]:
-        return [id_name(v.name) for v in self.varrows] + [s.name for s in self.squares]
+    def _vcomposable(self, above: str, below: str) -> bool:
+        """Whether square ``above`` can be stacked on square ``below``."""
+        asrc, adst, _, abot = self.square_boundary(above)
+        bsrc, bdst, btop, _ = self.square_boundary(below)
+        v = self._varrow
+        return abot == btop and (v[asrc].vcod, v[adst].vcod) == (v[bsrc].vdom, v[bdst].vdom)
 
-    def _j2_square_pairs(self) -> list[tuple[str, str]]:
-        """All non-identity vertically-composable pairs of squares."""
-        out = []
-        for a in self._all_square_names():
-            asrc, adst, _, abot = self.square_boundary(a)
-            for b in self._all_square_names():
-                if is_id_name(a) and is_id_name(b):
-                    continue
-                bsrc, bdst, btop, _ = self.square_boundary(b)
-                if abot != btop:
-                    continue
-                if self._varrow[asrc].vcod != self._varrow[bsrc].vdom:
-                    continue
-                if self._varrow[adst].vcod != self._varrow[bdst].vdom:
-                    continue
-                out.append((a, b))
-        return out
+    def _j2_square_pairs(self, names: Sequence[str]) -> list[tuple[str, str]]:
+        """All vertically composable pairs of ``names`` but pairs of identity squares."""
+        return [(a, b) for a in names for b in names
+                if not (is_id_name(a) and is_id_name(b)) and self._vcomposable(a, b)]
 
     # --- validation ---
 
@@ -748,29 +739,38 @@ class DoubleCatPresentation(_Validated):
                 if got is not None and got != e_sq[result]:
                     bad("vertical-identity-functor", f"identity square over ({first}, {then})")
 
-        # vertical composition of squares: totality, boundaries, functoriality
-        if vid_complete and not out:
-            pairs_sq = self._j2_square_pairs()
+        # vertical composition of squares, over the well-formed squares:
+        # declared entries, totality, boundaries, functoriality
+        if vid_complete:
+            sq_wf = [id_name(v) for v in self._varrow if v in v_ok]
+            sq_wf += [s for s in self._square if s in sq_fit]
+            wf = set(sq_wf)
+            for (a, b), r in self.square_vcomp.items():
+                if not all(n in wf for n in (a, b, r)):
+                    bad("unknown-reference", f"vertical composite of squares ({a}, {b}) = {r}")
+                elif not self._vcomposable(a, b):
+                    bad("vertical-composition-square-boundary", f"({a}, {b}) not composable")
+                elif is_id_name(a) and is_id_name(b):
+                    expected = vtable.get((a[len(ID_PREFIX):], b[len(ID_PREFIX):]))
+                    if expected is not None and r != id_name(expected):
+                        bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
+            pairs_sq = self._j2_square_pairs(sq_wf)
             for a, b in pairs_sq:
                 try:
                     r = self.square_vcompose(a, b)
                 except InvalidPresentation:
                     bad("vertical-composition-square-totality", f"({a}, {b})")
                     continue
-                if r not in sq_all_ok:
-                    bad("unknown-reference", f"vertical composite of squares ({a}, {b}) = {r}")
-                    continue
+                if r not in wf:
+                    continue  # reported with the declared entries
                 asrc, adst, atop, _ = self.square_boundary(a)
                 bsrc, bdst, _, bbot = self.square_boundary(b)
                 rsrc, rdst, rtop, rbot = self.square_boundary(r)
-                want = (vtable[(asrc, bsrc)], vtable[(adst, bdst)])
+                want = (vtable.get((asrc, bsrc)), vtable.get((adst, bdst)))
+                if None in want:
+                    continue  # a hole in the vertical table, reported there
                 if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
                     bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
-            for (a, b), r in self.square_vcomp.items():
-                if a in sq_all_ok and b in sq_all_ok and is_id_name(a) and is_id_name(b):
-                    expected = vtable.get((a[len(ID_PREFIX):], b[len(ID_PREFIX):]))
-                    if expected is not None and r != id_name(expected):
-                        bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
             # functoriality over composition of square pairs
             pair_set = set(pairs_sq) | {(id_name(f), id_name(g)) for f, g in vtable}
             ends = {n: self.square_boundary(n)[:2] for pair in pair_set for n in pair}
@@ -853,7 +853,8 @@ class DoubleCatPresentation(_Validated):
                         )
                     )
         squares = []
-        for a, b in self._j2_square_pairs():
+        names = [id_name(v.name) for v in self.varrows] + [s.name for s in self.squares]
+        for a, b in self._j2_square_pairs(names):
             asrc, adst, atop, _ = self.square_boundary(a)
             bsrc, bdst, _, bbot = self.square_boundary(b)
             src, dst = pair_name(asrc, bsrc), pair_name(adst, bdst)

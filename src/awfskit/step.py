@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .arrows import (
@@ -80,7 +81,7 @@ class LiftingProblem:
     gen: str
     square: CommSquare
 
-    @property
+    @cached_property
     def key(self) -> ProblemKey:
         return (self.gen, self.square.top.table, self.square.bot.table)
 
@@ -110,13 +111,14 @@ def _problem_tables(u: ArrowObject, f: ArrowObject, free: Sequence[int]) -> Iter
     """
     ut, ft = u.map.table, f.map.table
     forced_twice = len(set(ut)) != len(ut)
+    nbot, values, nfree = u.bot.size, range(f.bot.size), len(free)
     for s0 in itertools.product(range(f.top.size), repeat=u.top.size):
-        s1 = [0] * u.bot.size
+        s1 = [0] * nbot
         for a, b in enumerate(ut):
             s1[b] = ft[s0[a]]
         if forced_twice and any(s1[b] != ft[s0[a]] for a, b in enumerate(ut)):
             continue
-        for vals in itertools.product(range(f.bot.size), repeat=len(free)):
+        for vals in itertools.product(values, repeat=nfree):
             for b, v in zip(free, vals):
                 s1[b] = v
             yield s0, tuple(s1)
@@ -283,15 +285,14 @@ class StepStructure:
             return self.cells[key].table
         gen, s0, s1 = key
         meta: _FastGen = self._fast[gen]
-        x = self.target.top.size
-        y = self.target.bot.size
+        x, y = self.target.map.dom.size, self.target.map.cod.size
         rank = 0
         for v in s0:
             rank = rank * x + v
         for b in meta.free:
             rank = rank * y + s1[b]
-        base = x + meta.cells_before + rank * meta.fcount
-        return tuple(base + i if free else s0[i] for free, i in meta.layout)
+        base = x + meta.cells_before + rank * len(meta.free)
+        return tuple([base + i if free else s0[i] for free, i in meta.layout])
 
     def adjoined(self) -> Iterator[tuple]:
         """Every problem that adjoins cells, in canonical order, as
@@ -301,12 +302,13 @@ class StepStructure:
         Together with the inclusion these entries cover the carrier."""
         if self._fast is not None:
             for meta in self._fast.values():
-                if not meta.fcount:
+                fcount = meta.fcount
+                if not fcount:
                     continue
                 pos = self.target.top.size + meta.cells_before
                 for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
-                    yield meta.name, s0, s1, meta.free, range(pos, pos + meta.fcount)
-                    pos += meta.fcount
+                    yield meta.name, s0, s1, meta.free, range(pos, pos + fcount)
+                    pos += fcount
             return
         for name, u in self.shape.lifting_generators():
             _, free = _image_reps(u.map)
@@ -504,14 +506,14 @@ def classify_extend(
     transports it to."""
     if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
-    at, ab = alpha.top.table, alpha.bot.table
+    at, ab = alpha.top.table.__getitem__, alpha.bot.table.__getitem__
     kd = struct_dst.inclusion.table
     return _classify(
         struct_src,
         struct_dst.extended,
-        [kd[w] for w in at],
+        list(map(kd.__getitem__, alpha.top.table)),
         lambda gen, s0, s1: struct_dst._cell_table(
-            (gen, tuple(at[v] for v in s0), tuple(ab[v] for v in s1))
+            (gen, tuple(map(at, s0)), tuple(map(ab, s1)))
         ),
         alpha.bot,
     )
@@ -680,21 +682,19 @@ class DoubleEngine:
         if collapse.src != s1.extended:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
-        ct, cb = collapse.top.table, collapse.bot.table
+        ct, cb = collapse.top.table.__getitem__, collapse.bot.table.__getitem__
 
         def cell_image(pname, s0, s1tab):
             pair = self.pairs.pair(pname)
             rt = self._right_tables[pname]
-            inner = s1._cell_table((pair.left, s0, tuple(s1tab[r] for r in rt)))
-            return snext._cell_table(
-                (pair.right, tuple(ct[v] for v in inner), tuple(cb[v] for v in s1tab))
-            )
+            inner = s1._cell_table((pair.left, s0, tuple(map(s1tab.__getitem__, rt))))
+            return snext._cell_table((pair.right, tuple(map(ct, inner)), tuple(map(cb, s1tab))))
 
         knext = snext.inclusion.table
         return _classify(
             s2,
             snext.extended,
-            [knext[ct[w]] for w in s1.inclusion.table],
+            [knext[ct(w)] for w in s1.inclusion.table],
             cell_image,
             collapse.bot,
         )

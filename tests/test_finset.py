@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awfskit.arrows import ArrowObject, CommSquare, arrow
 from awfskit.errors import CompositionError, DiagramError, UniversalityError
 from awfskit.finset import (
     CoconeWitness,
     Diagram,
     FinSet,
     FiniteMap,
+    _quotient_table,
     compose,
     finite_colimit,
     identity,
@@ -336,3 +338,278 @@ def test_determinism_identical_inputs():
     a = joint_coequalizer(pairs)
     b = joint_coequalizer(pairs)
     assert a.q.table == b.q.table and a.apex == b.apex
+
+
+# ------------------------------------------------ the kernel against its loops
+#
+# The kernel runs its per-element work as whole-table passes.  The functions
+# below are the per-element loops those passes replaced, kept as references:
+# the kernel must give the same tables, accept the same maps and raise the
+# same exceptions with the same text.
+
+
+def ref_quotient_table(n: int, merges) -> tuple[int, tuple[int, ...]]:
+    """Union-find with path halving, labels numbered by a walk in order."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in merges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    labels: dict[int, int] = {}
+    table = [0] * n
+    for x in range(n):
+        table[x] = labels.setdefault(find(x), len(labels))
+    return len(labels), tuple(table)
+
+
+def ref_check_table(table, cod: int) -> None:
+    for x, v in enumerate(table):
+        if not 0 <= v < cod:
+            raise DiagramError(f"table entry {x} -> {v} lies outside codomain of size {cod}")
+
+
+def _fill(out, leg, h, error):
+    for x, cls in enumerate(leg.table):
+        hx = h.table[x]
+        if out[cls] == -1:
+            out[cls] = hx
+        elif out[cls] != hx:
+            raise error(cls, out[cls], hx)
+
+
+def ref_quotient_induced(res, h):
+    if h.dom != res.q.dom:
+        raise DiagramError("mediating input must start at the quotiented carrier")
+    out = [-1] * res.apex.size
+    _fill(out, res.q, h, lambda cls, a, b: UniversalityError(
+        f"map does not coequalise: elements of class {cls} disagree ({a} vs {b})"))
+    return FiniteMap(res.apex, h.cod, tuple(out))
+
+
+def ref_pushout_induced(res, u, v):
+    if u.cod != v.cod:
+        raise DiagramError("mediating cospan must share a codomain")
+    if u.dom != res.left.dom or v.dom != res.right.dom:
+        raise DiagramError("mediating cospan does not match the pushout feet")
+    out = [-1] * res.apex.size
+    error = lambda *_: UniversalityError("cospan does not commute with the pushout identifications")
+    _fill(out, res.left, u, error)
+    _fill(out, res.right, v, error)
+    return FiniteMap(res.apex, u.cod, tuple(out))
+
+
+def ref_cocone_induced(w, maps):
+    if len(maps) != len(w.legs):
+        raise DiagramError("cocone must provide one map per vertex")
+    out = [-1] * w.apex.size
+    cod = None
+    for leg, h in zip(w.legs, maps):
+        if h.dom != leg.dom:
+            raise DiagramError("cocone map does not start at its vertex")
+        if cod is None:
+            cod = h.cod
+        elif h.cod != cod:
+            raise DiagramError("cocone maps must share a codomain")
+        _fill(out, leg, h, lambda *_: UniversalityError("cocone does not commute with the diagram edges"))
+    if cod is None:
+        raise DiagramError("cannot mediate out of an empty diagram without a target")
+    return FiniteMap(w.apex, cod, tuple(out))
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (DiagramError, UniversalityError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def merge_lists(draw):
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, []
+    point = st.integers(0, n - 1)
+    merges = draw(st.lists(st.one_of(
+        st.tuples(point, point),
+        point.map(lambda x: (x, x)),  # self-merges
+    ), max_size=60))
+    return n, merges
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_lists())
+def test_quotient_table_matches_reference_loop(case):
+    n, merges = case
+    assert _quotient_table(n, iter(merges)) == ref_quotient_table(n, merges)
+
+
+def test_quotient_table_edge_cases_match_reference_loop():
+    rng = random.Random(23)
+    chain = [(i, i + 1) for i in range(3000)]
+    cases = [
+        (0, []),
+        (1, [(0, 0)]),
+        (5, [(3, 3), (1, 1)]),
+        (3001, chain),
+        (3001, chain[::-1]),
+        (3001, [(b, a) for a, b in chain]),
+        (3001, rng.sample(chain, len(chain))),
+        (3001, [(0, i) for i in range(3001)] + [(i, 3000 - i) for i in range(3001)]),
+    ]
+    for n, merges in cases:
+        assert _quotient_table(n, merges) == ref_quotient_table(n, merges)
+    assert _quotient_table(3001, chain) == (1, (0,) * 3001)
+
+
+def _maps_into(draw, doms, cod):
+    return [fmap(d, cod, draw(st.lists(st.integers(0, cod - 1), min_size=d, max_size=d)))
+            for d in doms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_induced_matches_reference_loop(data):
+    draw = data.draw
+    y = draw(st.integers(1, 6))
+    d = draw(st.integers(0, 6))
+    f, g = _maps_into(draw, [d, d], y)
+    res = joint_coequalizer([(f, g)])
+    z = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # constant on classes
+        w = draw(st.lists(st.integers(0, z - 1), min_size=res.apex.size, max_size=res.apex.size))
+        h = fmap(y, z, [w[c] for c in res.q.table])
+    else:
+        (h,) = _maps_into(draw, [draw(st.sampled_from([y, y, y + 1]))], z)
+    assert outcome(res.induced, h) == outcome(ref_quotient_induced, res, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pushout_induced_matches_reference_loop(data):
+    draw = data.draw
+    a, x, b = draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    (f,), (g,) = _maps_into(draw, [a], x), _maps_into(draw, [a], b)
+    res = pushout(f, g)
+    z = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # a commuting cospan
+        w = draw(st.lists(st.integers(0, z - 1), min_size=res.apex.size, max_size=res.apex.size))
+        u = fmap(x, z, [w[c] for c in res.left.table])
+        v = fmap(b, z, [w[c] for c in res.right.table])
+    else:
+        u, v = _maps_into(draw, [x, draw(st.sampled_from([b, b, b + 1]))], z)
+        if draw(st.booleans()):
+            (v,) = _maps_into(draw, [v.dom.size], z + 1)
+    assert outcome(res.induced, u, v) == outcome(ref_pushout_induced, res, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cocone_induced_matches_reference_loop(data):
+    draw = data.draw
+    sizes = draw(st.lists(st.integers(1, 3), max_size=5))
+    vertices = [FinSet(s) for s in sizes]
+    edges = []
+    for _ in range(draw(st.integers(0, 5)) if sizes else 0):
+        s, t = draw(st.integers(0, len(sizes) - 1)), draw(st.integers(0, len(sizes) - 1))
+        (e,) = _maps_into(draw, [sizes[s]], sizes[t])
+        edges.append((s, t, e))
+    w = finite_colimit(Diagram(vertices, edges))
+    z = draw(st.integers(1, 3))
+    if draw(st.booleans()):  # a commuting cocone
+        vals = draw(st.lists(st.integers(0, z - 1), min_size=w.apex.size, max_size=w.apex.size))
+        maps = [fmap(s, z, [vals[c] for c in leg.table]) for s, leg in zip(sizes, w.legs)]
+    else:  # arbitrary maps, some starting or ending elsewhere
+        maps = [
+            _maps_into(draw, [draw(st.sampled_from([s, s, s, s + 1]))],
+                       draw(st.sampled_from([z, z, z, z + 1])))[0]
+            for s in sizes
+        ]
+    if draw(st.booleans()) and maps:
+        maps = maps[:-1]
+    assert outcome(w.induced, maps) == outcome(ref_cocone_induced, w, maps)
+
+
+def test_induced_messages_match_reference_loops():
+    res = joint_coequalizer([(fmap(1, 3, [0]), fmap(1, 3, [2]))])
+    h = fmap(3, 3, [0, 1, 2])
+    assert outcome(res.induced, h) == outcome(ref_quotient_induced, res, h) == (
+        UniversalityError, "map does not coequalise: elements of class 0 disagree (0 vs 2)"
+    )
+    w = finite_colimit(Diagram([FinSet(1), FinSet(1), FinSet(1)], [(0, 1, fmap(1, 1, [0]))]))
+    # a disagreement on the first two legs comes before the misplaced third map
+    maps = [fmap(1, 2, [0]), fmap(1, 2, [1]), fmap(2, 2, [0, 0])]
+    assert outcome(w.induced, maps) == outcome(ref_cocone_induced, w, maps) == (
+        UniversalityError, "cocone does not commute with the diagram edges"
+    )
+    assert outcome(w.induced, []) == outcome(ref_cocone_induced, w, []) == (
+        DiagramError, "cocone must provide one map per vertex"
+    )
+
+
+NAN = float("nan")
+
+table_entries = st.one_of(
+    st.integers(-3, 8),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, 2.5, -0.5, 7.0, NAN, float("inf"), -float("inf")]),
+    st.floats(-2, 9, allow_nan=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(table_entries, max_size=8), st.integers(0, 6))
+def test_finitemap_accepts_exactly_what_the_reference_loop_accepts(table, cod):
+    new = outcome(FiniteMap, FinSet(len(table)), FinSet(cod), tuple(table))
+    ref = outcome(ref_check_table, table, cod)
+    if ref is None:
+        assert isinstance(new, FiniteMap) and new.table == tuple(table)
+    else:
+        assert new == ref
+
+
+def test_finitemap_rejects_what_min_and_max_miss():
+    # a NaN between in-range entries is neither the minimum nor the maximum
+    cases = [
+        ((0, NAN, 1), 2),
+        (tuple(range(100)) + (NAN,) + tuple(range(100)), 100),
+        ((0, "1", 1), 2),
+        ((1, None), 2),
+        ((True, 1, -1), 2),
+        ((0, 2), 2),
+    ]
+    for table, cod in cases:
+        new = outcome(FiniteMap, FinSet(len(table)), FinSet(cod), table)
+        assert new == outcome(ref_check_table, table, cod)
+        assert new[0] in (DiagramError, TypeError)
+    assert outcome(FiniteMap, FinSet(3), FinSet(2), (0, NAN, 1)) == (
+        DiagramError, "table entry 1 -> nan lies outside codomain of size 2"
+    )
+
+
+def test_square_rejects_a_large_square_wrong_only_at_its_last_entry():
+    n = 5000
+    ident = arrow(n, n, range(n))
+    bot = fmap(n, n, list(range(n - 1)) + [0])
+    with pytest.raises(DiagramError, match="square does not commute"):
+        CommSquare(ident, ident, identity(FinSet(n)), bot)
+    assert CommSquare(ident, ident, identity(FinSet(n)), identity(FinSet(n))).is_identity()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_square_commutes_exactly_when_the_composites_agree(data):
+    draw = data.draw
+    a, b, c, d = (draw(st.integers(1, 4)) for _ in range(4))
+    (f,), (g,) = _maps_into(draw, [a], b), _maps_into(draw, [c], d)
+    (top,), (bot,) = _maps_into(draw, [a], c), _maps_into(draw, [b], d)
+    commutes = compose(g, top).table == compose(bot, f).table
+    made = outcome(CommSquare, ArrowObject(f), ArrowObject(g), top, bot)
+    assert isinstance(made, CommSquare) if commutes else made == (DiagramError, "square does not commute")

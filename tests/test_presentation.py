@@ -395,7 +395,64 @@ def test_non_composable_horizontal_entry_is_reported_not_raised():
         vid={"x": "ex", "y": "ey"},
         squares=[("sh", "ex", "ey", "h", "h")],
     )
-    assert pres.validate().axioms() == ["horizontal-composition-boundary"]
+    # sh stacks on itself and the table gives no composite for the pair
+    assert pres.validate().axioms() == [
+        "horizontal-composition-boundary", "vertical-composition-square-totality"
+    ]
+
+
+def _stacked_pres(**changes) -> DoubleCatPresentation:
+    """Two identity squares stacked on and under a square ``s: u -> w``."""
+    spec = dict(
+        objects={"a": 1, "b": 2},
+        varrows=[("ea", "a", "a", [0]), ("eb", "b", "b", [0, 1]),
+                 ("u", "a", "b", [0]), ("w", "a", "b", [0])],
+        vid={"a": "ea", "b": "eb"},
+        squares=[("s", "u", "w", "1_a", "1_b")],
+        square_vcomp=[("1_ea", "s", "s"), ("s", "1_eb", "s")],
+    )
+    spec.update(changes)
+    return DoubleCatPresentation.build(**spec)
+
+
+def test_vertical_square_fault_is_reported_next_to_an_unrelated_fault():
+    assert _stacked_pres().validate().ok
+    pres = _stacked_pres(
+        hcomp=[("1_a", "1_b", "1_a")],
+        square_vcomp=[("1_ea", "s", "s"), ("s", "1_eb", "1_eb")],
+    )
+    assert [(v.axiom, v.witness) for v in pres.validate().violations] == [
+        ("horizontal-composition-boundary", "(1_a, 1_b) not composable"),
+        ("vertical-composition-square-boundary", "(s, 1_eb) = 1_eb"),
+    ]
+
+
+def test_vertical_square_entries_must_name_known_stackable_squares():
+    entries = [("1_ea", "s", "s"), ("s", "1_eb", "s")]
+    pres = _stacked_pres(square_vcomp=entries + [
+        ("1_ea", "ghost", "s"),
+        ("s", "s", "s"),
+        ("1_eb", "1_ea", "1_ea"),
+        ("1_ea", "1_ea", "ghost"),
+    ])
+    assert [(v.axiom, v.witness) for v in pres.validate().violations] == [
+        ("unknown-reference", "vertical composite of squares (1_ea, ghost) = s"),
+        ("vertical-composition-square-boundary", "(s, s) not composable"),
+        ("vertical-composition-square-boundary", "(1_eb, 1_ea) not composable"),
+        ("unknown-reference", "vertical composite of squares (1_ea, 1_ea) = ghost"),
+    ]
+
+
+def test_vertical_square_checks_skip_squares_with_faults():
+    # t has an unknown vertical side; no vertical check may look it up
+    pres = _stacked_pres(
+        squares=[("s", "u", "w", "1_a", "1_b"), ("t", "ghost", "w", "1_a", "1_b")],
+        square_vcomp=[("1_ea", "s", "s"), ("s", "1_eb", "s"), ("1_ea", "t", "t")],
+    )
+    report = pres.validate()
+    assert ("unknown-reference", "vertical composite of squares (1_ea, t) = t") in [
+        (v.axiom, v.witness) for v in report.violations
+    ]
 
 
 def test_square_with_wrong_boundary_is_reported_not_raised():

@@ -59,13 +59,14 @@ class FiniteMap:
             )
         cod = self.cod.size
         try:
-            # min and max can step over a NaN, the sum carries it
-            total = sum(table)
-            inside = not table or (0 <= min(table) and max(table) < cod and total == total)
+            # a sum of ints (bools included) is an int; one float makes it not
+            inside = not table or (0 <= min(table) and max(table) < cod and type(sum(table)) is int)
         except TypeError:
             inside = False
         if not inside:
             for x, v in enumerate(table):
+                if not isinstance(v, int):
+                    raise DiagramError(f"table entry {x} -> {v!r} is not an integer")
                 if not 0 <= v < cod:
                     raise DiagramError(f"table entry {x} -> {v} lies outside codomain of size {cod}")
 
@@ -240,10 +241,12 @@ class Diagram:
 
 @dataclass(frozen=True)
 class CoconeWitness:
-    """Colimit apex with its legs and the mediating-map factory."""
+    """Colimit apex with its legs and the mediating-map factory; ``q`` is the
+    quotient of the coproduct of the vertices onto the apex, sliced by the legs."""
 
     apex: FinSet
     legs: tuple[FiniteMap, ...]
+    q: FiniteMap
 
     def induced(self, maps: Sequence[FiniteMap]) -> FiniteMap:
         """Unique u with u . leg_i = maps[i] for a commuting cocone."""
@@ -293,4 +296,4 @@ def finite_colimit(diagram: Diagram) -> CoconeWitness:
         FiniteMap(vert, apex, table[offsets[i] : offsets[i] + vert.size])
         for i, vert in enumerate(diagram.vertices)
     )
-    return CoconeWitness(apex, legs)
+    return CoconeWitness(apex, legs, FiniteMap(FinSet(total), apex, table))

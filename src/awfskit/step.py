@@ -27,6 +27,8 @@ either kind of step.  The universal-property mediator (``mediate`` and
 ``restrict_square``) and the constructions built on it (``extend_square``,
 ``route="mediated"``) compute the same squares through the colimit; they
 are kept as an independent cross-check for the oracles and the tests.
+There a lifting is one map out of the coproduct ∐ₚ Bₚ of the problems'
+bottoms, so restricting or mediating builds one map, not one per problem.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     SizeBudgetExceeded,
     UniversalityError,
 )
-from .finset import FinSet, FiniteMap, PushoutResult, compose, identity, pushout
+from .finset import FinSet, FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,10 @@ class StepStructure:
     the adjoined cell of every lifting problem.
 
     General instances (built by ``step``) additionally carry the comma
-    category with its colimit and counit, the pushout, and every cell as a
-    map; only they can ``mediate``.  Fast instances (built by
+    category with its colimit and counit, the pushout, the quotient
+    ``bottoms`` of ∐ₚ Bₚ (problems in ``problem_list`` order) onto the
+    colimit's bottom, and the cells copaired (``copair``) and sliced
+    (``cells``); only they can ``mediate``.  Fast instances (built by
     ``fast_step``) compute each cell from the rank of its problem.
     """
 
@@ -247,6 +251,8 @@ class StepStructure:
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
         self.density: Optional[DensityStep] = None
         self.po: Optional[PushoutResult] = None
+        self.bottoms: Optional[QuotientResult] = None
+        self.copair: Optional[FiniteMap] = None
         self.cells: Optional[dict] = None
         self._fast: Optional[dict] = None
 
@@ -271,6 +277,19 @@ class StepStructure:
             enumerate_problems(name, u, self.target)
             for name, u in self.shape.lifting_generators()
         )
+
+    def lifting(self, base: CommSquare, fillers: Mapping) -> OneStepLifting:
+        """The lifting over ``base`` with filler ``fillers[p.key]`` for every
+        problem ``p``, copaired into one map out of ∐ₚ Bₚ."""
+        top, table = base.dst.top, []
+        for p in self.problem_list:
+            m = fillers.get(p.key)
+            if m is None:
+                raise ProblemMismatch(f"lifting has no filler for problem {p.key}")
+            if m.dom != p.square.src.bot or m.cod != top:
+                raise ProblemMismatch(f"filler for problem {p.key} has wrong boundaries")
+            table.extend(m.table)
+        return OneStepLifting(base, FiniteMap(self.copair.dom, top, tuple(table)))
 
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``: a map from the bottom
@@ -382,10 +401,12 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     tmap = po.induced(target.map, density.counit.bot)
     struct.extended = ArrowObject(tmap)
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    struct.cells = {
-        p.key: compose(po.right, density.colim.bot.legs[i])
-        for i, p in enumerate(density.comma.problems)
-    }
+    bot = density.colim.bot
+    struct.bottoms = QuotientResult(bot.apex, bot.q)
+    struct.copair = compose(po.right, bot.q)  # each cell is a slice of it
+    ends, ct = itertools.accumulate(leg.dom.size for leg in bot.legs), struct.copair.table
+    struct.cells = {p.key: FiniteMap(leg.dom, tmap.dom, ct[end - leg.dom.size : end])
+                    for p, leg, end in zip(density.comma.problems, bot.legs, ends)}
     return struct
 
 
@@ -396,57 +417,48 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
 
 @dataclass
 class OneStepLifting:
-    """A square ``f -> g`` together with a filler for every lifting problem
-    of ``f``: the data classified by squares out of the extension."""
+    """A square ``base: f -> g`` together with a filler for every lifting
+    problem of ``f``, the data classified by squares out of the extension:
+    ``fillers: ∐ₚ Bₚ -> g.top``, problems in ``problem_list`` order."""
 
     base: CommSquare
-    phi: Mapping
+    fillers: FiniteMap
 
 
 def restrict_square(struct: StepStructure, t: CommSquare) -> OneStepLifting:
-    """Restrict a square ``Tf -> g`` to the lifting data it classifies:
-    precompose with the unit, and read the fillers off the adjoined cells."""
+    """Restrict a square ``t: Tf -> g`` to the lifting it classifies: ``t``
+    after the unit, and ``t.top`` after the copairing ∐ₚ Bₚ -> Tf of the cells."""
+    if not struct.has_factories:
+        raise DiagramError("fast step structure cannot restrict; build the general step")
     if t.src != struct.extended:
         raise DiagramError("square does not start at this extension")
-    base = square_compose(t, struct.unit)
-    phi = {p.key: compose(t.top, struct.cell(p.key)) for p in struct.iter_problems()}
-    return OneStepLifting(base, phi)
+    return OneStepLifting(square_compose(t, struct.unit), compose(t.top, struct.copair))
 
 
 def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
     """The unique square ``Tf -> g`` classifying ``lifting``.
 
-    Built constructively: the fillers descend through the colimit of
-    problem bottoms (failure to descend means the fillers are not natural
-    across connecting squares), then the descended map and the base square
-    combine through the pushout factory.  The factories re-verify their
-    defining equations, so an inconsistent lifting cannot slip through.
-    The engine builds its squares by classification instead; this is the
-    independent construction that ``oracle_kappa`` and the tests check
-    the classification against.
+    Built constructively: the fillers, one map out of ∐ₚ Bₚ, descend
+    through its quotient onto the colimit of problem bottoms (failure to
+    descend means the fillers are not natural across connecting squares),
+    then the descended map and the base square combine through the
+    pushout factory.  The factories re-verify their defining equations, so
+    an inconsistent lifting cannot slip through.  The engine builds its
+    squares by classification instead; this is the independent
+    construction that ``oracle_kappa`` and the tests check the
+    classification against.
     """
     if not struct.has_factories:
         raise DiagramError("fast step structure cannot mediate; build the general step")
     if lifting.base.src != struct.target:
         raise ProblemMismatch("lifting does not start at this structure's target")
-    g = lifting.base.dst
-    maps = []
-    for p in struct.problem_list:
-        try:
-            m = lifting.phi[p.key]
-        except KeyError:
-            raise ProblemMismatch(f"lifting has no filler for problem {p.key}") from None
-        if m.dom != p.square.src.bot or m.cod != g.top:
-            raise ProblemMismatch(f"filler for problem {p.key} has wrong boundaries")
-        maps.append(m)
+    g, fillers = lifting.base.dst, lifting.fillers
+    if fillers.dom != struct.copair.dom or fillers.cod != g.top:
+        raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
     try:
-        descended = struct.density.colim.bot.induced(maps) if maps else FiniteMap(
-            struct.density.colim.bot.apex, g.top, ()
-        )
+        descended = struct.bottoms.induced(fillers)
     except UniversalityError as exc:
-        raise NonNaturalLifting(
-            f"fillers are not natural across connecting squares: {exc}"
-        ) from None
+        raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
     top = struct.po.induced(lifting.base.top, descended)
     return CommSquare(struct.extended, g, top, lifting.base.bot)
 
@@ -462,12 +474,12 @@ def extend_square(
         raise ProblemMismatch("square endpoints do not match the step structures")
     if alpha.is_identity():
         return identity_square(struct_src.extended)
-    phi = {}
+    fillers = {}
     for p in struct_src.problem_list:
         moved = square_compose(alpha, p.square)
-        phi[p.key] = struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
+        fillers[p.key] = struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
     base = square_compose(struct_dst.unit, alpha)
-    return mediate(struct_src, OneStepLifting(base, phi))
+    return mediate(struct_src, struct_src.lifting(base, fillers))
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +644,11 @@ class DoubleEngine:
     def _compose_mediated(self, f: ArrowObject) -> CommSquare:
         s2 = self.paired.step(f)
         s1 = self.single.step_tables(f)
-        phi = {}
+        fillers = {}
         for p in s2.problem_list:
             pair = self.pairs.pair(p.gen)
-            phi[p.key] = s1.cell((pair.composite, p.square.top.table, p.square.bot.table))
-        return mediate(s2, OneStepLifting(s1.unit, phi))
+            fillers[p.key] = s1.cell((pair.composite, p.square.top.table, p.square.bot.table))
+        return mediate(s2, s2.lifting(s1.unit, fillers))
 
     def iterate_comparison(self, f: ArrowObject, route: Optional[str] = None) -> CommSquare:
         """The square from the pair-indexed extension to the twice-iterated
@@ -660,15 +672,15 @@ class DoubleEngine:
         s2 = self.paired.step(f)
         s1 = self.single.step_tables(f)
         s11 = self.single.step_tables(s1.extended)
-        phi = {}
+        fillers = {}
         for p in s2.problem_list:
             pair = self.pairs.pair(p.gen)
             right_u = self.pres.uarrow(pair.right)
             inner_bot = compose(p.square.bot, right_u.map)
             inner = s1.cell((pair.left, p.square.top.table, inner_bot.table))
-            phi[p.key] = s11.cell((pair.right, inner.table, p.square.bot.table))
+            fillers[p.key] = s11.cell((pair.right, inner.table, p.square.bot.table))
         base = square_compose(s11.unit, s1.unit)
-        return mediate(s2, OneStepLifting(base, phi))
+        return mediate(s2, s2.lifting(base, fillers))
 
     def iterate_then(self, stage: ArrowObject, collapse: CommSquare) -> CommSquare:
         """The composite of ``collapse`` (a square out of the one-step

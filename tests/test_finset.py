@@ -370,7 +370,11 @@ def ref_quotient_table(n: int, merges) -> tuple[int, tuple[int, ...]]:
 
 
 def ref_check_table(table, cod: int) -> None:
+    """Every entry an int (``bool`` included, every float refused) in range;
+    the first bad entry is named."""
     for x, v in enumerate(table):
+        if not isinstance(v, int):
+            raise DiagramError(f"table entry {x} -> {v!r} is not an integer")
         if not 0 <= v < cod:
             raise DiagramError(f"table entry {x} -> {v} lies outside codomain of size {cod}")
 
@@ -588,10 +592,22 @@ def test_finitemap_rejects_what_min_and_max_miss():
     for table, cod in cases:
         new = outcome(FiniteMap, FinSet(len(table)), FinSet(cod), table)
         assert new == outcome(ref_check_table, table, cod)
-        assert new[0] in (DiagramError, TypeError)
+        assert new[0] is DiagramError
     assert outcome(FiniteMap, FinSet(3), FinSet(2), (0, NAN, 1)) == (
-        DiagramError, "table entry 1 -> nan lies outside codomain of size 2"
+        DiagramError, "table entry 1 -> nan is not an integer"
     )
+
+
+def test_finitemap_rejects_every_float_and_keeps_bools():
+    # an in-range float used to be accepted, and the first compose on it raised TypeError
+    for table in [(1.5,), (1.0,), (0, 2.0), (0, 1, 0.0)]:
+        with pytest.raises(DiagramError, match="is not an integer"):
+            FiniteMap(FinSet(len(table)), FinSet(3), table)
+    assert outcome(FiniteMap, FinSet(1), FinSet(3), (1.5,)) == (
+        DiagramError, "table entry 0 -> 1.5 is not an integer"
+    )
+    flags = FiniteMap(FinSet(2), FinSet(2), (True, False))
+    assert compose(flags, flags).table == (0, 1)
 
 
 def test_square_rejects_a_large_square_wrong_only_at_its_last_entry():

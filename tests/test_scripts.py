@@ -27,6 +27,9 @@ CASES = [
                  id="growth_report-growing"),
     pytest.param(["kappa_sweep.py", "--bound", "0"], 0, "swept 1 pairs, 0 failures",
                  id="kappa_sweep"),
+    pytest.param(["kappa_sweep.py", "--presentation", str(FIXTURES / "gen_abc.json"),
+                  "--bound", "1"], 0, "swept 9 pairs, 0 failures",
+                 id="kappa_sweep-abc"),
 ]
 
 

@@ -14,6 +14,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from awfskit.arrows import ArrowDiagram, ArrowObject, ArrowColimit, CommSquare, arrow, identity_square, square_compose
 from awfskit.errors import (
@@ -54,6 +56,7 @@ from fixture_lib import (
     fmap,
     growth_pres,
     plain_split_epi_pres,
+    retract_pres,
     split_epi_pres,
     two_gen_plain_pres,
 )
@@ -314,40 +317,48 @@ class TestFastPath:
 
     def test_fast_structures_do_not_mediate(self):
         fast = fast_step(plain_split_epi_pres(), aobj(f_3to2()))
-        lifting = OneStepLifting(identity_square(aobj(f_3to2())), {})
+        lifting = OneStepLifting(identity_square(aobj(f_3to2())), fmap(2, 3, [0, 1]))
         with pytest.raises(DiagramError):
             mediate(fast, lifting)
+        with pytest.raises(DiagramError):
+            restrict_square(fast, identity_square(fast.extended))
         with pytest.raises(DiagramError):
             fast.problem_list
 
 
 class TestMediate:
+    """Liftings are built per problem through ``StepStructure.lifting`` and
+    copaired into one map out of the coproduct of problem bottoms."""
+
     def setup_method(self):
         self.f = aobj(f_3to2())
         self.st = step(plain_split_epi_pres(), self.f)
 
     def test_retraction_from_minimal_sections(self):
         # choose the least preimage of each codomain point as the filler
-        phi = {("j", (), (y,)): fmap(1, 3, [min(x for x in range(3) if f_3to2().table[x] == y)])
-               for y in range(2)}
-        t = mediate(self.st, OneStepLifting(identity_square(self.f), phi))
+        fillers = {("j", (), (y,)): fmap(1, 3, [min(x for x in range(3) if f_3to2().table[x] == y)])
+                   for y in range(2)}
+        t = mediate(self.st, self.st.lifting(identity_square(self.f), fillers))
         assert t.top.table == (0, 1, 2, 0, 1)
         assert t.bot.table == (0, 1)
         assert compose(t.top, self.st.inclusion).table == (0, 1, 2)
 
     def test_restrict_then_mediate_is_identity(self):
-        phi = {("j", (), (0,)): fmap(1, 3, [2]), ("j", (), (1,)): fmap(1, 3, [1])}
-        t = mediate(self.st, OneStepLifting(identity_square(self.f), phi))
+        fillers = {("j", (), (0,)): fmap(1, 3, [2]), ("j", (), (1,)): fmap(1, 3, [1])}
+        lift = self.st.lifting(identity_square(self.f), fillers)
+        assert lift.fillers == fmap(2, 3, [2, 1])
+        t = mediate(self.st, lift)
         back = restrict_square(self.st, t)
         assert back.base == identity_square(self.f)
-        assert {k: v.table for k, v in back.phi.items()} == {k: v.table for k, v in phi.items()}
+        assert back == lift
         assert mediate(self.st, back) == t
 
     def test_identity_square_restricts_to_unit_and_cells(self):
         lift = restrict_square(self.st, identity_square(self.st.extended))
         assert lift.base == self.st.unit
-        for p in self.st.problem_list:
-            assert lift.phi[p.key] == self.st.cell(p.key)
+        cells = {p.key: self.st.cell(p.key) for p in self.st.problem_list}
+        assert lift == self.st.lifting(self.st.unit, cells)
+        assert lift.fillers == self.st.copair
         assert mediate(self.st, lift) == identity_square(self.st.extended)
 
     def test_natural_lifting_descends_across_connecting_square(self):
@@ -355,16 +366,16 @@ class TestMediate:
         st = step(shape, self.f)
         g = aobj(fmap(4, 2, [0, 0, 1, 1]))
         u = CommSquare(self.f, g, fmap(3, 4, [0, 2, 0]), identity(FinSet(2)))
-        phi = {
+        fillers = {
             ("j", (), (0,)): fmap(1, 4, [0]),
             ("j", (), (1,)): fmap(1, 4, [2]),
             ("k", (0,), (0,)): fmap(1, 4, [0]),
             ("k", (1,), (1,)): fmap(1, 4, [2]),
             ("k", (2,), (0,)): fmap(1, 4, [0]),
         }
-        t = mediate(st, OneStepLifting(u, phi))
+        t = mediate(st, st.lifting(u, fillers))
         assert compose(t.top, st.inclusion).table == u.top.table
-        for key, val in phi.items():
+        for key, val in fillers.items():
             assert compose(t.top, st.cell(key)).table == val.table
 
     def test_nonnatural_filler_is_rejected(self):
@@ -372,7 +383,7 @@ class TestMediate:
         st = step(shape, self.f)
         g = aobj(fmap(4, 2, [0, 0, 1, 1]))
         u = CommSquare(self.f, g, fmap(3, 4, [0, 2, 0]), identity(FinSet(2)))
-        phi = {
+        fillers = {
             ("j", (), (0,)): fmap(1, 4, [1]),  # disagrees with the forced k-fillers
             ("j", (), (1,)): fmap(1, 4, [2]),
             ("k", (0,), (0,)): fmap(1, 4, [0]),
@@ -380,30 +391,76 @@ class TestMediate:
             ("k", (2,), (0,)): fmap(1, 4, [0]),
         }
         with pytest.raises(NonNaturalLifting):
-            mediate(st, OneStepLifting(u, phi))
+            mediate(st, st.lifting(u, fillers))
 
     def test_filler_breaking_the_top_fill_is_rejected(self):
         st = step(split_epi_pres(), self.f)
-        phi = {p.key: st.cell(p.key) for p in st.problem_list}
-        phi[("e1", (0,), (0,))] = fmap(1, 5, [1])  # must hit the image of point 0
-        lift = OneStepLifting(st.unit, phi)
+        fillers = {p.key: st.cell(p.key) for p in st.problem_list}
+        fillers[("e1", (0,), (0,))] = fmap(1, 5, [1])  # must hit the image of point 0
+        lift = st.lifting(st.unit, fillers)
         with pytest.raises(UniversalityError):
             mediate(st, lift)
 
     def test_filler_breaking_the_bottom_fill_is_rejected(self):
-        phi = {("j", (), (0,)): fmap(1, 3, [1]),  # lands over 1, problem demands 0
-               ("j", (), (1,)): fmap(1, 3, [1])}
+        fillers = {("j", (), (0,)): fmap(1, 3, [1]),  # lands over 1, problem demands 0
+                   ("j", (), (1,)): fmap(1, 3, [1])}
         with pytest.raises(DiagramError):
-            mediate(self.st, OneStepLifting(identity_square(self.f), phi))
+            mediate(self.st, self.st.lifting(identity_square(self.f), fillers))
 
     def test_missing_filler_is_a_problem_mismatch(self):
-        with pytest.raises(ProblemMismatch):
-            mediate(self.st, OneStepLifting(identity_square(self.f), {}))
+        with pytest.raises(ProblemMismatch, match="no filler"):
+            self.st.lifting(identity_square(self.f), {})
 
     def test_base_square_must_start_at_the_target(self):
         other = aobj(f_1to1())
+        fillers = restrict_square(self.st, identity_square(self.st.extended)).fillers
         with pytest.raises(ProblemMismatch):
-            mediate(self.st, OneStepLifting(identity_square(other), {}))
+            mediate(self.st, OneStepLifting(identity_square(other), fillers))
+
+    def test_fillers_with_wrong_boundaries_are_a_problem_mismatch(self):
+        base = identity_square(self.f)
+        with pytest.raises(ProblemMismatch, match="wrong boundaries"):
+            self.st.lifting(base, {("j", (), (0,)): fmap(1, 3, [0]), ("j", (), (1,)): fmap(1, 2, [1])})
+        for fillers in (fmap(3, 3, [0, 1, 1]), fmap(2, 2, [0, 1])):
+            with pytest.raises(ProblemMismatch, match="problem bottoms"):
+                mediate(self.st, OneStepLifting(base, fillers))
+
+
+def ref_restricted_fillers(struct, t: CommSquare) -> tuple:
+    """The fillers a square restricts to, read one problem at a time as
+    ``t.top`` after the problem's cell and concatenated in problem order."""
+    return tuple(v for p in struct.problem_list for v in compose(t.top, struct.cell(p.key)).table)
+
+
+MEDIATE_SHAPES = {
+    "split_epi": split_epi_pres(),
+    "two_gen_plain": two_gen_plain_pres(),  # one connecting square
+    "retract": retract_pres(),
+    "abc": abc_pres(),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.data())
+def test_mediate_inverts_restrict_on_random_squares(data):
+    draw = data.draw
+    shape = MEDIATE_SHAPES[draw(hst.sampled_from(sorted(MEDIATE_SHAPES)))]
+    x, y = draw(hst.integers(0, 2)), draw(hst.integers(1, 2))
+    f = aobj(fmap(x, y, draw(hst.lists(hst.integers(0, y - 1), min_size=x, max_size=x))))
+    w = draw(hst.integers(1, 3))
+    extra = draw(hst.lists(hst.integers(0, w - 1), max_size=2))
+    g = aobj(fmap(w + len(extra), w, list(range(w)) + extra))  # surjective
+    struct = step(shape, f)
+    tf = struct.extended
+    bot = fmap(y, w, draw(hst.lists(hst.integers(0, w - 1), min_size=y, max_size=y)))
+    fibres = [[z for z, v in enumerate(g.map.table) if v == u] for u in range(w)]
+    picks = draw(hst.lists(hst.integers(0, 2), min_size=tf.top.size, max_size=tf.top.size))
+    top = [fibres[bot.table[v]][k % len(fibres[bot.table[v]])] for v, k in zip(tf.map.table, picks)]
+    t = CommSquare(tf, g, fmap(tf.top.size, g.top.size, top), bot)
+    lift = restrict_square(struct, t)
+    assert lift.fillers.table == ref_restricted_fillers(struct, t)
+    assert lift.base == square_compose(t, struct.unit)
+    assert mediate(struct, lift) == t
 
 
 def _random_arrow(rng, max_size=3) -> ArrowObject:

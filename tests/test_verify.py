@@ -22,10 +22,12 @@ against 2x2 assignments of the extension's two elements — four each.
 
 import pytest
 
+from awfskit import verify
 from awfskit.arrows import ArrowObject
 from awfskit.chain import factorise
 from awfskit.errors import SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap
+from awfskit.step import OneStepLifting, mediate, step
 from awfskit.verify import (
     Certificate,
     Report,
@@ -260,6 +262,78 @@ class TestOracleKappa:
         for f in maps:
             for g in maps:
                 assert oracle_kappa(split_epi_pres(), f, g).ok
+
+    def test_each_natural_lifting_is_mediated_once(self, monkeypatch):
+        counts = {"mediate": 0, "liftings": 0}
+        real_mediate, real_enumerate = verify.mediate, verify._enumerate_liftings
+
+        def counted_mediate(struct, lift):
+            counts["mediate"] += 1
+            return real_mediate(struct, lift)
+
+        def counted_enumerate(*args):
+            for lift in real_enumerate(*args):
+                counts["liftings"] += 1
+                yield lift
+
+        monkeypatch.setattr(verify, "mediate", counted_mediate)
+        monkeypatch.setattr(verify, "_enumerate_liftings", counted_enumerate)
+        report = oracle_kappa(two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
+        assert report.ok
+        details = {e.label: e.detail for e in report.entries}
+        assert details["cardinality"] == "squares=4 liftings=4"
+        # one mediation per enumerated lifting, natural or not, and one per
+        # square; the 4 natural liftings are not mediated a second time
+        assert counts == {"liftings": 16, "mediate": 16 + 4}
+
+
+class TestOracleKappaMutations:
+    """The oracle must report, not pass, when the restriction or the
+    enumeration of liftings is broken."""
+
+    @staticmethod
+    def _labels(report):
+        return {e.label: e.ok for e in report.entries}
+
+    def test_corrupted_restriction_fails_two_sided_inverse(self, monkeypatch):
+        real = verify.restrict_square
+
+        def corrupted(struct, t):
+            lift = real(struct, t)
+            table = list(lift.fillers.table)
+            table[0] = (table[0] + 1) % lift.fillers.cod.size
+            fillers = FiniteMap(lift.fillers.dom, lift.fillers.cod, tuple(table))
+            return OneStepLifting(lift.base, fillers)
+
+        exhaustive = (plain_split_epi_pres(), arr(1, 1, [0]), arr(2, 1, [0, 0]))
+        sampled = (abc_pres(), arr(2, 2, [0, 1]), arr(2, 2, [0, 0]))
+        assert oracle_kappa(*exhaustive).ok and oracle_kappa(*sampled, samples=8).ok
+        monkeypatch.setattr(verify, "restrict_square", corrupted)
+        report = oracle_kappa(*exhaustive)
+        assert "exhaustive" in report.entries[1].detail
+        assert self._labels(report) == {"cardinality": True, "two-sided-inverse": False}
+        report = oracle_kappa(*sampled, samples=8)
+        assert "sampled" in report.entries[1].detail
+        assert self._labels(report) == {"cardinality": True, "two-sided-inverse": False}
+
+    @pytest.mark.parametrize("shape", [plain_split_epi_pres(), two_gen_plain_pres()],
+                             ids=["no-squares", "connecting-square"])
+    def test_dropped_lifting_fails_cardinality(self, shape, monkeypatch):
+        real = verify._enumerate_liftings
+        dropped = []
+
+        def dropping(*args):
+            for lift in real(*args):
+                if dropped:
+                    yield lift
+                else:
+                    dropped.append(lift)
+
+        monkeypatch.setattr(verify, "_enumerate_liftings", dropping)
+        f = arr(1, 1, [0])
+        report = oracle_kappa(shape, f, arr(2, 1, [0, 0]))
+        mediate(step(shape, f), dropped[0])  # a natural lifting was dropped
+        assert self._labels(report)["cardinality"] is False
 
 
 class TestOracleInitiality:

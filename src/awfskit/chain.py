@@ -207,10 +207,6 @@ class FactorisationResult:
     def middle_size(self) -> int:
         return self.right.top.size
 
-    @property
-    def left_square(self) -> CommSquare:
-        return CommSquare(self.input, self.right, self.left, identity(self.input.bot))
-
     def beta_square(self, extension: ArrowObject) -> CommSquare:
         return CommSquare(extension, self.right, self.beta0, identity(self.right.bot))
 
@@ -241,7 +237,12 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         raise DiagramError("extracted factorisation does not recompose the input")
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
-    lift_table = {p.key: compose(beta0, st.cell(p.key)) for p in st.iter_problems()}
+    # the filler of each problem is beta0 after its cell, one checked map per
+    # problem, read straight off the step's cell tables
+    b0 = beta0.table.__getitem__
+    lift_table = {
+        key: FiniteMap(bot, beta0.cod, tuple(map(b0, ct))) for key, bot, ct in st.cell_tables()
+    }
     result = FactorisationResult(
         mode=trace.mode,
         stage=n,

@@ -7,12 +7,13 @@ tables, and "same map" is literal table equality.  All values here are
 immutable and every operation is a pure function of its inputs.
 
 Quotients use an ordered union-find: each root is the least member of its
-class.  Every map is checked when built and every mediator checks that it
-factors its input.  The per-element passes of the map check, composition,
-the square check and quotient labelling run in C (``map``, ``min``/``max``,
-``sum``, ``itertools.accumulate``); a Python loop walks a table only to
-name its first bad entry.  The mediators keep one Python walk per leg,
-which measured faster than rebuilding their tables with ``dict``/``map``.
+class.  Every carrier size is checked to be a non-negative integer, every
+map is checked when built and every mediator checks that it factors its
+input.  The per-element passes of the map check, composition, the square
+check and quotient labelling run in C (``map``, ``min``/``max``, ``sum``,
+``itertools.accumulate``); a Python loop walks a table only to name its
+first bad entry.  The mediators keep one Python walk per leg, which
+measured faster than rebuilding their tables with ``dict``/``map``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class FinSet:
     size: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise DiagramError(f"carrier size must be an integer, got {self.size!r}")
         if self.size < 0:
             raise DiagramError(f"carrier size must be non-negative, got {self.size}")
 

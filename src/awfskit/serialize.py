@@ -27,18 +27,33 @@ axioms stay in ``validate()`` on the decoded presentation so that a
 schema-valid but axiom-violating file yields witnesses, not a parse
 error.  Syntax errors carry the line and column from the decoder.
 
+Decoding a map or a certificate first runs its checks as C-level passes
+over whole tables (types by ``set(map(type, ...))``, ranges by the checked
+``FiniteMap``); only when one of them fails does it walk the value
+element by element, so the first complaint and its JSON path are those of
+the walk.
+
 Encoding is canonical: keys are sorted, composition triples are sorted
 by operand names, and lift-table records are sorted by key, so encoding
-a decoded artifact is idempotent and reports diff cleanly.
+a decoded artifact is idempotent and reports diff cleanly.  Every artifact
+(certificate, trace, report, filler, presentation) is written by one
+encoder, ``dumps``, whose text is exactly that of ``json.dumps(payload,
+sort_keys=True, indent=2)`` plus a newline; ``json.dumps`` itself stays
+only in the tests, as the reference the encoder is checked against.  A
+certificate's lift table is written as text rows straight from the table,
+without a dictionary per record.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Optional
 
 from .arrows import ArrowObject
-from .errors import ParseError
+from .errors import DiagramError, ParseError
 from .finset import FinSet, FiniteMap, is_iso
 from .presentation import (
     DoubleCatPresentation,
@@ -73,8 +88,76 @@ def parse_text(text: str):
 
 def dumps(payload) -> str:
     """Canonical serialisation: sorted keys, two-space indent, trailing
-    newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    newline, ASCII with ``\\u`` escapes.  Payloads hold strings, integers,
+    booleans, ``None``, lists, tuples, dictionaries with string keys and
+    text written ahead (``_Text``); the text is byte for byte
+    ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``."""
+    out: list = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+class _Text:
+    """A value already written as canonical text, as if at the top level;
+    ``dumps`` splices it in, indented to the depth where it sits."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _array(items: list, nl: str) -> str:
+    """The text of an array of already written items whose opening line is
+    indented by ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _encode(value, nl: str, out: list) -> None:
+    """Append the text of ``value``; ``nl`` is a newline followed by the
+    indent of the line the value starts on."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value or set(map(type, value)) == _INT:
+            out.append(_array(list(map(int.__repr__, value)), nl))
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, _Text):
+        out.append(value.text.replace("\n", nl))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def read_json(path: str):
@@ -96,6 +179,8 @@ def write_json(path: str, payload) -> None:
 
 # ---------------------------------------------------------------------------
 # shape-checking helpers
+
+_INT = {int}
 
 
 def _fail(path: str, msg: str):
@@ -143,7 +228,33 @@ def encode_map(m: FiniteMap) -> dict:
     return {"dom": m.dom.size, "cod": m.cod.size, "table": list(m.table)}
 
 
+_MAP_KEYS = frozenset(("dom", "cod", "table"))
+_ARROW_KEYS = frozenset(("top", "bot", "map"))
+
+
+def _checked_map(obj) -> Optional[FiniteMap]:
+    """The map ``obj`` encodes, or None if any check of ``decode_map``
+    fails; the checks are whole-table passes and build no path."""
+    if type(obj) is not dict or obj.keys() != _MAP_KEYS:
+        return None
+    dom, cod, table = obj["dom"], obj["cod"], obj["table"]
+    if type(dom) is not int or type(cod) is not int or type(table) is not list:
+        return None
+    if len(table) != dom or (table and set(map(type, table)) != _INT):
+        return None
+    try:
+        return FiniteMap(FinSet(dom), FinSet(cod), tuple(table))
+    except DiagramError:  # a negative codomain, or an entry outside it
+        return None
+
+
 def decode_map(obj, path: str = "$") -> FiniteMap:
+    m = _checked_map(obj)
+    return m if m is not None else _walk_map(obj, path)
+
+
+def _walk_map(obj, path: str) -> FiniteMap:
+    """``decode_map`` one element at a time, naming the first fault."""
     obj = _as_obj(obj, path)
     _check_keys(obj, path, ("dom", "cod", "table"))
     dom = _as_int(obj["dom"], f"{path}.dom")
@@ -166,7 +277,22 @@ def encode_arrow(a: ArrowObject) -> dict:
     return {"top": a.top.size, "bot": a.bot.size, "map": encode_map(a.map)}
 
 
+def _checked_arrow(obj) -> Optional[ArrowObject]:
+    """The arrow ``obj`` encodes, or None if any check of ``decode_arrow`` fails."""
+    if type(obj) is not dict or obj.keys() != _ARROW_KEYS:
+        return None
+    m, top, bot = _checked_map(obj["map"]), obj["top"], obj["bot"]
+    if m is None or type(top) is not int or type(bot) is not int:
+        return None
+    if top != m.dom.size or bot != m.cod.size:
+        return None
+    return ArrowObject(m)
+
+
 def decode_arrow(obj, path: str = "$") -> ArrowObject:
+    a = _checked_arrow(obj)
+    if a is not None:
+        return a
     obj = _as_obj(obj, path)
     _check_keys(obj, path, ("top", "bot", "map"))
     top = _as_int(obj["top"], f"{path}.top")
@@ -387,17 +513,8 @@ def _decode_double(obj: dict, path: str) -> DoubleCatPresentation:
 
 
 def encode_certificate(cert: Certificate) -> dict:
-    records = []
-    for key in sorted(cert.lift_table):
-        gen, top, bot = key
-        records.append(
-            {
-                "generator": gen,
-                "top": list(top),
-                "bot": list(bot),
-                "filler": encode_map(cert.lift_table[key]),
-            }
-        )
+    """The certificate's payload for ``dumps``/``write_json``; its lift
+    table is written as text rows by ``_lift_rows``."""
     return {
         "schema": CERTIFICATE_SCHEMA,
         "mode": cert.mode,
@@ -405,13 +522,150 @@ def encode_certificate(cert: Certificate) -> dict:
         "left": encode_map(cert.left),
         "right": encode_arrow(cert.right),
         "beta0": encode_map(cert.beta0),
-        "lift_table": records,
+        "lift_table": _lift_rows(cert.lift_table),
         "stage": cert.stage,
         "trace_sizes": cert.trace_sizes,
     }
 
 
+def _row_template(gen: str, ntop: int, nbot: int, ntable: int) -> str:
+    """The text of a lift-table record, as an item of a top-level array,
+    with generator ``gen`` and tables of the given lengths; it holds a
+    ``%d`` for each int of the bottom, the filler's codomain, the filler's
+    table and the top, in that order."""
+    return (
+        '{\n    "bot": %s,\n    "filler": {\n      "cod": %%d,\n      "dom": %d,'
+        '\n      "table": %s\n    },\n    "generator": %s,\n    "top": %s\n  }'
+    ) % (
+        _array(["%d"] * nbot, "\n    "),
+        ntable,
+        _array(["%d"] * ntable, "\n      "),
+        _quote(gen).replace("%", "%%"),
+        _array(["%d"] * ntop, "\n    "),
+    )
+
+
+def _lift_rows(lift_table: dict):
+    """The sorted ``{"generator", "top", "bot", "filler"}`` records of the
+    lift table as one text row each, filled into a template per generator
+    and table lengths.  A table holding anything but string generators and
+    int entries is left to ``_encode`` as plain records."""
+    if not lift_table:
+        return _Text("[]")
+    keys = sorted(lift_table)
+    fillers = list(map(lift_table.__getitem__, keys))
+    entries = chain.from_iterable(
+        chain.from_iterable((top, bot, m.table)) for (_, top, bot), m in zip(keys, fillers)
+    )
+    if not (set(map(type, entries)) <= _INT and set(map(type, map(itemgetter(0), keys))) == {str}):
+        return [
+            {"generator": gen, "top": list(top), "bot": list(bot), "filler": encode_map(m)}
+            for (gen, top, bot), m in zip(keys, fillers)
+        ]
+    templates: dict = {}
+    rows = []
+    for (gen, top, bot), m in zip(keys, fillers):
+        table = m.table
+        shape = (gen, len(top), len(bot), len(table))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _row_template(*shape)
+        rows.append(template % (bot + (m.cod.size,) + table + top))
+    return _Text("[\n  " + ",\n  ".join(rows) + "\n]")
+
+
+_CERT_REQUIRED = frozenset(("mode", "input", "left", "right", "beta0", "lift_table"))
+_CERT_KEYS = _CERT_REQUIRED | {"schema", "stage", "trace_sizes"}
+_record_fields = itemgetter("generator", "top", "bot", "filler")
+_map_fields = itemgetter("dom", "cod", "table")
+
+
+def _checked_lift_table(records) -> Optional[dict]:
+    """The lift table ``records`` encode, or None if any check of the
+    walk in ``decode_certificate`` fails.  Each check is one pass over all
+    records; the fillers are built as checked maps, which test the ranges."""
+    if type(records) is not list:
+        return None
+    if not records:
+        return {}
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {4}:
+        return None
+    try:
+        gens, tops, bots, fillers = zip(*map(_record_fields, records))
+    except KeyError:
+        return None
+    if (
+        set(map(type, gens)) != {str}
+        or set(map(type, tops)) != {list}
+        or set(map(type, bots)) != {list}
+        or set(map(type, fillers)) != {dict}
+        or set(map(len, fillers)) != {3}
+    ):
+        return None
+    try:
+        doms, cods, tables = zip(*map(_map_fields, fillers))
+    except KeyError:
+        return None
+    if (
+        set(map(type, doms)) != _INT
+        or set(map(type, cods)) != _INT
+        or set(map(type, tables)) != {list}
+        or list(map(len, tables)) != list(doms)
+        or min(cods) < 0
+    ):
+        return None
+    entries = chain.from_iterable(chain(tops, bots, tables))
+    if not set(map(type, entries)) <= _INT:
+        return None
+    sets = {n: FinSet(n) for n in {*doms, *cods}}
+    try:
+        maps = list(map(FiniteMap, map(sets.__getitem__, doms), map(sets.__getitem__, cods),
+                        map(tuple, tables)))
+    except DiagramError:
+        return None
+    keys = list(zip(gens, map(tuple, tops), map(tuple, bots)))
+    table = dict(zip(keys, maps))
+    return table if len(table) == len(keys) else None
+
+
+def _checked_certificate(obj, pres) -> Optional[Certificate]:
+    """The certificate ``obj`` encodes, or None if any check of the walk in
+    ``decode_certificate`` fails."""
+    if type(obj) is not dict or not _CERT_REQUIRED <= obj.keys() <= _CERT_KEYS:
+        return None
+    if obj.get("schema", CERTIFICATE_SCHEMA) != CERTIFICATE_SCHEMA:
+        return None
+    mode, stage, sizes = obj["mode"], obj.get("stage"), obj.get("trace_sizes")
+    if type(mode) is not str or not (stage is None or type(stage) is int):
+        return None
+    if sizes is not None and (type(sizes) is not list or not set(map(type, sizes)) <= _INT):
+        return None
+    lift_table = _checked_lift_table(obj["lift_table"])
+    parts = (_checked_arrow(obj["input"]), _checked_map(obj["left"]),
+             _checked_arrow(obj["right"]), _checked_map(obj["beta0"]))
+    if lift_table is None or any(part is None for part in parts):
+        return None
+    return Certificate(
+        pres=pres,
+        mode=mode,
+        input=parts[0],
+        left=parts[1],
+        right=parts[2],
+        beta0=parts[3],
+        lift_table=lift_table,
+        stage=stage,
+        trace_sizes=None if sizes is None else list(sizes),
+    )
+
+
 def decode_certificate(obj, pres, path: str = "$") -> Certificate:
+    cert = _checked_certificate(obj, pres)
+    return cert if cert is not None else _walk_certificate(obj, pres, path)
+
+
+def _walk_certificate(obj, pres, path: str) -> Certificate:
+    """``decode_certificate`` one record and one element at a time, naming
+    the first fault."""
     obj = _as_obj(obj, path)
     _check_keys(
         obj,

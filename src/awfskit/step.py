@@ -194,9 +194,6 @@ class DensityStep:
     def apex(self) -> ArrowObject:
         return self.colim.apex
 
-    def leg(self, i: int) -> CommSquare:
-        return self.colim.leg(i)
-
 
 def density_step(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> DensityStep:
     comma = comma_category(shape, f, budget)
@@ -312,6 +309,23 @@ class StepStructure:
             rank = rank * y + s1[b]
         base = x + meta.cells_before + rank * len(meta.free)
         return tuple([base + i if free else s0[i] for free, i in meta.layout])
+
+    def cell_tables(self) -> Iterator[tuple]:
+        """Every lifting problem in canonical order, as ``(key, bottom,
+        table)``: the problem's key, the bottom carrier of its generator
+        and the table of its cell, without building a problem or a map.
+        On the fast path the cells of one generator are laid out in
+        problem order, so each cell starts where the previous one ended."""
+        if self._fast is None:
+            for p in self.density.comma.problems:
+                yield p.key, p.square.src.bot, self.cells[p.key].table
+            return
+        for meta in self._fast.values():
+            name, bot, layout, fcount = meta.name, meta.u.bot, meta.layout, meta.fcount
+            pos = self.target.top.size + meta.cells_before
+            for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
+                yield (name, s0, s1), bot, tuple([pos + i if free else s0[i] for free, i in layout])
+                pos += fcount
 
     def adjoined(self) -> Iterator[tuple]:
         """Every problem that adjoins cells, in canonical order, as

@@ -20,7 +20,6 @@ into any supplied algebra under any boundary square.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -103,9 +102,6 @@ class Report:
                 {"label": e.label, "ok": e.ok, "detail": e.detail} for e in self.entries
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def merged(cls, name: str, reports) -> "Report":

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
-from awfskit.errors import DiagramError, NotStabilised, ProblemMismatch
+from awfskit.errors import DiagramError, NotStabilised, ProblemMismatch, SizeBudgetExceeded
 from awfskit.chain import (
     ChainTrace,
     FactorisationResult,
@@ -36,10 +36,11 @@ from awfskit.chain import (
 )
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
-from awfskit.step import LiftingProblem, StepEngine
+from awfskit.step import LiftingProblem, SizeBudget, StepEngine
 
 from fixture_lib import (
     abc_pres,
+    codiag_pres,
     composite_pres,
     f_0to1,
     f_1to1,
@@ -48,7 +49,9 @@ from fixture_lib import (
     fmap,
     growth_pres,
     plain_split_epi_pres,
+    retract_pres,
     split_epi_pres,
+    two_gen_plain_pres,
 )
 
 
@@ -138,8 +141,8 @@ class TestPlainSplitEpi:
         assert set(result.lift_table) == {("j", (), (0,)), ("j", (), (1,))}
         for y in range(2):
             assert result.lift_table[("j", (), (y,))].table == (3 + y,)
-        # the boundary squares assemble without complaint
-        assert result.left_square.bot == identity(FinSet(2))
+        # the left factor and the identity on the codomain form a square into R
+        CommSquare(result.input, result.right, result.left, identity(FinSet(2)))
 
     def test_extract_beyond_detection_stage(self):
         trace = run_plain(plain_split_epi_pres(), f_3to2(), max_stage=3)
@@ -328,3 +331,49 @@ class TestSolveLift:
         b = factorise(composite_pres(), f_3to2(), mode="special", max_stage=4)
         assert a.beta0 == b.beta0 and a.left == b.left and a.right == b.right
         assert a.lift_table == b.lift_table
+
+
+def _per_problem_lift_table(result: FactorisationResult) -> dict:
+    """The lift table built one problem at a time: beta0 after the cell map
+    of every enumerated problem.  ``extract`` reads the same maps off the
+    step's cell tables; this is the reference it is checked against."""
+    st = result.trace.engine.step_tables(result.right)
+    return {p.key: compose(result.beta0, st.cell(p.key)) for p in st.iter_problems()}
+
+
+def _seeded_map(dom: int, cod: int, seed: int) -> FiniteMap:
+    rng = random.Random(seed)
+    return fmap(dom, cod, [rng.randrange(cod) for _ in range(dom)])
+
+
+_DIFFERENTIAL_SHAPES = [
+    plain_split_epi_pres,
+    two_gen_plain_pres,
+    growth_pres,
+    codiag_pres,
+    split_epi_pres,
+    abc_pres,
+    composite_pres,
+    retract_pres,
+]
+_DIFFERENTIAL_MAPS = {
+    "f_0to1": f_0to1, "f_1to1": f_1to1, "f_2to3": f_2to3, "f_3to2": f_3to2,
+    "r40to5": lambda: _seeded_map(40, 5, 7),
+}
+
+
+@pytest.mark.parametrize("map_name", list(_DIFFERENTIAL_MAPS))
+@pytest.mark.parametrize("make_shape,mode", [
+    (make, mode)
+    for make in _DIFFERENTIAL_SHAPES
+    for mode in ("plain", "special")
+    if mode == "plain" or make().kind == "double"
+], ids=lambda v: getattr(v, "__name__", v))
+def test_lift_table_equals_per_problem_reference_in_order(make_shape, mode, map_name):
+    try:
+        result = factorise(make_shape(), _DIFFERENTIAL_MAPS[map_name](), mode=mode,
+                           max_stage=4, budget=SizeBudget(max_problems=20_000))
+    except (NotStabilised, SizeBudgetExceeded):
+        pytest.skip("the chain does not reach a lift table")
+    reference = _per_problem_lift_table(result)
+    assert list(result.lift_table.items()) == list(reference.items())

@@ -77,6 +77,12 @@ def test_compose_boundary_mismatch():
         compose(fmap(2, 2, [0, 1]), fmap(2, 3, [0, 1]))
 
 
+@pytest.mark.parametrize("size", [2.0, True, "2", None])
+def test_finset_refuses_non_integer_sizes(size):
+    with pytest.raises(DiagramError, match="must be an integer"):
+        FinSet(size)
+
+
 def test_map_table_validation():
     with pytest.raises(DiagramError):
         fmap(2, 2, [0, 2])

@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -34,7 +35,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 PRESENTATIONS = ["gen_abc", "gen_composite", "gen_growth", "gen_split_epi", "two_gen_plain"]
 MODES = ["plain", "special"]
 MAPS = ["f_0to1", "f_1to1", "f_2to3", "f_3to2"]
+# Maps drawn from a fixed seed, for cases whose lift tables run to thousands
+# of records: name -> (domain size, codomain size, seed).
+SEEDED_MAPS = {"r600to60": (600, 60, 600)}
 CASES = [f"{p}-{m}-{f}" for p in PRESENTATIONS for m in MODES for f in MAPS]
+CASES += [f"gen_composite-special-{f}" for f in SEEDED_MAPS]
 
 
 def _digest(data: bytes) -> str:
@@ -59,7 +64,13 @@ def run_case(case: str) -> dict:
         write_json("pres.json", encode_presentation(two_gen_plain_pres()))
     else:
         Path("pres.json").write_bytes((ROOT / "fixtures" / f"{pres}.json").read_bytes())
-    Path("map.json").write_bytes((ROOT / "fixtures" / f"{fmap}.json").read_bytes())
+    if fmap in SEEDED_MAPS:
+        dom, cod, seed = SEEDED_MAPS[fmap]
+        rng = random.Random(seed)
+        write_json("map.json", {"dom": dom, "cod": cod,
+                                "table": [rng.randrange(cod) for _ in range(dom)]})
+    else:
+        Path("map.json").write_bytes((ROOT / "fixtures" / f"{fmap}.json").read_bytes())
     code, out, err = _run([
         "factor", "--presentation", "pres.json", "--map", "map.json", "--mode", mode,
         "--max-stage", "4", "--out", "cert.json", "--trace", "trace.json",

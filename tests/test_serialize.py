@@ -1,11 +1,19 @@
 """Round-trip and error-path tests for the JSON layer."""
 
+import copy
+import json
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awfskit.arrows import ArrowObject
 from awfskit.chain import factorise, run_chain
 from awfskit.errors import ParseError
+from awfskit.finset import FinSet, FiniteMap
 from awfskit.serialize import (
+    _walk_certificate,
     decode_arrow,
     decode_certificate,
     decode_map,
@@ -25,12 +33,14 @@ from fixture_lib import (
     abc_pres,
     composite_pres,
     f_3to2,
+    f_2to3,
     fmap,
     growth_pres,
     plain_split_epi_pres,
     split_epi_pres,
     two_gen_plain_pres,
 )
+from test_golden import CASES, run_case
 
 ALL_PRES = [
     plain_split_epi_pres,
@@ -127,7 +137,7 @@ class TestParseErrors:
     def test_duplicate_lift_table_key(self):
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
-        obj = encode_certificate(cert)
+        obj = parse_text(dumps(encode_certificate(cert)))
         obj["lift_table"].append(obj["lift_table"][0])
         with pytest.raises(ParseError, match="duplicate lift-table key"):
             decode_certificate(obj, pres)
@@ -135,7 +145,7 @@ class TestParseErrors:
     def test_wrong_certificate_schema_tag(self):
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
-        obj = encode_certificate(cert)
+        obj = parse_text(dumps(encode_certificate(cert)))
         obj["schema"] = "something-else"
         with pytest.raises(ParseError, match="schema"):
             decode_certificate(obj, pres)
@@ -188,3 +198,264 @@ class TestSemanticErrorsStayInValidate:
         pres = decode_presentation(obj)
         report = pres.validate()
         assert any(v.axiom == "realisation-map" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# the encoder against json.dumps
+
+
+def reference_dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def plain_certificate_payload(cert) -> dict:
+    """The certificate as plain JSON data, one dictionary per lift-table
+    record: the payload whose ``json.dumps`` text the encoder must write."""
+    return {
+        "schema": "awfskit/certificate-v1",
+        "mode": cert.mode,
+        "input": encode_arrow(cert.input),
+        "left": encode_map(cert.left),
+        "right": encode_arrow(cert.right),
+        "beta0": encode_map(cert.beta0),
+        "lift_table": [
+            {"generator": gen, "top": list(top), "bot": list(bot),
+             "filler": encode_map(cert.lift_table[(gen, top, bot)])}
+            for gen, top, bot in sorted(cert.lift_table)
+        ],
+        "stage": cert.stage,
+        "trace_sizes": cert.trace_sizes,
+    }
+
+
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x01\x08\x1f\x7f\n\t\r é€😀 '), st.characters()),
+    max_size=12,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.lists(st.integers(-5, 10**12), max_size=6),
+        st.dictionaries(json_text, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEncoderMatchesJsonDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_random_payloads(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [True, False, 1], [0, True], [None, 1],
+        {"b": [1, 2], "a": {"z": "é\"\\\x01", "y": [[], [3]]}}, 10**30, -1, "",
+    ], ids=repr)
+    def test_edge_payloads(self, payload):
+        assert dumps(payload) == reference_dumps(payload)
+
+    def test_refuses_what_json_refuses(self):
+        for bad in ({1: 2}, {"a": object()}, [1.5]):
+            with pytest.raises(TypeError):
+                dumps(bad)
+
+    def test_certificate_with_non_int_entries_matches_json_dumps(self):
+        # API-built tables are not rows of ints: the plain-record path writes them
+        pres = plain_split_epi_pres()
+        cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
+        cert.lift_table[("j", (), (1,))] = FiniteMap(FinSet(1), FinSet(5), (True,))
+        assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
+
+    def test_certificate_rows_escape_generator_names(self):
+        pres = plain_split_epi_pres()
+        cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
+        for name in ('%d', '%s%%', 'é"\\\x01', ''):
+            cert.lift_table[(name, (0, 1), ())] = FiniteMap(FinSet(0), FinSet(5), ())
+        assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_golden_artifact_is_what_json_dumps_writes(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    record = run_case(case)
+    for name in ("cert.json", "trace.json", "report.json"):
+        if os.path.exists(name):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert reference_dumps(json.loads(text)) == text
+    if record["factor_exit"] == 0:
+        pres = decode_presentation(json.loads((tmp_path / "pres.json").read_text()))
+        obj = json.loads((tmp_path / "cert.json").read_text())
+        cert = decode_certificate(obj, pres)
+        assert cert == _walk_certificate(obj, pres, "$")
+        assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
+
+
+# ---------------------------------------------------------------------------
+# decoder error parity
+
+DELETE = object()
+
+# One fault per mutant: (path into the certificate, new value), where DELETE
+# removes the entry, a new last key adds it, and "+" appends a copy of the
+# first record.  The texts were recorded from the element-by-element walk
+# before the whole-table passes were added; the first fault and its JSON
+# path must not change.
+CERT_MUTANTS = [
+    (("lift_table", 4, "filler", "table", 0), True,
+     "$.lift_table[4].filler.table[0]: expected an integer, got bool"),
+    (("lift_table", 4, "filler", "table", 0), 1.0,
+     "$.lift_table[4].filler.table[0]: expected an integer, got float"),
+    (("lift_table", 4, "filler", "table", 0), "1",
+     "$.lift_table[4].filler.table[0]: expected an integer, got str"),
+    (("lift_table", 4, "filler", "table", 0), 5,
+     "$.lift_table[4].filler.table[0]: value 5 outside codomain of size 5"),
+    (("lift_table", 4, "filler", "table", 0), -1,
+     "$.lift_table[4].filler.table[0]: value -1 outside codomain of size 5"),
+    (("lift_table", 4, "filler", "table"), [1, 1],
+     "$.lift_table[4].filler.table: length 2 does not match dom 1"),
+    (("lift_table", 4, "filler", "table"), [],
+     "$.lift_table[4].filler.table: length 0 does not match dom 1"),
+    (("lift_table", 4, "filler", "table"), None,
+     "$.lift_table[4].filler.table: expected an array, got NoneType"),
+    (("lift_table", 4, "filler", "dom"), True,
+     "$.lift_table[4].filler.dom: expected an integer, got bool"),
+    (("lift_table", 4, "filler", "dom"), -1,
+     "$.lift_table[4].filler: carrier sizes must be non-negative"),
+    (("lift_table", 4, "filler", "cod"), 5.0,
+     "$.lift_table[4].filler.cod: expected an integer, got float"),
+    (("lift_table", 4, "filler", "cod"), -5,
+     "$.lift_table[4].filler: carrier sizes must be non-negative"),
+    (("lift_table", 4, "filler", "cod"), DELETE,
+     "$.lift_table[4].filler: missing key 'cod'"),
+    (("lift_table", 4, "filler", "extra"), 0,
+     "$.lift_table[4].filler: unknown key 'extra'"),
+    (("lift_table", 4, "filler"), [2],
+     "$.lift_table[4].filler: expected an object, got list"),
+    (("lift_table", 4, "top", 0), True,
+     "$.lift_table[4].top[0]: expected an integer, got bool"),
+    (("lift_table", 4, "top", 0), 1.0,
+     "$.lift_table[4].top[0]: expected an integer, got float"),
+    (("lift_table", 4, "top", 0), "1",
+     "$.lift_table[4].top[0]: expected an integer, got str"),
+    (("lift_table", 4, "bot", 0), False,
+     "$.lift_table[4].bot[0]: expected an integer, got bool"),
+    (("lift_table", 4, "bot"), 0,
+     "$.lift_table[4].bot: expected an array, got int"),
+    (("lift_table", 4, "generator"), 7,
+     "$.lift_table[4].generator: expected a string, got int"),
+    (("lift_table", 4, "generator"), DELETE,
+     "$.lift_table[4]: missing key 'generator'"),
+    (("lift_table", 4, "filler"), DELETE,
+     "$.lift_table[4]: missing key 'filler'"),
+    (("lift_table", 4, "extra"), 0,
+     "$.lift_table[4]: unknown key 'extra'"),
+    (("lift_table", 4), "b",
+     "$.lift_table[4]: expected an object, got str"),
+    (("lift_table", 5, "top"), [1],
+     "$.lift_table[5]: duplicate lift-table key ('b', (1,), (0,))"),
+    (("lift_table", "+"), None,
+     "$.lift_table[22]: duplicate lift-table key ('a', (), (0,))"),
+    (("lift_table",), {},
+     "$.lift_table: expected an array, got dict"),
+    (("input", "map", "table", 0), True,
+     "$.input.map.table[0]: expected an integer, got bool"),
+    (("input", "map", "table"), [2],
+     "$.input.map.table: length 1 does not match dom 2"),
+    (("input", "top"), 2.0,
+     "$.input.top: expected an integer, got float"),
+    (("input", "bot"), 4,
+     "$.input.map: runs 2 -> 3, declared 2 -> 4"),
+    (("input", "map"), DELETE,
+     "$.input: missing key 'map'"),
+    (("left", "table", 1), 5,
+     "$.left.table[1]: value 5 outside codomain of size 5"),
+    (("left", "table", 0), -1,
+     "$.left.table[0]: value -1 outside codomain of size 5"),
+    (("left", "dom"), "2",
+     "$.left.dom: expected an integer, got str"),
+    (("right", "map", "cod"), -1,
+     "$.right.map: carrier sizes must be non-negative"),
+    (("right", "extra"), 1,
+     "$.right: unknown key 'extra'"),
+    (("beta0", "table", 10), "4",
+     "$.beta0.table[10]: expected an integer, got str"),
+    (("beta0", "table", 10), 4.0,
+     "$.beta0.table[10]: expected an integer, got float"),
+    (("beta0",), [0],
+     "$.beta0: expected an object, got list"),
+    (("stage",), True, "$.stage: expected an integer, got bool"),
+    (("stage",), "2", "$.stage: expected an integer, got str"),
+    (("stage",), 2.5, "$.stage: expected an integer, got float"),
+    (("trace_sizes", 0), True, "$.trace_sizes[0]: expected an integer, got bool"),
+    (("trace_sizes", 4), 5.0, "$.trace_sizes[4]: expected an integer, got float"),
+    (("trace_sizes",), "5", "$.trace_sizes: expected an array, got str"),
+    (("mode",), 1, "$.mode: expected a string, got int"),
+    (("mode",), DELETE, "$: missing key 'mode'"),
+    (("beta0",), DELETE, "$: missing key 'beta0'"),
+    (("schema",), "awfskit/certificate-v0",
+     "$.schema: expected 'awfskit/certificate-v1', got 'awfskit/certificate-v0'"),
+    (("extra",), 0, "$: unknown key 'extra'"),
+]
+
+
+def _mutant(obj, path, value):
+    obj = copy.deepcopy(obj)
+    *head, last = path
+    node = obj
+    for step in head:
+        node = node[step]
+    if last == "+":
+        node.append(copy.deepcopy(node[0]))
+    elif value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def mutated_certificate():
+    pres = composite_pres()
+    cert = Certificate.from_result(pres, factorise(pres, f_2to3(), mode="special", max_stage=4))
+    return pres, parse_text(dumps(encode_certificate(cert)))
+
+
+@pytest.mark.parametrize("path,value,message", CERT_MUTANTS,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in CERT_MUTANTS])
+def test_decoder_names_the_same_first_fault(mutated_certificate, path, value, message):
+    pres, obj = mutated_certificate
+    with pytest.raises(ParseError) as exc:
+        decode_certificate(_mutant(obj, path, value), pres)
+    assert str(exc.value) == message
+
+
+def _paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_whole_table_passes_agree_with_the_walk_on_any_one_fault(mutated_certificate, data):
+    pres, obj = mutated_certificate
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    value = data.draw(st.sampled_from([True, False, 0, 1, 2, 5, -1, 1.0, "1", None, [], [0], {}, DELETE]))
+    mutant = _mutant(obj, path, value)
+    assert _outcome(decode_certificate, mutant, pres) == _outcome(_walk_certificate, mutant, pres, "$")

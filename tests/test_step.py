@@ -182,7 +182,7 @@ class TestDensityStep:
     def test_counit_legs_recover_each_problem(self):
         ds = density_step(two_gen_plain_pres(), aobj(f_3to2()))
         for i, p in enumerate(ds.comma.problems):
-            assert square_compose(ds.counit, ds.leg(i)) == p.square
+            assert square_compose(ds.counit, ds.colim.leg(i)) == p.square
 
     def test_empty_comma_gives_empty_apex(self):
         ds = density_step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))

@@ -180,9 +180,6 @@ class FiniteCategory:
             if n in self.arrows and (self.arrows[n].dom, self.arrows[n].cod) == (o, o)
         }
 
-    def hom(self, dom: str, cod: str) -> list[str]:
-        return [n for n, a in self.arrows.items() if a.dom == dom and a.cod == cod]
-
     def _lookup(self, first: str, then: str) -> Optional[str]:
         if (first, then) in self.comp_given:
             return self.comp_given[(first, then)]
@@ -446,43 +443,6 @@ class PlainPresentation(_Validated):
             dst = ArrowObject(self._gens[m.cod].umap.build())
             out.append((m.name, m.dom, m.cod, CommSquare(src, dst, m.top.build(), m.bot.build())))
         return out
-
-    def canonical_key(self) -> str:
-        return "plain:" + repr(
-            (self.generators, self.morphisms, tuple(sorted(self.comp.items())))
-        )
-
-
-def from_category(cat: FiniteCategory, obj_real: Mapping[str, ArrowObject], sq_real: Mapping[str, CommSquare]) -> PlainPresentation:
-    """Tag a finite category of maps for the plain factorisation pipeline.
-
-    ``obj_real`` realises every object as a map of finite sets; ``sq_real``
-    realises every non-identity arrow as a commuting square between the
-    realisations of its endpoints.
-    """
-    gens = []
-    for o in cat.objects:
-        if o not in obj_real:
-            raise InvalidPresentation(f"object {o} has no realisation")
-        a = obj_real[o]
-        gens.append(PlainGenSpec(o, RawMap(a.top.size, a.bot.size, a.map.table)))
-    mors = []
-    for ar in cat.gen_arrows:
-        if ar.name not in sq_real:
-            raise InvalidPresentation(f"arrow {ar.name} has no realisation")
-        s = sq_real[ar.name]
-        mors.append(
-            PlainMorSpec(
-                ar.name,
-                ar.dom,
-                ar.cod,
-                RawMap(s.top.dom.size, s.top.cod.size, s.top.table),
-                RawMap(s.bot.dom.size, s.bot.cod.size, s.bot.table),
-            )
-        )
-    pres = PlainPresentation(tuple(gens), tuple(mors), dict(cat.comp_given))
-    pres.ensure_valid()
-    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -867,21 +827,6 @@ class DoubleCatPresentation(_Validated):
             squares.append((pair_name(a, b), src, dst, cs))
         return ComposablePairs(self, pairs, squares)
 
-    def canonical_key(self) -> str:
-        return "double:" + repr(
-            (
-                self.objects,
-                self.harrows,
-                tuple(sorted(self.hcomp.items())),
-                self.varrows,
-                tuple(sorted(self.vid.items())),
-                self.squares,
-                tuple(sorted(self.square_comp.items())),
-                tuple(sorted(self.vcomp.items())),
-                tuple(sorted(self.square_vcomp.items())),
-            )
-        )
-
 
 @dataclass(frozen=True)
 class PairGen:
@@ -915,6 +860,3 @@ class ComposablePairs:
 
     def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
         return list(self.pair_squares)
-
-    def canonical_key(self) -> str:
-        return self.base.canonical_key() + "#pairs"

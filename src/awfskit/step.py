@@ -267,14 +267,6 @@ class StepStructure:
             raise DiagramError("fast step structure does not materialise its problems")
         return self.density.comma.problems
 
-    def iter_problems(self) -> Iterator[LiftingProblem]:
-        if self.density is not None:
-            return iter(self.density.comma.problems)
-        return itertools.chain.from_iterable(
-            enumerate_problems(name, u, self.target)
-            for name, u in self.shape.lifting_generators()
-        )
-
     def lifting(self, base: CommSquare, fillers: Mapping) -> OneStepLifting:
         """The lifting over ``base`` with filler ``fillers[p.key]`` for every
         problem ``p``, copaired into one map out of ∐ₚ Bₚ."""

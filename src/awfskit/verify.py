@@ -3,10 +3,14 @@
 Everything here is a pure table computation over the certificate and the
 presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance.  Failures never raise — they
-become report entries naming the violated equation and the witnessing
-element — so a corrupted certificate yields a deterministic, complete
-list of everything wrong with it.
+hold on the nose, not up to tolerance.  The lifting problems are
+enumerated as their top and bottom tables and every equation is checked
+by indexing into tables, so no problem, square or map is built per
+problem.  Failures never raise — they become report entries naming the
+violated equation and the witnessing element, and a filler whose
+boundaries do not fit its problem is a ``boundary`` entry — so a
+corrupted certificate yields a deterministic, complete list of
+everything wrong with it.
 
 The two oracles check the engine against definitions that do not go
 through the engine's own construction: ``oracle_kappa`` enumerates (or
@@ -22,9 +26,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
-from .arrows import ArrowObject, CommSquare, square_compose
+from .arrows import ArrowObject, CommSquare
 from .chain import FactorisationResult, special_algebra_routes
 from .errors import EngineError, NonNaturalLifting, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, compose, identity
@@ -34,7 +39,7 @@ from .step import (
     SizeBudget,
     StepEngine,
     _image_reps,
-    enumerate_problems,
+    _problem_tables,
     mediate,
     restrict_square,
 )
@@ -119,6 +124,42 @@ def _entry_ok(label: str, count: int, unit: str = "instances") -> ReportEntry:
 # algebra checks
 
 
+_cod_of = attrgetter("cod.__class__", "cod.size")
+_dom_size = attrgetter("dom.size")
+_gen_name = itemgetter(0)
+
+
+def _lift_table_problem(cert: Certificate) -> Optional[str]:
+    """The first malformed lift-table entry, described, or None.
+
+    A value that is not a map into the middle object is named first; then
+    a filler whose domain is not the bottom of the generator its key names
+    (keys naming no generator are surplus, reported by ``check_compat``).
+    Each check is one pass over the whole table; a walk runs only to name
+    the first bad key."""
+    table, top = cert.lift_table, cert.right.top
+    vals = table.values()
+    if not (all(map(isinstance, vals, itertools.repeat(FiniteMap)))
+            and set(map(_cod_of, vals)) <= {(top.__class__, top.size)}):
+        for key, val in table.items():
+            if not isinstance(val, FiniteMap) or val.cod != top:
+                return f"lift table entry {key} does not land in the middle object"
+    bots = {name: u.bot.size for name, u in cert.pres.lifting_generators()}
+    doms = list(map(_dom_size, vals))
+    try:
+        fits = set(map(type, table)) <= {tuple} and list(
+            map(bots.get, map(_gen_name, table), doms)) == doms
+    except IndexError:  # an empty key
+        fits = False
+    if not fits:
+        for key, dom in zip(table, doms):
+            bot = bots.get(key[0], dom) if type(key) is tuple and key else dom
+            if bot != dom:
+                return (f"lift table entry {key} has domain {dom}, "
+                        f"its generator's bottom has {bot}")
+    return None
+
+
 def _boundary_problems(cert: Certificate) -> list:
     out = []
     if cert.mode not in ("plain", "special"):
@@ -131,10 +172,9 @@ def _boundary_problems(cert: Certificate) -> list:
         out.append("left factor boundaries do not match")
     if cert.beta0.cod != cert.right.top:
         out.append("algebra map does not land in the middle object")
-    for key, val in cert.lift_table.items():
-        if not isinstance(val, FiniteMap) or val.cod != cert.right.top:
-            out.append(f"lift table entry {key} does not land in the middle object")
-            break
+    entry = _lift_table_problem(cert)
+    if entry is not None:
+        out.append(entry)
     return out
 
 
@@ -223,20 +263,21 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
 
     checked = 0
     consistent = True
-    for p in st.iter_problems():
-        expected = compose(cert.beta0, st.cell(p.key))
-        got = cert.lift_table.get(p.key)
+    table, route = cert.lift_table, cert.beta0.table.__getitem__
+    for key, _bot, cell in st.cell_tables():
+        expected = tuple(map(route, cell))
+        got = table.get(key)
         if got is None:
             entries.append(
-                ReportEntry("filler-consistency", False, f"missing entry for problem {p.key}")
+                ReportEntry("filler-consistency", False, f"missing entry for problem {key}")
             )
             consistent = False
-        elif got.table != expected.table:
+        elif got.table != expected:
             entries.append(
                 ReportEntry(
                     "filler-consistency",
                     False,
-                    f"problem {p.key}: table {got.table} != algebra route {expected.table}",
+                    f"problem {key}: table {got.table} != algebra route {expected}",
                 )
             )
             consistent = False
@@ -250,11 +291,24 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
 # compatibility checks
 
 
+def _problems(u: ArrowObject, right: ArrowObject):
+    """Top and bottom tables of every lifting problem of ``u`` in ``right``,
+    in canonical order, streamed."""
+    return _problem_tables(u, right, _image_reps(u.map)[1])
+
+
 def check_compat(cert: Certificate) -> Report:
     """Enumerate every lifting problem of every generator against the
     extracted arrow and check the fill equations, the square
     (horizontal) compatibilities, and — when the presentation composes
-    vertical generators — the pair (vertical) compatibilities."""
+    vertical generators — the pair (vertical) compatibilities.
+
+    Problems are enumerated as their top and bottom tables, and every
+    equation is checked by indexing into the fillers' tables; no problem,
+    square or map is built.  The enumeration streams and is run again for
+    each later pass, so no list of problems is kept.  A filler whose
+    boundaries do not fit its problem is a ``boundary`` failure, so the
+    passes index only tables that fit."""
     entries = []
     boundary = _boundary_problems(cert)
     for b in boundary:
@@ -265,69 +319,82 @@ def check_compat(cert: Certificate) -> Report:
     pres = cert.pres
     right = cert.right
     table = cert.lift_table
-    expected_keys = set()
+    get, project = table.get, right.map.table.__getitem__
+    n_problems = 0
     fills_checked = 0
     fill_ok = {"filler-fill-top": True, "filler-fill-bottom": True}
     complete = True
-    for name, u in pres.lifting_generators():
-        for p in enumerate_problems(name, u, right):
-            expected_keys.add(p.key)
-            phi = table.get(p.key)
+    gens = pres.lifting_generators()
+    for name, u in gens:
+        ut = u.map.table
+        for s0, s1 in _problems(u, right):
+            n_problems += 1
+            key = (name, s0, s1)
+            phi = get(key)
             if phi is None:
                 entries.append(
-                    ReportEntry("lift-table-incomplete", False, f"no filler for problem {p.key}")
+                    ReportEntry("lift-table-incomplete", False, f"no filler for problem {key}")
                 )
                 complete = False
                 continue
             fills_checked += 1
-            if compose(phi, u.map).table != p.square.top.table:
+            pt = phi.table
+            if tuple(map(pt.__getitem__, ut)) != s0:
                 entries.append(
                     ReportEntry(
                         "filler-fill-top",
                         False,
-                        f"problem {p.key}: filler does not restrict to the problem's top leg",
+                        f"problem {key}: filler does not restrict to the problem's top leg",
                     )
                 )
                 fill_ok["filler-fill-top"] = False
-            if compose(right.map, phi).table != p.square.bot.table:
+            if tuple(map(project, pt)) != s1:
                 entries.append(
                     ReportEntry(
                         "filler-fill-bottom",
                         False,
-                        f"problem {p.key}: filler does not project to the problem's bottom leg",
+                        f"problem {key}: filler does not project to the problem's bottom leg",
                     )
                 )
                 fill_ok["filler-fill-bottom"] = False
-    surplus = sorted(set(table) - expected_keys)
-    for key in surplus:
-        entries.append(
-            ReportEntry("lift-table-incomplete", False, f"surplus entry {key} matches no problem")
+    # problem keys are distinct, so a table holding only problem keys holds
+    # exactly the fillers found above
+    if len(table) != fills_checked:
+        expected = (
+            (name, s0, s1) for name, u in gens for s0, s1 in _problems(u, right)
         )
-        complete = False
+        for key in sorted(set(table).difference(expected)):
+            entries.append(
+                ReportEntry(
+                    "lift-table-incomplete", False, f"surplus entry {key} matches no problem"
+                )
+            )
+            complete = False
     if complete:
-        entries.append(_entry_ok("lift-table-incomplete", len(expected_keys), "problems"))
+        entries.append(_entry_ok("lift-table-incomplete", n_problems, "problems"))
     for label, ok in fill_ok.items():
         if ok:
             entries.append(_entry_ok(label, fills_checked, "fillers"))
 
-    gens = dict(pres.lifting_generators())
+    gens = dict(gens)
     horiz_checked = 0
     horiz_ok = True
     for sqname, vsrc, vdst, sq in pres.lifting_squares():
-        for p in enumerate_problems(vdst, gens[vdst], right):
-            moved = square_compose(p.square, sq)
-            src_key = (vsrc, moved.top.table, moved.bot.table)
-            phi_src = table.get(src_key)
-            phi_dst = table.get(p.key)
+        top, bot = sq.top.table, sq.bot.table
+        for s0, s1 in _problems(gens[vdst], right):
+            key = (vdst, s0, s1)
+            phi_src = get((vsrc, tuple(map(s0.__getitem__, top)),
+                           tuple(map(s1.__getitem__, bot))))
+            phi_dst = get(key)
             if phi_src is None or phi_dst is None:
                 continue  # already reported as incomplete
             horiz_checked += 1
-            if compose(phi_dst, sq.bot).table != phi_src.table:
+            if tuple(map(phi_dst.table.__getitem__, bot)) != phi_src.table:
                 entries.append(
                     ReportEntry(
                         "horizontal-compatibility",
                         False,
-                        f"square {sqname} at problem {p.key}: moved filler disagrees",
+                        f"square {sqname} at problem {key}: moved filler disagrees",
                     )
                 )
                 horiz_ok = False
@@ -339,24 +406,17 @@ def check_compat(cert: Certificate) -> Report:
         vert_checked = 0
         vert_ok = True
         for pair in pairs.pairs:
-            comp_u = pres.uarrow(pair.composite)
-            right_u = pres.uarrow(pair.right)
-            for p in enumerate_problems(pair.composite, comp_u, right):
-                tau0, tau1 = p.square.top, p.square.bot
-                inner_key = (
-                    pair.left,
-                    tau0.table,
-                    compose(tau1, right_u.map).table,
-                )
-                inner = table.get(inner_key)
+            rt = pres.uarrow(pair.right).map.table
+            for s0, s1 in _problems(pres.uarrow(pair.composite), right):
+                inner = get((pair.left, s0, tuple(map(s1.__getitem__, rt))))
                 if inner is None:
                     continue
-                outer_key = (pair.right, inner.table, tau1.table)
-                direct = table.get(p.key)
-                outer = table.get(outer_key)
+                key = (pair.composite, s0, s1)
+                direct = get(key)
                 if direct is None:
                     continue
                 vert_checked += 1
+                outer = get((pair.right, inner.table, s1))
                 if outer is None or outer.table != direct.table:
                     via = "no filler for the two-stage problem" if outer is None else (
                         f"two-stage route {outer.table} != composite route {direct.table}"
@@ -365,7 +425,7 @@ def check_compat(cert: Certificate) -> Report:
                         ReportEntry(
                             "vertical-compatibility",
                             False,
-                            f"pair {pair.name} at problem {p.key}: {via}",
+                            f"pair {pair.name} at problem {key}: {via}",
                         )
                     )
                     vert_ok = False

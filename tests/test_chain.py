@@ -36,7 +36,7 @@ from awfskit.chain import (
 )
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
-from awfskit.step import LiftingProblem, SizeBudget, StepEngine
+from awfskit.step import LiftingProblem, SizeBudget, StepEngine, enumerate_problems
 
 from fixture_lib import (
     abc_pres,
@@ -338,7 +338,11 @@ def _per_problem_lift_table(result: FactorisationResult) -> dict:
     of every enumerated problem.  ``extract`` reads the same maps off the
     step's cell tables; this is the reference it is checked against."""
     st = result.trace.engine.step_tables(result.right)
-    return {p.key: compose(result.beta0, st.cell(p.key)) for p in st.iter_problems()}
+    return {
+        p.key: compose(result.beta0, st.cell(p.key))
+        for name, u in st.shape.lifting_generators()
+        for p in enumerate_problems(name, u, result.right)
+    }
 
 
 def _seeded_map(dom: int, cod: int, seed: int) -> FiniteMap:

@@ -181,6 +181,28 @@ class TestVerify:
         assert code == 1
         assert "FAIL filler-consistency" in capsys.readouterr().out
 
+    def test_filler_with_wrong_domain_is_reported(self, cert_path, capsys):
+        obj = json.loads(Path(cert_path).read_text())
+        record = obj["lift_table"][0]
+        record["filler"]["dom"] += 1
+        record["filler"]["table"].append(0)
+        Path(cert_path).write_text(json.dumps(obj))
+        code = main(
+            [
+                "verify",
+                "--presentation", fx("gen_split_epi.json"),
+                "--certificate", cert_path,
+            ]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        key = (record["generator"], tuple(record["top"]), tuple(record["bot"]))
+        dom = record["filler"]["dom"]
+        line = (f"FAIL boundary: lift table entry {key} has domain {dom}, "
+                f"its generator's bottom has {dom - 1}")
+        assert out.splitlines() == [line, line]
+
     def test_unparseable_certificate(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

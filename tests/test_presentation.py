@@ -12,7 +12,6 @@ from awfskit.presentation import (
     FiniteCategory,
     PlainPresentation,
     RawMap,
-    from_category,
 )
 from fixture_lib import abc_pres, composite_pres, split_epi_pres, two_gen_plain_pres
 
@@ -26,7 +25,6 @@ def test_category_composite_with_identity_absorption():
     cat = FiniteCategory(["x", "y"], [CatArrow("f", "x", "y")], {})
     assert cat.composite("1_x", "f") == "f"
     assert cat.composite("f", "1_y") == "f"
-    assert cat.hom("x", "y") == ["f"]
 
 
 def test_category_detects_missing_composite():
@@ -353,21 +351,6 @@ def test_plain_wrong_functor_realisation_is_rejected():
         ],
     )
     assert "realisation-functor" in broken.validate().axioms()
-
-
-def test_from_category_builds_plain_presentation():
-    pres = two_gen_plain_pres()
-    cat = pres.category()
-    obj_real = {name: a for name, a in pres.lifting_generators()}
-    sq_real = {name: cs for name, _, _, cs in pres.lifting_squares()}
-    rebuilt = from_category(cat, obj_real, sq_real)
-    assert rebuilt.canonical_key() == pres.canonical_key()
-
-
-def test_from_category_requires_realisations():
-    cat = FiniteCategory(["x"], [], {})
-    with pytest.raises(InvalidPresentation):
-        from_category(cat, {}, {})
 
 
 def test_plain_missing_composite_rejected():

@@ -87,8 +87,14 @@ FIXTURES = [plain_split_epi_pres(), two_gen_plain_pres(), growth_pres(),
 MAPS = [f_3to2(), f_1to1(), f_0to1(), f_2to3()]
 
 
+def shape_id(shape) -> str:
+    """A test id: the kind of a shape and the start of its first field."""
+    first = shape.generators if shape.kind == "plain" else shape.objects
+    return f"{shape.kind}:({first!r}, "[:30]
+
+
 class TestProblemEnumeration:
-    @pytest.mark.parametrize("shape", FIXTURES, ids=lambda s: s.canonical_key()[:30])
+    @pytest.mark.parametrize("shape", FIXTURES, ids=shape_id)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_counts_match_brute_force(self, shape, f):
         target = aobj(f)
@@ -241,15 +247,15 @@ class TestStepFrozen:
 def _fill_equations_hold(st) -> None:
     k = st.inclusion
     t = st.extended.map
-    for p in st.iter_problems():
-        cell = st.cell(p.key)
-        u = p.square.src
-        assert compose(cell, u.map).table == compose(k, p.square.top).table
-        assert compose(t, cell).table == p.square.bot.table
+    for name, u in st.shape.lifting_generators():
+        for p in enumerate_problems(name, u, st.target):
+            cell = st.cell(p.key)
+            assert compose(cell, u.map).table == compose(k, p.square.top).table
+            assert compose(t, cell).table == p.square.bot.table
 
 
 class TestStepEquations:
-    @pytest.mark.parametrize("shape", FIXTURES, ids=lambda s: s.canonical_key()[:30])
+    @pytest.mark.parametrize("shape", FIXTURES, ids=shape_id)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_fill_equations(self, shape, f):
         _fill_equations_hold(step(shape, aobj(f)))
@@ -288,7 +294,7 @@ class TestFastPath:
     @pytest.mark.parametrize(
         "shape",
         [plain_split_epi_pres(), split_epi_pres(), abc_pres(), composite_pres(), growth_pres()],
-        ids=lambda s: s.canonical_key()[:30],
+        ids=shape_id,
     )
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_fast_tables_equal_general_tables(self, shape, f):
@@ -487,7 +493,7 @@ def _random_square_into(rng, f: ArrowObject, g: ArrowObject) -> CommSquare:
 
 
 class TestExtendSquare:
-    @pytest.mark.parametrize("shape", FIXTURES, ids=lambda s: s.canonical_key()[:30])
+    @pytest.mark.parametrize("shape", FIXTURES, ids=shape_id)
     def test_identity_extends_to_identity(self, shape):
         engine = StepEngine(shape)
         f = aobj(f_3to2())
@@ -591,7 +597,7 @@ class TestClassifyExtend:
         "shape",
         [plain_split_epi_pres(), split_epi_pres(), abc_pres(), growth_pres(),
          two_gen_plain_pres(), codiag_pres()],
-        ids=lambda s: s.canonical_key()[:30],
+        ids=shape_id,
     )
     def test_matches_mediated_route_on_random_squares(self, shape):
         rng = random.Random(77)

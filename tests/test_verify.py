@@ -20,15 +20,27 @@ one point there are 2 top choices for the base and 2 filler choices,
 against 2x2 assignments of the extension's two elements — four each.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from awfskit import verify
-from awfskit.arrows import ArrowObject
+from awfskit.arrows import ArrowObject, square_compose
 from awfskit.chain import factorise
-from awfskit.errors import SizeBudgetExceeded
-from awfskit.finset import FinSet, FiniteMap
+from awfskit.errors import NotStabilised, SizeBudgetExceeded
+from awfskit.finset import FinSet, FiniteMap, compose
 from awfskit.serialize import dumps
-from awfskit.step import OneStepLifting, mediate, step
+from awfskit.step import (
+    DoubleEngine,
+    OneStepLifting,
+    SizeBudget,
+    StepEngine,
+    enumerate_problems,
+    mediate,
+    step,
+)
 from awfskit.verify import (
     Certificate,
     Report,
@@ -42,10 +54,16 @@ from awfskit.verify import (
 
 from fixture_lib import (
     abc_pres,
+    codiag_pres,
     composite_pres,
+    f_0to1,
+    f_1to1,
+    f_2to3,
     f_3to2,
     fmap,
+    growth_pres,
     plain_split_epi_pres,
+    retract_pres,
     split_epi_pres,
     two_gen_plain_pres,
 )
@@ -225,6 +243,328 @@ class TestMutationSensitivity:
         assert report.failures()[0].label == "boundary"
         special_on_plain = _with(cert, mode="special")
         assert not check_algebra(special_on_plain).ok
+
+    def test_filler_with_wrong_domain_is_a_boundary_failure(self, certs):
+        cert = certs["double"]
+        key = sorted(cert.lift_table)[0]
+        val = cert.lift_table[key]
+        table = dict(cert.lift_table)
+        table[key] = FiniteMap(FinSet(val.dom.size + 1), val.cod, val.table + (0,))
+        report = verify_certificate(_with(cert, lift_table=table))
+        detail = (
+            f"lift table entry {key} has domain {val.dom.size + 1}, "
+            f"its generator's bottom has {val.dom.size}"
+        )
+        assert [(e.label, e.ok, e.detail) for e in report.entries] == [
+            ("boundary", False, detail)
+        ] * 2
+
+    def test_wrong_codomain_is_named_before_wrong_domain(self, certs):
+        cert = certs["double"]
+        first, second = sorted(cert.lift_table)[:2]
+        table = dict(cert.lift_table)
+        a, b = table[first], table[second]
+        table[first] = FiniteMap(FinSet(a.dom.size + 1), a.cod, a.table + (0,))
+        table[second] = FiniteMap(b.dom, FinSet(b.cod.size + 1), b.table)
+        fails = check_compat(_with(cert, lift_table=table)).failures()
+        assert [e.detail for e in fails] == [
+            f"lift table entry {second} does not land in the middle object"
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the per-problem reference
+#
+# ``check_algebra`` and ``check_compat`` enumerate problems as tables and
+# check every equation by indexing.  The functions below are the
+# per-problem loops they replaced, which build a problem, its square and
+# the composite maps of every equation; the differential tests assert that
+# both produce the same report bytes.
+
+
+def _reference_boundary(cert):
+    out = []
+    if cert.mode not in ("plain", "special"):
+        out.append(f"unknown mode {cert.mode!r}")
+    if cert.mode == "special" and getattr(cert.pres, "kind", "plain") != "double":
+        out.append("special mode requires a presentation with vertical composition")
+    if cert.input.bot != cert.right.bot:
+        out.append("input and extracted arrow have different codomains")
+    if cert.left.dom != cert.input.top or cert.left.cod != cert.right.top:
+        out.append("left factor boundaries do not match")
+    if cert.beta0.cod != cert.right.top:
+        out.append("algebra map does not land in the middle object")
+    for key, val in cert.lift_table.items():
+        if not isinstance(val, FiniteMap) or val.cod != cert.right.top:
+            out.append(f"lift table entry {key} does not land in the middle object")
+            break
+    return out
+
+
+def _reference_problems(pres, f):
+    for name, u in pres.lifting_generators():
+        yield from enumerate_problems(name, u, f)
+
+
+def _reference_check_algebra(cert):
+    entries = [ReportEntry("boundary", False, b) for b in _reference_boundary(cert)]
+    if entries:
+        return Report("check-algebra", tuple(entries))
+    entries.append(verify._entry_ok("boundary", 1, "certificates"))
+    engine = StepEngine(cert.pres)
+    dengine = DoubleEngine(cert.pres, single=engine) if cert.mode == "special" else None
+    st = engine.step_tables(cert.right)
+    recomposed = compose(cert.right.map, cert.left)
+    bad = [x for x in range(cert.input.top.size) if recomposed.table[x] != cert.input.map.table[x]]
+    for x in bad:
+        entries.append(ReportEntry(
+            "factorisation", False,
+            f"element {x}: R(L({x})) = {recomposed.table[x]} != f({x}) = {cert.input.map.table[x]}",
+        ))
+    if not bad:
+        entries.append(verify._entry_ok("factorisation", cert.input.top.size, "elements"))
+    laws = verify._algebra_violations(cert.pres, cert.mode, cert.right, cert.beta0, engine, dengine)
+    law_labels = {label for label, _ in laws}
+    entries.extend(ReportEntry(label, False, detail) for label, detail in laws)
+    if "boundary" in law_labels:
+        return Report("check-algebra", tuple(entries))
+    if "unit-law" not in law_labels:
+        entries.append(verify._entry_ok("unit-law", cert.right.top.size, "elements"))
+    if cert.mode == "special" and "special-algebra-square" not in law_labels:
+        entries.append(verify._entry_ok("special-algebra-square", 1, "equations"))
+    if cert.mode == "plain":
+        entries.append(ReportEntry("special-algebra-square", True, "skipped (plain mode)"))
+    checked, consistent = 0, True
+    for p in _reference_problems(cert.pres, cert.right):
+        expected = compose(cert.beta0, st.cell(p.key))
+        got = cert.lift_table.get(p.key)
+        if got is None:
+            entries.append(
+                ReportEntry("filler-consistency", False, f"missing entry for problem {p.key}")
+            )
+            consistent = False
+        elif got.table != expected.table:
+            entries.append(ReportEntry(
+                "filler-consistency", False,
+                f"problem {p.key}: table {got.table} != algebra route {expected.table}",
+            ))
+            consistent = False
+        checked += 1
+    if consistent:
+        entries.append(verify._entry_ok("filler-consistency", checked, "problems"))
+    return Report("check-algebra", tuple(entries))
+
+
+def _reference_check_compat(cert):
+    entries = [ReportEntry("boundary", False, b) for b in _reference_boundary(cert)]
+    if entries:
+        return Report("check-compat", tuple(entries))
+    pres, right, table = cert.pres, cert.right, cert.lift_table
+    expected_keys = set()
+    fills_checked = 0
+    fill_ok = {"filler-fill-top": True, "filler-fill-bottom": True}
+    complete = True
+    for p in _reference_problems(pres, right):
+        expected_keys.add(p.key)
+        phi = table.get(p.key)
+        if phi is None:
+            entries.append(
+                ReportEntry("lift-table-incomplete", False, f"no filler for problem {p.key}")
+            )
+            complete = False
+            continue
+        fills_checked += 1
+        if compose(phi, p.square.src.map).table != p.square.top.table:
+            entries.append(ReportEntry(
+                "filler-fill-top", False,
+                f"problem {p.key}: filler does not restrict to the problem's top leg",
+            ))
+            fill_ok["filler-fill-top"] = False
+        if compose(right.map, phi).table != p.square.bot.table:
+            entries.append(ReportEntry(
+                "filler-fill-bottom", False,
+                f"problem {p.key}: filler does not project to the problem's bottom leg",
+            ))
+            fill_ok["filler-fill-bottom"] = False
+    for key in sorted(set(table) - expected_keys):
+        entries.append(
+            ReportEntry("lift-table-incomplete", False, f"surplus entry {key} matches no problem")
+        )
+        complete = False
+    if complete:
+        entries.append(verify._entry_ok("lift-table-incomplete", len(expected_keys), "problems"))
+    for label, ok in fill_ok.items():
+        if ok:
+            entries.append(verify._entry_ok(label, fills_checked, "fillers"))
+
+    gens = dict(pres.lifting_generators())
+    horiz_checked, horiz_ok = 0, True
+    for sqname, vsrc, vdst, sq in pres.lifting_squares():
+        for p in enumerate_problems(vdst, gens[vdst], right):
+            moved = square_compose(p.square, sq)
+            phi_src = table.get((vsrc, moved.top.table, moved.bot.table))
+            phi_dst = table.get(p.key)
+            if phi_src is None or phi_dst is None:
+                continue
+            horiz_checked += 1
+            if compose(phi_dst, sq.bot).table != phi_src.table:
+                entries.append(ReportEntry(
+                    "horizontal-compatibility", False,
+                    f"square {sqname} at problem {p.key}: moved filler disagrees",
+                ))
+                horiz_ok = False
+    if horiz_ok:
+        entries.append(verify._entry_ok("horizontal-compatibility", horiz_checked, "instances"))
+
+    if getattr(pres, "kind", "plain") == "double":
+        vert_checked, vert_ok = 0, True
+        for pair in pres.composable_pairs().pairs:
+            right_u = pres.uarrow(pair.right)
+            for p in enumerate_problems(pair.composite, pres.uarrow(pair.composite), right):
+                tau0, tau1 = p.square.top, p.square.bot
+                inner = table.get((pair.left, tau0.table, compose(tau1, right_u.map).table))
+                direct = table.get(p.key)
+                if inner is None or direct is None:
+                    continue
+                outer = table.get((pair.right, inner.table, tau1.table))
+                vert_checked += 1
+                if outer is None or outer.table != direct.table:
+                    via = "no filler for the two-stage problem" if outer is None else (
+                        f"two-stage route {outer.table} != composite route {direct.table}"
+                    )
+                    entries.append(ReportEntry(
+                        "vertical-compatibility", False,
+                        f"pair {pair.name} at problem {p.key}: {via}",
+                    ))
+                    vert_ok = False
+        if vert_ok:
+            entries.append(verify._entry_ok("vertical-compatibility", vert_checked, "instances"))
+    return Report("check-compat", tuple(entries))
+
+
+def _assert_same_report(cert):
+    reference = Report.merged(
+        "verify", [_reference_check_algebra(cert), _reference_check_compat(cert)]
+    )
+    assert dumps(verify_certificate(cert).to_payload()) == dumps(reference.to_payload())
+
+
+_SHAPES = [plain_split_epi_pres, two_gen_plain_pres, growth_pres, codiag_pres,
+           split_epi_pres, abc_pres, composite_pres, retract_pres]
+_MAPS = [f_0to1, f_1to1, f_2to3, f_3to2]
+
+
+def _fixture_certificates():
+    """Every certificate the fixture shapes and maps give in each valid mode."""
+    for make in _SHAPES:
+        for mode in ("plain", "special"):
+            if mode == "special" and make().kind != "double":
+                continue
+            for f in _MAPS:
+                try:
+                    result = factorise(make(), f(), mode=mode, max_stage=4,
+                                       budget=SizeBudget(max_problems=20_000))
+                except (NotStabilised, SizeBudgetExceeded):
+                    continue
+                name = f"{make.__name__}-{mode}-{f.__name__}"
+                yield name, Certificate.from_result(make(), result)
+
+
+def _seeded_composite(mode, max_stage):
+    rng = random.Random(300)
+    f = fmap(300, 40, [rng.randrange(40) for _ in range(300)])
+    return Certificate.from_result(
+        composite_pres(), factorise(composite_pres(), f, mode=mode, max_stage=max_stage)
+    )
+
+
+@pytest.fixture(scope="module")
+def seeded():
+    return {"special": _seeded_composite("special", 4), "plain": _seeded_composite("plain", 2)}
+
+
+def _replace(table, i, w):
+    tab = list(table)
+    tab[i] = w
+    return tuple(tab)
+
+
+def _mutate(cert, what, a, b, c):
+    """One single-entry mutation of ``cert``, chosen by the integers ``a``,
+    ``b`` and ``c``: a filler entry changed, dropped or moved to a key no
+    problem has, an entry of the algebra map, or an entry of the middle
+    arrow's map."""
+    size = cert.right.top.size
+    if what == "beta0":
+        i = a % cert.beta0.dom.size
+        return _with(cert, beta0=FiniteMap(cert.beta0.dom, cert.beta0.cod,
+                                           _replace(cert.beta0.table, i, b % size)))
+    if what == "R":
+        i = a % size
+        tab = _replace(cert.right.map.table, i, b % cert.right.bot.size)
+        return _with(cert, right=ArrowObject(FiniteMap(cert.right.top, cert.right.bot, tab)))
+    keys = list(cert.lift_table)
+    key = keys[a % len(keys)]
+    table = dict(cert.lift_table)
+    val = table.pop(key) if what in ("drop", "move") else table[key]
+    if what == "move":
+        gen, top, bot = key
+        table[(gen, top, bot + (c,))] = val
+    elif what == "lift" and val.table:
+        table[key] = FiniteMap(val.dom, val.cod, _replace(val.table, b % len(val.table), c % size))
+    return _with(cert, lift_table=table)
+
+
+class TestReportsMatchPerProblemReference:
+    def test_fixture_certificates(self):
+        names = []
+        for name, cert in _fixture_certificates():
+            _assert_same_report(cert)
+            names.append(name)
+        assert len(names) >= 20, names
+
+    def test_connecting_square_runs_the_horizontal_pass(self):
+        cert = _cert(two_gen_plain_pres(), f_3to2(), "plain", 3)
+        _assert_same_report(cert)
+        table = dict(cert.lift_table)
+        key = next(k for k in sorted(table) if k[0] == "j")
+        table[key] = FiniteMap(table[key].dom, table[key].cod,
+                               ((table[key].table[0] + 1) % cert.right.top.size,))
+        _assert_same_report(_with(cert, lift_table=table))
+
+    def test_every_mutant_of_the_composite_certificate(self, certs):
+        count = 0
+        for _desc, mutant in _mutants(certs["composite"]):
+            _assert_same_report(mutant)
+            count += 1
+        assert count > 50
+
+    def test_missing_surplus_and_boundary_mutants(self, certs):
+        cert = certs["plain"]
+        table = dict(cert.lift_table)
+        removed = table.pop(("j", (), (0,)))
+        _assert_same_report(_with(cert, lift_table=table))
+        table[("ghost", (), (0,))] = removed
+        table[("j", (), (7,))] = removed
+        _assert_same_report(_with(cert, lift_table=table))
+        table = dict(cert.lift_table)
+        table[("j", (), (0,))] = "not a map"
+        _assert_same_report(_with(cert, lift_table=table))
+        table[("j", (), (0,))] = FiniteMap(FinSet(1), FinSet(9), (0,))
+        _assert_same_report(_with(cert, lift_table=table))
+        _assert_same_report(_with(cert, mode="special"))
+        _assert_same_report(_with(cert, mode="odd"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=hst.sampled_from(["special", "plain"]),
+        what=hst.sampled_from(["lift", "drop", "move", "beta0", "R"]),
+        a=hst.integers(0, 10**6),
+        b=hst.integers(0, 10**6),
+        c=hst.integers(0, 10**6),
+    )
+    def test_seeded_composite_mutants(self, seeded, mode, what, a, b, c):
+        _assert_same_report(_mutate(seeded[mode], what, a, b, c))
 
 
 class TestOracleKappa:

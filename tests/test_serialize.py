@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -423,8 +424,13 @@ def mutated_certificate():
     return pres, parse_text(dumps(encode_certificate(cert)))
 
 
+def _mutant_id(path, value):
+    # DELETE's repr holds its address; mask it so the ids are the same in every run.
+    return re.sub(r" at 0x[0-9a-f]+", " at 0x0", f"{'.'.join(map(str, path))}={value!r}")
+
+
 @pytest.mark.parametrize("path,value,message", CERT_MUTANTS,
-                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v, _ in CERT_MUTANTS])
+                         ids=[_mutant_id(p, v) for p, v, _ in CERT_MUTANTS])
 def test_decoder_names_the_same_first_fault(mutated_certificate, path, value, message):
     pres, obj = mutated_certificate
     with pytest.raises(ParseError) as exc:

@@ -29,7 +29,7 @@ from .arrows import (
     identity_square,
     square_compose,
 )
-from .errors import DiagramError, NotStabilised, ProblemMismatch
+from .errors import DiagramError, NotStabilised, ProblemMismatch, SizeBudgetExceeded
 from .finset import FiniteMap, compose, identity, is_iso
 from .step import (
     DoubleEngine,
@@ -237,6 +237,13 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         raise DiagramError("extracted factorisation does not recompose the input")
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
+    # the lift table lists every problem, those of surjective generators
+    # included, which the chain's budget never counted
+    count, limit = st.problem_count(), trace.engine.budget.max_problems
+    if count > limit:
+        raise SizeBudgetExceeded(
+            f"lift table at stage {n} lists {count} problems, budget allows {limit}"
+        )
     # the filler of each problem is beta0 after its cell, one checked map per
     # problem, read straight off the step's cell tables
     b0 = beta0.table.__getitem__

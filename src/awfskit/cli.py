@@ -3,9 +3,10 @@
 Every run is one job: read UTF-8 JSON inputs, compute, write JSON
 artifacts (with ``--out``/``--trace``) and a short human summary on
 stdout.  Exit codes: 0 all checks passed; 1 a verification, validation,
-or input error (the report names what failed); 2 the chain did not
-stabilise within ``--max-stage`` (the summary lists the per-stage
-carrier sizes); 3 an enumeration or carrier exceeded the size budget.
+or input error (the report names what failed; a command line that does
+not parse prints its usage); 2 the chain did not stabilise within
+``--max-stage`` (the summary lists the per-stage carrier sizes); 3 an
+enumeration or carrier exceeded the size budget.
 """
 
 from __future__ import annotations
@@ -42,8 +43,31 @@ EXIT_NOT_STABILISED = 2
 EXIT_BUDGET = 3
 
 
+class _UsageError(Exception):
+    """A command line that does not parse; its usage is already printed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input failures (exit 1),
+    not argparse's exit 2, which here means the chain did not stabilise."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _budget_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must not be negative: {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="awfskit",
         description="Factorise maps of finite sets with certified lifting structure.",
     )
@@ -55,7 +79,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=("plain", "special"), default="plain")
         if chain:
             p.add_argument("--max-stage", type=int, default=16, metavar="N")
-        p.add_argument("--budget", type=int, default=None, metavar="N",
+        p.add_argument("--budget", type=_budget_arg, default=None, metavar="N",
                        help="problem-count budget for enumerations")
         p.add_argument("--out", default=None, metavar="PATH", help="write the JSON artifact here")
 
@@ -242,7 +266,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_FAIL
     try:
         return _COMMANDS[args.command](args)
     except NotStabilised as e:

@@ -22,8 +22,11 @@ colimit/pushout factories, guarded by a problem-count budget.
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
 cover the extension carrier.  The functorial action and the comparison
-squares are all written that way, by one classification routine, on
-either kind of step.  The universal-property mediator (``mediate`` and
+squares are all written that way, by classification.  On fast steps the
+cells of a generator are indexed by the ranks of its problems, so each
+square's top table is built one block per generator by rank arithmetic;
+when a general step is involved, ``_classify`` writes it problem by
+problem.  The universal-property mediator (``mediate`` and
 ``restrict_square``) and the constructions built on it (``extend_square``,
 ``route="mediated"``) compute the same squares through the colimit; they
 are kept as an independent cross-check for the oracles and the tests.
@@ -34,6 +37,7 @@ bottoms, so restricting or mediating builds one map, not one per problem.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -319,29 +323,12 @@ class StepStructure:
                 yield (name, s0, s1), bot, tuple([pos + i if free else s0[i] for free, i in layout])
                 pos += fcount
 
-    def adjoined(self) -> Iterator[tuple]:
-        """Every problem that adjoins cells, in canonical order, as
-        ``(generator, top table, bottom table, free, positions)``: the
-        entries of its cell at the bottom positions ``free`` (those outside
-        the generator's image) are the carrier elements ``positions``.
-        Together with the inclusion these entries cover the carrier."""
-        if self._fast is not None:
-            for meta in self._fast.values():
-                fcount = meta.fcount
-                if not fcount:
-                    continue
-                pos = self.target.top.size + meta.cells_before
-                for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
-                    yield meta.name, s0, s1, meta.free, range(pos, pos + fcount)
-                    pos += fcount
-            return
-        for name, u in self.shape.lifting_generators():
-            _, free = _image_reps(u.map)
-            if not free:
-                continue
-            for s0, s1 in _problem_tables(u, self.target, free):
-                ct = self.cells[(name, s0, s1)].table
-                yield name, s0, s1, free, [ct[b] for b in free]
+    def problem_count(self) -> int:
+        """The number of lifting problems, those of surjective generators
+        included: the length of ``cell_tables()``, by arithmetic."""
+        if self._fast is None:
+            return len(self.density.comma.problems)
+        return sum(meta.block for meta in self._fast.values())
 
 
 def fast_eligible(shape) -> bool:
@@ -373,8 +360,9 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
         if meta.fcount:
             cells_before += meta.block * meta.fcount
     # the budget bounds the problems that adjoin cells (problems of
-    # surjective generators are never enumerated on this path); checked
-    # arithmetically before any table is materialised
+    # surjective generators are never enumerated by the chain; ``extract``
+    # counts them before it lists the lift table); checked arithmetically
+    # before any table is materialised
     limit = (budget or SizeBudget()).max_problems
     adjoining = sum(m.block for m in metas.values() if m.fcount)
     if adjoining > limit:
@@ -504,15 +492,97 @@ def _classify(
     inclusion of each point ``v`` of the target to ``incl_image[v]`` and the
     cell of each problem ``(gen, s0, s1)`` to the table ``cell_image(gen,
     s0, s1)``.  The inclusion and the free entries of the cells cover the
-    extension carrier, so these determine the top table."""
+    extension carrier, so these determine the top table.
+
+    This is the per-problem route, taken when a structure involved is a
+    general one (connecting squares, a non-injective realisation, or a
+    caller that built the general step of one end)."""
     top = [0] * src.size
     for v, pos in enumerate(src.inclusion.table):
         top[pos] = incl_image[v]
-    for gen, s0, s1, free, positions in src.adjoined():
-        image = cell_image(gen, s0, s1)
-        for b, pos in zip(free, positions):
-            top[pos] = image[b]
+    free = {name: _image_reps(u.map)[1] for name, u in src.shape.lifting_generators()}
+    for key, _, table in src.cell_tables():
+        positions = free[key[0]]
+        if positions:
+            image = cell_image(*key)
+            for b in positions:
+                top[table[b]] = image[b]
+    return _square_out(src, dst, top, bot)
+
+
+def _square_out(src: StepStructure, dst: ArrowObject, top: list, bot: FiniteMap) -> CommSquare:
     return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, tuple(top)), bot)
+
+
+# On fast steps a square out of an extension is classified one block per
+# generator.  The problems of a generator are the product of its top digits
+# (radix |X|) and its free digits (radix |Y|) in lexicographic order, and the
+# cell of the problem of rank r occupies the positions base + r*k + i, for its
+# k free positions i (Garner 2009, §4: the cells are indexed by the
+# problems).  So where a square sends a block is the rank of the problem each
+# source problem is sent to, computed for the whole block at once from digit
+# tables or digit columns.
+
+
+def _fold(ranks: list, radix: int, digits: Sequence[int]) -> list:
+    """Append one digit to every rank, in product order: each rank is
+    followed by every value of the next digit, read off ``digits``."""
+    return [r * radix + d for r in ranks for d in digits]
+
+
+def _column(values: Sequence[int], inner: int, outer: int) -> list:
+    """One digit of a product in lexicographic order, as a column: each of
+    its ``values`` repeated ``inner`` times (the count of the less
+    significant digits), and that run repeated ``outer`` times (the count
+    of the more significant ones)."""
+    return list(itertools.chain.from_iterable(itertools.repeat(v, inner) for v in values)) * outer
+
+
+def _rank_column(digits: list, scale: int, offset: int) -> list:
+    """``offset + scale * rank`` for each row, where the rank is read in
+    mixed radix off the digit columns ``(radix, column)``, most significant
+    first (the first radix is not used)."""
+    rank = digits[0][1]
+    for radix, col in digits[1:-1]:
+        rank = [r * radix + d for r, d in zip(rank, col)]
+    if len(digits) == 1:
+        return [d * scale + offset for d in rank]
+    radix, col = digits[-1]
+    radix *= scale
+    return [r * radix + d * scale + offset for r, d in zip(rank, col)]
+
+
+def _interleave(columns: list, n: int) -> list:
+    """Row after row of ``columns``, each ``n`` long."""
+    if len(columns) == 1:
+        return columns[0]
+    out = [0] * (n * len(columns))
+    for i, col in enumerate(columns):
+        out[i :: len(columns)] = col
+    return out
+
+
+def _extend_blocks(src: StepStructure, dst: StepStructure, alpha: CommSquare) -> list:
+    """The top table of ``classify_extend`` between two fast steps.  The
+    problem ``(s0, s1)`` goes to ``(at∘s0, ab∘s1)``, whose rank folds the
+    per-digit tables ``at`` and ``ab`` into the radices of ``g``."""
+    at, ab = alpha.top.table, alpha.bot.table
+    xd, yd = dst.target.top.size, dst.target.bot.size
+    top = list(map(dst.inclusion.table.__getitem__, at))
+    for meta in src._fast.values():
+        k = meta.fcount
+        if not k:
+            continue
+        ranks = [0]
+        for _ in range(meta.u.top.size):
+            ranks = _fold(ranks, xd, at)
+        for _ in range(k - 1):
+            ranks = _fold(ranks, yd, ab)
+        # the last digit also scales by k and adds the base of the block
+        base = xd + dst._fast[meta.name].cells_before
+        ranks = _fold(ranks, yd * k, [base + d * k for d in ab])
+        top.extend(ranks if k == 1 else [p + i for p in ranks for i in range(k)])
+    return top
 
 
 def classify_extend(
@@ -521,9 +591,13 @@ def classify_extend(
     """The functorial action of the one-step extension on a square ``alpha:
     f -> g``: the inclusion follows ``alpha`` into the inclusion of ``g``,
     and each adjoined cell lands on the cell of the problem ``alpha``
-    transports it to."""
+    transports it to.  Between two fast steps the top table is built one
+    block per generator; otherwise problem by problem."""
     if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
+    if struct_src._fast is not None and struct_dst._fast is not None:
+        top = _extend_blocks(struct_src, struct_dst, alpha)
+        return _square_out(struct_src, struct_dst.extended, top, alpha.bot)
     at, ab = alpha.top.table.__getitem__, alpha.bot.table.__getitem__
     kd = struct_dst.inclusion.table
     return _classify(
@@ -637,6 +711,16 @@ class DoubleEngine:
     def _compose_fast(self, f: ArrowObject) -> CommSquare:
         s2 = self.paired.step_tables(f)
         s1 = self.single.step_tables(f)
+        if s2._fast is not None and s1._fast is not None:
+            # a pair problem is the problem of its composite with the same
+            # tables, so its cells land on the cells of the same rank: the
+            # whole block of a pair is one run of the composite's block
+            top, x = list(s1.inclusion.table), f.top.size
+            for meta in s2._fast.values():
+                if meta.fcount:
+                    start = x + s1._fast[self.pairs.pair(meta.name).composite].cells_before
+                    top.extend(range(start, start + meta.block * meta.fcount))
+            return _square_out(s2, s1.extended, top, identity(f.bot))
         return _classify(
             s2,
             s1.extended,
@@ -694,12 +778,19 @@ class DoubleEngine:
         classification: each pair cell lands on the cell of its right arrow
         against the extension of ``stage``, moved along ``collapse``.  The
         twice-iterated extension, whose carrier grows quadratically and
-        dwarfs everything else in chain runs, is never built."""
+        dwarfs everything else in chain runs, is never built.  On fast
+        steps the top table is built one block per pair
+        (``_iterate_blocks``); otherwise problem by problem."""
         s2 = self.paired.step_tables(stage)
         s1 = self.single.step_tables(stage)
         if collapse.src != s1.extended:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
+        knext = snext.inclusion.table
+        incl = [knext[w] for w in map(collapse.top.table.__getitem__, s1.inclusion.table)]
+        if s2._fast is not None and s1._fast is not None and snext._fast is not None:
+            top = incl + self._iterate_blocks(s2, s1, snext, collapse)
+            return _square_out(s2, snext.extended, top, collapse.bot)
         ct, cb = collapse.top.table.__getitem__, collapse.bot.table.__getitem__
 
         def cell_image(pname, s0, s1tab):
@@ -708,11 +799,62 @@ class DoubleEngine:
             inner = s1._cell_table((pair.left, s0, tuple(map(s1tab.__getitem__, rt))))
             return snext._cell_table((pair.right, tuple(map(ct, inner)), tuple(map(cb, s1tab))))
 
-        knext = snext.inclusion.table
-        return _classify(
-            s2,
-            snext.extended,
-            [knext[ct(w)] for w in s1.inclusion.table],
-            cell_image,
-            collapse.bot,
-        )
+        return _classify(s2, snext.extended, incl, cell_image, collapse.bot)
+
+    def _iterate_blocks(
+        self, s2: StepStructure, s1: StepStructure, snext: StepStructure, collapse: CommSquare
+    ) -> list:
+        """The cell part of ``iterate_then``'s top table on fast steps, in
+        digit columns over each pair's problems.
+
+        A pair problem ``(s0, s1)`` of ``left; right`` has the digits of
+        ``s0`` (radix |X|) and the free digits of ``s1`` (radix |Y|).  The
+        left problem has top ``s0`` and its free digits at the positions
+        ``right`` sends them to, which are free for the composite; that
+        gives the inner cell's rank.  Moving the inner cell along
+        ``collapse`` gives the right problem's top digits, and ``collapse``
+        on the right arrow's free positions its free digits; that gives the
+        outer cell's rank.  The image of the pair cell is the outer cell at
+        the composite's free positions, row after row."""
+        ct, cb = collapse.top.table, collapse.bot.table
+        x, y = s1.target.top.size, s1.target.bot.size
+        xn, yn = snext.target.top.size, snext.target.bot.size
+        incl = list(map(ct.__getitem__, s1.inclusion.table))
+        out: list = []
+        for meta in s2._fast.values():
+            k, n = meta.fcount, meta.block
+            if not k or not n:
+                continue
+            pair = self.pairs.pair(meta.name)
+            left, right = s1._fast[pair.left], snext._fast[pair.right]
+            a = meta.u.top.size
+            radices = [x] * a + [y] * k
+            outer = list(itertools.accumulate(radices, operator.mul, initial=1))
+            inner = list(itertools.accumulate(reversed(radices), operator.mul, initial=1))[::-1]
+
+            def column(j: int, values: Sequence[int]) -> list:
+                return _column(values, inner[j + 1], outer[j])
+
+            # digit index of each of the composite's free positions
+            slot = {b: a + i for i, b in enumerate(meta.free)}
+            moved = []  # per bottom point of left: the inner cell there, after collapse
+            if left.fcount:
+                rt = right.u.map.table
+                digits = [(None, _column(range(x**a), y**k, 1))]
+                digits += [(y, column(slot[rt[b]], range(y))) for b in left.free]
+                lpos = _rank_column(digits, left.fcount, x + left.cells_before)
+            for is_free, i in left.layout:
+                if is_free:
+                    moved.append([ct[p + i] for p in lpos])
+                else:
+                    moved.append(column(i, incl))
+            if right.fcount:
+                digits = [(xn, col) for col in moved]
+                digits += [(yn, column(slot[c], cb)) for c in right.free]
+                rpos = _rank_column(digits, right.fcount, xn + right.cells_before)
+            columns = []
+            for b in meta.free:
+                is_free, i = right.layout[b]
+                columns.append([p + i for p in rpos] if is_free else moved[i])
+            out.extend(_interleave(columns, n))
+        return out

@@ -132,6 +132,27 @@ class TestFactor:
         assert code == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
+        # an identity generator adjoins no cell, so the chain stabilises at
+        # once, but its lift table lists 16**4 = 65,536 problems
+        pres = write(tmp_path, "ident.json", {
+            "kind": "plain",
+            "generators": [{"name": "g", "map": {"dom": 4, "cod": 4, "table": [0, 1, 2, 3]}}],
+            "morphisms": [],
+            "comp": [],
+        })
+        fmap = write(tmp_path, "f.json", {"dom": 16, "cod": 1, "table": [0] * 16})
+        out = tmp_path / "cert.json"
+        code = main(["factor", "--presentation", pres, "--map", fmap,
+                     "--budget", "1000", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "65536 problems" in err and "budget allows 1000" in err
+        assert not out.exists()
+        assert main(["factor", "--presentation", pres, "--map", fmap,
+                     "--budget", "65536", "--max-stage", "2"]) == 0
+        assert "lift table 65536 fillers" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_passing_certificate(self, cert_path, tmp_path, capsys):
@@ -357,3 +378,48 @@ class TestValidate:
         code = main(["validate", "--presentation", "/nonexistent/p.json"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestUsage:
+    """A command line that does not parse is an input failure (exit 1), not
+    exit 2, which means the chain did not stabilise."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["factor", "--presentation", fx("gen_growth.json")],
+        ["factor", "--presentation", fx("gen_growth.json"), "--map", fx("f_1to1.json"),
+         "--max-stage", "x"],
+        ["factor", "--presentation", fx("gen_growth.json"), "--map", fx("f_1to1.json"),
+         "--budget", "many"],
+        ["verify", "--presentation", fx("gen_growth.json")],
+        ["oracle", "sigma", "--presentation", fx("gen_growth.json")],
+        ["factorise"],
+    ], ids=["no-command", "missing-map", "bad-max-stage", "bad-budget", "missing-certificate",
+            "unknown-oracle", "unknown-command"])
+    def test_usage_error_exits_1_with_usage(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: awfskit")
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_negative_budget_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        code = main(["factor", "--presentation", fx("gen_growth.json"), "--map",
+                     fx("f_1to1.json"), "--budget", "-5", "--out", str(out)])
+        assert code == 1
+        assert "budget must not be negative: -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_budget_is_a_budget(self, capsys):
+        code = main(["factor", "--presentation", fx("gen_growth.json"), "--map",
+                     fx("f_1to1.json"), "--budget", "0"])
+        assert code == 3
+        assert "budget allows 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["factor", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: awfskit")

@@ -6,7 +6,7 @@ were already filled: stage n+2 is the coequaliser of the two ways of
 mapping the stage-n extension into the extension of stage n+1 (through
 the extension's own unit, or through the extension of the unit).  In
 special mode the coequaliser is joint with a second fork that forces the
-fillers of composable pairs to agree with the composite-then-fill route,
+fillers of composable pairs to agree with filling through the composite,
 which is what makes the extracted lifting structure respect vertical
 composition.
 
@@ -29,7 +29,7 @@ from .arrows import (
     identity_square,
     square_compose,
 )
-from .errors import DiagramError, NotStabilised, ProblemMismatch, SizeBudgetExceeded
+from .errors import DiagramError, NotStabilised, ProblemMismatch
 from .finset import FiniteMap, compose, identity, is_iso
 from .step import (
     DoubleEngine,
@@ -163,9 +163,8 @@ def run_special(pres, f, max_stage: int = 16, budget: Optional[SizeBudget] = Non
     """Run the chain with the composable-pair fork (double presentations)."""
     if max_stage < 3:
         raise DiagramError("a special chain needs at least three stages")
-    engine = StepEngine(pres, budget)
-    dengine = DoubleEngine(pres, budget, single=engine)
-    return _advance(_start("special", pres, f, engine, dengine), max_stage)
+    dengine = DoubleEngine(pres, budget)
+    return _advance(_start("special", pres, f, dengine.single, dengine), max_stage)
 
 
 def run_chain(shape, f, mode: str = "plain", max_stage: int = 16,
@@ -223,6 +222,8 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
             f"(carrier sizes {trace.carrier_sizes})",
             sizes=trace.carrier_sizes,
         )
+    if n >= len(trace.connect):
+        raise DiagramError(f"no stage {n} to extract in a trace of {len(trace.stages)} stages")
     inv = is_iso(trace.connect[n].top)
     if inv is None:
         raise NotStabilised(
@@ -237,13 +238,7 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         raise DiagramError("extracted factorisation does not recompose the input")
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
-    # the lift table lists every problem, those of surjective generators
-    # included, which the chain's budget never counted
-    count, limit = st.problem_count(), trace.engine.budget.max_problems
-    if count > limit:
-        raise SizeBudgetExceeded(
-            f"lift table at stage {n} lists {count} problems, budget allows {limit}"
-        )
+    st.check_listable(trace.engine.budget, f"lift table at stage {n}")
     # the filler of each problem is beta0 after its cell, one checked map per
     # problem, read straight off the step's cell tables
     b0 = beta0.table.__getitem__
@@ -261,26 +256,23 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         trace=trace,
     )
     if trace.mode == "special":
-        lhs, rhs = special_algebra_routes(
-            trace.engine, trace.double_engine, result.beta_square(st.extended)
-        )
+        lhs, rhs = special_algebra_routes(trace.double_engine, result.beta_square(st.extended))
         if lhs != rhs:
             raise DiagramError("extracted algebra violates the pair-composition law")
     return result
 
 
 def special_algebra_routes(
-    engine: StepEngine, dengine: DoubleEngine, beta: CommSquare
+    dengine: DoubleEngine, beta: CommSquare
 ) -> tuple[CommSquare, CommSquare]:
     """The two squares a special algebra ``beta: Tg -> g`` must make equal:
     filling a composable pair through its composite (``beta`` after the
     composition comparison) and in two stages (``beta`` after its own
-    extension after the iteration comparison)."""
+    extension after the two-stage comparison, computed fused by
+    ``iterate_then`` as the chain's composition fork is)."""
     g = beta.dst
     through_composite = square_compose(beta, dengine.compose_comparison(g))
-    two_stage = square_compose(
-        beta, square_compose(engine.extend(beta), dengine.iterate_comparison(g))
-    )
+    two_stage = square_compose(beta, dengine.iterate_then(g, beta))
     return through_composite, two_stage
 
 

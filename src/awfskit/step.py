@@ -22,16 +22,22 @@ colimit/pushout factories, guarded by a problem-count budget.
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
 cover the extension carrier.  The functorial action and the comparison
-squares are all written that way, by classification.  On fast steps the
-cells of a generator are indexed by the ranks of its problems, so each
-square's top table is built one block per generator by rank arithmetic;
-when a general step is involved, ``_classify`` writes it problem by
-problem.  The universal-property mediator (``mediate`` and
-``restrict_square``) and the constructions built on it (``extend_square``,
-``route="mediated"``) compute the same squares through the colimit; they
-are kept as an independent cross-check for the oracles and the tests.
-There a lifting is one map out of the coproduct ∐ₚ Bₚ of the problems'
-bottoms, so restricting or mediating builds one map, not one per problem.
+squares are all written that way, by classification, the only way the
+engine builds any of them.  On fast steps the cells of a generator are
+indexed by the ranks of its problems, so each square's top table is built
+one block per generator by rank arithmetic; on general steps
+``_classify`` writes it problem by problem.  The two-stage comparison is
+only ever used followed by a square out of the second extension, so
+``DoubleEngine.iterate_then`` builds that composite fused and never
+builds the twice-iterated extension.
+
+The universal-property mediator (``mediate`` and ``restrict_square``) and
+the constructions built on it (``extend_square``, ``compose_mediated``,
+``iterate_mediated``) compute the same squares through the colimit; no
+production path calls them.  They are kept as an independent cross-check
+for the oracles and the tests.  There a lifting is one map out of the
+coproduct ∐ₚ Bₚ of the problems' bottoms, so restricting or mediating
+builds one map, not one per problem.
 """
 
 from __future__ import annotations
@@ -330,6 +336,14 @@ class StepStructure:
             return len(self.density.comma.problems)
         return sum(meta.block for meta in self._fast.values())
 
+    def check_listable(self, budget: SizeBudget, what: str) -> None:
+        """Refuse ``what``, a listing of every problem, when there are more
+        problems than ``budget`` allows.  The step's own budget check never
+        counted the problems of surjective generators, which adjoin no cell."""
+        count, limit = self.problem_count(), budget.max_problems
+        if count > limit:
+            raise SizeBudgetExceeded(f"{what} lists {count} problems, budget allows {limit}")
+
 
 def fast_eligible(shape) -> bool:
     """The fast path applies when the shape has no connecting squares and
@@ -457,6 +471,16 @@ def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
     return CommSquare(struct.extended, g, top, lifting.base.bot)
 
 
+def _mediate_cells(
+    struct: StepStructure, base: CommSquare, cell_of: Callable[[LiftingProblem], FiniteMap]
+) -> CommSquare:
+    """The square out of ``struct.extended`` over ``base`` that sends the
+    cell of each problem ``p`` to ``cell_of(p)``, through the universal
+    property."""
+    fillers = {p.key: cell_of(p) for p in struct.problem_list}
+    return mediate(struct, struct.lifting(base, fillers))
+
+
 def extend_square(
     struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
 ) -> CommSquare:
@@ -468,12 +492,40 @@ def extend_square(
         raise ProblemMismatch("square endpoints do not match the step structures")
     if alpha.is_identity():
         return identity_square(struct_src.extended)
-    fillers = {}
-    for p in struct_src.problem_list:
+
+    def cell_of(p: LiftingProblem) -> FiniteMap:
         moved = square_compose(alpha, p.square)
-        fillers[p.key] = struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
-    base = square_compose(struct_dst.unit, alpha)
-    return mediate(struct_src, struct_src.lifting(base, fillers))
+        return struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
+
+    return _mediate_cells(struct_src, square_compose(struct_dst.unit, alpha), cell_of)
+
+
+def compose_mediated(dengine: DoubleEngine, f: ArrowObject) -> CommSquare:
+    """``dengine.compose_comparison(f)`` built through the pair colimit, the
+    independent reference for the classification."""
+    s1 = dengine.single.step_tables(f)
+
+    def cell_of(p: LiftingProblem) -> FiniteMap:
+        composite = dengine.pairs.pair(p.gen).composite
+        return s1.cell((composite, p.square.top.table, p.square.bot.table))
+
+    return _mediate_cells(dengine.paired.step(f), s1.unit, cell_of)
+
+
+def iterate_mediated(dengine: DoubleEngine, f: ArrowObject) -> CommSquare:
+    """The two-stage comparison ``dengine.iterate_then(f, identity_square(Tf))``
+    built through the pair colimit, the independent reference for
+    ``iterate_then``."""
+    s1 = dengine.single.step_tables(f)
+    s11 = dengine.single.step_tables(s1.extended)
+
+    def cell_of(p: LiftingProblem) -> FiniteMap:
+        pair = dengine.pairs.pair(p.gen)
+        inner_bot = compose(p.square.bot, dengine.pres.uarrow(pair.right).map)
+        inner = s1.cell((pair.left, p.square.top.table, inner_bot.table))
+        return s11.cell((pair.right, inner.table, p.square.bot.table))
+
+    return _mediate_cells(dengine.paired.step(f), square_compose(s11.unit, s1.unit), cell_of)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +546,9 @@ def _classify(
     s0, s1)``.  The inclusion and the free entries of the cells cover the
     extension carrier, so these determine the top table.
 
-    This is the per-problem route, taken when a structure involved is a
-    general one (connecting squares, a non-injective realisation, or a
-    caller that built the general step of one end)."""
+    This is the per-problem classification, taken when a structure
+    involved is a general one: the shape has connecting squares or a
+    non-injective realisation, or a direct caller passes a general step."""
     top = [0] * src.size
     for v, pos in enumerate(src.inclusion.table):
         top[pos] = incl_image[v]
@@ -625,8 +677,8 @@ class StepEngine:
 
     ``step`` returns the general structure (with factories, budgeted);
     ``step_tables`` returns the structure used for cells, units and
-    classification: the fast one when ``fast_eligible`` accepts the shape
-    (unless the general one is already built), the general one otherwise.
+    classification: the fast one when ``fast_eligible`` accepts the shape,
+    the general one otherwise, whatever was built before.
     """
 
     def __init__(self, shape, budget: Optional[SizeBudget] = None):
@@ -651,12 +703,7 @@ class StepEngine:
         return self._fast[key]
 
     def step_tables(self, f: ArrowObject) -> StepStructure:
-        key = _arrow_key(f)
-        if key in self._general:
-            return self._general[key]
-        if not self._fast_ok:
-            return self.step(f)
-        return self.step_fast(f)
+        return self.step_fast(f) if self._fast_ok else self.step(f)
 
     def extend(self, alpha: CommSquare) -> CommSquare:
         """The one-step extension applied to a square, by classification
@@ -667,48 +714,27 @@ class StepEngine:
 
 
 class DoubleEngine:
-    """Step engines over a double presentation: the square-indexed one and
-    the composable-pair-indexed one, with the comparison squares between
-    the extensions they generate."""
+    """Step engines over a double presentation: ``single``, indexed by the
+    presentation's generators and squares, and ``paired``, indexed by its
+    composable pairs, with the comparison squares between the extensions
+    they generate.  Each comparison is built one way, by classification;
+    ``compose_mediated`` and ``iterate_mediated`` are the cross-checks."""
 
-    def __init__(
-        self,
-        pres,
-        budget: Optional[SizeBudget] = None,
-        single: Optional[StepEngine] = None,
-    ):
+    def __init__(self, pres, budget: Optional[SizeBudget] = None):
         pres.ensure_valid()
         self.pres = pres
         self.pairs = pres.composable_pairs()
-        self.single = single if single is not None else StepEngine(pres, budget)
+        self.single = StepEngine(pres, budget)
         self.paired = StepEngine(self.pairs, budget)
         self._right_tables = {
             p.name: pres.uarrow(p.right).map.table for p in self.pairs.pairs
         }
-        self._compose_memo: dict = {}
-        self._iterate_memo: dict = {}
 
-    def compose_comparison(self, f: ArrowObject, route: Optional[str] = None) -> CommSquare:
+    def compose_comparison(self, f: ArrowObject) -> CommSquare:
         """The square from the pair-indexed extension to the plain one that
-        lifts each pair problem through the pair's composite arrow.
-
-        It is built by classification, memoised, on whichever steps the
-        two shapes get.  ``route="mediated"`` builds it instead through the
-        pair colimit, as an independent cross-check; ``route="fast"`` is
-        the classification without the memo.
-        """
-        if route is None:
-            key = _arrow_key(f)
-            if key not in self._compose_memo:
-                self._compose_memo[key] = self._compose_fast(f)
-            return self._compose_memo[key]
-        if route == "fast":
-            return self._compose_fast(f)
-        if route == "mediated":
-            return self._compose_mediated(f)
-        raise ValueError(f"unknown route {route!r}")
-
-    def _compose_fast(self, f: ArrowObject) -> CommSquare:
+        lifts each pair problem through the pair's composite arrow, by
+        classification: one run of the composite's block per pair on fast
+        steps, problem by problem otherwise."""
         s2 = self.paired.step_tables(f)
         s1 = self.single.step_tables(f)
         if s2._fast is not None and s1._fast is not None:
@@ -731,56 +757,19 @@ class DoubleEngine:
             identity(f.bot),
         )
 
-    def _compose_mediated(self, f: ArrowObject) -> CommSquare:
-        s2 = self.paired.step(f)
-        s1 = self.single.step_tables(f)
-        fillers = {}
-        for p in s2.problem_list:
-            pair = self.pairs.pair(p.gen)
-            fillers[p.key] = s1.cell((pair.composite, p.square.top.table, p.square.bot.table))
-        return mediate(s2, s2.lifting(s1.unit, fillers))
-
-    def iterate_comparison(self, f: ArrowObject, route: Optional[str] = None) -> CommSquare:
-        """The square from the pair-indexed extension to the twice-iterated
-        plain one that lifts each pair problem in two stages: first through
-        the left arrow against ``f``, then through the right arrow against
-        the extension of ``f``.  By classification it is ``iterate_then``
-        with the identity on that extension; ``route`` as in
-        ``compose_comparison``."""
-        if route is None:
-            key = _arrow_key(f)
-            if key not in self._iterate_memo:
-                self._iterate_memo[key] = self.iterate_comparison(f, route="fast")
-            return self._iterate_memo[key]
-        if route == "fast":
-            return self.iterate_then(f, identity_square(self.single.step_tables(f).extended))
-        if route == "mediated":
-            return self._iterate_mediated(f)
-        raise ValueError(f"unknown route {route!r}")
-
-    def _iterate_mediated(self, f: ArrowObject) -> CommSquare:
-        s2 = self.paired.step(f)
-        s1 = self.single.step_tables(f)
-        s11 = self.single.step_tables(s1.extended)
-        fillers = {}
-        for p in s2.problem_list:
-            pair = self.pairs.pair(p.gen)
-            right_u = self.pres.uarrow(pair.right)
-            inner_bot = compose(p.square.bot, right_u.map)
-            inner = s1.cell((pair.left, p.square.top.table, inner_bot.table))
-            fillers[p.key] = s11.cell((pair.right, inner.table, p.square.bot.table))
-        base = square_compose(s11.unit, s1.unit)
-        return mediate(s2, s2.lifting(base, fillers))
-
     def iterate_then(self, stage: ArrowObject, collapse: CommSquare) -> CommSquare:
-        """The composite of ``collapse`` (a square out of the one-step
-        extension of ``stage``) after the two-stage comparison, by
-        classification: each pair cell lands on the cell of its right arrow
-        against the extension of ``stage``, moved along ``collapse``.  The
-        twice-iterated extension, whose carrier grows quadratically and
-        dwarfs everything else in chain runs, is never built.  On fast
-        steps the top table is built one block per pair
-        (``_iterate_blocks``); otherwise problem by problem."""
+        """The composite ``T(collapse) ∘ λ`` of ``collapse`` (a square out
+        of the one-step extension of ``stage``) after the two-stage
+        comparison ``λ``, which lifts each pair problem first through the
+        left arrow against ``stage``, then through the right arrow against
+        its extension.  Built fused, by classification: each pair cell
+        lands on the cell of its right arrow against the extension of
+        ``stage``, moved along ``collapse``.  The twice-iterated extension,
+        whose carrier grows quadratically and dwarfs everything else in
+        chain runs, is never built; ``λ`` itself is the case where
+        ``collapse`` is the identity.  On fast steps the top table is built
+        one block per pair (``_iterate_blocks``); otherwise problem by
+        problem."""
         s2 = self.paired.step_tables(stage)
         s1 = self.single.step_tables(stage)
         if collapse.src != s1.extended:

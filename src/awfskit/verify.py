@@ -178,10 +178,11 @@ def _boundary_problems(cert: Certificate) -> list:
     return out
 
 
-def _algebra_violations(pres, mode: str, g: ArrowObject, beta0: FiniteMap,
-                        engine: StepEngine, dengine) -> list:
+def _algebra_violations(g: ArrowObject, beta0: FiniteMap, engine: StepEngine,
+                        dengine: Optional[DoubleEngine]) -> list:
     """Violated algebra laws for the claimed structure map ``beta0`` on
-    ``g``, as (label, detail) pairs."""
+    ``g``, as (label, detail) pairs; the special law is checked exactly
+    when ``dengine`` is given."""
     out = []
     st = engine.step_tables(g)
     if beta0.dom.size != st.size:
@@ -202,9 +203,9 @@ def _algebra_violations(pres, mode: str, g: ArrowObject, beta0: FiniteMap,
             )
     if out:
         return out
-    if mode == "special" and dengine is not None:
+    if dengine is not None:
         beta = CommSquare(st.extended, g, beta0, identity(g.bot))
-        lhs, rhs = special_algebra_routes(engine, dengine, beta)
+        lhs, rhs = special_algebra_routes(dengine, beta)
         for v in range(lhs.top.dom.size):
             if lhs.top.table[v] != rhs.top.table[v]:
                 out.append(
@@ -217,10 +218,21 @@ def _algebra_violations(pres, mode: str, g: ArrowObject, beta0: FiniteMap,
     return out
 
 
+def _engines(cert: Certificate, budget: Optional[SizeBudget]):
+    """The double engine of a special certificate (None in plain mode) and
+    the step engine the checks run on."""
+    if cert.mode == "special":
+        dengine = DoubleEngine(cert.pres, budget)
+        return dengine, dengine.single
+    return None, StepEngine(cert.pres, budget)
+
+
 def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Report:
     """Recompute the extension of the extracted arrow and verify the unit
     law, the factorisation identity, the agreement of the lift table with
-    the algebra map, and (special mode) the pair-composition square."""
+    the algebra map, and (special mode) the pair-composition square.
+    Raises ``SizeBudgetExceeded`` when the lift table lists more problems
+    than ``budget`` allows."""
     entries = []
     boundary = _boundary_problems(cert)
     for b in boundary:
@@ -229,11 +241,9 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
         return Report("check-algebra", tuple(entries))
     entries.append(_entry_ok("boundary", 1, "certificates"))
 
-    engine = StepEngine(cert.pres, budget)
-    dengine = None
-    if cert.mode == "special":
-        dengine = DoubleEngine(cert.pres, budget, single=engine)
+    dengine, engine = _engines(cert, budget)
     st = engine.step_tables(cert.right)
+    st.check_listable(engine.budget, "lift table")
 
     recomposed = compose(cert.right.map, cert.left)
     bad = [x for x in range(cert.input.top.size) if recomposed.table[x] != cert.input.map.table[x]]
@@ -248,7 +258,7 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
     if not bad:
         entries.append(_entry_ok("factorisation", cert.input.top.size, "elements"))
 
-    laws = _algebra_violations(cert.pres, cert.mode, cert.right, cert.beta0, engine, dengine)
+    laws = _algebra_violations(cert.right, cert.beta0, engine, dengine)
     law_labels = {label for label, _ in laws}
     for label, detail in laws:
         entries.append(ReportEntry(label, False, detail))
@@ -263,9 +273,9 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
 
     checked = 0
     consistent = True
-    table, route = cert.lift_table, cert.beta0.table.__getitem__
+    table, beta = cert.lift_table, cert.beta0.table.__getitem__
     for key, _bot, cell in st.cell_tables():
-        expected = tuple(map(route, cell))
+        expected = tuple(map(beta, cell))
         got = table.get(key)
         if got is None:
             entries.append(
@@ -549,6 +559,10 @@ def _random_square(rng, src: ArrowObject, dst: ArrowObject, fib):
         )
 
 
+# the most squares, and the most liftings, ``oracle_kappa`` lists one by one
+LIST_CAP = 20_000
+
+
 def oracle_kappa(
     pres,
     f: ArrowObject,
@@ -557,7 +571,6 @@ def oracle_kappa(
     budget: Optional[SizeBudget] = None,
     seed: int = 0,
     samples: int = 64,
-    list_cap: int = 20000,
 ) -> Report:
     """Check that squares out of the one-step extension of ``f`` into ``g``
     correspond exactly to lifting structures on ``f`` over ``g``.
@@ -566,7 +579,7 @@ def oracle_kappa(
     structure's problem order; with connecting squares the natural ones are
     those ``mediate`` accepts.  Cardinalities are always compared exactly
     (big-integer products over fibres).  When both sides fit under
-    ``list_cap`` the bijection is checked exhaustively in both directions,
+    ``LIST_CAP`` the bijection is checked exhaustively in both directions,
     mediating each lifting once; otherwise the two inverse identities are
     checked on a seeded sample from each side.  A square whose restriction
     fails to mediate back counts as a failed identity.
@@ -591,11 +604,11 @@ def oracle_kappa(
         n_liftings = sum(_count_liftings(problems, base, fib_sizes) for base in bases)
 
     entries = []
-    listable = n_squares <= list_cap and (n_liftings is None or n_liftings <= list_cap)
+    listable = n_squares <= LIST_CAP and (n_liftings is None or n_liftings <= LIST_CAP)
     if has_squares and not listable:
         raise SizeBudgetExceeded(
             "presentation declares connecting squares; the oracle must enumerate, "
-            f"but {n_squares} squares exceed the listing cap {list_cap}"
+            f"but {n_squares} squares exceed the listing cap {LIST_CAP}"
         )
     if listable:
         squares = list(_commuting_squares(struct.extended, g))
@@ -680,15 +693,12 @@ def oracle_initiality(
     left factor must be the identity.
     """
     limit = (budget or SizeBudget()).max_problems
-    engine = StepEngine(cert.pres, budget)
-    dengine = None
-    if cert.mode == "special":
-        dengine = DoubleEngine(cert.pres, budget, single=engine)
+    dengine, engine = _engines(cert, budget)
     if targets is None:
         targets = [(cert.right, cert.beta0)]
     entries = []
     for ti, (g, bprime) in enumerate(targets):
-        laws = _algebra_violations(cert.pres, cert.mode, g, bprime, engine, dengine)
+        laws = _algebra_violations(g, bprime, engine, dengine)
         if laws:
             details = "; ".join(f"{label}: {detail}" for label, detail in laws)
             entries.append(

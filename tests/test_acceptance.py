@@ -23,12 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from awfskit.arrows import ArrowObject
+from awfskit.arrows import ArrowObject, identity_square
 from awfskit.chain import factorise, run_plain, run_special
 from awfskit.errors import NotStabilised
 from awfskit.finset import FinSet, FiniteMap, is_iso
 from awfskit.serialize import decode_presentation, read_json
-from awfskit.step import DoubleEngine, SizeBudget, StepEngine, enumerate_problems
+from awfskit.step import (
+    DoubleEngine,
+    SizeBudget,
+    compose_mediated,
+    enumerate_problems,
+    iterate_mediated,
+)
 from awfskit.verify import (
     Certificate,
     check_algebra,
@@ -170,10 +176,13 @@ def _comparison_equations(pres, f: ArrowObject, route: str) -> int:
     """Check both comparison squares against their defining per-cell
     equations for every composable pair and every enumerated problem;
     returns the number of problems checked."""
-    engine = StepEngine(pres)
-    dengine = DoubleEngine(pres, single=engine)
-    gam = dengine.compose_comparison(f, route=route)
-    lam = dengine.iterate_comparison(f, route=route)
+    dengine = DoubleEngine(pres)
+    engine = dengine.single
+    if route == "mediated":
+        gam, lam = compose_mediated(dengine, f), iterate_mediated(dengine, f)
+    else:
+        gam = dengine.compose_comparison(f)
+        lam = dengine.iterate_then(f, identity_square(engine.step_tables(f).extended))
     s_pair = dengine.paired.step_tables(f)
     s1 = engine.step_tables(f)
     s11 = engine.step_tables(s1.extended)

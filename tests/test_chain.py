@@ -17,6 +17,7 @@ cells answer lifting problems through the same point 3+y, whereas the
 plain run stops at carrier 7 with the a- and c-cells kept apart.
 """
 
+import itertools
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from awfskit.chain import (
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
 from awfskit.step import LiftingProblem, SizeBudget, StepEngine, enumerate_problems
+from awfskit.verify import _commuting_squares
 
 from fixture_lib import (
     abc_pres,
@@ -151,6 +153,13 @@ class TestPlainSplitEpi:
         with pytest.raises(NotStabilised):
             extract(trace, n=0)
 
+    def test_extract_past_the_trace_is_refused(self):
+        trace = run_plain(plain_split_epi_pres(), f_3to2(), max_stage=3)
+        assert len(trace.stages) == 4
+        for n in (len(trace.connect), len(trace.stages), 99):
+            with pytest.raises(DiagramError, match=f"no stage {n} to extract in a trace of 4 stages"):
+                extract(trace, n=n)
+
     def test_identity_target_stabilises(self):
         result = factorise(plain_split_epi_pres(), f_1to1(), mode="plain", max_stage=2)
         assert result.stage == 1
@@ -252,6 +261,26 @@ class TestEmptyPresentation:
         assert result.lift_table == {}
 
 
+class TestVerifyLaws:
+    """``verify_laws`` names every law a replaced connecting square breaks;
+    the replacements are other commuting squares between the same stages."""
+
+    def test_each_law_fires(self):
+        trace = run_special(composite_pres(), f_3to2(), max_stage=4)
+        assert trace.verify_laws() == []
+        fired = {}
+        for i in (0, 1):
+            original, fired[i] = trace.connect[i], set()
+            squares = _commuting_squares(trace.stages[i], trace.stages[i + 1])
+            for alt in itertools.islice((s for s in squares if s != original), 40):
+                trace.connect[i] = alt
+                fired[i].update(trace.verify_laws())
+            trace.connect[i] = original
+        assert {"unit-law:0", "successor-fork:0", "codomain-rigidity:0"} <= fired[0]
+        assert "composition-fork:0" in fired[1]
+        assert trace.verify_laws() == []
+
+
 class TestRawFormLaws:
     """The collapsed fork legs used by the chain equal the raw two-factor
     composites on real chain data (functoriality and unit naturality)."""
@@ -273,8 +302,9 @@ class TestRawFormLaws:
         engine, dengine = trace.engine, trace.double_engine
         for n in range(len(trace.structure) - 1):
             t_x = engine.extend(trace.structure[n])
-            lam = dengine.iterate_comparison(trace.stages[n])
-            fused = dengine.iterate_then(trace.stages[n], trace.structure[n])
+            stage = trace.stages[n]
+            lam = dengine.iterate_then(stage, identity_square(engine.step_tables(stage).extended))
+            fused = dengine.iterate_then(stage, trace.structure[n])
             assert square_compose(t_x, lam) == fused
 
 

@@ -20,6 +20,19 @@ def write(tmp_path, name, payload) -> str:
     return str(path)
 
 
+def identity_on_four(tmp_path):
+    """A plain presentation with one identity generator on 4 points, and
+    the map 16 -> 1: the chain stabilises at once, since the generator
+    adjoins no cell, but the lift table lists 16**4 = 65,536 problems."""
+    pres = write(tmp_path, "ident.json", {
+        "kind": "plain",
+        "generators": [{"name": "g", "map": {"dom": 4, "cod": 4, "table": [0, 1, 2, 3]}}],
+        "morphisms": [],
+        "comp": [],
+    })
+    return pres, write(tmp_path, "f.json", {"dom": 16, "cod": 1, "table": [0] * 16})
+
+
 @pytest.fixture
 def cert_path(tmp_path):
     out = str(tmp_path / "cert.json")
@@ -133,15 +146,7 @@ class TestFactor:
         assert "budget" in capsys.readouterr().err
 
     def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
-        # an identity generator adjoins no cell, so the chain stabilises at
-        # once, but its lift table lists 16**4 = 65,536 problems
-        pres = write(tmp_path, "ident.json", {
-            "kind": "plain",
-            "generators": [{"name": "g", "map": {"dom": 4, "cod": 4, "table": [0, 1, 2, 3]}}],
-            "morphisms": [],
-            "comp": [],
-        })
-        fmap = write(tmp_path, "f.json", {"dom": 16, "cod": 1, "table": [0] * 16})
+        pres, fmap = identity_on_four(tmp_path)
         out = tmp_path / "cert.json"
         code = main(["factor", "--presentation", pres, "--map", fmap,
                      "--budget", "1000", "--out", str(out)])
@@ -155,6 +160,23 @@ class TestFactor:
 
 
 class TestVerify:
+    def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
+        pres, fmap = identity_on_four(tmp_path)
+        cert = str(tmp_path / "cert.json")
+        assert main(["factor", "--presentation", pres, "--map", fmap,
+                     "--budget", "65536", "--out", cert]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        code = main(["verify", "--presentation", pres, "--certificate", cert,
+                     "--budget", "1000", "--out", str(report)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "size budget exceeded: lift table lists 65536 problems, budget allows 1000\n"
+        assert not report.exists()
+        assert main(["verify", "--presentation", pres, "--certificate", cert,
+                     "--budget", "65536"]) == 0
+
     def test_passing_certificate(self, cert_path, tmp_path, capsys):
         report_path = str(tmp_path / "report.json")
         code = main(

@@ -13,9 +13,9 @@ c contributes 10, so the carrier is 45 with blocks starting at 5 (a),
 
 import pytest
 
-from awfskit.arrows import ArrowObject, square_compose
-from awfskit.finset import compose
-from awfskit.step import DoubleEngine
+from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
+from awfskit.finset import FiniteMap, FinSet, compose
+from awfskit.step import DoubleEngine, compose_mediated, iterate_mediated
 
 from fixture_lib import (
     abc_pres,
@@ -37,6 +37,12 @@ MAPS = [f_3to2(), f_1to1(), f_0to1(), f_2to3()]
 
 def aobj(f) -> ArrowObject:
     return ArrowObject(f)
+
+
+def iterate_comparison(engine: DoubleEngine, f: ArrowObject) -> CommSquare:
+    """The two-stage comparison itself: ``iterate_then`` with the identity
+    on the extension of ``f``."""
+    return engine.iterate_then(f, identity_square(engine.single.step_tables(f).extended))
 
 
 class TestComposeComparison:
@@ -83,7 +89,7 @@ class TestIterateComparison:
     def test_boundaries_and_unit_equation(self, pres, f):
         engine = DoubleEngine(pres)
         target = aobj(f)
-        lam = engine.iterate_comparison(target)
+        lam = iterate_comparison(engine, target)
         s2 = engine.paired.step(target)
         s1 = engine.single.step_tables(target)
         s11 = engine.single.step_tables(s1.extended)
@@ -95,7 +101,7 @@ class TestIterateComparison:
     def test_cells_lift_in_two_stages(self, pres, f):
         engine = DoubleEngine(pres)
         target = aobj(f)
-        lam = engine.iterate_comparison(target)
+        lam = iterate_comparison(engine, target)
         s2 = engine.paired.step(target)
         s1 = engine.single.step_tables(target)
         s11 = engine.single.step_tables(s1.extended)
@@ -110,34 +116,27 @@ class TestIterateComparison:
 
     def test_frozen_tables_for_abc_against_the_point(self):
         engine = DoubleEngine(abc_pres())
-        lam = engine.iterate_comparison(aobj(f_1to1()))
+        lam = iterate_comparison(engine, aobj(f_1to1()))
         assert lam.src.top.size == 11 and lam.dst.top.size == 45
         assert lam.top.table == (0, 5, 35, 36, 10, 1, 1, 11, 2, 3, 4)
         assert lam.bot.table == (0,)
 
 
 class TestRoutes:
-    """Fast (classification-table) and mediated (colimit) constructions of
-    the comparison squares must agree, and the fused composite must equal
-    composing its factors."""
+    """Classified and mediated (colimit) constructions of the comparison
+    squares must agree, and the fused composite must equal composing its
+    factors."""
 
     @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_fast_equals_mediated(self, pres, f):
         engine = DoubleEngine(pres)
         target = aobj(f)
-        assert engine.compose_comparison(target, route="fast") == engine.compose_comparison(
-            target, route="mediated"
-        )
-        assert engine.iterate_comparison(target, route="fast") == engine.iterate_comparison(
-            target, route="mediated"
-        )
+        assert engine.compose_comparison(target) == compose_mediated(engine, target)
+        assert iterate_comparison(engine, target) == iterate_mediated(engine, target)
 
     @pytest.mark.parametrize("pres", DOUBLES, ids=DOUBLE_IDS)
     def test_fused_composite_equals_composed_factors(self, pres):
-        from awfskit.arrows import CommSquare, identity_square
-        from awfskit.finset import FiniteMap, FinSet
-
         engine = DoubleEngine(pres)
         f, g = aobj(f_3to2()), aobj(f_1to1())
         alpha = CommSquare(
@@ -149,21 +148,6 @@ class TestRoutes:
                          engine.single.extend(alpha)):
             fused = engine.iterate_then(f, collapse)
             composed = square_compose(
-                engine.single.extend(collapse), engine.iterate_comparison(f)
+                engine.single.extend(collapse), iterate_comparison(engine, f)
             )
             assert fused == composed
-
-    def test_unknown_route_rejected(self):
-        engine = DoubleEngine(abc_pres())
-        with pytest.raises(ValueError):
-            engine.compose_comparison(aobj(f_1to1()), route="nonsense")
-        with pytest.raises(ValueError):
-            engine.iterate_comparison(aobj(f_1to1()), route="nonsense")
-
-
-class TestMemo:
-    def test_comparisons_are_memoised(self):
-        engine = DoubleEngine(abc_pres())
-        target = aobj(f_1to1())
-        assert engine.compose_comparison(target) is engine.compose_comparison(target)
-        assert engine.iterate_comparison(target) is engine.iterate_comparison(target)

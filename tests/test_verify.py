@@ -20,6 +20,7 @@ one point there are 2 top choices for the base and 2 filler choices,
 against 2x2 assignments of the extension's two elements — four each.
 """
 
+import itertools
 import random
 
 import pytest
@@ -27,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from awfskit import verify
-from awfskit.arrows import ArrowObject, square_compose
-from awfskit.chain import factorise
-from awfskit.errors import NotStabilised, SizeBudgetExceeded
-from awfskit.finset import FinSet, FiniteMap, compose
+from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
+from awfskit.chain import factorise, special_algebra_routes
+from awfskit.errors import DiagramError, NotStabilised, SizeBudgetExceeded
+from awfskit.finset import FinSet, FiniteMap, compose, identity
 from awfskit.serialize import dumps
 from awfskit.step import (
     DoubleEngine,
@@ -311,8 +312,8 @@ def _reference_check_algebra(cert):
     if entries:
         return Report("check-algebra", tuple(entries))
     entries.append(verify._entry_ok("boundary", 1, "certificates"))
-    engine = StepEngine(cert.pres)
-    dengine = DoubleEngine(cert.pres, single=engine) if cert.mode == "special" else None
+    dengine = DoubleEngine(cert.pres) if cert.mode == "special" else None
+    engine = dengine.single if dengine is not None else StepEngine(cert.pres)
     st = engine.step_tables(cert.right)
     recomposed = compose(cert.right.map, cert.left)
     bad = [x for x in range(cert.input.top.size) if recomposed.table[x] != cert.input.map.table[x]]
@@ -323,7 +324,7 @@ def _reference_check_algebra(cert):
         ))
     if not bad:
         entries.append(verify._entry_ok("factorisation", cert.input.top.size, "elements"))
-    laws = verify._algebra_violations(cert.pres, cert.mode, cert.right, cert.beta0, engine, dengine)
+    laws = verify._algebra_violations(cert.right, cert.beta0, engine, dengine)
     law_labels = {label for label, _ in laws}
     entries.extend(ReportEntry(label, False, detail) for label, detail in laws)
     if "boundary" in law_labels:
@@ -565,6 +566,66 @@ class TestReportsMatchPerProblemReference:
     )
     def test_seeded_composite_mutants(self, seeded, mode, what, a, b, c):
         _assert_same_report(_mutate(seeded[mode], what, a, b, c))
+
+
+def _unfused_two_stage(dengine, beta):
+    """The two-stage side of the special algebra law built unfused, as the
+    reference for the fused one: ``beta`` after its own extension after the
+    two-stage comparison, which runs into the twice-iterated extension."""
+    g = beta.dst
+    lam = dengine.iterate_then(g, identity_square(dengine.single.step_tables(g).extended))
+    return square_compose(beta, square_compose(dengine.single.extend(beta), lam))
+
+
+def _assert_two_stage_matches(cert):
+    """Assert that the fused two-stage square of ``cert``'s algebra map
+    equals the unfused one; returns whether the map obeys the special law,
+    or None when it is not a square over the codomain (nothing to compare)."""
+    dengine = DoubleEngine(cert.pres)
+    st = dengine.single.step_tables(cert.right)
+    try:
+        beta = CommSquare(st.extended, cert.right, cert.beta0, identity(cert.right.bot))
+    except DiagramError:
+        return None
+    through_composite, two_stage = special_algebra_routes(dengine, beta)
+    assert two_stage == _unfused_two_stage(dengine, beta)
+    return through_composite == two_stage
+
+
+class TestFusedTwoStageMatchesUnfused:
+    def test_small_special_factorisations(self):
+        # every map with at most 3 points into 1 or 2 that stabilises by
+        # stage 4 within a budget of 20,000 problems
+        count = 0
+        for make in (retract_pres, composite_pres, abc_pres, split_epi_pres):
+            for y, x in itertools.product((1, 2), range(4)):
+                for table in itertools.product(range(y), repeat=x):
+                    try:
+                        result = factorise(make(), fmap(x, y, list(table)), mode="special",
+                                           max_stage=4, budget=SizeBudget(max_problems=20_000))
+                    except (NotStabilised, SizeBudgetExceeded):
+                        continue
+                    assert _assert_two_stage_matches(Certificate.from_result(make(), result))
+                    count += 1
+        assert count == 42
+
+    def test_fixture_certificates_and_mutants(self, certs):
+        special = [cert for _, cert in _fixture_certificates() if cert.mode == "special"]
+        assert all(_assert_two_stage_matches(cert) for cert in special) and len(special) >= 8
+        outcomes = [_assert_two_stage_matches(m) for _, m in _mutants(certs["composite"])]
+        # mutants whose algebra map is still a square, some of them breaking the law
+        assert outcomes.count(True) > 0 and outcomes.count(False) > 0
+
+    def test_seeded_composite_mutants(self, seeded):
+        # the algebra map moved within the fibre it lies in, so it stays a square
+        cert, rng = seeded["special"], random.Random(17)
+        g = cert.right.map.table
+        outcomes = []
+        for i in rng.sample(range(cert.beta0.dom.size), 40):
+            fibre = [z for z in range(len(g)) if g[z] == g[cert.beta0.table[i]]]
+            outcomes.append(_assert_two_stage_matches(
+                _mutate(cert, "beta0", i, rng.choice(fibre), 0)))
+        assert None not in outcomes and False in outcomes
 
 
 class TestOracleKappa:

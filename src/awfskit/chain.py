@@ -15,12 +15,21 @@ stage is the middle object, the composite of the connecting squares is
 the left half, the stage itself (as an arrow) is the right half, and the
 inverse of the stabilised connecting square turns the stage's structure
 square into the algebra map that answers every lifting problem.
+
+That algebra map ``beta0: Tg -> g`` is the whole lifting structure: the
+filler of a problem is ``beta0`` after its cell.  So the lift table is
+kept as one map, ``beta0`` after the copaired cells out of ∐ₚ Bₚ, and a
+``LiftTable`` slices a filler out of it only when one is looked up; the
+certificate encoder reads it one block per generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .arrows import (
     ArrowObject,
@@ -36,6 +45,7 @@ from .step import (
     LiftingProblem,
     SizeBudget,
     StepEngine,
+    StepStructure,
 )
 
 
@@ -189,9 +199,60 @@ def detect_stabilisation(trace: ChainTrace) -> Optional[int]:
     return None
 
 
+def _rows(columns: list, count: int) -> Iterator[tuple]:
+    """The ``count`` rows of a block's columns (all empty when it has none)."""
+    return zip(*columns) if columns else repeat((), count)
+
+
+class LiftTable(Mapping):
+    """The lift table of an algebra map ``beta0`` on the extracted arrow:
+    a read-only mapping from each lifting problem's key to its filler,
+    ``beta0`` after the problem's cell.
+
+    All fillers are held as one checked map, ``fillers``, out of ∐ₚ Bₚ
+    (problems in canonical order): ``beta0`` after the copaired cells of
+    ``step``.  Iteration follows the canonical order of
+    ``StepStructure.cell_tables``; a lookup slices its filler out of
+    ``fillers`` as a checked map, and a key that is no problem raises
+    KeyError."""
+
+    def __init__(self, step: StepStructure, beta0: FiniteMap):
+        self.step = step
+        self.beta0 = beta0
+        self.fillers = compose(beta0, step.copaired())
+
+    def __len__(self) -> int:
+        return self.step.problem_count()
+
+    def __iter__(self) -> Iterator[tuple]:
+        for name, _, count, tops, bots in self.step.problem_blocks():
+            for s0, s1 in zip(_rows(tops, count), _rows(bots, count)):
+                yield name, s0, s1
+
+    def __getitem__(self, key) -> FiniteMap:
+        bottom, start = self.step.locate(key)
+        return FiniteMap(bottom, self.fillers.cod, self.fillers.table[start : start + bottom.size])
+
+    def blocks(self) -> list:
+        """The problems one block per generator, sorted by generator name,
+        as ``(name, count, tops, bots, fillers)``: the top tables, bottom
+        tables and filler tables of the block's ``count`` problems, as
+        columns, one per position.  Within a block the problems are in
+        canonical order, which is the order of their keys."""
+        table, start, out = self.fillers.table, 0, []
+        for name, bottom, count, tops, bots in self.step.problem_blocks():
+            nb = bottom.size
+            end = start + count * nb
+            out.append((name, count, tops, bots, [table[start + b : end : nb] for b in range(nb)]))
+            start = end
+        return sorted(out, key=itemgetter(0))
+
+
 @dataclass
 class FactorisationResult:
-    """The extracted factorisation f = R after L with its lifting algebra."""
+    """The extracted factorisation f = R after L with its lifting algebra:
+    ``beta0`` and the lift table it gives, a ``LiftTable`` that slices
+    each filler out of one map on demand."""
 
     mode: str
     stage: int
@@ -199,7 +260,7 @@ class FactorisationResult:
     left: FiniteMap  # input domain -> middle carrier
     right: ArrowObject  # middle carrier -> input codomain
     beta0: FiniteMap  # extension carrier of the right leg -> middle carrier
-    lift_table: dict
+    lift_table: LiftTable
     trace: Optional[ChainTrace] = None
 
     @property
@@ -239,12 +300,6 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
     st.check_listable(trace.engine.budget, f"lift table at stage {n}")
-    # the filler of each problem is beta0 after its cell, one checked map per
-    # problem, read straight off the step's cell tables
-    b0 = beta0.table.__getitem__
-    lift_table = {
-        key: FiniteMap(bot, beta0.cod, tuple(map(b0, ct))) for key, bot, ct in st.cell_tables()
-    }
     result = FactorisationResult(
         mode=trace.mode,
         stage=n,
@@ -252,7 +307,7 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         left=left,
         right=right,
         beta0=beta0,
-        lift_table=lift_table,
+        lift_table=LiftTable(st, beta0),
         trace=trace,
     )
     if trace.mode == "special":

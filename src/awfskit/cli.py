@@ -56,14 +56,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _budget_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must not be negative: {value}")
-    return value
+def _non_negative(what: str):
+    """An argument type: an int that is not negative, named ``what`` when it is."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must not be negative: {value}")
+        return value
+
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -79,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=("plain", "special"), default="plain")
         if chain:
             p.add_argument("--max-stage", type=int, default=16, metavar="N")
-        p.add_argument("--budget", type=_budget_arg, default=None, metavar="N",
+        p.add_argument("--budget", type=_non_negative("budget"), default=None, metavar="N",
                        help="problem-count budget for enumerations")
         p.add_argument("--out", default=None, metavar="PATH", help="write the JSON artifact here")
 
@@ -105,7 +110,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None, help="kappa: the map whose extension is probed")
     p.add_argument("--target-map", default=None, help="kappa: the map lifted against")
     p.add_argument("--certificate", default=None, help="initiality: the certificate to check")
-    p.add_argument("--bound", type=int, default=2, metavar="N",
+    p.add_argument("--bound", type=_non_negative("bound"), default=2, metavar="N",
                    help="kappa: maximum carrier size accepted")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="kappa: seed for the sampled regime")
@@ -162,7 +167,16 @@ def _cmd_factor(args) -> int:
 
 def _cmd_lift(args) -> int:
     pres = _load_presentation(args.presentation)
-    cert = decode_certificate(read_json(args.certificate), pres, args.certificate)
+    obj = read_json(args.certificate)
+    # count the records before any filler is decoded, as verify counts the
+    # problems before it lists them; a malformed table is the decoder's to name
+    records = obj.get("lift_table") if isinstance(obj, dict) else None
+    limit = (_budget(args) or SizeBudget()).max_problems
+    if isinstance(records, list) and len(records) > limit:
+        raise SizeBudgetExceeded(
+            f"lift table lists {len(records)} problems, budget allows {limit}"
+        )
+    cert = decode_certificate(obj, pres, args.certificate)
     obj = read_json(args.problem)
     if (
         not isinstance(obj, dict)

@@ -40,19 +40,22 @@ a decoded artifact is idempotent and reports diff cleanly.  Every artifact
 encoder, ``dumps``, whose text is exactly that of ``json.dumps(payload,
 sort_keys=True, indent=2)`` plus a newline; ``json.dumps`` itself stays
 only in the tests, as the reference the encoder is checked against.  A
-certificate's lift table is written as text rows straight from the table,
-without a dictionary per record.
+certificate's lift table is written as text straight from the table,
+without a dictionary per record: each run of records that share a template
+is one ``%`` into the repeated template, and the chain's ``LiftTable``
+gives its runs one per generator, from its columns.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Optional
 
 from .arrows import ArrowObject
+from .chain import LiftTable
 from .errors import DiagramError, ParseError
 from .finset import FinSet, FiniteMap, is_iso
 from .presentation import (
@@ -65,6 +68,7 @@ from .presentation import (
     SquareSpec,
     VArrowSpec,
 )
+from .step import _interleave
 from .verify import Certificate
 
 CERTIFICATE_SCHEMA = "awfskit/certificate-v1"
@@ -99,13 +103,15 @@ def dumps(payload) -> str:
 
 
 class _Text:
-    """A value already written as canonical text, as if at the top level;
-    ``dumps`` splices it in, indented to the depth where it sits."""
+    """A value already written as canonical text, as if its first line
+    were indented by ``nl`` (a newline and the indent); ``dumps`` splices it
+    in, re-indented when it sits at another depth."""
 
-    __slots__ = ("text",)
+    __slots__ = ("text", "nl")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, nl: str):
         self.text = text
+        self.nl = nl
 
 
 def _array(items: list, nl: str) -> str:
@@ -155,7 +161,7 @@ def _encode(value, nl: str, out: list) -> None:
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(value, _Text):
-        out.append(value.text.replace("\n", nl))
+        out.append(value.text if value.nl == nl else value.text.replace(value.nl, nl))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -522,18 +528,18 @@ def encode_certificate(cert: Certificate) -> dict:
         "left": encode_map(cert.left),
         "right": encode_arrow(cert.right),
         "beta0": encode_map(cert.beta0),
-        "lift_table": _lift_rows(cert.lift_table),
+        "lift_table": _lift_rows(cert.lift_table, "\n  "),
         "stage": cert.stage,
         "trace_sizes": cert.trace_sizes,
     }
 
 
-def _row_template(gen: str, ntop: int, nbot: int, ntable: int) -> str:
-    """The text of a lift-table record, as an item of a top-level array,
-    with generator ``gen`` and tables of the given lengths; it holds a
-    ``%d`` for each int of the bottom, the filler's codomain, the filler's
-    table and the top, in that order."""
-    return (
+def _row_template(gen: str, ntop: int, nbot: int, ntable: int, nl: str) -> str:
+    """The text of a lift-table record, as an item of an array whose first
+    line is indented by ``nl``, with generator ``gen`` and tables of the
+    given lengths; it holds a ``%d`` for each int of the bottom, the
+    filler's codomain, the filler's table and the top, in that order."""
+    return ((
         '{\n    "bot": %s,\n    "filler": {\n      "cod": %%d,\n      "dom": %d,'
         '\n      "table": %s\n    },\n    "generator": %s,\n    "top": %s\n  }'
     ) % (
@@ -542,36 +548,73 @@ def _row_template(gen: str, ntop: int, nbot: int, ntable: int) -> str:
         _array(["%d"] * ntable, "\n      "),
         _quote(gen).replace("%", "%%"),
         _array(["%d"] * ntop, "\n    "),
-    )
+    )).replace("\n", nl)
 
 
-def _lift_rows(lift_table: dict):
+def _lift_rows(lift_table, nl: str):
     """The sorted ``{"generator", "top", "bot", "filler"}`` records of the
-    lift table as one text row each, filled into a template per generator
-    and table lengths.  A table holding anything but string generators and
-    int entries is left to ``_encode`` as plain records."""
-    if not lift_table:
-        return _Text("[]")
+    lift table as text, written for a first line indented by ``nl``.
+
+    Sorted records come in runs that share a generator and table lengths,
+    so a run of ``k`` rows is one ``%`` into ``k`` copies of its template.
+    A ``LiftTable`` gives one run per generator from its columns; any other
+    mapping gives the runs of its sorted keys.  A table holding anything but
+    string generators and int entries is left to ``_encode`` as plain
+    records."""
+    if isinstance(lift_table, LiftTable):
+        runs = _block_runs(lift_table)
+    else:
+        runs = _mapping_runs(lift_table)
+    if runs is None:
+        return [
+            {"generator": gen, "top": list(top), "bot": list(bot),
+             "filler": encode_map(lift_table[gen, top, bot])}
+            for gen, top, bot in sorted(lift_table)
+        ]
+    sep = "," + nl + "  "
+    texts = [
+        sep.join(repeat(_row_template(*shape, nl), count)) % tuple(values)
+        for shape, count, values in runs
+    ]
+    return _Text("[" + sep[1:] + sep.join(texts) + nl + "]" if texts else "[]", nl)
+
+
+def _block_runs(lift_table: LiftTable) -> Optional[list]:
+    """One run per generator of a ``LiftTable``, its values interleaved
+    from the block's columns in template order."""
+    runs = []
+    cod = lift_table.fillers.cod.size
+    for name, count, tops, bots, fillers in lift_table.blocks():
+        if type(name) is not str:
+            return None
+        columns = bots + [[cod] * count] + fillers + tops
+        runs.append(((name, len(tops), len(bots), len(fillers)), count,
+                     _interleave(columns, count)))
+    return runs
+
+
+def _mapping_runs(lift_table) -> Optional[list]:
+    """The runs of consecutive sorted keys that share a template."""
     keys = sorted(lift_table)
     fillers = list(map(lift_table.__getitem__, keys))
     entries = chain.from_iterable(
         chain.from_iterable((top, bot, m.table)) for (_, top, bot), m in zip(keys, fillers)
     )
-    if not (set(map(type, entries)) <= _INT and set(map(type, map(itemgetter(0), keys))) == {str}):
-        return [
-            {"generator": gen, "top": list(top), "bot": list(bot), "filler": encode_map(m)}
-            for (gen, top, bot), m in zip(keys, fillers)
-        ]
-    templates: dict = {}
-    rows = []
-    for (gen, top, bot), m in zip(keys, fillers):
-        table = m.table
-        shape = (gen, len(top), len(bot), len(table))
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = _row_template(*shape)
-        rows.append(template % (bot + (m.cod.size,) + table + top))
-    return _Text("[\n  " + ",\n  ".join(rows) + "\n]")
+    if not (set(map(type, entries)) <= _INT and set(map(type, map(itemgetter(0), keys))) <= {str}):
+        return None
+    runs = []
+    for shape, run in groupby(zip(keys, fillers), key=_row_shape):
+        run = list(run)
+        values = chain.from_iterable(bot + (m.cod.size,) + m.table + top
+                                     for (_, top, bot), m in run)
+        runs.append((shape, len(run), values))
+    return runs
+
+
+def _row_shape(row) -> tuple:
+    """The template a ``(key, filler)`` row is written with."""
+    (gen, top, bot), m = row
+    return gen, len(top), len(bot), len(m.table)
 
 
 _CERT_REQUIRED = frozenset(("mode", "input", "left", "right", "beta0", "lift_table"))

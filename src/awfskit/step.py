@@ -228,6 +228,7 @@ class _FastGen:
     top_count: int  # |X|^|A|
     free_count: int  # |Y|^(free positions)
     cells_before: int  # adjoined cells contributed by earlier generators
+    bottoms_before: int  # points of ∐ₚ Bₚ in the blocks of earlier generators
 
     @property
     def fcount(self) -> int:
@@ -236,6 +237,28 @@ class _FastGen:
     @property
     def block(self) -> int:
         return self.top_count * self.free_count
+
+    def rank(self, s0: tuple, s1: tuple, x: int, y: int) -> int:
+        """The rank of the problem ``(s0, s1)`` in product order: the
+        digits of ``s0`` (radix ``x``), then its free digits (radix ``y``)."""
+        rank = 0
+        for v in s0:
+            rank = rank * x + v
+        for b in self.free:
+            rank = rank * y + s1[b]
+        return rank
+
+    def top_columns(self, x: int) -> list:
+        """The top digits (radix ``x``) of the generator's problems, in
+        product order, as columns."""
+        a = self.u.top.size
+        return [_column(range(x), x ** (a - 1 - j) * self.free_count, x**j) for j in range(a)]
+
+    def free_columns(self, y: int) -> list:
+        """The free digits (radix ``y``) of the generator's problems, in
+        product order, as columns."""
+        k = self.fcount
+        return [_column(range(y), y ** (k - 1 - i), self.top_count * y**i) for i in range(k)]
 
 
 class StepStructure:
@@ -262,6 +285,7 @@ class StepStructure:
         self.copair: Optional[FiniteMap] = None
         self.cells: Optional[dict] = None
         self._fast: Optional[dict] = None
+        self._starts: Optional[dict] = None
 
     @property
     def size(self) -> int:
@@ -304,12 +328,7 @@ class StepStructure:
         gen, s0, s1 = key
         meta: _FastGen = self._fast[gen]
         x, y = self.target.map.dom.size, self.target.map.cod.size
-        rank = 0
-        for v in s0:
-            rank = rank * x + v
-        for b in meta.free:
-            rank = rank * y + s1[b]
-        base = x + meta.cells_before + rank * len(meta.free)
+        base = x + meta.cells_before + meta.rank(s0, s1, x, y) * meta.fcount
         return tuple([base + i if free else s0[i] for free, i in meta.layout])
 
     def cell_tables(self) -> Iterator[tuple]:
@@ -328,6 +347,76 @@ class StepStructure:
             for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
                 yield (name, s0, s1), bot, tuple([pos + i if free else s0[i] for free, i in layout])
                 pos += fcount
+
+    def problem_blocks(self) -> Iterator[tuple]:
+        """The lifting problems of each generator that has any, as one
+        block, in canonical order: ``(name, bottom, count, tops, bots)``,
+        the generator's name and bottom carrier, its number of problems,
+        and their top and bottom tables as columns, one per position.  On fast steps the
+        columns are digit columns, the forced bottom entries ``f`` after
+        the top ones; general steps read them off their problems."""
+        if self._fast is None:
+            problems = self.density.comma.problems
+            for name, group in itertools.groupby(problems, key=operator.attrgetter("gen")):
+                squares = [p.square for p in group]
+                tops = list(zip(*(sq.top.table for sq in squares)))
+                bots = list(zip(*(sq.bot.table for sq in squares)))
+                yield name, squares[0].src.bot, len(squares), tops, bots
+            return
+        x, y, ft = self.target.top.size, self.target.bot.size, self.target.map.table
+        for meta in self._fast.values():
+            if meta.block:
+                tops, frees = meta.top_columns(x), meta.free_columns(y)
+                bots = [frees[i] if free else list(map(ft.__getitem__, tops[i]))
+                        for free, i in meta.layout]
+                yield meta.name, meta.u.bot, meta.block, tops, bots
+
+    def copaired(self) -> FiniteMap:
+        """The cells copaired into one map ∐ₚ Bₚ -> extension carrier,
+        problems in canonical order.  On fast steps it is built one block
+        per generator: the cell of the problem of rank r has its free
+        positions i at ``base + r*k + i`` and its forced ones at its top."""
+        if self._fast is None:
+            return self.copair
+        x, table = self.target.top.size, []
+        for meta in self._fast.values():
+            n, k, base = meta.block, meta.fcount, x + meta.cells_before
+            if n and meta.layout:
+                tops = meta.top_columns(x)
+                table += _interleave(
+                    [range(base + i, base + i + n * k, k) if free else tops[i]
+                     for free, i in meta.layout], n)
+        return FiniteMap(FinSet(len(table)), self.extended.top, tuple(table))
+
+    def locate(self, key: ProblemKey) -> tuple[FinSet, int]:
+        """The bottom carrier of the problem ``key`` and where its cell
+        starts in ∐ₚ Bₚ (problems in canonical order).  Raises KeyError
+        when ``key`` is no lifting problem of the target."""
+        if self._fast is None:
+            if self._starts is None:
+                starts = itertools.accumulate(
+                    (p.square.src.bot.size for p in self.problem_list), initial=0)
+                self._starts = {p.key: (p.square.src.bot, start)
+                                for p, start in zip(self.problem_list, starts)}
+            try:
+                return self._starts[key]
+            except TypeError:  # an unhashable key
+                raise KeyError(key) from None
+        try:
+            gen, s0, s1 = key
+            meta: _FastGen = self._fast[gen]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        x, y, ft = self.target.top.size, self.target.bot.size, self.target.map.table
+        if not (
+            type(s0) is tuple and type(s1) is tuple
+            and len(s0) == meta.u.top.size and len(s1) == meta.u.bot.size
+            and set(map(type, s0 + s1)) <= {int}
+            and all(0 <= v < x for v in s0) and all(0 <= v < y for v in s1)
+            and all(free or s1[b] == ft[s0[i]] for b, (free, i) in enumerate(meta.layout))
+        ):
+            raise KeyError(key)
+        return meta.u.bot, meta.bottoms_before + meta.rank(s0, s1, x, y) * meta.u.bot.size
 
     def problem_count(self) -> int:
         """The number of lifting problems, those of surjective generators
@@ -362,17 +451,18 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     x, y = target.top.size, target.bot.size
     struct = StepStructure(shape, target)
     metas: dict[str, _FastGen] = {}
-    cells_before = 0
+    cells_before = bottoms_before = 0
     for name, u in shape.lifting_generators():
         reps, free = _image_reps(u.map)
         layout = tuple(
             (True, free.index(b)) if b not in reps else (False, reps[b])
             for b in range(u.bot.size)
         )
-        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
+        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before,
+                        bottoms_before)
         metas[name] = meta
-        if meta.fcount:
-            cells_before += meta.block * meta.fcount
+        cells_before += meta.block * meta.fcount
+        bottoms_before += meta.block * u.bot.size
     # the budget bounds the problems that adjoin cells (problems of
     # surjective generators are never enumerated by the chain; ``extract``
     # counts them before it lists the lift table); checked arithmetically
@@ -587,7 +677,13 @@ def _column(values: Sequence[int], inner: int, outer: int) -> list:
     its ``values`` repeated ``inner`` times (the count of the less
     significant digits), and that run repeated ``outer`` times (the count
     of the more significant ones)."""
-    return list(itertools.chain.from_iterable(itertools.repeat(v, inner) for v in values)) * outer
+    if inner > len(values):
+        run = list(itertools.chain.from_iterable(itertools.repeat(v, inner) for v in values))
+    else:  # one slice per copy, when there are fewer copies than values
+        run = [0] * (len(values) * inner)
+        for i in range(inner):
+            run[i::inner] = values
+    return run * outer
 
 
 def _rank_column(digits: list, scale: int, offset: int) -> list:

@@ -27,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
 from .chain import FactorisationResult, special_algebra_routes
@@ -52,7 +52,9 @@ from .step import (
 @dataclass
 class Certificate:
     """A claimed factorisation with its lifting algebra, as produced by the
-    chain (or supplied externally for auditing)."""
+    chain (or supplied externally for auditing).  The lift table maps each
+    problem key to its filler: the chain's ``LiftTable``, or a dict of
+    checked maps when decoded or built by hand."""
 
     pres: object
     mode: str
@@ -60,7 +62,7 @@ class Certificate:
     left: FiniteMap
     right: ArrowObject
     beta0: FiniteMap
-    lift_table: dict
+    lift_table: Mapping
     stage: Optional[int] = None
     trace_sizes: Optional[list] = None
 
@@ -74,7 +76,7 @@ class Certificate:
             left=result.left,
             right=result.right,
             beta0=result.beta0,
-            lift_table=dict(result.lift_table),
+            lift_table=result.lift_table,
             stage=result.stage,
             trace_sizes=sizes,
         )

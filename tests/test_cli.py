@@ -304,6 +304,26 @@ class TestLift:
         assert code == 1
         assert "does not commute" in capsys.readouterr().err
 
+    def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
+        pres, fmap = identity_on_four(tmp_path)
+        cert = str(tmp_path / "cert.json")
+        assert main(["factor", "--presentation", pres, "--map", fmap,
+                     "--budget", "65536", "--out", cert]) == 0
+        problem = write(tmp_path, "p.json", {"generator": "g", "top": [3, 1, 4, 1],
+                                             "bot": [0, 0, 0, 0]})
+        capsys.readouterr()
+        out = tmp_path / "filler.json"
+        code = main(["lift", "--presentation", pres, "--certificate", cert,
+                     "--problem", problem, "--budget", "10", "--out", str(out)])
+        assert code == 3
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == "size budget exceeded: lift table lists 65536 problems, budget allows 10\n"
+        assert not out.exists()
+        assert main(["lift", "--presentation", pres, "--certificate", cert,
+                     "--problem", problem, "--budget", "65536", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"dom": 4, "cod": 16, "table": [3, 1, 4, 1]}
+
 
 class TestOracle:
     def test_kappa(self, tmp_path, capsys):
@@ -432,6 +452,23 @@ class TestUsage:
         assert code == 1
         assert "budget must not be negative: -5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_bound_is_refused(self, capsys):
+        code = main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--map", fx("f_1to1.json"), "--target-map", fx("f_1to1.json"),
+                     "--bound", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: awfskit")
+        assert "bound must not be negative: -1" in captured.err
+        assert captured.out == ""
+
+    def test_zero_bound_is_a_bound(self, capsys):
+        code = main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--map", fx("f_1to1.json"), "--target-map", fx("f_1to1.json"),
+                     "--bound", "0"])
+        assert code == 3
+        assert "bound 0" in capsys.readouterr().err
 
     def test_zero_budget_is_a_budget(self, capsys):
         code = main(["factor", "--presentation", fx("gen_growth.json"), "--map",

@@ -267,12 +267,14 @@ class TestEncoderMatchesJsonDumps:
         # API-built tables are not rows of ints: the plain-record path writes them
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
+        cert.lift_table = dict(cert.lift_table)
         cert.lift_table[("j", (), (1,))] = FiniteMap(FinSet(1), FinSet(5), (True,))
         assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
 
     def test_certificate_rows_escape_generator_names(self):
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
+        cert.lift_table = dict(cert.lift_table)
         for name in ('%d', '%s%%', 'é"\\\x01', ''):
             cert.lift_table[(name, (0, 1), ())] = FiniteMap(FinSet(0), FinSet(5), ())
         assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))

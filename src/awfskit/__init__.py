@@ -26,6 +26,7 @@ from .arrows import (
 from .chain import (
     ChainTrace,
     FactorisationResult,
+    LiftTable,
     detect_stabilisation,
     extract,
     factorise,
@@ -91,6 +92,7 @@ __all__ = [
     "FinSet",
     "FiniteMap",
     "InvalidPresentation",
+    "LiftTable",
     "LiftingProblem",
     "NotStabilised",
     "ParseError",

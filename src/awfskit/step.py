@@ -270,7 +270,8 @@ class StepStructure:
     ``bottoms`` of ∐ₚ Bₚ (problems in ``problem_list`` order) onto the
     colimit's bottom, and the cells copaired (``copair``) and sliced
     (``cells``); only they can ``mediate``.  Fast instances (built by
-    ``fast_step``) compute each cell from the rank of its problem.
+    ``fast_step``) compute each cell from the rank of its problem, and
+    their copaired cells (``copaired``) one block per generator.
     """
 
     def __init__(self, shape, target: ArrowObject):
@@ -352,9 +353,10 @@ class StepStructure:
         """The lifting problems of each generator that has any, as one
         block, in canonical order: ``(name, bottom, count, tops, bots)``,
         the generator's name and bottom carrier, its number of problems,
-        and their top and bottom tables as columns, one per position.  On fast steps the
-        columns are digit columns, the forced bottom entries ``f`` after
-        the top ones; general steps read them off their problems."""
+        and their top and bottom tables as columns, one per position.  On
+        fast steps the columns are digit columns, the forced bottom entries
+        ``f`` after the top ones; general steps read them off their
+        problems."""
         if self._fast is None:
             problems = self.density.comma.problems
             for name, group in itertools.groupby(problems, key=operator.attrgetter("gen")):

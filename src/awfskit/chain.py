@@ -18,16 +18,17 @@ square into the algebra map that answers every lifting problem.
 
 That algebra map ``beta0: Tg -> g`` is the whole lifting structure: the
 filler of a problem is ``beta0`` after its cell.  So the lift table is
-kept as one map, ``beta0`` after the copaired cells out of ∐ₚ Bₚ, and a
-``LiftTable`` slices a filler out of it only when one is looked up; the
-certificate encoder reads it one block per generator.
+kept as columns: the problems' key columns one block per generator, and
+one map, ``beta0`` after the copaired cells out of ∐ₚ Bₚ, that a
+``LiftTable`` slices a filler out of only when one is looked up.  The
+certificate encoder, the decoder and ``verify`` read the same columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -39,13 +40,12 @@ from .arrows import (
     square_compose,
 )
 from .errors import DiagramError, NotStabilised, ProblemMismatch
-from .finset import FiniteMap, compose, identity, is_iso
+from .finset import FinSet, FiniteMap, compose, identity, is_iso
 from .step import (
     DoubleEngine,
     LiftingProblem,
     SizeBudget,
     StepEngine,
-    StepStructure,
 )
 
 
@@ -204,55 +204,106 @@ def _rows(columns: list, count: int) -> Iterator[tuple]:
     return zip(*columns) if columns else repeat((), count)
 
 
+def _transpose(rows: list) -> list:
+    """The columns of equally long ``rows``, at least one."""
+    return [tuple(map(itemgetter(j), rows)) for j in range(len(rows[0]))]
+
+
+def _keys(name, tops: list, bots: list, count: int) -> Iterator[tuple]:
+    """The keys of a block's ``count`` problems, from its key columns."""
+    return zip(repeat(name), _rows(tops, count), _rows(bots, count))
+
+
 class LiftTable(Mapping):
-    """The lift table of an algebra map ``beta0`` on the extracted arrow:
-    a read-only mapping from each lifting problem's key to its filler,
-    ``beta0`` after the problem's cell.
+    """A lift table held as columns: a read-only mapping from each lifting
+    problem's key ``(generator, top, bottom)`` to its filler.
 
-    All fillers are held as one checked map, ``fillers``, out of ∐ₚ Bₚ
-    (problems in canonical order): ``beta0`` after the copaired cells of
-    ``step``.  Iteration follows the canonical order of
-    ``StepStructure.cell_tables``; a lookup slices its filler out of
-    ``fillers`` as a checked map, and a key that is no problem raises
-    KeyError."""
+    The keys come in ``runs``, one per stretch of keys of one generator,
+    ``(name, bottom, count, tops, bots)``: the fillers' domain, the number
+    of keys, and their top and bottom tables as columns, one per position.
+    All fillers are one checked map, ``fillers``, out of ∐ₚ Bₚ in the order
+    of the keys, which is the order of iteration; a lookup slices one out
+    as a checked map (KeyError when the key is no entry).  ``extract``
+    gives one run per generator, problems in canonical order and fillers
+    ``beta0`` after the copaired cells."""
 
-    def __init__(self, step: StepStructure, beta0: FiniteMap):
-        self.step = step
-        self.beta0 = beta0
-        self.fillers = compose(beta0, step.copaired())
+    def __init__(self, runs: list, fillers: FiniteMap):
+        self.runs = runs
+        self.fillers = fillers
+        self._filler_tables: Optional[dict] = None
+
+    @classmethod
+    def from_columns(cls, gens, tops, bots, doms, fillers: FiniteMap) -> Optional["LiftTable"]:
+        """The table whose ``i``-th key is ``(gens[i], tops[i], bots[i])``
+        with a filler on ``doms[i]`` points, the fillers laid out in that
+        order in ``fillers``: one run per stretch of keys of one generator,
+        or None when the tables of a stretch have several lengths."""
+        runs, start = [], 0
+        for gen, run in groupby(gens):
+            end = start + len(list(run))
+            top, bot, dom = tops[start:end], bots[start:end], doms[start:end]
+            if len(set(map(len, top))) != 1 or len(set(map(len, bot))) != 1 or len(set(dom)) != 1:
+                return None
+            runs.append((gen, FinSet(dom[0]), end - start, _transpose(top), _transpose(bot)))
+            start = end
+        return cls(runs, fillers)
+
+    @classmethod
+    def from_items(cls, items: list) -> Optional["LiftTable"]:
+        """The table of the ``(key, filler)`` pairs ``items``, in their
+        order; None unless every key is a triple of a name and two tuples,
+        the fillers are maps into one codomain, all of ints, and each
+        stretch of keys of one generator fits ``from_columns``."""
+        keys, maps = [key for key, _ in items], [m for _, m in items]
+        if not (all(type(k) is tuple and len(k) == 3 and type(k[1]) is tuple
+                    and type(k[2]) is tuple for k in keys)
+                and all(isinstance(m, FiniteMap) for m in maps)
+                and len({m.cod for m in maps}) <= 1
+                and set(map(type, chain.from_iterable(
+                    [m.table for m in maps] + [k[1] + k[2] for k in keys]))) <= {int}):
+            return None
+        table = tuple(chain.from_iterable(m.table for m in maps))
+        fillers = FiniteMap(FinSet(len(table)), maps[0].cod if maps else FinSet(0), table)
+        gens, tops, bots = zip(*keys) if keys else ((), (), ())
+        return cls.from_columns(gens, tops, bots, [m.dom.size for m in maps], fillers)
 
     def __len__(self) -> int:
-        return self.step.problem_count()
+        return sum(run[2] for run in self.runs)
 
     def __iter__(self) -> Iterator[tuple]:
-        for name, _, count, tops, bots in self.step.problem_blocks():
-            for s0, s1 in zip(_rows(tops, count), _rows(bots, count)):
-                yield name, s0, s1
+        return chain.from_iterable(_keys(name, tops, bots, count)
+                                   for name, _, count, tops, bots in self.runs)
+
+    def filler_columns(self) -> list:
+        """The filler tables of each run as columns, one per position."""
+        table, start, out = self.fillers.table, 0, []
+        for _, bottom, count, _, _ in self.runs:
+            n = bottom.size
+            out.append([table[start + b : start + count * n : n] for b in range(n)])
+            start += count * n
+        return out
+
+    def filler_tables(self) -> dict:
+        """Every key's filler table, without building a map; kept."""
+        if self._filler_tables is None:
+            counts = [run[2] for run in self.runs]
+            self._filler_tables = dict(zip(self, chain.from_iterable(
+                map(_rows, self.filler_columns(), counts))))
+        return self._filler_tables
 
     def __getitem__(self, key) -> FiniteMap:
-        bottom, start = self.step.locate(key)
-        return FiniteMap(bottom, self.fillers.cod, self.fillers.table[start : start + bottom.size])
-
-    def blocks(self) -> list:
-        """The problems one block per generator, sorted by generator name,
-        as ``(name, count, tops, bots, fillers)``: the top tables, bottom
-        tables and filler tables of the block's ``count`` problems, as
-        columns, one per position.  Within a block the problems are in
-        canonical order, which is the order of their keys."""
-        table, start, out = self.fillers.table, 0, []
-        for name, bottom, count, tops, bots in self.step.problem_blocks():
-            nb = bottom.size
-            end = start + count * nb
-            out.append((name, count, tops, bots, [table[start + b : end : nb] for b in range(nb)]))
-            start = end
-        return sorted(out, key=itemgetter(0))
+        try:
+            table = self.filler_tables()[key]
+        except TypeError:  # an unhashable key
+            raise KeyError(key) from None
+        return FiniteMap(FinSet(len(table)), self.fillers.cod, table)
 
 
 @dataclass
 class FactorisationResult:
     """The extracted factorisation f = R after L with its lifting algebra:
-    ``beta0`` and the lift table it gives, a ``LiftTable`` that slices
-    each filler out of one map on demand."""
+    ``beta0`` and the lift table it gives, a ``LiftTable`` of columns that
+    slices each filler out of one map on demand."""
 
     mode: str
     stage: int
@@ -307,7 +358,7 @@ def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
         left=left,
         right=right,
         beta0=beta0,
-        lift_table=LiftTable(st, beta0),
+        lift_table=LiftTable(list(st.problem_blocks()), compose(beta0, st.copaired())),
         trace=trace,
     )
     if trace.mode == "special":

@@ -178,28 +178,17 @@ def _cmd_lift(args) -> int:
         )
     cert = decode_certificate(obj, pres, args.certificate)
     obj = read_json(args.problem)
-    if (
-        not isinstance(obj, dict)
-        or set(obj) != {"generator", "top", "bot"}
-        or not isinstance(obj["generator"], str)
-        or not all(
-            isinstance(v, int) and not isinstance(v, bool)
-            for part in (obj["top"], obj["bot"])
-            if isinstance(part, list)
-            for v in part
-        )
-        or not isinstance(obj["top"], list)
-        or not isinstance(obj["bot"], list)
-    ):
+    if not (isinstance(obj, dict) and set(obj) == {"generator", "top", "bot"}
+            and isinstance(obj["generator"], str)
+            and all(type(part) is list and set(map(type, part)) <= {int}
+                    for part in (obj["top"], obj["bot"]))):
         raise ParseError(f'{args.problem}: expected {{"generator", "top", "bot"}} with integer tables')
     key = (obj["generator"], tuple(obj["top"]), tuple(obj["bot"]))
     gens = dict(pres.lifting_generators())
     if key[0] not in gens:
         print(f"unknown generator {key[0]!r}", file=sys.stderr)
         return EXIT_FAIL
-    u = gens[key[0]]
-    top = list(key[1])
-    bot = list(key[2])
+    u, top, bot = gens[key[0]], key[1], key[2]
     if len(top) != u.top.size or len(bot) != u.bot.size:
         print(f"problem tables do not match the boundary of {key[0]}", file=sys.stderr)
         return EXIT_FAIL

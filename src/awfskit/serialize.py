@@ -31,7 +31,10 @@ Decoding a map or a certificate first runs its checks as C-level passes
 over whole tables (types by ``set(map(type, ...))``, ranges by the checked
 ``FiniteMap``); only when one of them fails does it walk the value
 element by element, so the first complaint and its JSON path are those of
-the walk.
+the walk.  The passes give a certificate's lift table as a ``LiftTable``
+of columns with every filler in one checked map; the walk, taken also for
+records out of key order or fillers with several codomains, gives a
+dictionary of checked maps.
 
 Encoding is canonical: keys are sorted, composition triples are sorted
 by operand names, and lift-table records are sorted by key, so encoding
@@ -40,18 +43,17 @@ a decoded artifact is idempotent and reports diff cleanly.  Every artifact
 encoder, ``dumps``, whose text is exactly that of ``json.dumps(payload,
 sort_keys=True, indent=2)`` plus a newline; ``json.dumps`` itself stays
 only in the tests, as the reference the encoder is checked against.  A
-certificate's lift table is written as text straight from the table,
-without a dictionary per record: each run of records that share a template
-is one ``%`` into the repeated template, and the chain's ``LiftTable``
-gives its runs one per generator, from its columns.
+certificate's lift table is written as text straight from the columns of
+a ``LiftTable``, without a dictionary per record: each run of records that
+share a template is one ``%`` into the repeated template.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Optional
 
 from .arrows import ArrowObject
@@ -556,15 +558,14 @@ def _lift_rows(lift_table, nl: str):
     lift table as text, written for a first line indented by ``nl``.
 
     Sorted records come in runs that share a generator and table lengths,
-    so a run of ``k`` rows is one ``%`` into ``k`` copies of its template.
-    A ``LiftTable`` gives one run per generator from its columns; any other
-    mapping gives the runs of its sorted keys.  A table holding anything but
-    string generators and int entries is left to ``_encode`` as plain
-    records."""
-    if isinstance(lift_table, LiftTable):
-        runs = _block_runs(lift_table)
-    else:
-        runs = _mapping_runs(lift_table)
+    so a run of ``k`` rows is one ``%`` into ``k`` copies of its template,
+    filled from the run's columns.  A ``LiftTable`` is read as it is; any
+    other mapping is first put into columns in the order of its sorted
+    keys.  A table holding anything but string generators and int entries
+    is left to ``_encode`` as plain records."""
+    table = lift_table if isinstance(lift_table, LiftTable) else LiftTable.from_items(
+        [(key, lift_table[key]) for key in sorted(lift_table)])
+    runs = None if table is None else _block_runs(table)
     if runs is None:
         return [
             {"generator": gen, "top": list(top), "bot": list(bot),
@@ -580,11 +581,13 @@ def _lift_rows(lift_table, nl: str):
 
 
 def _block_runs(lift_table: LiftTable) -> Optional[list]:
-    """One run per generator of a ``LiftTable``, its values interleaved
-    from the block's columns in template order."""
+    """The runs of a ``LiftTable`` sorted by generator name, each with its
+    values interleaved from its columns in template order.  Within a run
+    of ``extract`` or of a decoded certificate the keys are sorted."""
     runs = []
     cod = lift_table.fillers.cod.size
-    for name, count, tops, bots, fillers in lift_table.blocks():
+    for (name, _, count, tops, bots), fillers in sorted(
+            zip(lift_table.runs, lift_table.filler_columns()), key=lambda run: run[0][0]):
         if type(name) is not str:
             return None
         columns = bots + [[cod] * count] + fillers + tops
@@ -593,48 +596,28 @@ def _block_runs(lift_table: LiftTable) -> Optional[list]:
     return runs
 
 
-def _mapping_runs(lift_table) -> Optional[list]:
-    """The runs of consecutive sorted keys that share a template."""
-    keys = sorted(lift_table)
-    fillers = list(map(lift_table.__getitem__, keys))
-    entries = chain.from_iterable(
-        chain.from_iterable((top, bot, m.table)) for (_, top, bot), m in zip(keys, fillers)
-    )
-    if not (set(map(type, entries)) <= _INT and set(map(type, map(itemgetter(0), keys))) <= {str}):
-        return None
-    runs = []
-    for shape, run in groupby(zip(keys, fillers), key=_row_shape):
-        run = list(run)
-        values = chain.from_iterable(bot + (m.cod.size,) + m.table + top
-                                     for (_, top, bot), m in run)
-        runs.append((shape, len(run), values))
-    return runs
-
-
-def _row_shape(row) -> tuple:
-    """The template a ``(key, filler)`` row is written with."""
-    (gen, top, bot), m = row
-    return gen, len(top), len(bot), len(m.table)
-
-
 _CERT_REQUIRED = frozenset(("mode", "input", "left", "right", "beta0", "lift_table"))
 _CERT_KEYS = _CERT_REQUIRED | {"schema", "stage", "trace_sizes"}
-_record_fields = itemgetter("generator", "top", "bot", "filler")
-_map_fields = itemgetter("dom", "cod", "table")
+_record_fields = tuple(map(itemgetter, ("generator", "top", "bot", "filler")))
+_map_fields = tuple(map(itemgetter, ("dom", "cod", "table")))
 
 
-def _checked_lift_table(records) -> Optional[dict]:
-    """The lift table ``records`` encode, or None if any check of the
-    walk in ``decode_certificate`` fails.  Each check is one pass over all
-    records; the fillers are built as checked maps, which test the ranges."""
+def _checked_lift_table(records) -> Optional[LiftTable]:
+    """The lift table ``records`` encode, as columns, one run per
+    generator, or None if any check of the walk in ``decode_certificate``
+    fails, or the records are out of key order, or their fillers have more
+    than one codomain, or one generator's tables have several lengths (the
+    walk then builds a dictionary).  Each check is one pass over all
+    records; the fillers are built as one checked map, which tests the
+    ranges."""
     if type(records) is not list:
         return None
     if not records:
-        return {}
+        return LiftTable([], FiniteMap(FinSet(0), FinSet(0), ()))
     if set(map(type, records)) != {dict} or set(map(len, records)) != {4}:
         return None
     try:
-        gens, tops, bots, fillers = zip(*map(_record_fields, records))
+        gens, tops, bots, fillers = (list(map(field, records)) for field in _record_fields)
     except KeyError:
         return None
     if (
@@ -646,29 +629,27 @@ def _checked_lift_table(records) -> Optional[dict]:
     ):
         return None
     try:
-        doms, cods, tables = zip(*map(_map_fields, fillers))
+        doms, cods, tables = (list(map(field, fillers)) for field in _map_fields)
     except KeyError:
         return None
     if (
         set(map(type, doms)) != _INT
         or set(map(type, cods)) != _INT
         or set(map(type, tables)) != {list}
-        or list(map(len, tables)) != list(doms)
-        or min(cods) < 0
+        or list(map(len, tables)) != doms
+        or len(set(cods)) != 1
     ):
         return None
     entries = chain.from_iterable(chain(tops, bots, tables))
-    if not set(map(type, entries)) <= _INT:
+    keys = list(zip(gens, tops, bots))
+    # strictly increasing keys are sorted and distinct
+    if not set(map(type, entries)) <= _INT or not all(map(lt, keys, keys[1:])):
         return None
-    sets = {n: FinSet(n) for n in {*doms, *cods}}
     try:
-        maps = list(map(FiniteMap, map(sets.__getitem__, doms), map(sets.__getitem__, cods),
-                        map(tuple, tables)))
-    except DiagramError:
+        fillers = FiniteMap(FinSet(sum(doms)), FinSet(cods[0]), tuple(chain.from_iterable(tables)))
+    except DiagramError:  # a negative codomain, or an entry outside it
         return None
-    keys = list(zip(gens, map(tuple, tops), map(tuple, bots)))
-    table = dict(zip(keys, maps))
-    return table if len(table) == len(keys) else None
+    return LiftTable.from_columns(gens, tops, bots, doms, fillers)
 
 
 def _checked_certificate(obj, pres) -> Optional[Certificate]:

@@ -228,7 +228,6 @@ class _FastGen:
     top_count: int  # |X|^|A|
     free_count: int  # |Y|^(free positions)
     cells_before: int  # adjoined cells contributed by earlier generators
-    bottoms_before: int  # points of ∐ₚ Bₚ in the blocks of earlier generators
 
     @property
     def fcount(self) -> int:
@@ -286,7 +285,6 @@ class StepStructure:
         self.copair: Optional[FiniteMap] = None
         self.cells: Optional[dict] = None
         self._fast: Optional[dict] = None
-        self._starts: Optional[dict] = None
 
     @property
     def size(self) -> int:
@@ -390,36 +388,6 @@ class StepStructure:
                      for free, i in meta.layout], n)
         return FiniteMap(FinSet(len(table)), self.extended.top, tuple(table))
 
-    def locate(self, key: ProblemKey) -> tuple[FinSet, int]:
-        """The bottom carrier of the problem ``key`` and where its cell
-        starts in ∐ₚ Bₚ (problems in canonical order).  Raises KeyError
-        when ``key`` is no lifting problem of the target."""
-        if self._fast is None:
-            if self._starts is None:
-                starts = itertools.accumulate(
-                    (p.square.src.bot.size for p in self.problem_list), initial=0)
-                self._starts = {p.key: (p.square.src.bot, start)
-                                for p, start in zip(self.problem_list, starts)}
-            try:
-                return self._starts[key]
-            except TypeError:  # an unhashable key
-                raise KeyError(key) from None
-        try:
-            gen, s0, s1 = key
-            meta: _FastGen = self._fast[gen]
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-        x, y, ft = self.target.top.size, self.target.bot.size, self.target.map.table
-        if not (
-            type(s0) is tuple and type(s1) is tuple
-            and len(s0) == meta.u.top.size and len(s1) == meta.u.bot.size
-            and set(map(type, s0 + s1)) <= {int}
-            and all(0 <= v < x for v in s0) and all(0 <= v < y for v in s1)
-            and all(free or s1[b] == ft[s0[i]] for b, (free, i) in enumerate(meta.layout))
-        ):
-            raise KeyError(key)
-        return meta.u.bot, meta.bottoms_before + meta.rank(s0, s1, x, y) * meta.u.bot.size
-
     def problem_count(self) -> int:
         """The number of lifting problems, those of surjective generators
         included: the length of ``cell_tables()``, by arithmetic."""
@@ -453,18 +421,16 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     x, y = target.top.size, target.bot.size
     struct = StepStructure(shape, target)
     metas: dict[str, _FastGen] = {}
-    cells_before = bottoms_before = 0
+    cells_before = 0
     for name, u in shape.lifting_generators():
         reps, free = _image_reps(u.map)
         layout = tuple(
             (True, free.index(b)) if b not in reps else (False, reps[b])
             for b in range(u.bot.size)
         )
-        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before,
-                        bottoms_before)
+        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
         metas[name] = meta
         cells_before += meta.block * meta.fcount
-        bottoms_before += meta.block * u.bot.size
     # the budget bounds the problems that adjoin cells (problems of
     # surjective generators are never enumerated by the chain; ``extract``
     # counts them before it lists the lift table); checked arithmetically

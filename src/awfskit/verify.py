@@ -3,14 +3,18 @@
 Everything here is a pure table computation over the certificate and the
 presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance.  The lifting problems are
-enumerated as their top and bottom tables and every equation is checked
-by indexing into tables, so no problem, square or map is built per
-problem.  Failures never raise — they become report entries naming the
-violated equation and the witnessing element, and a filler whose
-boundaries do not fit its problem is a ``boundary`` entry — so a
-corrupted certificate yields a deterministic, complete list of
-everything wrong with it.
+hold on the nose, not up to tolerance.  The lift table is read as columns
+(``LiftTable``; a dict is put into columns once): the key columns of
+each generator are compared with the step's ``problem_blocks``, the
+fillers with ``beta0`` after the copaired cells, and every equation is
+checked on whole columns, with moved, inner and outer fillers found in
+the table's index of filler tables.  No problem, square or map is built
+per problem, and nothing is looked up key by key unless a block differs,
+which is then walked to name what fails.  Failures never raise — they
+become report entries naming the violated equation and the witnessing
+element, and a filler whose boundaries do not fit its problem is a
+``boundary`` entry — so a corrupted certificate yields a deterministic,
+complete list of everything wrong with it.
 
 The two oracles check the engine against definitions that do not go
 through the engine's own construction: ``oracle_kappa`` enumerates (or
@@ -25,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
-from .chain import FactorisationResult, special_algebra_routes
+from .chain import FactorisationResult, LiftTable, _keys, _rows, special_algebra_routes
 from .errors import EngineError, NonNaturalLifting, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, compose, identity
 from .step import (
@@ -39,7 +43,6 @@ from .step import (
     SizeBudget,
     StepEngine,
     _image_reps,
-    _problem_tables,
     mediate,
     restrict_square,
 )
@@ -53,8 +56,9 @@ from .step import (
 class Certificate:
     """A claimed factorisation with its lifting algebra, as produced by the
     chain (or supplied externally for auditing).  The lift table maps each
-    problem key to its filler: the chain's ``LiftTable``, or a dict of
-    checked maps when decoded or built by hand."""
+    problem key to its filler: a ``LiftTable`` of columns, from the chain
+    or the decoder, or a dict of checked maps when built by hand (or
+    decoded from records the column passes do not take)."""
 
     pres: object
     mode: str
@@ -126,9 +130,15 @@ def _entry_ok(label: str, count: int, unit: str = "instances") -> ReportEntry:
 # algebra checks
 
 
-_cod_of = attrgetter("cod.__class__", "cod.size")
-_dom_size = attrgetter("dom.size")
-_gen_name = itemgetter(0)
+def _columns(table: Mapping) -> Optional[LiftTable]:
+    """The lift table as columns: a ``LiftTable`` as it is, any other
+    mapping converted in its own order (None when it does not fit)."""
+    return table if isinstance(table, LiftTable) else LiftTable.from_items(list(table.items()))
+
+
+def _filler_tables(table: Mapping, cols: Optional[LiftTable]) -> dict:
+    """Every key's filler table."""
+    return cols.filler_tables() if cols is not None else {key: m.table for key, m in table.items()}
 
 
 def _lift_table_problem(cert: Certificate) -> Optional[str]:
@@ -137,28 +147,26 @@ def _lift_table_problem(cert: Certificate) -> Optional[str]:
     A value that is not a map into the middle object is named first; then
     a filler whose domain is not the bottom of the generator its key names
     (keys naming no generator are surplus, reported by ``check_compat``).
-    Each check is one pass over the whole table; a walk runs only to name
-    the first bad key."""
+    On columns each check is one test per run; a walk runs only to name
+    the first bad key, or on a mapping that does not fit columns."""
     table, top = cert.lift_table, cert.right.top
-    vals = table.values()
-    if not (all(map(isinstance, vals, itertools.repeat(FiniteMap)))
-            and set(map(_cod_of, vals)) <= {(top.__class__, top.size)}):
+    cols = _columns(table)
+    if cols is None:
         for key, val in table.items():
             if not isinstance(val, FiniteMap) or val.cod != top:
                 return f"lift table entry {key} does not land in the middle object"
+    elif len(cols) and cols.fillers.cod != top:
+        return f"lift table entry {next(iter(cols))} does not land in the middle object"
     bots = {name: u.bot.size for name, u in cert.pres.lifting_generators()}
-    doms = list(map(_dom_size, vals))
-    try:
-        fits = set(map(type, table)) <= {tuple} and list(
-            map(bots.get, map(_gen_name, table), doms)) == doms
-    except IndexError:  # an empty key
-        fits = False
-    if not fits:
-        for key, dom in zip(table, doms):
-            bot = bots.get(key[0], dom) if type(key) is tuple and key else dom
-            if bot != dom:
-                return (f"lift table entry {key} has domain {dom}, "
-                        f"its generator's bottom has {bot}")
+    if cols is not None and all(bots.get(run[0], run[1].size) == run[1].size
+                                for run in cols.runs):
+        return None
+    for key, filler in _filler_tables(table, cols).items():
+        dom = len(filler)
+        bot = bots.get(key[0], dom) if type(key) is tuple and key else dom
+        if bot != dom:
+            return (f"lift table entry {key} has domain {dom}, "
+                    f"its generator's bottom has {bot}")
     return None
 
 
@@ -229,41 +237,62 @@ def _engines(cert: Certificate, budget: Optional[SizeBudget]):
     return None, StepEngine(cert.pres, budget)
 
 
-def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Report:
+def _aligned(table: Mapping, cols: Optional[LiftTable], blocks: list) -> list:
+    """The problem blocks of a step (``problem_blocks``) with their fillers
+    in the table: ``(name, count, tops, bots, fillers)``, where ``fillers``
+    holds each problem's filler table, or None when the table has none.  A
+    block the table holds as a run with the same key columns is read off
+    the run's filler columns; any other is looked up key by key."""
+    runs = {} if cols is None else {
+        run[0]: (run, fillers) for run, fillers in zip(cols.runs, cols.filler_columns())}
+    out, tables = [], None
+    for name, _, count, tops, bots in blocks:
+        run, fillers = runs.get(name, (None, None))
+        # the boundary check has matched the run's fillers to the bottom
+        if run and run[2] == count and (
+                list(map(tuple, run[3] + run[4])) == list(map(tuple, tops + bots))):
+            rows = list(_rows(fillers, count))
+        else:
+            tables = _filler_tables(table, cols) if tables is None else tables
+            rows = list(map(tables.get, _keys(name, tops, bots, count)))
+        out.append((name, count, tops, bots, rows))
+    return out
+
+
+def _failing(entries: list):
+    """A function that appends a failed entry to ``entries``."""
+    return lambda label, detail: entries.append(ReportEntry(label, False, detail))
+
+
+def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
+                  engines: Optional[tuple] = None) -> Report:
     """Recompute the extension of the extracted arrow and verify the unit
     law, the factorisation identity, the agreement of the lift table with
     the algebra map, and (special mode) the pair-composition square.
     Raises ``SizeBudgetExceeded`` when the lift table lists more problems
-    than ``budget`` allows."""
-    entries = []
-    boundary = _boundary_problems(cert)
-    for b in boundary:
-        entries.append(ReportEntry("boundary", False, b))
-    if boundary:
+    than ``budget`` allows.  ``engines`` are those of ``_engines``, which
+    ``verify_certificate`` shares with ``check_compat``."""
+    entries = [ReportEntry("boundary", False, b) for b in _boundary_problems(cert)]
+    if entries:
         return Report("check-algebra", tuple(entries))
+    fail = _failing(entries)
     entries.append(_entry_ok("boundary", 1, "certificates"))
 
-    dengine, engine = _engines(cert, budget)
+    dengine, engine = engines or _engines(cert, budget)
     st = engine.step_tables(cert.right)
     st.check_listable(engine.budget, "lift table")
 
-    recomposed = compose(cert.right.map, cert.left)
-    bad = [x for x in range(cert.input.top.size) if recomposed.table[x] != cert.input.map.table[x]]
+    recomposed, ft = compose(cert.right.map, cert.left).table, cert.input.map.table
+    bad = [x for x in range(cert.input.top.size) if recomposed[x] != ft[x]]
     for x in bad:
-        entries.append(
-            ReportEntry(
-                "factorisation",
-                False,
-                f"element {x}: R(L({x})) = {recomposed.table[x]} != f({x}) = {cert.input.map.table[x]}",
-            )
-        )
+        fail("factorisation", f"element {x}: R(L({x})) = {recomposed[x]} != f({x}) = {ft[x]}")
     if not bad:
         entries.append(_entry_ok("factorisation", cert.input.top.size, "elements"))
 
     laws = _algebra_violations(cert.right, cert.beta0, engine, dengine)
     law_labels = {label for label, _ in laws}
     for label, detail in laws:
-        entries.append(ReportEntry(label, False, detail))
+        fail(label, detail)
     if "boundary" in law_labels:
         return Report("check-algebra", tuple(entries))
     if "unit-law" not in law_labels:
@@ -273,29 +302,22 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
     if cert.mode == "plain":
         entries.append(ReportEntry("special-algebra-square", True, "skipped (plain mode)"))
 
-    checked = 0
+    # the algebra route of every filler: beta0 after the copaired cells
+    blocks = list(st.problem_blocks())
+    routes = LiftTable(blocks, compose(cert.beta0, st.copaired())).filler_columns()
+    blocks = _aligned(cert.lift_table, _columns(cert.lift_table), blocks)
     consistent = True
-    table, beta = cert.lift_table, cert.beta0.table.__getitem__
-    for key, _bot, cell in st.cell_tables():
-        expected = tuple(map(beta, cell))
-        got = table.get(key)
-        if got is None:
-            entries.append(
-                ReportEntry("filler-consistency", False, f"missing entry for problem {key}")
-            )
-            consistent = False
-        elif got.table != expected:
-            entries.append(
-                ReportEntry(
-                    "filler-consistency",
-                    False,
-                    f"problem {key}: table {got.table} != algebra route {expected}",
-                )
-            )
-            consistent = False
-        checked += 1
+    for (name, count, tops, bots, rows), fillers in zip(blocks, routes):
+        expected = list(_rows(fillers, count))
+        if rows == expected:
+            continue
+        for key, got, route in zip(_keys(name, tops, bots, count), rows, expected):
+            if got != route:
+                consistent = False
+                fail("filler-consistency", f"missing entry for problem {key}" if got is None
+                     else f"problem {key}: table {got} != algebra route {route}")
     if consistent:
-        entries.append(_entry_ok("filler-consistency", checked, "problems"))
+        entries.append(_entry_ok("filler-consistency", st.problem_count(), "problems"))
     return Report("check-algebra", tuple(entries))
 
 
@@ -303,152 +325,136 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None) -> Rep
 # compatibility checks
 
 
-def _problems(u: ArrowObject, right: ArrowObject):
-    """Top and bottom tables of every lifting problem of ``u`` in ``right``,
-    in canonical order, streamed."""
-    return _problem_tables(u, right, _image_reps(u.map)[1])
+def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
+                 engines: Optional[tuple] = None) -> Report:
+    """Check every lifting problem of every generator against the
+    extracted arrow: the fill equations, the square (horizontal)
+    compatibilities, and — when the presentation composes vertical
+    generators — the pair (vertical) compatibilities.  Raises
+    ``SizeBudgetExceeded`` when the lift table lists more problems than
+    ``budget`` allows; ``engines`` are as for ``check_algebra``.
 
-
-def check_compat(cert: Certificate) -> Report:
-    """Enumerate every lifting problem of every generator against the
-    extracted arrow and check the fill equations, the square
-    (horizontal) compatibilities, and — when the presentation composes
-    vertical generators — the pair (vertical) compatibilities.
-
-    Problems are enumerated as their top and bottom tables, and every
-    equation is checked by indexing into the fillers' tables; no problem,
-    square or map is built.  The enumeration streams and is run again for
-    each later pass, so no list of problems is kept.  A filler whose
-    boundaries do not fit its problem is a ``boundary`` failure, so the
-    passes index only tables that fit."""
-    entries = []
-    boundary = _boundary_problems(cert)
-    for b in boundary:
-        entries.append(ReportEntry("boundary", False, b))
-    if boundary:
+    The problems are the key columns of the step's ``problem_blocks``,
+    each aligned with its filler in the table; every equation is checked
+    on whole columns, and moved, inner and outer fillers are found in the
+    table's index of filler tables.  A block is walked problem by problem
+    only to name what fails in it.  A filler whose boundaries do not fit
+    its problem is a ``boundary`` failure, so the passes index only tables
+    that fit."""
+    entries = [ReportEntry("boundary", False, b) for b in _boundary_problems(cert)]
+    if entries:
         return Report("check-compat", tuple(entries))
+    fail = _failing(entries)
 
-    pres = cert.pres
-    right = cert.right
-    table = cert.lift_table
-    get, project = table.get, right.map.table.__getitem__
-    n_problems = 0
-    fills_checked = 0
+    pres, table = cert.pres, cert.lift_table
+    _, engine = engines or _engines(cert, budget)
+    st = engine.step_tables(cert.right)
+    st.check_listable(engine.budget, "lift table")
+    cols = _columns(table)
+    blocks = _aligned(table, cols, list(st.problem_blocks()))
+    project = cert.right.map.table.__getitem__
+    fills_checked, complete = 0, True
     fill_ok = {"filler-fill-top": True, "filler-fill-bottom": True}
-    complete = True
-    gens = pres.lifting_generators()
-    for name, u in gens:
-        ut = u.map.table
-        for s0, s1 in _problems(u, right):
-            n_problems += 1
-            key = (name, s0, s1)
-            phi = get(key)
-            if phi is None:
-                entries.append(
-                    ReportEntry("lift-table-incomplete", False, f"no filler for problem {key}")
-                )
+    gens = dict(pres.lifting_generators())
+    for name, count, tops, bots, rows in blocks:
+        ut = gens[name].map.table
+        if None not in rows:
+            fcols = list(zip(*rows))
+            if (all(fcols[b] == tuple(tops[a]) for a, b in enumerate(ut)) and all(
+                    tuple(map(project, col)) == tuple(bot) for col, bot in zip(fcols, bots))):
+                fills_checked += count
+                continue
+        for key, pt in zip(_keys(name, tops, bots, count), rows):
+            if pt is None:
+                fail("lift-table-incomplete", f"no filler for problem {key}")
                 complete = False
                 continue
             fills_checked += 1
-            pt = phi.table
-            if tuple(map(pt.__getitem__, ut)) != s0:
-                entries.append(
-                    ReportEntry(
-                        "filler-fill-top",
-                        False,
-                        f"problem {key}: filler does not restrict to the problem's top leg",
-                    )
-                )
+            if tuple(map(pt.__getitem__, ut)) != key[1]:
+                fail("filler-fill-top",
+                     f"problem {key}: filler does not restrict to the problem's top leg")
                 fill_ok["filler-fill-top"] = False
-            if tuple(map(project, pt)) != s1:
-                entries.append(
-                    ReportEntry(
-                        "filler-fill-bottom",
-                        False,
-                        f"problem {key}: filler does not project to the problem's bottom leg",
-                    )
-                )
+            if tuple(map(project, pt)) != key[2]:
+                fail("filler-fill-bottom",
+                     f"problem {key}: filler does not project to the problem's bottom leg")
                 fill_ok["filler-fill-bottom"] = False
     # problem keys are distinct, so a table holding only problem keys holds
     # exactly the fillers found above
     if len(table) != fills_checked:
-        expected = (
-            (name, s0, s1) for name, u in gens for s0, s1 in _problems(u, right)
-        )
+        expected = chain.from_iterable(_keys(name, tops, bots, count)
+                                       for name, count, tops, bots, _ in blocks)
         for key in sorted(set(table).difference(expected)):
-            entries.append(
-                ReportEntry(
-                    "lift-table-incomplete", False, f"surplus entry {key} matches no problem"
-                )
-            )
+            fail("lift-table-incomplete", f"surplus entry {key} matches no problem")
             complete = False
     if complete:
-        entries.append(_entry_ok("lift-table-incomplete", n_problems, "problems"))
+        entries.append(_entry_ok("lift-table-incomplete", st.problem_count(), "problems"))
     for label, ok in fill_ok.items():
         if ok:
             entries.append(_entry_ok(label, fills_checked, "fillers"))
 
-    gens = dict(gens)
-    horiz_checked = 0
-    horiz_ok = True
-    for sqname, vsrc, vdst, sq in pres.lifting_squares():
+    by_name = {block[0]: block for block in blocks}
+    squares = pres.lifting_squares()
+    double = getattr(pres, "kind", "plain") == "double"
+    get = _filler_tables(table, cols).get if squares or double else None
+    horiz_checked, horiz_ok = 0, True
+    for sqname, vsrc, vdst, sq in squares:
+        if vdst not in by_name:
+            continue
+        name, count, tops, bots, rows = by_name[vdst]
         top, bot = sq.top.table, sq.bot.table
-        for s0, s1 in _problems(gens[vdst], right):
-            key = (vdst, s0, s1)
-            phi_src = get((vsrc, tuple(map(s0.__getitem__, top)),
-                           tuple(map(s1.__getitem__, bot))))
-            phi_dst = get(key)
+        moved = list(map(get, _keys(vsrc, [tops[a] for a in top], [bots[b] for b in bot], count)))
+        if None not in moved and None not in rows:
+            fcols = list(zip(*rows))
+            if list(_rows([fcols[b] for b in bot], count)) == moved:
+                horiz_checked += count
+                continue
+        for key, phi_dst, phi_src in zip(_keys(name, tops, bots, count), rows, moved):
             if phi_src is None or phi_dst is None:
                 continue  # already reported as incomplete
             horiz_checked += 1
-            if tuple(map(phi_dst.table.__getitem__, bot)) != phi_src.table:
-                entries.append(
-                    ReportEntry(
-                        "horizontal-compatibility",
-                        False,
-                        f"square {sqname} at problem {key}: moved filler disagrees",
-                    )
-                )
+            if tuple(map(phi_dst.__getitem__, bot)) != phi_src:
+                fail("horizontal-compatibility",
+                     f"square {sqname} at problem {key}: moved filler disagrees")
                 horiz_ok = False
     if horiz_ok:
         entries.append(_entry_ok("horizontal-compatibility", horiz_checked, "instances"))
 
-    if getattr(pres, "kind", "plain") == "double":
-        pairs = pres.composable_pairs()
-        vert_checked = 0
-        vert_ok = True
-        for pair in pairs.pairs:
+    if double:
+        vert_checked, vert_ok = 0, True
+        for pair in pres.composable_pairs().pairs:
+            if pair.composite not in by_name:
+                continue
+            name, count, tops, bots, rows = by_name[pair.composite]
             rt = pres.uarrow(pair.right).map.table
-            for s0, s1 in _problems(pres.uarrow(pair.composite), right):
-                inner = get((pair.left, s0, tuple(map(s1.__getitem__, rt))))
-                if inner is None:
-                    continue
-                key = (pair.composite, s0, s1)
-                direct = get(key)
-                if direct is None:
+            inner = list(map(get, _keys(pair.left, tops, [bots[b] for b in rt], count)))
+            outer = list(map(get, zip(repeat(pair.right), inner, _rows(bots, count))))
+            if outer == rows and None not in inner and None not in rows:
+                vert_checked += count
+                continue
+            for key, phi_in, direct, phi_out in zip(_keys(name, tops, bots, count),
+                                                    inner, rows, outer):
+                if phi_in is None or direct is None:
                     continue
                 vert_checked += 1
-                outer = get((pair.right, inner.table, s1))
-                if outer is None or outer.table != direct.table:
-                    via = "no filler for the two-stage problem" if outer is None else (
-                        f"two-stage route {outer.table} != composite route {direct.table}"
-                    )
-                    entries.append(
-                        ReportEntry(
-                            "vertical-compatibility",
-                            False,
-                            f"pair {pair.name} at problem {key}: {via}",
-                        )
-                    )
+                if phi_out != direct:
                     vert_ok = False
+                    fail("vertical-compatibility", f"pair {pair.name} at problem {key}: " + (
+                        "no filler for the two-stage problem" if phi_out is None
+                        else f"two-stage route {phi_out} != composite route {direct}"))
         if vert_ok:
             entries.append(_entry_ok("vertical-compatibility", vert_checked, "instances"))
     return Report("check-compat", tuple(entries))
 
 
 def verify_certificate(cert: Certificate, budget: Optional[SizeBudget] = None) -> Report:
-    """The full deterministic suite: algebra laws plus compatibilities."""
-    return Report.merged("verify", [check_algebra(cert, budget), check_compat(cert)])
+    """The full deterministic suite: algebra laws plus compatibilities, on
+    one step, with a mapping lift table put into columns once."""
+    cols = _columns(cert.lift_table)
+    if cols is not None:
+        cert = replace(cert, lift_table=cols)
+    engines = None if _boundary_problems(cert) else _engines(cert, budget)
+    reports = [check_algebra(cert, budget, engines), check_compat(cert, budget, engines)]
+    return Report.merged("verify", reports)
 
 
 # ---------------------------------------------------------------------------

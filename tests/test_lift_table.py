@@ -6,10 +6,12 @@ below is the dictionary ``extract`` built before, one checked map per
 problem read off the step's cell tables.  The two must agree in key order,
 length, lookups, unknown keys and the certificate bytes, on fast and general
 structures in both modes, including generators with an empty bottom,
-generators with no problems and an empty table.  A path guard counts the
-maps that extracting and writing a large certificate build, and a seeded
-round trip checks that a decoded certificate (a plain dictionary) encodes
-to the bytes the lift table wrote.
+generators with no problems and an empty table.  Path guards count the
+maps that extracting and writing a large certificate build, the per-key
+lookups ``verify`` makes (none) and the maps ``lift`` builds (as many on
+65,536 fillers as on 81), and a seeded round trip checks that a decoded
+certificate (a ``LiftTable`` of the records' columns) encodes to the bytes
+the lift table wrote.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from hypothesis import strategies as hst
 
 from awfskit.arrows import CommSquare
 from awfskit.chain import FactorisationResult, LiftTable, extract, factorise, run_chain, solve_lift
+from awfskit.cli import main as cli_main
 from awfskit.errors import NotStabilised, ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap
 from awfskit.presentation import PlainPresentation
@@ -35,7 +38,7 @@ from awfskit.serialize import (
     parse_text,
     read_json,
 )
-from awfskit.step import LiftingProblem, SizeBudget
+from awfskit.step import LiftingProblem, SizeBudget, StepStructure
 from awfskit.verify import Certificate, verify_certificate
 
 from fixture_lib import (
@@ -177,7 +180,7 @@ def test_lift_table_matches_per_filler_reference(make, mode):
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_both_kinds_of_structure_are_covered(make, mode, general):
     result = factorise(make(), f_0to1(), mode=mode, max_stage=4)
-    assert result.lift_table.step.has_factories == general
+    assert result.trace.engine.step_tables(result.right).has_factories == general
 
 
 class TestEdgeCases:
@@ -194,7 +197,7 @@ class TestEdgeCases:
         pres = abc_pres()
         for mode in ("plain", "special"):
             result = factorise(pres, f_0to1(), mode=mode, max_stage=4)
-            assert result.lift_table.step.problem_count() == 0
+            assert result.trace.engine.step_tables(result.right).problem_count() == 0
             assert list(result.lift_table) == [] and len(result.lift_table) == 0
             check_against_reference(pres, result)
             text = dumps(encode_certificate(Certificate.from_result(pres, result)))
@@ -251,6 +254,73 @@ def test_large_chain_builds_a_constant_number_of_maps(monkeypatch):
     assert len(built) == before + 1
 
 
+def _counting(monkeypatch, owners) -> dict:
+    """Count the calls of each ``(class, method)`` in ``owners``."""
+    counts = {}
+    for cls, name in owners:
+        def counted(*args, _orig=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("make,mode", [(composite_pres, "special"), (composite_pres, "plain"),
+                                       (two_gen_plain_pres, "plain")],
+                         ids=["composite-special", "composite-plain", "two_gen-plain"])
+def test_verify_makes_no_per_key_lookup(make, mode, monkeypatch):
+    """``verify_certificate`` reads the lift table as columns, in memory and
+    decoded: no filler is looked up by key, no cell is computed per problem
+    (``StepStructure`` has no per-key ``locate``), and on fast steps the
+    number of maps it builds does not grow with the table."""
+    assert not hasattr(StepStructure, "locate")
+    built = {}
+    for x, y in ((120, 20), (1500, 150)):
+        pres = make()
+        result = factorise(pres, _seeded_map(x, y, x), mode=mode,
+                           max_stage=4 if mode == "special" else 3)
+        cert = Certificate.from_result(pres, result)
+        decoded = decode_certificate(parse_text(dumps(encode_certificate(cert))), pres)
+        assert isinstance(decoded.lift_table, LiftTable)
+        with monkeypatch.context() as m:
+            counts = _counting(m, [(LiftTable, "__getitem__"), (StepStructure, "cell"),
+                                   (StepStructure, "_cell_table"), (FiniteMap, "__post_init__")])
+            for c in (cert, decoded):
+                report = verify_certificate(c)
+                assert report.ok == (mode == "special" or make is two_gen_plain_pres)
+        assert set(counts) == {"__post_init__"}
+        built[x] = counts["__post_init__"]
+    if make is composite_pres:
+        assert built[120] == built[1500]
+
+
+def test_lift_builds_a_constant_number_of_maps(tmp_path, monkeypatch, capsys):
+    """``lift`` decodes the lift table into columns and slices its one
+    filler: it builds as many maps on a certificate of 65,536 fillers as on
+    one of 81."""
+    built = {}
+    for n, dom in ((3, 4), (4, 16)):
+        pres = tmp_path / f"ident{n}.json"
+        pres.write_text(json.dumps({"kind": "plain", "generators": [
+            {"name": "g", "map": {"dom": n, "cod": n, "table": list(range(n))}}]}))
+        f = tmp_path / f"f{n}.json"
+        f.write_text(json.dumps({"dom": dom, "cod": 1, "table": [0] * dom}))
+        cert, problem = tmp_path / f"cert{n}.json", tmp_path / f"problem{n}.json"
+        assert cli_main(["factor", "--presentation", str(pres), "--map", str(f),
+                         "--budget", "65536", "--out", str(cert)]) == 0
+        problem.write_text(json.dumps({"generator": "g", "top": [1] * n, "bot": [0] * n}))
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            counts = _counting(m, [(FiniteMap, "__post_init__"), (LiftTable, "__getitem__")])
+            assert cli_main(["lift", "--presentation", str(pres), "--certificate", str(cert),
+                             "--problem", str(problem), "--budget", "65536"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"filler for ('g', {(1,) * n}, {(0,) * n}): {[1] * n}\n"
+        assert counts["__getitem__"] == 1
+        built[n] = counts["__post_init__"]
+    assert built[3] == built[4] < 20
+
+
 # ---------------------------------------------------------------------------
 # the round trip
 
@@ -283,7 +353,7 @@ def test_decoded_certificate_encodes_to_the_written_bytes(name, mode, f):
         return
     text = dumps(encode_certificate(Certificate.from_result(pres, result)))
     back = decode_certificate(parse_text(text), pres)
-    assert type(back.lift_table) is dict
+    assert isinstance(back.lift_table, LiftTable)
     assert dumps(encode_certificate(back)) == text
     report = verify_certificate(back)
     assert {e.label for e in report.failures()} == FAILURES.get((name, mode), set())

@@ -777,3 +777,37 @@ class TestOracleInitiality:
         cert = certs["plain"]
         with pytest.raises(SizeBudgetExceeded):
             oracle_initiality(cert, budget=SizeBudget(max_problems=10))
+
+
+class TestChecksShareOneStep:
+    def test_check_compat_alone_counts_the_lift_table_against_the_budget(self):
+        # one identity generator on 4 points against 16 -> 1: no cell is
+        # adjoined, but the lift table lists 16**4 problems
+        from awfskit.presentation import PlainPresentation
+
+        pres = PlainPresentation.build(generators=[("g", 4, 4, [0, 1, 2, 3])])
+        result = factorise(pres, fmap(16, 1, [0] * 16), max_stage=2,
+                           budget=SizeBudget(max_problems=65_536))
+        cert = verify.Certificate.from_result(pres, result)
+        with pytest.raises(SizeBudgetExceeded,
+                           match="lift table lists 65536 problems, budget allows 1000"):
+            check_compat(cert, SizeBudget(max_problems=1000))
+        assert check_compat(cert, SizeBudget(max_problems=65_536)).ok
+
+    @pytest.mark.parametrize("name", ["plain", "double", "composite"])
+    def test_verify_builds_the_step_of_the_certified_arrow_once(self, certs, name, monkeypatch):
+        import awfskit.step
+
+        cert = certs[name]
+        built = []
+        for builder in ("fast_step", "step"):
+            def counted(shape, target, budget=None, _build=getattr(awfskit.step, builder)):
+                if shape is cert.pres and target == cert.right:
+                    built.append(target)
+                return _build(shape, target, budget)
+
+            monkeypatch.setattr(awfskit.step, builder, counted)
+        assert check_algebra(cert).ok and check_compat(cert).ok
+        assert len(built) == 2  # each check on its own builds the step it counts
+        assert verify_certificate(cert).ok
+        assert len(built) == 3

@@ -34,7 +34,7 @@ from .serialize import (
     trace_summary,
     write_json,
 )
-from .step import SizeBudget
+from .step import SizeBudget, check_listable
 from .verify import Certificate, Report, oracle_initiality, oracle_kappa, verify_certificate
 
 EXIT_OK = 0
@@ -171,11 +171,8 @@ def _cmd_lift(args) -> int:
     # count the records before any filler is decoded, as verify counts the
     # problems before it lists them; a malformed table is the decoder's to name
     records = obj.get("lift_table") if isinstance(obj, dict) else None
-    limit = (_budget(args) or SizeBudget()).max_problems
-    if isinstance(records, list) and len(records) > limit:
-        raise SizeBudgetExceeded(
-            f"lift table lists {len(records)} problems, budget allows {limit}"
-        )
+    if isinstance(records, list):
+        check_listable(len(records), _budget(args), "lift table")
     cert = decode_certificate(obj, pres, args.certificate)
     obj = read_json(args.problem)
     if not (isinstance(obj, dict) and set(obj) == {"generator", "top", "bot"}

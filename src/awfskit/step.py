@@ -35,7 +35,8 @@ The universal-property mediator (``mediate`` and ``restrict_square``) and
 the constructions built on it (``extend_square``, ``compose_mediated``,
 ``iterate_mediated``) compute the same squares through the colimit; no
 production path calls them.  They are kept as an independent cross-check
-for the oracles and the tests.  There a lifting is one map out of the
+for the tests and for ``oracle_kappa``, which mediates each lifting once
+and restricts each square once.  There a lifting is one map out of the
 coproduct ∐ₚ Bₚ of the problems' bottoms, so restricting or mediating
 builds one map, not one per problem.
 """
@@ -81,6 +82,16 @@ class SizeBudget:
     """
 
     max_problems: int = 250_000
+
+
+def check_listable(count: int, budget: Optional[SizeBudget], what: str,
+                   unit: str = "problems") -> None:
+    """Refuse ``what``, a listing of ``count`` ``unit``, when ``budget`` (the
+    default budget when None) allows fewer: the one check every listing of
+    problems, records or squares goes through."""
+    limit = (budget or SizeBudget()).max_problems
+    if count > limit:
+        raise SizeBudgetExceeded(f"{what} lists {count} {unit}, budget allows {limit}")
 
 
 ProblemKey = tuple  # (generator name, top table, bottom table)
@@ -399,9 +410,7 @@ class StepStructure:
         """Refuse ``what``, a listing of every problem, when there are more
         problems than ``budget`` allows.  The step's own budget check never
         counted the problems of surjective generators, which adjoin no cell."""
-        count, limit = self.problem_count(), budget.max_problems
-        if count > limit:
-            raise SizeBudgetExceeded(f"{what} lists {count} problems, budget allows {limit}")
+        check_listable(self.problem_count(), budget, what)
 
 
 def fast_eligible(shape) -> bool:

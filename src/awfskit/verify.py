@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Mapping, Optional
@@ -43,6 +44,7 @@ from .step import (
     SizeBudget,
     StepEngine,
     _image_reps,
+    check_listable,
     mediate,
     restrict_square,
 )
@@ -587,10 +589,12 @@ def oracle_kappa(
     structure's problem order; with connecting squares the natural ones are
     those ``mediate`` accepts.  Cardinalities are always compared exactly
     (big-integer products over fibres).  When both sides fit under
-    ``LIST_CAP`` the bijection is checked exhaustively in both directions,
-    mediating each lifting once; otherwise the two inverse identities are
-    checked on a seeded sample from each side.  A square whose restriction
-    fails to mediate back counts as a failed identity.
+    ``LIST_CAP`` the bijection is checked exhaustively, one pass per side:
+    each lifting is mediated once and filed by its tables, then each square
+    is restricted once and must find the lifting that mediates to it.
+    Otherwise the two inverse identities are checked on a seeded sample
+    from each side.  A square whose restriction fails to mediate back
+    counts as a failed identity.
     """
     for size in (f.top.size, f.bot.size, g.top.size, g.bot.size):
         if size > bound:
@@ -611,7 +615,6 @@ def oracle_kappa(
     else:
         n_liftings = sum(_count_liftings(problems, base, fib_sizes) for base in bases)
 
-    entries = []
     listable = n_squares <= LIST_CAP and (n_liftings is None or n_liftings <= LIST_CAP)
     if has_squares and not listable:
         raise SizeBudgetExceeded(
@@ -619,67 +622,52 @@ def oracle_kappa(
             f"but {n_squares} squares exceed the listing cap {LIST_CAP}"
         )
     if listable:
-        squares = list(_commuting_squares(struct.extended, g))
-        liftings, mediated = [], []
+        # Each natural lifting is mediated once and filed under its tables,
+        # which fix it and are distinct by enumeration; each square t is
+        # restricted once and pops the key of restrict(t).  As mediate and
+        # restrict are functions, every pop returning t with nothing left
+        # over holds exactly when restrict∘mediate = id on the liftings,
+        # mediate∘restrict = id on the squares and the mediated multiset is
+        # the squares.  A restriction that raises is a miss.
+        mediated = {}
         for base in bases:
             for lift in _enumerate_liftings(problems, base, fib, g):
                 try:  # only connecting squares can make a lifting non-natural
-                    mediated.append(mediate(struct, lift))
+                    t = mediate(struct, lift)
                 except NonNaturalLifting:
                     continue
-                liftings.append(lift)
-        # the fibre-product count must agree with the actual enumeration
-        ok_counts = len(squares) == n_squares and (
-            n_liftings is None or n_liftings == len(liftings)
-        )
-        n_liftings = len(liftings)
-        entries.append(
-            ReportEntry(
-                "cardinality",
-                n_squares == n_liftings and ok_counts,
-                f"squares={n_squares} liftings={n_liftings}",
-            )
-        )
-        ok_back = all(restrict_square(struct, t) == lift for lift, t in zip(liftings, mediated))
-        ok_forward = sorted(
-            (t.top.table, t.bot.table) for t in mediated
-        ) == sorted((t.top.table, t.bot.table) for t in squares)
-        ok_forward = ok_forward and all(_round_trip(struct, t) for t in squares)
-        entries.append(
-            ReportEntry(
-                "two-sided-inverse",
-                ok_back and ok_forward,
-                f"exhaustive over {n_squares} squares and {n_liftings} liftings",
-            )
-        )
+                mediated[base.top.table, base.bot.table, lift.fillers.table] = t
+        # the fibre-product counts must agree with the actual enumerations
+        counted = n_liftings is None or n_liftings == len(mediated)
+        n_liftings, listed, inverse = len(mediated), 0, True
+        for t in _commuting_squares(struct.extended, g):
+            listed += 1
+            try:
+                back = restrict_square(struct, t)
+            except EngineError:
+                inverse = False
+                continue
+            key = (back.base.top.table, back.base.bot.table, back.fillers.table)
+            inverse = mediated.pop(key, None) == t and inverse
+        counted, inverse = counted and listed == n_squares, inverse and not mediated
+        how = f"exhaustive over {n_squares} squares and {n_liftings} liftings"
     else:
-        entries.append(
-            ReportEntry(
-                "cardinality",
-                n_squares == n_liftings,
-                f"squares={n_squares} liftings={n_liftings}",
-            )
-        )
-        rng = random.Random(seed)
-        ok_inv = True
+        rng, counted, inverse = random.Random(seed), True, True
         viable = [b for b in bases if _count_liftings(problems, b, fib_sizes) > 0]
         if viable and n_liftings:
             for _ in range(samples):
                 lift = _random_lifting(rng, problems, viable, fib, g)
                 if restrict_square(struct, mediate(struct, lift)) != lift:
-                    ok_inv = False
+                    inverse = False
         if n_squares:
             for _ in range(samples):
                 if not _round_trip(struct, _random_square(rng, struct.extended, g, fib)):
-                    ok_inv = False
-        entries.append(
-            ReportEntry(
-                "two-sided-inverse",
-                ok_inv,
-                f"sampled {samples} per side (seed {seed})",
-            )
-        )
-    return Report("oracle-kappa", tuple(entries))
+                    inverse = False
+        how = f"sampled {samples} per side (seed {seed})"
+    return Report("oracle-kappa", (
+        ReportEntry("cardinality", n_squares == n_liftings and counted,
+                    f"squares={n_squares} liftings={n_liftings}"),
+        ReportEntry("two-sided-inverse", inverse, how)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +688,6 @@ def oracle_initiality(
     certificate's own algebra, for which the unique self-extension of the
     left factor must be the identity.
     """
-    limit = (budget or SizeBudget()).max_problems
     dengine, engine = _engines(cert, budget)
     if targets is None:
         targets = [(cert.right, cert.beta0)]
@@ -713,42 +700,30 @@ def oracle_initiality(
                 ReportEntry(f"target-{ti}-not-algebra", False, details)
             )
             continue
-        n_candidates = _count_commuting_squares(cert.right, g)
-        if n_candidates > limit:
-            raise SizeBudgetExceeded(
-                f"{n_candidates} candidate squares exceed the budget {limit}"
-            )
+        check_listable(_count_commuting_squares(cert.right, g), budget,
+                       "oracle initiality", "candidate squares")
         morphisms = []
         for h in _commuting_squares(cert.right, g):
             th = engine.extend(h)
             if compose(h.top, cert.beta0) == compose(bprime, th.top):
                 morphisms.append(h)
-        squares_checked = 0
-        unique = True
+        # a morphism h extends the boundary square s exactly when h after
+        # the left factor has s's tables, so count the morphisms by those
+        # tables once, at the first boundary square
+        squares_checked, unique, extensions = 0, True, None
         for s in _commuting_squares(cert.input, g):
-            matching = [
-                h
-                for h in morphisms
-                if compose(h.top, cert.left) == s.top and h.bot == s.bot
-            ]
+            if extensions is None:
+                extensions = Counter((compose(h.top, cert.left).table, h.bot.table)
+                                     for h in morphisms)
+            matching = extensions[s.top.table, s.bot.table]
             squares_checked += 1
-            if len(matching) != 1:
+            if matching != 1:
                 unique = False
-                entries.append(
-                    ReportEntry(
-                        f"target-{ti}-initiality",
-                        False,
-                        f"square (top={s.top.table}, bot={s.bot.table}) has "
-                        f"{len(matching)} algebra-morphism extensions, expected 1",
-                    )
-                )
+                entries.append(ReportEntry(f"target-{ti}-initiality", False, (
+                    f"square (top={s.top.table}, bot={s.bot.table}) has "
+                    f"{matching} algebra-morphism extensions, expected 1")))
         if unique:
-            entries.append(
-                ReportEntry(
-                    f"target-{ti}-initiality",
-                    True,
-                    f"{squares_checked} boundary squares, each with a unique "
-                    f"extension among {len(morphisms)} algebra morphisms",
-                )
-            )
+            entries.append(ReportEntry(f"target-{ti}-initiality", True, (
+                f"{squares_checked} boundary squares, each with a unique "
+                f"extension among {len(morphisms)} algebra morphisms")))
     return Report("oracle-initiality", tuple(entries))

@@ -667,28 +667,42 @@ class TestOracleKappa:
             for g in maps:
                 assert oracle_kappa(split_epi_pres(), f, g).ok
 
-    def test_each_natural_lifting_is_mediated_once(self, monkeypatch):
-        counts = {"mediate": 0, "liftings": 0}
-        real_mediate, real_enumerate = verify.mediate, verify._enumerate_liftings
+    @staticmethod
+    def _counted_engine_calls(monkeypatch, pres, f, g):
+        counts = {"mediate": 0, "restrict_square": 0, "liftings": 0}
+        real_enumerate = verify._enumerate_liftings
+        for name in ("mediate", "restrict_square"):
+            def counted(struct, arg, _name=name, _real=getattr(verify, name)):
+                counts[_name] += 1
+                return _real(struct, arg)
 
-        def counted_mediate(struct, lift):
-            counts["mediate"] += 1
-            return real_mediate(struct, lift)
+            monkeypatch.setattr(verify, name, counted)
 
         def counted_enumerate(*args):
             for lift in real_enumerate(*args):
                 counts["liftings"] += 1
                 yield lift
 
-        monkeypatch.setattr(verify, "mediate", counted_mediate)
         monkeypatch.setattr(verify, "_enumerate_liftings", counted_enumerate)
-        report = oracle_kappa(two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
-        assert report.ok
+        report = oracle_kappa(pres, f, g)
+        assert report.ok and "exhaustive" in report.entries[1].detail
+        return report, counts
+
+    def test_each_natural_lifting_is_mediated_once(self, monkeypatch):
+        report, counts = self._counted_engine_calls(
+            monkeypatch, two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
         details = {e.label: e.detail for e in report.entries}
         assert details["cardinality"] == "squares=4 liftings=4"
-        # one mediation per enumerated lifting, natural or not, and one per
-        # square; the 4 natural liftings are not mediated a second time
-        assert counts == {"liftings": 16, "mediate": 16 + 4}
+        # one mediation per enumerated lifting, natural or not, and one
+        # restriction per square; no square is mediated
+        assert counts == {"liftings": 16, "mediate": 16, "restrict_square": 4}
+
+    def test_heavy_pair_mediates_and_restricts_once_each(self, monkeypatch):
+        # a heavy pair of the benchmark's oracle workload
+        report, counts = self._counted_engine_calls(
+            monkeypatch, abc_pres(), arr(1, 2, [0]), arr(2, 2, [0, 0]))
+        assert report.entries[0].detail == "squares=8192 liftings=8192"
+        assert counts == {"liftings": 8192, "mediate": 8192, "restrict_square": 8192}
 
 
 class TestOracleKappaMutations:

@@ -3,9 +3,10 @@
 Given a presentation-like shape (anything exposing ``lifting_generators``
 and ``lifting_squares``) and a target map ``f``, this module builds:
 
-* the comma category of lifting problems (all commuting squares from a
-  generator realisation into ``f``, connected by the shape's squares),
-* its pointwise colimit with the counit back into ``f``,
+* the lifting problems (all commuting squares from a generator
+  realisation into ``f``), connected by the shape's squares,
+* their colimit with the counit back into ``f``, as one coequaliser in
+  the arrow category,
 * the one-step extension ``Tf`` as a pushout, together with the unit
   square ``f -> Tf``, the inclusion of the domain carrier, and the
   adjoined cell of every lifting problem,
@@ -16,8 +17,8 @@ Two step constructions produce identical tables, and ``fast_eligible``
 picks one from the shape alone.  When the shape has no connecting squares
 and every generator realisation is injective, ``fast_step`` computes the
 canonical numbering by rank arithmetic without enumerating problems;
-otherwise ``step`` materialises the comma category and runs the
-colimit/pushout factories, guarded by a problem-count budget.
+otherwise ``step`` lists the problems and runs the colimit/pushout
+factories, guarded by a problem-count budget.
 
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
@@ -159,71 +160,6 @@ def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[Lif
 
 
 # ---------------------------------------------------------------------------
-# the comma category of problems and its colimit
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CommaCategory:
-    """All lifting problems of a shape in ``f``, with the connecting edges
-    induced by the shape's squares (an edge per square and target problem)."""
-
-    target: ArrowObject
-    problems: list[LiftingProblem]
-    index: dict
-    edges: list[tuple[int, int, str, CommSquare]]
-
-    def diagram(self) -> ArrowDiagram:
-        return ArrowDiagram(
-            [p.square.src for p in self.problems],
-            [(s, d, sq) for s, d, _, sq in self.edges],
-        )
-
-
-def comma_category(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> CommaCategory:
-    budget = budget or SizeBudget()
-    gens = shape.lifting_generators()
-    bound = sum(count_problems_bound(u, f) for _, u in gens)
-    if bound > budget.max_problems:
-        raise SizeBudgetExceeded(
-            f"enumerating lifting problems needs up to {bound} squares, "
-            f"budget allows {budget.max_problems}"
-        )
-    problems: list[LiftingProblem] = []
-    for name, u in gens:
-        problems.extend(enumerate_problems(name, u, f))
-    index = {p.key: i for i, p in enumerate(problems)}
-    edges = []
-    for sqname, src_gen, dst_gen, sq in shape.lifting_squares():
-        for i, p in enumerate(problems):
-            if p.gen != dst_gen:
-                continue
-            moved = square_compose(p.square, sq)
-            edges.append((index[(src_gen, moved.top.table, moved.bot.table)], i, sqname, sq))
-    return CommaCategory(f, problems, index, edges)
-
-
-@dataclass
-class DensityStep:
-    """Colimit of the comma diagram with its counit back into the target."""
-
-    comma: CommaCategory
-    colim: ArrowColimit
-    counit: CommSquare
-
-    @property
-    def apex(self) -> ArrowObject:
-        return self.colim.apex
-
-
-def density_step(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> DensityStep:
-    comma = comma_category(shape, f, budget)
-    colim = ArrowColimit(comma.diagram())
-    counit = colim.induced([p.square for p in comma.problems], f)
-    return DensityStep(comma, colim, counit)
-
-
-# ---------------------------------------------------------------------------
 # the one-step extension
 # ---------------------------------------------------------------------------
 
@@ -275,13 +211,14 @@ class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
 
-    General instances (built by ``step``) additionally carry the comma
-    category with its colimit and counit, the pushout, the quotient
-    ``bottoms`` of ∐ₚ Bₚ (problems in ``problem_list`` order) onto the
-    colimit's bottom, and the cells copaired (``copair``) and sliced
-    (``cells``); only they can ``mediate``.  Fast instances (built by
-    ``fast_step``) compute each cell from the rank of its problem, and
-    their copaired cells (``copaired``) one block per generator.
+    General instances (built by ``step``) additionally carry their
+    problems (``problem_list``), the pushout, the quotient ``bottoms`` of
+    ∐ₚ Bₚ (problems in ``problem_list`` order) onto the colimit's bottom,
+    and the cells copaired into one map ``copair`` out of ∐ₚ Bₚ; a cell is
+    the slice of ``copair`` at its problem's offset.  Only they can
+    ``mediate``.  Fast instances (built by ``fast_step``) compute each
+    cell from the rank of its problem, and their copaired cells
+    (``copaired``) one block per generator.
     """
 
     def __init__(self, shape, target: ArrowObject):
@@ -290,11 +227,13 @@ class StepStructure:
         self.extended: ArrowObject = None  # type: ignore[assignment]
         self.unit: CommSquare = None  # type: ignore[assignment]
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
-        self.density: Optional[DensityStep] = None
         self.po: Optional[PushoutResult] = None
         self.bottoms: Optional[QuotientResult] = None
         self.copair: Optional[FiniteMap] = None
-        self.cells: Optional[dict] = None
+        self._problems: Optional[list[LiftingProblem]] = None
+        self._index: Optional[dict] = None  # problem key -> its number
+        # the offset of each problem's bottom in ∐ₚ Bₚ, then |∐ₚ Bₚ|
+        self._starts: Optional[list] = None
         self._fast: Optional[dict] = None
 
     @property
@@ -303,13 +242,13 @@ class StepStructure:
 
     @property
     def has_factories(self) -> bool:
-        return self.density is not None
+        return self._fast is None
 
     @property
     def problem_list(self) -> list[LiftingProblem]:
-        if self.density is None:
+        if self._problems is None:
             raise DiagramError("fast step structure does not materialise its problems")
-        return self.density.comma.problems
+        return self._problems
 
     def lifting(self, base: CommSquare, fillers: Mapping) -> OneStepLifting:
         """The lifting over ``base`` with filler ``fillers[p.key]`` for every
@@ -327,14 +266,14 @@ class StepStructure:
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``: a map from the bottom
         carrier of its generator into the extension carrier."""
-        if self.cells is not None:
-            return self.cells[key]
-        return FiniteMap(self._fast[key[0]].u.bot, self.extended.top, self._cell_table(key))
+        table = self._cell_table(key)
+        return FiniteMap(FinSet(len(table)), self.extended.top, table)
 
     def _cell_table(self, key: ProblemKey) -> tuple:
         """The table of ``cell(key)``, without building the map."""
-        if self.cells is not None:
-            return self.cells[key].table
+        if self._fast is None:
+            i = self._index[key]
+            return self.copair.table[self._starts[i] : self._starts[i + 1]]
         gen, s0, s1 = key
         meta: _FastGen = self._fast[gen]
         x, y = self.target.map.dom.size, self.target.map.cod.size
@@ -348,8 +287,9 @@ class StepStructure:
         On the fast path the cells of one generator are laid out in
         problem order, so each cell starts where the previous one ended."""
         if self._fast is None:
-            for p in self.density.comma.problems:
-                yield p.key, p.square.src.bot, self.cells[p.key].table
+            ct = self.copair.table
+            for p, start, end in zip(self._problems, self._starts, self._starts[1:]):
+                yield p.key, p.square.src.bot, ct[start:end]
             return
         for meta in self._fast.values():
             name, bot, layout, fcount = meta.name, meta.u.bot, meta.layout, meta.fcount
@@ -367,8 +307,7 @@ class StepStructure:
         ``f`` after the top ones; general steps read them off their
         problems."""
         if self._fast is None:
-            problems = self.density.comma.problems
-            for name, group in itertools.groupby(problems, key=operator.attrgetter("gen")):
+            for name, group in itertools.groupby(self._problems, key=operator.attrgetter("gen")):
                 squares = [p.square for p in group]
                 tops = list(zip(*(sq.top.table for sq in squares)))
                 bots = list(zip(*(sq.bot.table for sq in squares)))
@@ -403,7 +342,7 @@ class StepStructure:
         """The number of lifting problems, those of surjective generators
         included: the length of ``cell_tables()``, by arithmetic."""
         if self._fast is None:
-            return len(self.density.comma.problems)
+            return len(self._problems)
         return sum(meta.block for meta in self._fast.values())
 
     def check_listable(self, budget: SizeBudget, what: str) -> None:
@@ -465,23 +404,74 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     return struct
 
 
+def _coproduct(arrows: Sequence[ArrowObject]) -> tuple[ArrowObject, list, list]:
+    """The coproduct of ``arrows`` in the arrow category, with the offset of
+    each summand's top and of its bottom, each list ending with the total."""
+    tops, bots, table = [0], [0], []
+    for u in arrows:
+        b = bots[-1]
+        table += [b + v for v in u.map.table]
+        tops.append(tops[-1] + u.top.size)
+        bots.append(b + u.bot.size)
+    return ArrowObject(FiniteMap(FinSet(tops[-1]), FinSet(bots[-1]), tuple(table))), tops, bots
+
+
 def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> StepStructure:
-    """The general one-step extension, with mediating factories."""
-    density = density_step(shape, target, budget)
+    """The general one-step extension, with mediating factories.
+
+    The colimit of the problems over the comma category is one coequaliser
+    in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
+    copy of ``sq.src`` per connecting square ``sq`` and problem ``p`` of
+    its target generator.  One edge sends the copy identically to the
+    problem ``p ∘ sq``, the other along ``sq`` into ``p``.  Every point of
+    ``V`` is merged with a point of ``U``, so the classes are numbered by
+    their least point of ``U``, in problem order.  The extension is the
+    pushout of the colimit along its counit into ``target``."""
+    gens = shape.lifting_generators()
+    check_listable(sum(count_problems_bound(u, target) for _, u in gens), budget,
+                   "general step", "problems at most")
+    problems: list[LiftingProblem] = []
+    spans = {}  # generator -> the numbers of its problems
+    for name, u in gens:
+        first = len(problems)
+        problems.extend(enumerate_problems(name, u, target))
+        spans[name] = range(first, len(problems))
+    index = {p.key: i for i, p in enumerate(problems)}
+    big_u, utops, ubots = _coproduct([p.square.src for p in problems])
+    copies, moved_top, moved_bot, along_top, along_bot = [], [], [], [], []
+    for _, src_gen, dst_gen, sq in shape.lifting_squares():
+        st, sb = sq.top.table, sq.bot.table
+        for i in spans[dst_gen]:
+            _, s0, s1 = problems[i].key
+            j = index[src_gen, tuple(map(s0.__getitem__, st)), tuple(map(s1.__getitem__, sb))]
+            copies.append(sq.src)
+            moved_top += range(utops[j], utops[j + 1])
+            moved_bot += range(ubots[j], ubots[j + 1])
+            along_top += [utops[i] + v for v in st]
+            along_bot += [ubots[i] + v for v in sb]
+    big_v = _coproduct(copies)[0]
+
+    def edge(top: list, bot: list) -> CommSquare:
+        return CommSquare(big_v, big_u, FiniteMap(big_v.top, big_u.top, tuple(top)),
+                          FiniteMap(big_v.bot, big_u.bot, tuple(bot)))
+
+    moved, along = edge(moved_top, moved_bot), edge(along_top, along_bot)
+    colim = ArrowColimit(ArrowDiagram([big_u, big_v], [(1, 0, moved), (1, 0, along)]))
+    chain = itertools.chain.from_iterable
+    to_f = CommSquare(
+        big_u, target,
+        FiniteMap(big_u.top, target.top, tuple(chain(p.square.top.table for p in problems))),
+        FiniteMap(big_u.bot, target.bot, tuple(chain(p.square.bot.table for p in problems))))
+    counit = colim.induced([to_f, square_compose(to_f, moved)], target)
     struct = StepStructure(shape, target)
-    struct.density = density
-    po = pushout(density.counit.top, density.colim.apex.map)
+    po = pushout(counit.top, colim.apex.map)
     struct.po = po
     struct.inclusion = po.left
-    tmap = po.induced(target.map, density.counit.bot)
-    struct.extended = ArrowObject(tmap)
+    struct.extended = ArrowObject(po.induced(target.map, counit.bot))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    bot = density.colim.bot
-    struct.bottoms = QuotientResult(bot.apex, bot.q)
-    struct.copair = compose(po.right, bot.q)  # each cell is a slice of it
-    ends, ct = itertools.accumulate(leg.dom.size for leg in bot.legs), struct.copair.table
-    struct.cells = {p.key: FiniteMap(leg.dom, tmap.dom, ct[end - leg.dom.size : end])
-                    for p, leg, end in zip(density.comma.problems, bot.legs, ends)}
+    struct.bottoms = QuotientResult(colim.bot.apex, colim.bot.legs[0])
+    struct.copair = compose(po.right, struct.bottoms.q)  # each cell is a slice of it
+    struct._problems, struct._index, struct._starts = problems, index, ubots
     return struct
 
 

@@ -686,8 +686,14 @@ def oracle_initiality(
 
     ``targets`` is a list of (arrow, algebra map) pairs; by default the
     certificate's own algebra, for which the unique self-extension of the
-    left factor must be the identity.
+    left factor must be the identity.  A certificate that fails ``verify``'s
+    boundary checks gets those failures as its report, before any step is
+    built.
     """
+    boundary = _boundary_problems(cert)
+    if boundary:
+        return Report("oracle-initiality",
+                      tuple(ReportEntry("boundary", False, b) for b in boundary))
     dengine, engine = _engines(cert, budget)
     if targets is None:
         targets = [(cert.right, cert.beta0)]

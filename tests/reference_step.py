@@ -1,0 +1,111 @@
+"""The general one-step extension built literally, as a reference.
+
+``awfskit.step.step`` computes the colimit of the lifting problems as one
+coequaliser of two coproduct arrows.  This module keeps the construction
+it replaced: the comma category of problems with one edge per connecting
+square and target problem (each built by ``square_compose``), the
+pointwise colimit over one vertex per problem with its counit, and the
+pushout along the counit.  The differential test in ``test_step.py``
+compares the two on fixtures and random shapes.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Optional
+
+from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, square_compose
+from awfskit.errors import SizeBudgetExceeded
+from awfskit.finset import FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
+from awfskit.step import LiftingProblem, SizeBudget, count_problems_bound, enumerate_problems
+
+
+@dataclass
+class CommaCategory:
+    """All lifting problems of a shape in ``f``, with the connecting edges
+    induced by the shape's squares (an edge per square and target problem)."""
+
+    target: ArrowObject
+    problems: list[LiftingProblem]
+    index: dict
+    edges: list[tuple[int, int, str, CommSquare]]
+
+    def diagram(self) -> ArrowDiagram:
+        return ArrowDiagram(
+            [p.square.src for p in self.problems],
+            [(s, d, sq) for s, d, _, sq in self.edges],
+        )
+
+
+def comma_category(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> CommaCategory:
+    budget = budget or SizeBudget()
+    gens = shape.lifting_generators()
+    bound = sum(count_problems_bound(u, f) for _, u in gens)
+    if bound > budget.max_problems:
+        raise SizeBudgetExceeded(
+            f"enumerating lifting problems needs up to {bound} squares, "
+            f"budget allows {budget.max_problems}"
+        )
+    problems: list[LiftingProblem] = []
+    for name, u in gens:
+        problems.extend(enumerate_problems(name, u, f))
+    index = {p.key: i for i, p in enumerate(problems)}
+    edges = []
+    for sqname, src_gen, dst_gen, sq in shape.lifting_squares():
+        for i, p in enumerate(problems):
+            if p.gen != dst_gen:
+                continue
+            moved = square_compose(p.square, sq)
+            edges.append((index[(src_gen, moved.top.table, moved.bot.table)], i, sqname, sq))
+    return CommaCategory(f, problems, index, edges)
+
+
+@dataclass
+class DensityStep:
+    """Colimit of the comma diagram with its counit back into the target."""
+
+    comma: CommaCategory
+    colim: ArrowColimit
+    counit: CommSquare
+
+    @property
+    def apex(self) -> ArrowObject:
+        return self.colim.apex
+
+
+def density_step(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> DensityStep:
+    comma = comma_category(shape, f, budget)
+    colim = ArrowColimit(comma.diagram())
+    counit = colim.induced([p.square for p in comma.problems], f)
+    return DensityStep(comma, colim, counit)
+
+
+@dataclass
+class ReferenceStep:
+    """The tables of the general one-step extension, built literally."""
+
+    density: DensityStep
+    po: PushoutResult
+    inclusion: FiniteMap
+    extended: ArrowObject
+    unit: CommSquare
+    bottoms: QuotientResult
+    copair: FiniteMap
+    cells: dict
+
+
+def reference_step(shape, target: ArrowObject,
+                   budget: Optional[SizeBudget] = None) -> ReferenceStep:
+    density = density_step(shape, target, budget)
+    po = pushout(density.counit.top, density.colim.apex.map)
+    tmap = po.induced(target.map, density.counit.bot)
+    extended = ArrowObject(tmap)
+    unit = CommSquare(target, extended, po.left, identity(target.bot))
+    bot = density.colim.bot
+    copair = compose(po.right, bot.q)  # each cell is a slice of it
+    ends, ct = itertools.accumulate(leg.dom.size for leg in bot.legs), copair.table
+    cells = {p.key: FiniteMap(leg.dom, tmap.dom, ct[end - leg.dom.size : end])
+             for p, leg, end in zip(density.comma.problems, bot.legs, ends)}
+    return ReferenceStep(density, po, po.left, extended, unit,
+                         QuotientResult(bot.apex, bot.q), copair, cells)

@@ -376,6 +376,21 @@ class TestOracle:
         assert code == 0
         assert "unique" in capsys.readouterr().out
 
+    def test_initiality_reports_boundary_faults_as_verify_does(self, tmp_path, capsys):
+        cert = str(tmp_path / "special.json")
+        assert main(["factor", "--presentation", fx("gen_split_epi.json"),
+                     "--map", fx("f_3to2.json"), "--mode", "special", "--out", cert]) == 0
+        obj = json.loads(Path(cert).read_text())
+        obj["left"]["cod"] -= 1  # 3 -> 4, where the middle object has 5 points
+        Path(cert).write_text(json.dumps(obj))
+        capsys.readouterr()
+        args = ["--presentation", fx("gen_split_epi.json"), "--certificate", cert]
+        assert main(["oracle", "initiality", *args]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("FAIL boundary: left factor boundaries do not match\n", "")
+        assert main(["verify", *args]) == 1
+        assert set(capsys.readouterr().out.splitlines()) == {out.strip()}
+
     def test_kappa_needs_both_maps(self, capsys):
         code = main(
             ["oracle", "kappa", "--presentation", fx("gen_split_epi.json")]

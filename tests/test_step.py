@@ -1,6 +1,7 @@
 """Tests for the one-step extension: problem enumeration, the comma
-category, the extension tables, the universal property, and the
-functorial action.
+category of problems, the extension tables, the universal property, and
+the functorial action.  ``reference_step`` keeps the literal comma-category
+construction the general step is checked against.
 
 Expected counts come from a brute-force oracle (enumerate all pairs of
 maps and filter the commuting ones); expected tables for the split-epi
@@ -14,7 +15,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
 
 from awfskit.arrows import ArrowDiagram, ArrowObject, ArrowColimit, CommSquare, arrow, identity_square, square_compose
@@ -27,14 +28,13 @@ from awfskit.errors import (
 )
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
+from awfskit import step as step_module
 from awfskit.step import (
     DoubleEngine,
     OneStepLifting,
     SizeBudget,
     StepEngine,
-    comma_category,
     count_problems_bound,
-    density_step,
     classify_extend,
     enumerate_problems,
     extend_square,
@@ -60,6 +60,7 @@ from fixture_lib import (
     split_epi_pres,
     two_gen_plain_pres,
 )
+from reference_step import comma_category, density_step, reference_step
 
 
 def aobj(f: FiniteMap) -> ArrowObject:
@@ -140,59 +141,167 @@ class TestProblemEnumeration:
 
 
 class TestCommaCategory:
+    """The problems of the general step, in canonical order, and the edges
+    of the literal comma category they form."""
+
     def test_single_generator_without_identities_is_discrete(self):
-        cc = comma_category(plain_split_epi_pres(), aobj(f_3to2()))
-        assert len(cc.problems) == 2 and cc.edges == []
+        st = step(plain_split_epi_pres(), aobj(f_3to2()))
+        assert len(st.problem_list) == 2
+        assert comma_category(plain_split_epi_pres(), aobj(f_3to2())).edges == []
 
     def test_double_presentation_includes_identity_generators(self):
-        cc = comma_category(split_epi_pres(), aobj(f_3to2()))
+        st = step(split_epi_pres(), aobj(f_3to2()))
         # e0 contributes 1 empty problem, e1 one per point of the domain,
         # j one per point of the codomain
-        assert [p.gen for p in cc.problems] == ["e0", "e1", "e1", "e1", "j", "j"]
-        assert cc.edges == []
+        assert [p.gen for p in st.problem_list] == ["e0", "e1", "e1", "e1", "j", "j"]
+        assert comma_category(split_epi_pres(), aobj(f_3to2())).edges == []
 
     def test_connecting_square_induces_one_edge_per_target_problem(self):
         shape = two_gen_plain_pres()
+        problems = step(shape, aobj(f_3to2())).problem_list
+        assert [p.gen for p in problems] == ["j", "j", "k", "k", "k"]
         cc = comma_category(shape, aobj(f_3to2()))
-        assert [p.gen for p in cc.problems] == ["j", "j", "k", "k", "k"]
+        assert [p.key for p in cc.problems] == [p.key for p in problems]
         assert len(cc.edges) == 3
         f = f_3to2()
         for src, dst, name, sq in cc.edges:
             assert name == "s"
-            tau = cc.problems[dst]
+            tau = problems[dst]
             sigma = square_compose(tau.square, sq)
-            assert cc.problems[src].key == ("j", sigma.top.table, sigma.bot.table)
+            assert problems[src].key == ("j", sigma.top.table, sigma.bot.table)
             # the j-problem under a k-problem for x carries bottom value f(x)
-            assert cc.problems[src].square.bot.table == (f.table[tau.square.top.table[0]],)
+            assert problems[src].square.bot.table == (f.table[tau.square.top.table[0]],)
 
     def test_object_counts_equal_brute_force_square_counts(self):
         for shape in (abc_pres(), composite_pres()):
             for f in MAPS:
                 target = aobj(f)
-                cc = comma_category(shape, target)
+                st = step(shape, target)
                 expect = sum(
                     brute_problem_count(u, target) for _, u in shape.lifting_generators()
                 )
-                assert len(cc.problems) == expect
+                assert len(st.problem_list) == expect == st.problem_count()
 
     def test_empty_codomain_target_has_no_problems_for_pointed_generator(self):
-        cc = comma_category(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
-        assert cc.problems == []
+        st = step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
+        assert st.problem_list == [] and st.copair.dom.size == 0
 
-    def test_budget_is_enforced_before_enumeration(self):
-        with pytest.raises(SizeBudgetExceeded):
-            comma_category(split_epi_pres(), aobj(f_3to2()), SizeBudget(max_problems=3))
+    def test_budget_is_enforced_before_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("problems enumerated before the budget check")
+
+        monkeypatch.setattr(step_module, "enumerate_problems", refuse)
+        with pytest.raises(SizeBudgetExceeded) as exc:
+            step(split_epi_pres(), aobj(f_3to2()), SizeBudget(max_problems=3))
+        # the bound: 1 for e0, 3 for e1, 2 for j
+        assert str(exc.value) == "general step lists 6 problems at most, budget allows 3"
 
 
 class TestDensityStep:
+    """The literal colimit of the reference against the general step."""
+
     def test_counit_legs_recover_each_problem(self):
         ds = density_step(two_gen_plain_pres(), aobj(f_3to2()))
+        st = step(two_gen_plain_pres(), aobj(f_3to2()))
+        assert [p.key for p in ds.comma.problems] == [p.key for p in st.problem_list]
         for i, p in enumerate(ds.comma.problems):
             assert square_compose(ds.counit, ds.colim.leg(i)) == p.square
 
     def test_empty_comma_gives_empty_apex(self):
         ds = density_step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
         assert ds.apex.top.size == 0 and ds.apex.bot.size == 0
+        st = step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
+        assert st.size == 0 and st.bottoms.apex.size == 0
+
+
+def _assert_matches_reference(shape, target: ArrowObject) -> None:
+    """The general step has the tables of the literal construction."""
+    st, ref = step(shape, target), reference_step(shape, target)
+    assert [p.key for p in st.problem_list] == [p.key for p in ref.density.comma.problems]
+    assert st.extended == ref.extended
+    assert st.inclusion == ref.inclusion
+    assert st.unit == ref.unit
+    assert st.bottoms == ref.bottoms
+    assert st.copair == ref.copair
+    assert st.po == ref.po
+    assert {p.key: st.cell(p.key) for p in st.problem_list} == ref.cells
+
+
+DIFF_SHAPES = {
+    "plain_split_epi": plain_split_epi_pres(),
+    "two_gen": two_gen_plain_pres(),
+    "growth": growth_pres(),
+    "codiag": codiag_pres(),
+    "split_epi": split_epi_pres(),
+    "abc": abc_pres(),
+    "composite": composite_pres(),
+    "retract": retract_pres(),
+}
+DIFF_SHAPES.update({f"{name}_pairs": shape.composable_pairs()
+                    for name, shape in list(DIFF_SHAPES.items()) if shape.kind == "double"})
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_SHAPES))
+@pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
+def test_general_step_matches_reference_on_fixtures(name, f):
+    _assert_matches_reference(DIFF_SHAPES[name], aobj(f))
+
+
+class _Shape:
+    """A bare shape: named generator realisations and connecting squares."""
+
+    def __init__(self, gens, squares):
+        self._gens, self._squares = gens, squares
+
+    def lifting_generators(self):
+        return self._gens
+
+    def lifting_squares(self):
+        return self._squares
+
+
+def _draw_arrow(draw, top: int, bot: int) -> ArrowObject:
+    y = draw(hst.integers(0, bot))
+    x = draw(hst.integers(0, top if y else 0))
+    return aobj(fmap(x, y, [draw(hst.integers(0, y - 1)) for _ in range(x)]))
+
+
+def _draw_square(draw, src: ArrowObject, dst: ArrowObject):
+    """A square ``src -> dst``, or None when there is no bottom map or the
+    drawn one has an empty fibre to fill."""
+    if src.bot.size and not dst.bot.size:
+        return None
+    bot = [draw(hst.integers(0, dst.bot.size - 1)) for _ in range(src.bot.size)]
+    fibres = [[z for z, w in enumerate(dst.map.table) if w == v] for v in range(dst.bot.size)]
+    choices = [fibres[bot[v]] for v in src.map.table]
+    if any(not c for c in choices):
+        return None
+    top = [c[draw(hst.integers(0, len(c) - 1))] for c in choices]
+    return CommSquare(src, dst, fmap(src.top.size, dst.top.size, top),
+                      fmap(src.bot.size, dst.bot.size, bot))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_general_step_matches_reference_on_random_shapes(data):
+    draw = data.draw
+    if draw(hst.booleans()):
+        shape = DIFF_SHAPES[draw(hst.sampled_from(sorted(DIFF_SHAPES)))]
+        target = _draw_arrow(draw, 3, 2)
+    else:  # plain generators, non-injective ones included, with squares
+        gens = [(f"g{i}", _draw_arrow(draw, 2, 2))
+                for i in range(draw(hst.integers(1, 3)))]
+        squares = []
+        for i in range(draw(hst.integers(1, 5))):
+            src_name, src = draw(hst.sampled_from(gens))
+            dst_name, dst = draw(hst.sampled_from(gens))
+            sq = _draw_square(draw, src, dst)
+            if sq is not None:
+                squares.append((f"s{i}", src_name, dst_name, sq))
+        shape = _Shape(gens, squares)
+        target = _draw_arrow(draw, 3, 3)
+    _assert_matches_reference(shape, target)
 
 
 class TestStepFrozen:
@@ -263,10 +372,10 @@ class TestStepEquations:
     @pytest.mark.parametrize("f", MAPS, ids=lambda m: f"{m.dom.size}to{m.cod.size}")
     def test_horizontal_naturality_across_connecting_squares(self, f):
         st = step(two_gen_plain_pres(), aobj(f))
-        cc = st.density.comma
-        for src, dst, _, sq in cc.edges:
-            lhs = st.cell(cc.problems[src].key)
-            rhs = compose(st.cell(cc.problems[dst].key), sq.bot)
+        problems = st.problem_list
+        for src, dst, _, sq in comma_category(two_gen_plain_pres(), aobj(f)).edges:
+            lhs = st.cell(problems[src].key)
+            rhs = compose(st.cell(problems[dst].key), sq.bot)
             assert lhs.table == rhs.table
 
     def test_unit_commutes_and_extends(self):

@@ -5,22 +5,33 @@ skips, listing in ``Tracer.missing``, any name the program no longer has.
 A rename in the program would silently drop that span or counter from
 every traced benchmark run, so this test installs the tracer, requires
 that nothing is missing, and checks that uninstalling puts the
-originals back.
+originals back.  A name that is still found but no longer on the path
+the program takes would read zero just as silently, so a general step's
+spans must also record calls.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
-from awfskit import chain, step
+import pytest
+
+from awfskit import chain, step, verify
+from awfskit.arrows import ArrowObject
+
+from fixture_lib import f_1to1, f_3to2, plain_split_epi_pres, two_gen_plain_pres
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_finds_every_traced_name(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave the benchmark's tree as it is
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_tracer_finds_every_traced_name(tracing):
     originals = (step.DoubleEngine.compose_comparison, step.StepEngine.step_tables,
                  chain.run_chain, step.mediate)
     tracer = tracing.Tracer().install()
@@ -31,3 +42,17 @@ def test_tracer_finds_every_traced_name(monkeypatch):
         tracer.uninstall()
     assert (step.DoubleEngine.compose_comparison, step.StepEngine.step_tables,
             chain.run_chain, step.mediate) == originals
+
+
+def test_general_step_spans_are_on_the_production_path(tracing):
+    tracer = tracing.Tracer().install()
+    try:
+        assert tracer.missing == []
+        # a connecting square sends factor through the general step; the
+        # kappa oracle always builds it
+        chain.factorise(two_gen_plain_pres(), ArrowObject(f_3to2()), max_stage=3)
+        verify.oracle_kappa(plain_split_epi_pres(), ArrowObject(f_1to1()), ArrowObject(f_1to1()))
+    finally:
+        tracer.uninstall()
+    for name in ("arrows.colimit", "finset.coequalise", "finset.induced", "step.general_step"):
+        assert tracer.calls[name] > 0, name

@@ -27,6 +27,7 @@ from .serialize import (
     decode_certificate,
     decode_map_or_arrow,
     decode_presentation,
+    decode_problem,
     dumps,
     encode_certificate,
     encode_map,
@@ -174,13 +175,7 @@ def _cmd_lift(args) -> int:
     if isinstance(records, list):
         check_listable(len(records), _budget(args), "lift table")
     cert = decode_certificate(obj, pres, args.certificate)
-    obj = read_json(args.problem)
-    if not (isinstance(obj, dict) and set(obj) == {"generator", "top", "bot"}
-            and isinstance(obj["generator"], str)
-            and all(type(part) is list and set(map(type, part)) <= {int}
-                    for part in (obj["top"], obj["bot"]))):
-        raise ParseError(f'{args.problem}: expected {{"generator", "top", "bot"}} with integer tables')
-    key = (obj["generator"], tuple(obj["top"]), tuple(obj["bot"]))
+    key = decode_problem(read_json(args.problem), args.problem)
     gens = dict(pres.lifting_generators())
     if key[0] not in gens:
         print(f"unknown generator {key[0]!r}", file=sys.stderr)

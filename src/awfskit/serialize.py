@@ -19,7 +19,9 @@ All files are UTF-8 JSON.  The schema, by artifact:
   and the lift table as a sorted list of ``{"generator", "top", "bot",
   "filler"}`` records; certificates never embed the presentation, so a
   verification run needs exactly the certificate file plus the
-  presentation file it was produced from.
+  presentation file it was produced from;
+* lifting problem (the ``lift`` command's question) — ``{"generator",
+  "top", "bot"}``, the key of a lift-table record.
 
 Decoding checks shape only (types, key sets, table totality) and tags
 every complaint with the JSON path to the offending value; semantic
@@ -27,14 +29,18 @@ axioms stay in ``validate()`` on the decoded presentation so that a
 schema-valid but axiom-violating file yields witnesses, not a parse
 error.  Syntax errors carry the line and column from the decoder.
 
-Decoding a map or a certificate first runs its checks as C-level passes
-over whole tables (types by ``set(map(type, ...))``, ranges by the checked
-``FiniteMap``); only when one of them fails does it walk the value
-element by element, so the first complaint and its JSON path are those of
-the walk.  The passes give a certificate's lift table as a ``LiftTable``
-of columns with every filler in one checked map; the walk, taken also for
-records out of key order or fillers with several codomains, gives a
-dictionary of checked maps.
+Each decoder is one walk over the document, checking keys and scalars in
+a fixed order.  Every integer table (a map's table, a key's top and
+bottom, ``trace_sizes``, a problem's tables) goes through ``_ints``: one
+C-level pass over the whole list (types by ``set(map(type, ...))``,
+ranges by ``min`` and ``max``), and a walk element by element only when
+that pass fails, so valid input costs one pass per table and a fault is
+named with its JSON path.  A certificate's lift table is first read as
+columns (``_checked_lift_table``), all fillers in one checked map, and
+gives a ``LiftTable``; only when that pass refuses (a fault, records out
+of key order, fillers with several codomains, one generator's tables of
+several lengths) are the records walked one at a time, into a dictionary
+of checked maps or to the first fault.
 
 Encoding is canonical: keys are sorted, composition triples are sorted
 by operand names, and lift-table records are sorted by key, so encoding
@@ -228,6 +234,20 @@ def _check_keys(obj: dict, path: str, required, optional=()) -> None:
         _fail(path, f"unknown key {unknown[0]!r}")
 
 
+def _ints(value, path: str, bound: Optional[int] = None) -> list:
+    """The array ``value`` of integers, each in ``range(bound)`` when a bound
+    is given.  The whole array is checked in one C-level pass; only when it
+    fails is it walked element by element, to name the first fault."""
+    table = _as_list(value, path)
+    if table and (set(map(type, table)) != _INT
+                  or bound is not None and not (min(table) >= 0 and max(table) < bound)):
+        for i, v in enumerate(table):
+            _as_int(v, f"{path}[{i}]")
+            if bound is not None and not 0 <= v < bound:
+                _fail(f"{path}[{i}]", f"value {v} outside codomain of size {bound}")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # maps and arrows
 
@@ -236,33 +256,7 @@ def encode_map(m: FiniteMap) -> dict:
     return {"dom": m.dom.size, "cod": m.cod.size, "table": list(m.table)}
 
 
-_MAP_KEYS = frozenset(("dom", "cod", "table"))
-_ARROW_KEYS = frozenset(("top", "bot", "map"))
-
-
-def _checked_map(obj) -> Optional[FiniteMap]:
-    """The map ``obj`` encodes, or None if any check of ``decode_map``
-    fails; the checks are whole-table passes and build no path."""
-    if type(obj) is not dict or obj.keys() != _MAP_KEYS:
-        return None
-    dom, cod, table = obj["dom"], obj["cod"], obj["table"]
-    if type(dom) is not int or type(cod) is not int or type(table) is not list:
-        return None
-    if len(table) != dom or (table and set(map(type, table)) != _INT):
-        return None
-    try:
-        return FiniteMap(FinSet(dom), FinSet(cod), tuple(table))
-    except DiagramError:  # a negative codomain, or an entry outside it
-        return None
-
-
 def decode_map(obj, path: str = "$") -> FiniteMap:
-    m = _checked_map(obj)
-    return m if m is not None else _walk_map(obj, path)
-
-
-def _walk_map(obj, path: str) -> FiniteMap:
-    """``decode_map`` one element at a time, naming the first fault."""
     obj = _as_obj(obj, path)
     _check_keys(obj, path, ("dom", "cod", "table"))
     dom = _as_int(obj["dom"], f"{path}.dom")
@@ -272,35 +266,14 @@ def _walk_map(obj, path: str) -> FiniteMap:
     table = _as_list(obj["table"], f"{path}.table")
     if len(table) != dom:
         _fail(f"{path}.table", f"length {len(table)} does not match dom {dom}")
-    vals = []
-    for i, v in enumerate(table):
-        v = _as_int(v, f"{path}.table[{i}]")
-        if not 0 <= v < cod:
-            _fail(f"{path}.table[{i}]", f"value {v} outside codomain of size {cod}")
-        vals.append(v)
-    return FiniteMap(FinSet(dom), FinSet(cod), tuple(vals))
+    return FiniteMap(FinSet(dom), FinSet(cod), tuple(_ints(table, f"{path}.table", cod)))
 
 
 def encode_arrow(a: ArrowObject) -> dict:
     return {"top": a.top.size, "bot": a.bot.size, "map": encode_map(a.map)}
 
 
-def _checked_arrow(obj) -> Optional[ArrowObject]:
-    """The arrow ``obj`` encodes, or None if any check of ``decode_arrow`` fails."""
-    if type(obj) is not dict or obj.keys() != _ARROW_KEYS:
-        return None
-    m, top, bot = _checked_map(obj["map"]), obj["top"], obj["bot"]
-    if m is None or type(top) is not int or type(bot) is not int:
-        return None
-    if top != m.dom.size or bot != m.cod.size:
-        return None
-    return ArrowObject(m)
-
-
 def decode_arrow(obj, path: str = "$") -> ArrowObject:
-    a = _checked_arrow(obj)
-    if a is not None:
-        return a
     obj = _as_obj(obj, path)
     _check_keys(obj, path, ("top", "bot", "map"))
     top = _as_int(obj["top"], f"{path}.top")
@@ -559,13 +532,10 @@ def _lift_rows(lift_table, nl: str):
 
     Sorted records come in runs that share a generator and table lengths,
     so a run of ``k`` rows is one ``%`` into ``k`` copies of its template,
-    filled from the run's columns.  A ``LiftTable`` is read as it is; any
-    other mapping is first put into columns in the order of its sorted
-    keys.  A table holding anything but string generators and int entries
-    is left to ``_encode`` as plain records."""
-    table = lift_table if isinstance(lift_table, LiftTable) else LiftTable.from_items(
-        [(key, lift_table[key]) for key in sorted(lift_table)])
-    runs = None if table is None else _block_runs(table)
+    filled from the run's columns.  Any other mapping, and a ``LiftTable``
+    with a generator that is not a string, is left to ``_encode`` as plain
+    records."""
+    runs = _block_runs(lift_table) if isinstance(lift_table, LiftTable) else None
     if runs is None:
         return [
             {"generator": gen, "top": list(top), "bot": list(bot),
@@ -596,22 +566,17 @@ def _block_runs(lift_table: LiftTable) -> Optional[list]:
     return runs
 
 
-_CERT_REQUIRED = frozenset(("mode", "input", "left", "right", "beta0", "lift_table"))
-_CERT_KEYS = _CERT_REQUIRED | {"schema", "stage", "trace_sizes"}
 _record_fields = tuple(map(itemgetter, ("generator", "top", "bot", "filler")))
 _map_fields = tuple(map(itemgetter, ("dom", "cod", "table")))
 
 
-def _checked_lift_table(records) -> Optional[LiftTable]:
+def _checked_lift_table(records: list) -> Optional[LiftTable]:
     """The lift table ``records`` encode, as columns, one run per
-    generator, or None if any check of the walk in ``decode_certificate``
-    fails, or the records are out of key order, or their fillers have more
-    than one codomain, or one generator's tables have several lengths (the
-    walk then builds a dictionary).  Each check is one pass over all
-    records; the fillers are built as one checked map, which tests the
-    ranges."""
-    if type(records) is not list:
-        return None
+    generator, or None if any check of ``_walk_lift_table`` fails, or the
+    records are out of key order, or their fillers have more than one
+    codomain, or one generator's tables have several lengths (the walk then
+    builds a dictionary).  Each check is one pass over all records; the
+    fillers are built as one checked map, which tests the ranges."""
     if not records:
         return LiftTable([], FiniteMap(FinSet(0), FinSet(0), ()))
     if set(map(type, records)) != {dict} or set(map(len, records)) != {4}:
@@ -652,44 +617,32 @@ def _checked_lift_table(records) -> Optional[LiftTable]:
     return LiftTable.from_columns(gens, tops, bots, doms, fillers)
 
 
-def _checked_certificate(obj, pres) -> Optional[Certificate]:
-    """The certificate ``obj`` encodes, or None if any check of the walk in
-    ``decode_certificate`` fails."""
-    if type(obj) is not dict or not _CERT_REQUIRED <= obj.keys() <= _CERT_KEYS:
-        return None
-    if obj.get("schema", CERTIFICATE_SCHEMA) != CERTIFICATE_SCHEMA:
-        return None
-    mode, stage, sizes = obj["mode"], obj.get("stage"), obj.get("trace_sizes")
-    if type(mode) is not str or not (stage is None or type(stage) is int):
-        return None
-    if sizes is not None and (type(sizes) is not list or not set(map(type, sizes)) <= _INT):
-        return None
-    lift_table = _checked_lift_table(obj["lift_table"])
-    parts = (_checked_arrow(obj["input"]), _checked_map(obj["left"]),
-             _checked_arrow(obj["right"]), _checked_map(obj["beta0"]))
-    if lift_table is None or any(part is None for part in parts):
-        return None
-    return Certificate(
-        pres=pres,
-        mode=mode,
-        input=parts[0],
-        left=parts[1],
-        right=parts[2],
-        beta0=parts[3],
-        lift_table=lift_table,
-        stage=stage,
-        trace_sizes=None if sizes is None else list(sizes),
+def decode_problem(obj, path: str = "$", more=()) -> tuple:
+    """The key ``(generator, top, bot)`` of a lifting problem, or of a
+    record with those fields and the fields ``more``."""
+    obj = _as_obj(obj, path)
+    _check_keys(obj, path, ("generator", "top", "bot") + more)
+    return (
+        _as_str(obj["generator"], f"{path}.generator"),
+        tuple(_ints(obj["top"], f"{path}.top")),
+        tuple(_ints(obj["bot"], f"{path}.bot")),
     )
 
 
+def _walk_lift_table(records: list, path: str) -> dict:
+    """The lift table one record at a time, as a dictionary of checked
+    maps, naming the first fault."""
+    lift_table = {}
+    for i, rec in enumerate(records):
+        rpath = f"{path}[{i}]"
+        key = decode_problem(rec, rpath, ("filler",))
+        if key in lift_table:
+            _fail(rpath, f"duplicate lift-table key {key}")
+        lift_table[key] = decode_map(rec["filler"], f"{rpath}.filler")
+    return lift_table
+
+
 def decode_certificate(obj, pres, path: str = "$") -> Certificate:
-    cert = _checked_certificate(obj, pres)
-    return cert if cert is not None else _walk_certificate(obj, pres, path)
-
-
-def _walk_certificate(obj, pres, path: str) -> Certificate:
-    """``decode_certificate`` one record and one element at a time, naming
-    the first fault."""
     obj = _as_obj(obj, path)
     _check_keys(
         obj,
@@ -699,33 +652,16 @@ def _walk_certificate(obj, pres, path: str) -> Certificate:
     )
     if "schema" in obj and obj["schema"] != CERTIFICATE_SCHEMA:
         _fail(f"{path}.schema", f"expected {CERTIFICATE_SCHEMA!r}, got {obj['schema']!r}")
-    lift_table = {}
-    for i, rec in enumerate(_as_list(obj["lift_table"], f"{path}.lift_table")):
-        rpath = f"{path}.lift_table[{i}]"
-        rec = _as_obj(rec, rpath)
-        _check_keys(rec, rpath, ("generator", "top", "bot", "filler"))
-        gen = _as_str(rec["generator"], f"{rpath}.generator")
-        top = tuple(
-            _as_int(v, f"{rpath}.top[{j}]")
-            for j, v in enumerate(_as_list(rec["top"], f"{rpath}.top"))
-        )
-        bot = tuple(
-            _as_int(v, f"{rpath}.bot[{j}]")
-            for j, v in enumerate(_as_list(rec["bot"], f"{rpath}.bot"))
-        )
-        key = (gen, top, bot)
-        if key in lift_table:
-            _fail(rpath, f"duplicate lift-table key {key}")
-        lift_table[key] = decode_map(rec["filler"], f"{rpath}.filler")
+    records = _as_list(obj["lift_table"], f"{path}.lift_table")
+    lift_table = _checked_lift_table(records)
+    if lift_table is None:
+        lift_table = _walk_lift_table(records, f"{path}.lift_table")
     stage = obj.get("stage")
     if stage is not None:
         stage = _as_int(stage, f"{path}.stage")
     sizes = obj.get("trace_sizes")
     if sizes is not None:
-        sizes = [
-            _as_int(v, f"{path}.trace_sizes[{i}]")
-            for i, v in enumerate(_as_list(sizes, f"{path}.trace_sizes"))
-        ]
+        sizes = list(_ints(sizes, f"{path}.trace_sizes"))
     return Certificate(
         pres=pres,
         mode=_as_str(obj["mode"], f"{path}.mode"),

@@ -7,9 +7,9 @@ entry longer or shorter, an entry of a key, a filler or the algebra map
 changed to another point, an integer entry replaced by a bool, or a field
 deleted.  The mutant goes
 through ``decode_certificate`` and through the command line's ``verify``
-and ``lift`` twice: by the whole-table passes, which give the lift table as
-columns, and with the passes switched off, so that the element-by-element
-walk decodes it into a dictionary.  Nothing may escape as anything but an
+and ``lift`` twice: by the decoder, which gives the lift table as columns,
+and by the element-by-element walk of ``reference_decode``, which decodes
+it into a dictionary.  Nothing may escape as anything but an
 ``EngineError``; both routes must give the same outcome, the same first
 error and the same output; and the verify report must have the bytes of
 the dictionary route below, the per-problem checks that the column passes
@@ -20,6 +20,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -28,13 +29,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from awfskit import serialize
+from awfskit import cli
 from awfskit.chain import factorise
 from awfskit.cli import main
 from awfskit.errors import EngineError
 from awfskit.serialize import decode_certificate, dumps, encode_certificate, encode_presentation
 from awfskit.verify import Certificate, Report, ReportEntry, verify_certificate
 
+import reference_decode
 from fixture_lib import composite_pres, f_2to3, f_3to2, fmap, split_epi_pres, two_gen_plain_pres
 from test_verify import _reference_boundary, _reference_check_algebra, _reference_check_compat
 
@@ -76,8 +78,13 @@ def reference_report(cert: Certificate) -> Report:
 
 
 def walk_only():
-    """Switch the whole-table passes off, so every certificate is walked."""
-    return mock.patch.object(serialize, "_checked_certificate", lambda obj, pres: None)
+    """Decode every certificate, here and in the command line, by the
+    reference walk of ``reference_decode``."""
+    stack = contextlib.ExitStack()
+    for module in (cli, sys.modules[__name__]):
+        stack.enter_context(
+            mock.patch.object(module, "decode_certificate", reference_decode.decode_certificate))
+    return stack
 
 
 def mutate(obj: dict, fault: str, draw) -> dict:

@@ -304,6 +304,18 @@ class TestLift:
         assert code == 1
         assert "does not commute" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload,fault", [
+        ({"generator": "j", "top": [], "bot": [True]}, ".bot[0]: expected an integer, got bool"),
+        ({"generator": "j", "top": []}, ": missing key 'bot'"),
+    ], ids=["bool-entry", "missing-key"])
+    def test_malformed_problem_names_its_first_fault(self, cert_path, tmp_path, capsys,
+                                                     payload, fault):
+        problem = write(tmp_path, "p.json", payload)
+        code = main(["lift", "--presentation", fx("gen_split_epi.json"),
+                     "--certificate", cert_path, "--problem", problem])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {problem}{fault}\n")
+
     def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
         pres, fmap = identity_on_four(tmp_path)
         cert = str(tmp_path / "cert.json")

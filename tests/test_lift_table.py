@@ -8,8 +8,9 @@ length, lookups, unknown keys and the certificate bytes, on fast and general
 structures in both modes, including generators with an empty bottom,
 generators with no problems and an empty table.  Path guards count the
 maps that extracting and writing a large certificate build, the per-key
-lookups ``verify`` makes (none) and the maps ``lift`` builds (as many on
-65,536 fillers as on 81), and a seeded round trip checks that a decoded
+lookups ``verify`` makes (none), the maps ``lift`` builds (as many on
+65,536 fillers as on 81) and the integers decoding checks one by one (only
+scalars, no table entry), and a seeded round trip checks that a decoded
 certificate (a ``LiftTable`` of the records' columns) encodes to the bytes
 the lift table wrote.
 """
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
 
+from awfskit import serialize
 from awfskit.arrows import CommSquare
 from awfskit.chain import FactorisationResult, LiftTable, extract, factorise, run_chain, solve_lift
 from awfskit.cli import main as cli_main
@@ -319,6 +321,29 @@ def test_lift_builds_a_constant_number_of_maps(tmp_path, monkeypatch, capsys):
         assert counts["__getitem__"] == 1
         built[n] = counts["__post_init__"]
     assert built[3] == built[4] < 20
+
+
+def test_decoding_checks_each_table_in_one_pass(monkeypatch):
+    """Decoding a valid certificate of about 5,000 records reads the lift
+    table as columns and never walks its records, and checks integers one
+    by one only for the scalars of its maps and arrows and its stage: every
+    integer table is checked by one pass over the whole table."""
+    pres = composite_pres()
+    result = factorise(pres, _seeded_map(1500, 150, 1500), mode="special", max_stage=4)
+    obj = parse_text(dumps(encode_certificate(Certificate.from_result(pres, result))))
+    assert len(obj["lift_table"]) > 4000
+
+    def no_walk(records, path):
+        raise AssertionError("the lift table was walked record by record")
+
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "_walk_lift_table", no_walk)
+        counts = _counting(m, [(serialize, "_as_int")])
+        cert = decode_certificate(obj, pres)
+    assert isinstance(cert.lift_table, LiftTable)
+    # input and right: top, bot, dom, cod; left and beta0: dom, cod; stage
+    assert counts == {"_as_int": 13}
+    assert dumps(encode_certificate(cert)) == dumps(obj)
 
 
 # ---------------------------------------------------------------------------

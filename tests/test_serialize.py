@@ -14,7 +14,6 @@ from awfskit.chain import factorise, run_chain
 from awfskit.errors import ParseError
 from awfskit.finset import FinSet, FiniteMap
 from awfskit.serialize import (
-    _walk_certificate,
     decode_arrow,
     decode_certificate,
     decode_map,
@@ -30,6 +29,7 @@ from awfskit.serialize import (
 )
 from awfskit.verify import Certificate, verify_certificate
 
+import reference_decode
 from fixture_lib import (
     abc_pres,
     composite_pres,
@@ -292,7 +292,7 @@ def test_every_golden_artifact_is_what_json_dumps_writes(case, tmp_path, monkeyp
         pres = decode_presentation(json.loads((tmp_path / "pres.json").read_text()))
         obj = json.loads((tmp_path / "cert.json").read_text())
         cert = decode_certificate(obj, pres)
-        assert cert == _walk_certificate(obj, pres, "$")
+        assert cert == reference_decode.decode_certificate(obj, pres)
         assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
 
 
@@ -466,4 +466,27 @@ def test_whole_table_passes_agree_with_the_walk_on_any_one_fault(mutated_certifi
     path = data.draw(st.sampled_from(list(_paths(obj))))
     value = data.draw(st.sampled_from([True, False, 0, 1, 2, 5, -1, 1.0, "1", None, [], [0], {}, DELETE]))
     mutant = _mutant(obj, path, value)
-    assert _outcome(decode_certificate, mutant, pres) == _outcome(_walk_certificate, mutant, pres, "$")
+    assert _outcome(decode_certificate, mutant, pres) == _outcome(
+        reference_decode.decode_certificate, mutant, pres)
+
+
+# A map and an arrow document, as the ``--map`` and ``--target-map`` files
+# of ``factor`` and ``oracle kappa`` hold them.
+MORPHISM_DOCS = {
+    "map": encode_map(fmap(4, 3, [2, 0, 1, 0])),
+    "arrow": encode_arrow(ArrowObject(fmap(4, 3, [2, 0, 1, 0]))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(MORPHISM_DOCS)), st.data())
+def test_map_and_arrow_decoders_agree_with_the_walk_on_any_one_fault(kind, data):
+    doc = MORPHISM_DOCS[kind]
+    # every node, and a new key on every object
+    paths = list(_paths(doc)) + [("extra",)] + [("map", "extra")] * (kind == "arrow")
+    path = data.draw(st.sampled_from(paths))
+    values = [True, False, 0, 2, 3, 5, -1, 1.0, "1", None, [], [0], [0, 0, 0, 0, 0], {}]
+    value = data.draw(st.sampled_from(values + [DELETE] * (path[-1] != "extra")))
+    mutant = _mutant(doc, path, value)
+    assert _outcome(decode_map_or_arrow, mutant) == _outcome(
+        reference_decode.decode_map_or_arrow, mutant)

@@ -105,13 +105,9 @@ class ArrowColimit:
         self.bot = finite_colimit(
             Diagram([v.bot for v in diagram.vertices], [(s, d, e.bot) for s, d, e in diagram.edges])
         )
-        if diagram.vertices:
-            apex_map = self.top.induced(
-                [compose(self.bot.legs[i], v.map) for i, v in enumerate(diagram.vertices)]
-            )
-        else:
-            apex_map = FiniteMap(self.top.apex, self.bot.apex, ())
-        self.apex = ArrowObject(apex_map)
+        self.apex = ArrowObject(self.top.induced(
+            [compose(self.bot.legs[i], v.map) for i, v in enumerate(diagram.vertices)]
+        ))
         self._vertices = list(diagram.vertices)
 
     def leg(self, i: int) -> CommSquare:
@@ -121,12 +117,8 @@ class ArrowColimit:
         """Unique square u with u . leg_i = squares[i]."""
         if len(squares) != len(self._vertices):
             raise DiagramError("cocone must provide one square per vertex")
-        if squares:
-            ut = self.top.induced([s.top for s in squares])
-            ub = self.bot.induced([s.bot for s in squares])
-        else:
-            ut = FiniteMap(self.top.apex, target.top, ())
-            ub = FiniteMap(self.bot.apex, target.bot, ())
+        ut = self.top.induced([s.top for s in squares])
+        ub = self.bot.induced([s.bot for s in squares])
         return CommSquare(self.apex, target, ut, ub)
 
 

@@ -7,14 +7,12 @@ All files are UTF-8 JSON.  The schema, by artifact:
   list of length ``dom`` whose entries index the codomain;
 * arrow (an object of the category of maps) — ``{"top": n, "bot": m,
   "map": {...}}`` where the inner map runs from ``top`` to ``bot``;
-* plain presentation — ``{"kind": "plain", "generators": [{"name",
-  "map"}], "morphisms": [{"name", "dom", "cod", "top", "bot"}],
-  "comp": [{"left", "right", "result"}]}``;
-* double presentation — ``{"kind": "double", "objects": {name: size},
-  "hmorphisms": [{"name", "dom", "cod", "map"}], "comp": [...],
-  "vmorphisms": [{"name", "vdom", "vcod", "umap"}], "vid": {object:
-  vmorphism}, "squares": [{"name", "vsrc", "vdst", "h_top", "h_bot"}],
-  "square_comp": [...], "vcomp": [...], "square_vcomp": [...]}``;
+* presentation — ``{"kind": "plain" or "double", ...}`` with the keys
+  listed for its kind in ``_PRESENTATIONS``, the one schema table that
+  both ``decode_presentation`` and ``encode_presentation`` read: record
+  lists such as ``"generators": [{"name", "map"}]`` whose keys hold names
+  or maps, composition tables ``[{"left", "right", "result"}]``, and the
+  objects ``"objects": {name: size}`` and ``"vid": {object: vmorphism}``;
 * certificate — mode, input arrow, left map, right arrow, algebra map,
   and the lift table as a sorted list of ``{"generator", "top", "bot",
   "filler"}`` records; certificates never embed the presentation, so a
@@ -57,13 +55,14 @@ share a template is one ``%`` into the repeated template.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter, lt
 from typing import Optional
 
 from .arrows import ArrowObject
-from .chain import LiftTable
+from .chain import LiftTable, detect_stabilisation
 from .errors import DiagramError, ParseError
 from .finset import FinSet, FiniteMap, is_iso
 from .presentation import (
@@ -323,55 +322,9 @@ def _decode_comp(value, path: str) -> list:
 # ---------------------------------------------------------------------------
 # presentations
 
-
-def encode_presentation(pres) -> dict:
-    if pres.kind == "plain":
-        return {
-            "kind": "plain",
-            "generators": [
-                {"name": g.name, "map": _encode_raw(g.umap)} for g in pres.generators
-            ],
-            "morphisms": [
-                {
-                    "name": m.name,
-                    "dom": m.dom,
-                    "cod": m.cod,
-                    "top": _encode_raw(m.top),
-                    "bot": _encode_raw(m.bot),
-                }
-                for m in pres.morphisms
-            ],
-            "comp": _encode_comp(pres.comp),
-        }
-    if pres.kind == "double":
-        return {
-            "kind": "double",
-            "objects": {name: size for name, size in pres.objects},
-            "hmorphisms": [
-                {"name": h.name, "dom": h.dom, "cod": h.cod, "map": _encode_raw(h.umap)}
-                for h in pres.harrows
-            ],
-            "comp": _encode_comp(pres.hcomp),
-            "vmorphisms": [
-                {"name": v.name, "vdom": v.vdom, "vcod": v.vcod, "umap": _encode_raw(v.umap)}
-                for v in pres.varrows
-            ],
-            "vid": dict(pres.vid),
-            "squares": [
-                {
-                    "name": s.name,
-                    "vsrc": s.vsrc,
-                    "vdst": s.vdst,
-                    "h_top": s.h_top,
-                    "h_bot": s.h_bot,
-                }
-                for s in pres.squares
-            ],
-            "square_comp": _encode_comp(pres.square_comp),
-            "vcomp": _encode_comp(pres.vcomp),
-            "square_vcomp": _encode_comp(pres.square_vcomp),
-        }
-    raise ParseError(f"cannot encode presentation of kind {pres.kind!r}")
+# The keys whose value in a presentation record is a map; every other
+# record key holds a name.
+_MAP_KEYS = frozenset({"map", "umap", "top", "bot"})
 
 
 def _encode_raw(m: RawMap) -> dict:
@@ -383,110 +336,84 @@ def _decode_raw(obj, path: str) -> RawMap:
     return RawMap(m.dom.size, m.cod.size, m.table)
 
 
+def _records(spec, keys: tuple) -> tuple:
+    """The reader and the writer of a list of ``spec`` records whose JSON
+    ``keys`` hold the spec's fields in order: a key in ``_MAP_KEYS`` holds a
+    map, any other key a name."""
+    attrs = [f.name for f in fields(spec)]
+    reads = [_decode_raw if key in _MAP_KEYS else _as_str for key in keys]
+
+    def read(value, path: str) -> tuple:
+        out = []
+        for i, rec in enumerate(_as_list(value, path)):
+            rpath = f"{path}[{i}]"
+            rec = _as_obj(rec, rpath)
+            _check_keys(rec, rpath, keys)
+            out.append(spec(*[r(rec[key], f"{rpath}.{key}") for key, r in zip(keys, reads)]))
+        return tuple(out)
+
+    def write(specs) -> list:
+        return [{key: _encode_raw(getattr(s, attr)) if key in _MAP_KEYS else getattr(s, attr)
+                 for key, attr in zip(keys, attrs)} for s in specs]
+
+    return read, write
+
+
+def _named(check):
+    """The reader of an object from names to values ``check`` accepts, as
+    ``(name, value)`` pairs."""
+    def read(value, path: str) -> tuple:
+        return tuple((name, check(v, f"{path}.{name}")) for name, v in _as_obj(value, path).items())
+    return read
+
+
+# The schema of both presentation kinds, the one source that decoding and
+# encoding read: kind -> (class, rows), one row per top-level key other than
+# ``kind``, in decode order, as (key, field of the class, reader, writer,
+# required).  A missing optional key reads as an empty list.
+_PRESENTATIONS = {
+    "plain": (PlainPresentation, (
+        ("generators", "generators", *_records(PlainGenSpec, ("name", "map")), True),
+        ("morphisms", "morphisms",
+         *_records(PlainMorSpec, ("name", "dom", "cod", "top", "bot")), False),
+        ("comp", "comp", _decode_comp, _encode_comp, False),
+    )),
+    "double": (DoubleCatPresentation, (
+        ("objects", "objects", _named(_as_int), dict, True),
+        ("hmorphisms", "harrows", *_records(HArrowSpec, ("name", "dom", "cod", "map")), False),
+        ("vmorphisms", "varrows", *_records(VArrowSpec, ("name", "vdom", "vcod", "umap")), True),
+        ("vid", "vid", _named(_as_str), dict, True),
+        ("squares", "squares",
+         *_records(SquareSpec, ("name", "vsrc", "vdst", "h_top", "h_bot")), False),
+        ("comp", "hcomp", _decode_comp, _encode_comp, False),
+        ("square_comp", "square_comp", _decode_comp, _encode_comp, False),
+        ("vcomp", "vcomp", _decode_comp, _encode_comp, False),
+        ("square_vcomp", "square_vcomp", _decode_comp, _encode_comp, False),
+    )),
+}
+
+
+def encode_presentation(pres) -> dict:
+    if pres.kind not in _PRESENTATIONS:
+        raise ParseError(f"cannot encode presentation of kind {pres.kind!r}")
+    payload = {"kind": pres.kind}
+    for key, field, _, write, _ in _PRESENTATIONS[pres.kind][1]:
+        payload[key] = write(getattr(pres, field))
+    return payload
+
+
 def decode_presentation(obj, path: str = "$"):
     obj = _as_obj(obj, path)
     if "kind" not in obj:
         _fail(path, "missing key 'kind'")
     kind = _as_str(obj["kind"], f"{path}.kind")
-    if kind == "plain":
-        return _decode_plain(obj, path)
-    if kind == "double":
-        return _decode_double(obj, path)
-    _fail(f"{path}.kind", f"expected 'plain' or 'double', got {kind!r}")
-
-
-def _decode_plain(obj: dict, path: str) -> PlainPresentation:
-    _check_keys(obj, path, ("kind", "generators"), ("morphisms", "comp"))
-    gens = []
-    for i, g in enumerate(_as_list(obj["generators"], f"{path}.generators")):
-        gpath = f"{path}.generators[{i}]"
-        g = _as_obj(g, gpath)
-        _check_keys(g, gpath, ("name", "map"))
-        gens.append(
-            PlainGenSpec(_as_str(g["name"], f"{gpath}.name"), _decode_raw(g["map"], f"{gpath}.map"))
-        )
-    mors = []
-    for i, m in enumerate(_as_list(obj.get("morphisms", []), f"{path}.morphisms")):
-        mpath = f"{path}.morphisms[{i}]"
-        m = _as_obj(m, mpath)
-        _check_keys(m, mpath, ("name", "dom", "cod", "top", "bot"))
-        mors.append(
-            PlainMorSpec(
-                _as_str(m["name"], f"{mpath}.name"),
-                _as_str(m["dom"], f"{mpath}.dom"),
-                _as_str(m["cod"], f"{mpath}.cod"),
-                _decode_raw(m["top"], f"{mpath}.top"),
-                _decode_raw(m["bot"], f"{mpath}.bot"),
-            )
-        )
-    comp = _decode_comp(obj.get("comp", []), f"{path}.comp")
-    return PlainPresentation(tuple(gens), tuple(mors), comp)
-
-
-def _decode_double(obj: dict, path: str) -> DoubleCatPresentation:
-    _check_keys(
-        obj,
-        path,
-        ("kind", "objects", "vmorphisms", "vid"),
-        ("hmorphisms", "comp", "squares", "square_comp", "vcomp", "square_vcomp"),
-    )
-    objects = []
-    for name, size in _as_obj(obj["objects"], f"{path}.objects").items():
-        objects.append((name, _as_int(size, f"{path}.objects.{name}")))
-    harrows = []
-    for i, h in enumerate(_as_list(obj.get("hmorphisms", []), f"{path}.hmorphisms")):
-        hpath = f"{path}.hmorphisms[{i}]"
-        h = _as_obj(h, hpath)
-        _check_keys(h, hpath, ("name", "dom", "cod", "map"))
-        harrows.append(
-            HArrowSpec(
-                _as_str(h["name"], f"{hpath}.name"),
-                _as_str(h["dom"], f"{hpath}.dom"),
-                _as_str(h["cod"], f"{hpath}.cod"),
-                _decode_raw(h["map"], f"{hpath}.map"),
-            )
-        )
-    varrows = []
-    for i, v in enumerate(_as_list(obj["vmorphisms"], f"{path}.vmorphisms")):
-        vpath = f"{path}.vmorphisms[{i}]"
-        v = _as_obj(v, vpath)
-        _check_keys(v, vpath, ("name", "vdom", "vcod", "umap"))
-        varrows.append(
-            VArrowSpec(
-                _as_str(v["name"], f"{vpath}.name"),
-                _as_str(v["vdom"], f"{vpath}.vdom"),
-                _as_str(v["vcod"], f"{vpath}.vcod"),
-                _decode_raw(v["umap"], f"{vpath}.umap"),
-            )
-        )
-    vid = {}
-    for name, value in _as_obj(obj["vid"], f"{path}.vid").items():
-        vid[name] = _as_str(value, f"{path}.vid.{name}")
-    squares = []
-    for i, s in enumerate(_as_list(obj.get("squares", []), f"{path}.squares")):
-        spath = f"{path}.squares[{i}]"
-        s = _as_obj(s, spath)
-        _check_keys(s, spath, ("name", "vsrc", "vdst", "h_top", "h_bot"))
-        squares.append(
-            SquareSpec(
-                _as_str(s["name"], f"{spath}.name"),
-                _as_str(s["vsrc"], f"{spath}.vsrc"),
-                _as_str(s["vdst"], f"{spath}.vdst"),
-                _as_str(s["h_top"], f"{spath}.h_top"),
-                _as_str(s["h_bot"], f"{spath}.h_bot"),
-            )
-        )
-    return DoubleCatPresentation(
-        objects=tuple(objects),
-        harrows=tuple(harrows),
-        hcomp=_decode_comp(obj.get("comp", []), f"{path}.comp"),
-        varrows=tuple(varrows),
-        vid=vid,
-        squares=tuple(squares),
-        square_comp=_decode_comp(obj.get("square_comp", []), f"{path}.square_comp"),
-        vcomp=_decode_comp(obj.get("vcomp", []), f"{path}.vcomp"),
-        square_vcomp=_decode_comp(obj.get("square_vcomp", []), f"{path}.square_vcomp"),
-    )
+    if kind not in _PRESENTATIONS:
+        _fail(f"{path}.kind", f"expected 'plain' or 'double', got {kind!r}")
+    cls, rows = _PRESENTATIONS[kind]
+    _check_keys(obj, path, ["kind"] + [key for key, *_, required in rows if required],
+                [key for key, *_ in rows])
+    return cls(**{field: read(obj.get(key, []), f"{path}.{key}")
+                  for key, field, read, _, _ in rows})
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +609,6 @@ def decode_certificate(obj, pres, path: str = "$") -> Certificate:
 def trace_summary(trace) -> dict:
     """Per-stage audit record: carrier sizes and which connecting squares
     are already invertible on top."""
-    from .chain import detect_stabilisation
-
     return {
         "mode": trace.mode,
         "carrier_sizes": trace.carrier_sizes,

@@ -80,6 +80,23 @@ def retract_pres() -> DoubleCatPresentation:
     )
 
 
+def square_pres() -> DoubleCatPresentation:
+    """The split-epi vertical arrow ``j`` next to a horizontal arrow ``h``
+    with the same realisation, one square between the vertical identities
+    along ``h``, and an entry in every composition table."""
+    return DoubleCatPresentation.build(
+        objects={"x": 0, "y": 1},
+        harrows=[("h", "x", "y", [])],
+        hcomp=[("1_x", "h", "h")],
+        varrows=[("ex", "x", "x", []), ("ey", "y", "y", [0]), ("j", "x", "y", [])],
+        vid={"x": "ex", "y": "ey"},
+        vcomp=[("ex", "j", "j")],
+        squares=[("sh", "ex", "ey", "h", "h")],
+        square_comp=[("1_ex", "sh", "sh")],
+        square_vcomp=[("sh", "sh", "sh")],
+    )
+
+
 def codiag_pres() -> PlainPresentation:
     """A generator collapsing two points onto one (not injective) next to
     the split-epi generator."""

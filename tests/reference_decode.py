@@ -9,12 +9,28 @@ maps.  Only the calls between the walks are redirected to this module, so
 nothing here runs a whole-table pass.  The tests compare the two on the
 first fault of mutated documents, on the golden certificates and through
 the command line.
+
+``awfskit.serialize`` reads and writes presentations from one schema
+table.  This module also keeps the hand-written walks that table replaced,
+one per presentation kind, and the encoder's two literals; the tests
+compare them on one-node mutants of presentation documents.
 """
 
 from __future__ import annotations
 
 from awfskit.arrows import ArrowObject
+from awfskit.errors import ParseError
 from awfskit.finset import FinSet, FiniteMap
+from awfskit.presentation import (
+    DoubleCatPresentation,
+    HArrowSpec,
+    PlainGenSpec,
+    PlainMorSpec,
+    PlainPresentation,
+    RawMap,
+    SquareSpec,
+    VArrowSpec,
+)
 from awfskit.serialize import (
     CERTIFICATE_SCHEMA,
     _as_int,
@@ -22,6 +38,9 @@ from awfskit.serialize import (
     _as_obj,
     _as_str,
     _check_keys,
+    _decode_comp,
+    _encode_comp,
+    _encode_raw,
     _fail,
 )
 from awfskit.verify import Certificate
@@ -115,4 +134,165 @@ def decode_certificate(obj, pres, path: str = "$") -> Certificate:
         lift_table=lift_table,
         stage=stage,
         trace_sizes=sizes,
+    )
+
+
+def _decode_raw(obj, path: str) -> RawMap:
+    m = walk_map(obj, path)
+    return RawMap(m.dom.size, m.cod.size, m.table)
+
+
+def encode_presentation(pres) -> dict:
+    if pres.kind == "plain":
+        return {
+            "kind": "plain",
+            "generators": [
+                {"name": g.name, "map": _encode_raw(g.umap)} for g in pres.generators
+            ],
+            "morphisms": [
+                {
+                    "name": m.name,
+                    "dom": m.dom,
+                    "cod": m.cod,
+                    "top": _encode_raw(m.top),
+                    "bot": _encode_raw(m.bot),
+                }
+                for m in pres.morphisms
+            ],
+            "comp": _encode_comp(pres.comp),
+        }
+    if pres.kind == "double":
+        return {
+            "kind": "double",
+            "objects": {name: size for name, size in pres.objects},
+            "hmorphisms": [
+                {"name": h.name, "dom": h.dom, "cod": h.cod, "map": _encode_raw(h.umap)}
+                for h in pres.harrows
+            ],
+            "comp": _encode_comp(pres.hcomp),
+            "vmorphisms": [
+                {"name": v.name, "vdom": v.vdom, "vcod": v.vcod, "umap": _encode_raw(v.umap)}
+                for v in pres.varrows
+            ],
+            "vid": dict(pres.vid),
+            "squares": [
+                {
+                    "name": s.name,
+                    "vsrc": s.vsrc,
+                    "vdst": s.vdst,
+                    "h_top": s.h_top,
+                    "h_bot": s.h_bot,
+                }
+                for s in pres.squares
+            ],
+            "square_comp": _encode_comp(pres.square_comp),
+            "vcomp": _encode_comp(pres.vcomp),
+            "square_vcomp": _encode_comp(pres.square_vcomp),
+        }
+    raise ParseError(f"cannot encode presentation of kind {pres.kind!r}")
+
+
+def decode_presentation(obj, path: str = "$"):
+    obj = _as_obj(obj, path)
+    if "kind" not in obj:
+        _fail(path, "missing key 'kind'")
+    kind = _as_str(obj["kind"], f"{path}.kind")
+    if kind == "plain":
+        return _decode_plain(obj, path)
+    if kind == "double":
+        return _decode_double(obj, path)
+    _fail(f"{path}.kind", f"expected 'plain' or 'double', got {kind!r}")
+
+
+def _decode_plain(obj: dict, path: str) -> PlainPresentation:
+    _check_keys(obj, path, ("kind", "generators"), ("morphisms", "comp"))
+    gens = []
+    for i, g in enumerate(_as_list(obj["generators"], f"{path}.generators")):
+        gpath = f"{path}.generators[{i}]"
+        g = _as_obj(g, gpath)
+        _check_keys(g, gpath, ("name", "map"))
+        gens.append(
+            PlainGenSpec(_as_str(g["name"], f"{gpath}.name"), _decode_raw(g["map"], f"{gpath}.map"))
+        )
+    mors = []
+    for i, m in enumerate(_as_list(obj.get("morphisms", []), f"{path}.morphisms")):
+        mpath = f"{path}.morphisms[{i}]"
+        m = _as_obj(m, mpath)
+        _check_keys(m, mpath, ("name", "dom", "cod", "top", "bot"))
+        mors.append(
+            PlainMorSpec(
+                _as_str(m["name"], f"{mpath}.name"),
+                _as_str(m["dom"], f"{mpath}.dom"),
+                _as_str(m["cod"], f"{mpath}.cod"),
+                _decode_raw(m["top"], f"{mpath}.top"),
+                _decode_raw(m["bot"], f"{mpath}.bot"),
+            )
+        )
+    comp = _decode_comp(obj.get("comp", []), f"{path}.comp")
+    return PlainPresentation(tuple(gens), tuple(mors), comp)
+
+
+def _decode_double(obj: dict, path: str) -> DoubleCatPresentation:
+    _check_keys(
+        obj,
+        path,
+        ("kind", "objects", "vmorphisms", "vid"),
+        ("hmorphisms", "comp", "squares", "square_comp", "vcomp", "square_vcomp"),
+    )
+    objects = []
+    for name, size in _as_obj(obj["objects"], f"{path}.objects").items():
+        objects.append((name, _as_int(size, f"{path}.objects.{name}")))
+    harrows = []
+    for i, h in enumerate(_as_list(obj.get("hmorphisms", []), f"{path}.hmorphisms")):
+        hpath = f"{path}.hmorphisms[{i}]"
+        h = _as_obj(h, hpath)
+        _check_keys(h, hpath, ("name", "dom", "cod", "map"))
+        harrows.append(
+            HArrowSpec(
+                _as_str(h["name"], f"{hpath}.name"),
+                _as_str(h["dom"], f"{hpath}.dom"),
+                _as_str(h["cod"], f"{hpath}.cod"),
+                _decode_raw(h["map"], f"{hpath}.map"),
+            )
+        )
+    varrows = []
+    for i, v in enumerate(_as_list(obj["vmorphisms"], f"{path}.vmorphisms")):
+        vpath = f"{path}.vmorphisms[{i}]"
+        v = _as_obj(v, vpath)
+        _check_keys(v, vpath, ("name", "vdom", "vcod", "umap"))
+        varrows.append(
+            VArrowSpec(
+                _as_str(v["name"], f"{vpath}.name"),
+                _as_str(v["vdom"], f"{vpath}.vdom"),
+                _as_str(v["vcod"], f"{vpath}.vcod"),
+                _decode_raw(v["umap"], f"{vpath}.umap"),
+            )
+        )
+    vid = {}
+    for name, value in _as_obj(obj["vid"], f"{path}.vid").items():
+        vid[name] = _as_str(value, f"{path}.vid.{name}")
+    squares = []
+    for i, s in enumerate(_as_list(obj.get("squares", []), f"{path}.squares")):
+        spath = f"{path}.squares[{i}]"
+        s = _as_obj(s, spath)
+        _check_keys(s, spath, ("name", "vsrc", "vdst", "h_top", "h_bot"))
+        squares.append(
+            SquareSpec(
+                _as_str(s["name"], f"{spath}.name"),
+                _as_str(s["vsrc"], f"{spath}.vsrc"),
+                _as_str(s["vdst"], f"{spath}.vdst"),
+                _as_str(s["h_top"], f"{spath}.h_top"),
+                _as_str(s["h_bot"], f"{spath}.h_bot"),
+            )
+        )
+    return DoubleCatPresentation(
+        objects=tuple(objects),
+        harrows=tuple(harrows),
+        hcomp=_decode_comp(obj.get("comp", []), f"{path}.comp"),
+        varrows=tuple(varrows),
+        vid=vid,
+        squares=tuple(squares),
+        square_comp=_decode_comp(obj.get("square_comp", []), f"{path}.square_comp"),
+        vcomp=_decode_comp(obj.get("vcomp", []), f"{path}.vcomp"),
+        square_vcomp=_decode_comp(obj.get("square_vcomp", []), f"{path}.square_vcomp"),
     )

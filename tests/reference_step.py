@@ -4,9 +4,9 @@
 coequaliser of two coproduct arrows.  This module keeps the construction
 it replaced: the comma category of problems with one edge per connecting
 square and target problem (each built by ``square_compose``), the
-pointwise colimit over one vertex per problem with its counit, and the
-pushout along the counit.  The differential test in ``test_step.py``
-compares the two on fixtures and random shapes.
+pointwise colimit over one vertex per problem (and the initial arrow) with
+its counit, and the pushout along the counit.  The differential test in
+``test_step.py`` compares the two on fixtures and random shapes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, square_compose
+from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow, square_compose
 from awfskit.errors import SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
 from awfskit.step import LiftingProblem, SizeBudget, count_problems_bound, enumerate_problems
@@ -76,8 +76,14 @@ class DensityStep:
 
 def density_step(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> DensityStep:
     comma = comma_category(shape, f, budget)
-    colim = ArrowColimit(comma.diagram())
-    counit = colim.induced([p.square for p in comma.problems], f)
+    # a last vertex, the initial arrow with its empty square into f, changes
+    # no colimit and keeps the diagram non-empty, as ArrowColimit needs
+    diagram, initial = comma.diagram(), arrow(0, 0, [])
+    diagram.vertices.append(initial)
+    colim = ArrowColimit(diagram)
+    empty = CommSquare(initial, f, FiniteMap(initial.top, f.top, ()),
+                       FiniteMap(initial.bot, f.bot, ()))
+    counit = colim.induced([p.square for p in comma.problems] + [empty], f)
     return DensityStep(comma, colim, counit)
 
 

@@ -46,6 +46,7 @@ from .step import (
     LiftingProblem,
     SizeBudget,
     StepEngine,
+    _rows,
 )
 
 
@@ -199,11 +200,6 @@ def detect_stabilisation(trace: ChainTrace) -> Optional[int]:
     return None
 
 
-def _rows(columns: list, count: int) -> Iterator[tuple]:
-    """The ``count`` rows of a block's columns (all empty when it has none)."""
-    return zip(*columns) if columns else repeat((), count)
-
-
 def _transpose(rows: list) -> list:
     """The columns of equally long ``rows``, at least one."""
     return [tuple(map(itemgetter(j), rows)) for j in range(len(rows[0]))]
@@ -247,25 +243,6 @@ class LiftTable(Mapping):
             runs.append((gen, FinSet(dom[0]), end - start, _transpose(top), _transpose(bot)))
             start = end
         return cls(runs, fillers)
-
-    @classmethod
-    def from_items(cls, items: list) -> Optional["LiftTable"]:
-        """The table of the ``(key, filler)`` pairs ``items``, in their
-        order; None unless every key is a triple of a name and two tuples,
-        the fillers are maps into one codomain, all of ints, and each
-        stretch of keys of one generator fits ``from_columns``."""
-        keys, maps = [key for key, _ in items], [m for _, m in items]
-        if not (all(type(k) is tuple and len(k) == 3 and type(k[1]) is tuple
-                    and type(k[2]) is tuple for k in keys)
-                and all(isinstance(m, FiniteMap) for m in maps)
-                and len({m.cod for m in maps}) <= 1
-                and set(map(type, chain.from_iterable(
-                    [m.table for m in maps] + [k[1] + k[2] for k in keys]))) <= {int}):
-            return None
-        table = tuple(chain.from_iterable(m.table for m in maps))
-        fillers = FiniteMap(FinSet(len(table)), maps[0].cod if maps else FinSet(0), table)
-        gens, tops, bots = zip(*keys) if keys else ((), (), ())
-        return cls.from_columns(gens, tops, bots, [m.dom.size for m in maps], fillers)
 
     def __len__(self) -> int:
         return sum(run[2] for run in self.runs)

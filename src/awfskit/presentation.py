@@ -731,11 +731,11 @@ class DoubleCatPresentation(_Validated):
                     continue  # a hole in the vertical table, reported there
                 if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
                     bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
-            # functoriality over composition of square pairs
-            pair_set = set(pairs_sq) | {(id_name(f), id_name(g)) for f, g in vtable}
-            ends = {n: self.square_boundary(n)[:2] for pair in pair_set for n in pair}
-            for a, b in pair_set:
-                for c, d in pair_set:
+            # functoriality over composition of square pairs, in list order
+            pair_list = pairs_sq + [(id_name(f), id_name(g)) for f, g in vtable]
+            ends = {n: self.square_boundary(n)[:2] for pair in pair_list for n in pair}
+            for a, b in pair_list:
+                for c, d in pair_list:
                     if ends[a][1] != ends[c][0] or ends[b][1] != ends[d][0]:
                         continue
                     try:

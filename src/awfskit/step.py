@@ -34,12 +34,12 @@ builds the twice-iterated extension.
 
 The universal-property mediator (``mediate`` and ``restrict_square``) and
 the constructions built on it (``extend_square``, ``compose_mediated``,
-``iterate_mediated``) compute the same squares through the colimit; no
-production path calls them.  They are kept as an independent cross-check
-for the tests and for ``oracle_kappa``, which mediates each lifting once
-and restricts each square once.  There a lifting is one map out of the
-coproduct ∐ₚ Bₚ of the problems' bottoms, so restricting or mediating
-builds one map, not one per problem.
+``iterate_mediated``) compute the same squares through the universal
+property; no production path calls them.  They are kept as an independent
+cross-check for the tests and for ``oracle_kappa``, which mediates each
+lifting once and restricts each square once, on fast and general steps
+alike.  A lifting is one map out of the coproduct ∐ₚ Bₚ of the problems'
+bottoms, read against the copaired cells, so each call builds one map.
 """
 
 from __future__ import annotations
@@ -211,14 +211,15 @@ class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
 
-    General instances (built by ``step``) additionally carry their
-    problems (``problem_list``), the pushout, the quotient ``bottoms`` of
-    ∐ₚ Bₚ (problems in ``problem_list`` order) onto the colimit's bottom,
-    and the cells copaired into one map ``copair`` out of ∐ₚ Bₚ; a cell is
-    the slice of ``copair`` at its problem's offset.  Only they can
-    ``mediate``.  Fast instances (built by ``fast_step``) compute each
-    cell from the rank of its problem, and their copaired cells
-    (``copaired``) one block per generator.
+    Both kinds list their problems by generator (``problem_blocks``) and
+    copair their cells into one map out of ∐ₚ Bₚ (``copaired``, kept in
+    ``copair``), through which ``mediate`` and ``restrict_square`` read
+    the cells of either kind.  General
+    instances (built by ``step``) also carry their problems
+    (``problem_list``) and the quotient ``bottoms`` of ∐ₚ Bₚ onto the
+    colimit's bottom; a cell is the slice of ``copair`` at its problem's
+    offset.  Fast instances (built by ``fast_step``) compute each cell from
+    the rank of its problem.
     """
 
     def __init__(self, shape, target: ArrowObject):
@@ -227,7 +228,6 @@ class StepStructure:
         self.extended: ArrowObject = None  # type: ignore[assignment]
         self.unit: CommSquare = None  # type: ignore[assignment]
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
-        self.po: Optional[PushoutResult] = None
         self.bottoms: Optional[QuotientResult] = None
         self.copair: Optional[FiniteMap] = None
         self._problems: Optional[list[LiftingProblem]] = None
@@ -239,10 +239,6 @@ class StepStructure:
     @property
     def size(self) -> int:
         return self.extended.top.size
-
-    @property
-    def has_factories(self) -> bool:
-        return self._fast is None
 
     @property
     def problem_list(self) -> list[LiftingProblem]:
@@ -261,7 +257,7 @@ class StepStructure:
             if m.dom != p.square.src.bot or m.cod != top:
                 raise ProblemMismatch(f"filler for problem {p.key} has wrong boundaries")
             table.extend(m.table)
-        return OneStepLifting(base, FiniteMap(self.copair.dom, top, tuple(table)))
+        return OneStepLifting(base, FiniteMap(self.copaired().dom, top, tuple(table)))
 
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``: a map from the bottom
@@ -279,24 +275,6 @@ class StepStructure:
         x, y = self.target.map.dom.size, self.target.map.cod.size
         base = x + meta.cells_before + meta.rank(s0, s1, x, y) * meta.fcount
         return tuple([base + i if free else s0[i] for free, i in meta.layout])
-
-    def cell_tables(self) -> Iterator[tuple]:
-        """Every lifting problem in canonical order, as ``(key, bottom,
-        table)``: the problem's key, the bottom carrier of its generator
-        and the table of its cell, without building a problem or a map.
-        On the fast path the cells of one generator are laid out in
-        problem order, so each cell starts where the previous one ended."""
-        if self._fast is None:
-            ct = self.copair.table
-            for p, start, end in zip(self._problems, self._starts, self._starts[1:]):
-                yield p.key, p.square.src.bot, ct[start:end]
-            return
-        for meta in self._fast.values():
-            name, bot, layout, fcount = meta.name, meta.u.bot, meta.layout, meta.fcount
-            pos = self.target.top.size + meta.cells_before
-            for s0, s1 in _problem_tables(meta.u, self.target, meta.free):
-                yield (name, s0, s1), bot, tuple([pos + i if free else s0[i] for free, i in layout])
-                pos += fcount
 
     def problem_blocks(self) -> Iterator[tuple]:
         """The lifting problems of each generator that has any, as one
@@ -323,10 +301,11 @@ class StepStructure:
 
     def copaired(self) -> FiniteMap:
         """The cells copaired into one map ∐ₚ Bₚ -> extension carrier,
-        problems in canonical order.  On fast steps it is built one block
-        per generator: the cell of the problem of rank r has its free
-        positions i at ``base + r*k + i`` and its forced ones at its top."""
-        if self._fast is None:
+        problems in canonical order, built once.  On fast steps it is built
+        one block per generator: the cell of the problem of rank r has its
+        free positions i at ``base + r*k + i`` and its forced ones at its
+        top."""
+        if self.copair is not None:
             return self.copair
         x, table = self.target.top.size, []
         for meta in self._fast.values():
@@ -336,11 +315,12 @@ class StepStructure:
                 table += _interleave(
                     [range(base + i, base + i + n * k, k) if free else tops[i]
                      for free, i in meta.layout], n)
-        return FiniteMap(FinSet(len(table)), self.extended.top, tuple(table))
+        self.copair = FiniteMap(FinSet(len(table)), self.extended.top, tuple(table))
+        return self.copair
 
     def problem_count(self) -> int:
         """The number of lifting problems, those of surjective generators
-        included: the length of ``cell_tables()``, by arithmetic."""
+        included, by arithmetic on fast steps."""
         if self._fast is None:
             return len(self._problems)
         return sum(meta.block for meta in self._fast.values())
@@ -417,7 +397,7 @@ def _coproduct(arrows: Sequence[ArrowObject]) -> tuple[ArrowObject, list, list]:
 
 
 def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> StepStructure:
-    """The general one-step extension, with mediating factories.
+    """The general one-step extension, with its problems listed.
 
     The colimit of the problems over the comma category is one coequaliser
     in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
@@ -465,7 +445,6 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     counit = colim.induced([to_f, square_compose(to_f, moved)], target)
     struct = StepStructure(shape, target)
     po = pushout(counit.top, colim.apex.map)
-    struct.po = po
     struct.inclusion = po.left
     struct.extended = ArrowObject(po.induced(target.map, counit.bot))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
@@ -493,39 +472,38 @@ class OneStepLifting:
 def restrict_square(struct: StepStructure, t: CommSquare) -> OneStepLifting:
     """Restrict a square ``t: Tf -> g`` to the lifting it classifies: ``t``
     after the unit, and ``t.top`` after the copairing ∐ₚ Bₚ -> Tf of the cells."""
-    if not struct.has_factories:
-        raise DiagramError("fast step structure cannot restrict; build the general step")
     if t.src != struct.extended:
         raise DiagramError("square does not start at this extension")
-    return OneStepLifting(square_compose(t, struct.unit), compose(t.top, struct.copair))
+    return OneStepLifting(square_compose(t, struct.unit), compose(t.top, struct.copaired()))
 
 
 def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
     """The unique square ``Tf -> g`` classifying ``lifting``.
 
-    Built constructively: the fillers, one map out of ∐ₚ Bₚ, descend
-    through its quotient onto the colimit of problem bottoms (failure to
-    descend means the fillers are not natural across connecting squares),
-    then the descended map and the base square combine through the
-    pushout factory.  The factories re-verify their defining equations, so
-    an inconsistent lifting cannot slip through.  The engine builds its
+    Built constructively: when connecting squares merge problem bottoms,
+    the fillers, one map out of ∐ₚ Bₚ, must descend through their quotient
+    ``bottoms`` (failure means they are not natural across the squares);
+    then the top is the map out of the extension carrier, the pushout of
+    the inclusion and the copaired cells, induced by the base's top and
+    the fillers.  The factories re-verify their defining equations, so an
+    inconsistent lifting cannot slip through.  The engine builds its
     squares by classification instead; this is the independent
     construction that ``oracle_kappa`` and the tests check the
     classification against.
     """
-    if not struct.has_factories:
-        raise DiagramError("fast step structure cannot mediate; build the general step")
     if lifting.base.src != struct.target:
         raise ProblemMismatch("lifting does not start at this structure's target")
-    g, fillers = lifting.base.dst, lifting.fillers
-    if fillers.dom != struct.copair.dom or fillers.cod != g.top:
+    g, fillers, cells = lifting.base.dst, lifting.fillers, struct.copaired()
+    if fillers.dom != cells.dom or fillers.cod != g.top:
         raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
-    try:
-        descended = struct.bottoms.induced(fillers)
-    except UniversalityError as exc:
-        raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
-    top = struct.po.induced(lifting.base.top, descended)
-    return CommSquare(struct.extended, g, top, lifting.base.bot)
+    bottoms = struct.bottoms
+    if bottoms is not None and bottoms.apex.size != bottoms.q.dom.size:
+        try:
+            bottoms.induced(fillers)
+        except UniversalityError as exc:
+            raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
+    legs = PushoutResult(struct.extended.top, struct.inclusion, cells)
+    return CommSquare(struct.extended, g, legs.induced(lifting.base.top, fillers), lifting.base.bot)
 
 
 def _mediate_cells(
@@ -600,8 +578,9 @@ def _classify(
     """The square ``src.extended -> dst`` with bottom ``bot`` that sends the
     inclusion of each point ``v`` of the target to ``incl_image[v]`` and the
     cell of each problem ``(gen, s0, s1)`` to the table ``cell_image(gen,
-    s0, s1)``.  The inclusion and the free entries of the cells cover the
-    extension carrier, so these determine the top table.
+    s0, s1)``.  The inclusion and the free entries of the cells, read off
+    ``problem_blocks`` and ``copaired``, cover the extension carrier, so
+    these determine the top table.
 
     This is the per-problem classification, taken when a structure
     involved is a general one: the shape has connecting squares or a
@@ -609,13 +588,15 @@ def _classify(
     top = [0] * src.size
     for v, pos in enumerate(src.inclusion.table):
         top[pos] = incl_image[v]
-    free = {name: _image_reps(u.map)[1] for name, u in src.shape.lifting_generators()}
-    for key, _, table in src.cell_tables():
-        positions = free[key[0]]
-        if positions:
-            image = cell_image(*key)
-            for b in positions:
-                top[table[b]] = image[b]
+    gens, cells, start = dict(src.shape.lifting_generators()), src.copaired().table, 0
+    for name, bottom, count, tops, bots in src.problem_blocks():
+        free, n = _image_reps(gens[name].map)[1], bottom.size
+        if free:
+            for r, (s0, s1) in enumerate(zip(_rows(tops, count), _rows(bots, count))):
+                image = cell_image(name, s0, s1)
+                for b in free:
+                    top[cells[start + r * n + b]] = image[b]
+        start += count * n
     return _square_out(src, dst, top, bot)
 
 
@@ -665,6 +646,11 @@ def _rank_column(digits: list, scale: int, offset: int) -> list:
     radix, col = digits[-1]
     radix *= scale
     return [r * radix + d * scale + offset for r, d in zip(rank, col)]
+
+
+def _rows(columns: list, count: int) -> Iterator[tuple]:
+    """The ``count`` rows of a block's columns (all empty when it has none)."""
+    return zip(*columns) if columns else itertools.repeat((), count)
 
 
 def _interleave(columns: list, n: int) -> list:
@@ -738,10 +724,12 @@ def _arrow_key(f: ArrowObject):
 class StepEngine:
     """Memoised one-step extensions over a fixed shape.
 
-    ``step`` returns the general structure (with factories, budgeted);
-    ``step_tables`` returns the structure used for cells, units and
-    classification: the fast one when ``fast_eligible`` accepts the shape,
-    the general one otherwise, whatever was built before.
+    ``step_tables`` returns the structure everything runs on: cells,
+    units, classification, and the mediator of ``oracle_kappa``.  It is
+    the fast one when ``fast_eligible`` accepts the shape, the general one
+    otherwise, whatever was built before.  ``step`` returns the general
+    structure (budgeted), which on fast shapes only the tests build, as the
+    reference the fast one is checked against.
     """
 
     def __init__(self, shape, budget: Optional[SizeBudget] = None):

@@ -3,14 +3,14 @@
 Everything here is a pure table computation over the certificate and the
 presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance.  The lift table is read as columns
-(``LiftTable``; a dict is put into columns once): the key columns of
-each generator are compared with the step's ``problem_blocks``, the
-fillers with ``beta0`` after the copaired cells, and every equation is
-checked on whole columns, with moved, inner and outer fillers found in
-the table's index of filler tables.  No problem, square or map is built
-per problem, and nothing is looked up key by key unless a block differs,
-which is then walked to name what fails.  Failures never raise — they
+hold on the nose, not up to tolerance.  A ``LiftTable`` is read as
+columns: the key columns of each generator are compared with the step's
+``problem_blocks``, the fillers with ``beta0`` after the copaired cells,
+and every equation is checked on whole columns, with moved, inner and
+outer fillers found in the table's index of filler tables.  No problem,
+square or map is built per problem, and nothing is looked up key by key
+unless a block differs, which is then walked to name what fails; any
+other mapping is walked key by key.  Failures never raise — they
 become report entries naming the violated equation and the witnessing
 element, and a filler whose boundaries do not fit its problem is a
 ``boundary`` entry — so a corrupted certificate yields a deterministic,
@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
-from .chain import FactorisationResult, LiftTable, _keys, _rows, special_algebra_routes
+from .chain import FactorisationResult, LiftTable, _keys, special_algebra_routes
 from .errors import EngineError, NonNaturalLifting, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, compose, identity
 from .step import (
@@ -43,7 +43,7 @@ from .step import (
     OneStepLifting,
     SizeBudget,
     StepEngine,
-    _image_reps,
+    _rows,
     check_listable,
     mediate,
     restrict_square,
@@ -133,9 +133,8 @@ def _entry_ok(label: str, count: int, unit: str = "instances") -> ReportEntry:
 
 
 def _columns(table: Mapping) -> Optional[LiftTable]:
-    """The lift table as columns: a ``LiftTable`` as it is, any other
-    mapping converted in its own order (None when it does not fit)."""
-    return table if isinstance(table, LiftTable) else LiftTable.from_items(list(table.items()))
+    """The lift table as columns, or None when it is some other mapping."""
+    return table if isinstance(table, LiftTable) else None
 
 
 def _filler_tables(table: Mapping, cols: Optional[LiftTable]) -> dict:
@@ -150,7 +149,7 @@ def _lift_table_problem(cert: Certificate) -> Optional[str]:
     a filler whose domain is not the bottom of the generator its key names
     (keys naming no generator are surplus, reported by ``check_compat``).
     On columns each check is one test per run; a walk runs only to name
-    the first bad key, or on a mapping that does not fit columns."""
+    the first bad key, or on any other mapping."""
     table, top = cert.lift_table, cert.right.top
     cols = _columns(table)
     if cols is None:
@@ -340,9 +339,9 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
     each aligned with its filler in the table; every equation is checked
     on whole columns, and moved, inner and outer fillers are found in the
     table's index of filler tables.  A block is walked problem by problem
-    only to name what fails in it.  A filler whose boundaries do not fit
-    its problem is a ``boundary`` failure, so the passes index only tables
-    that fit."""
+    only to name what fails in it, or when the table is not a
+    ``LiftTable``.  A filler whose boundaries do not fit its problem is a
+    ``boundary`` failure, so the passes index only tables that fit."""
     entries = [ReportEntry("boundary", False, b) for b in _boundary_problems(cert)]
     if entries:
         return Report("check-compat", tuple(entries))
@@ -450,10 +449,7 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
 
 def verify_certificate(cert: Certificate, budget: Optional[SizeBudget] = None) -> Report:
     """The full deterministic suite: algebra laws plus compatibilities, on
-    one step, with a mapping lift table put into columns once."""
-    cols = _columns(cert.lift_table)
-    if cols is not None:
-        cert = replace(cert, lift_table=cols)
+    one step."""
     engines = None if _boundary_problems(cert) else _engines(cert, budget)
     reports = [check_algebra(cert, budget, engines), check_compat(cert, budget, engines)]
     return Report.merged("verify", reports)
@@ -497,17 +493,20 @@ def _count_commuting_squares(src: ArrowObject, dst: ArrowObject) -> int:
 
 
 def _problem_free_positions(struct) -> list:
-    """Every lifting problem of the structure, in ``problem_list`` order, as
-    (problem, generator realisation, free filler positions)."""
-    free = {name: _image_reps(u.map)[1] for name, u in struct.shape.lifting_generators()}
-    return [(p, p.square.src, free[p.gen]) for p in struct.problem_list]
+    """Every lifting problem of the structure, in canonical order, as (top
+    table, bottom table, generator realisation, free filler positions)."""
+    gens, out = dict(struct.shape.lifting_generators()), []
+    for name, _, count, tops, bots in struct.problem_blocks():
+        u = gens[name]
+        free = sorted(set(range(u.bot.size)).difference(u.map.table))
+        out += [(s0, s1, u, free) for s0, s1 in zip(_rows(tops, count), _rows(bots, count))]
+    return out
 
 
 def _count_liftings(problems, base: CommSquare, fib_sizes) -> int:
     total = 1
     bt = base.bot.table
-    for p, _u, free in problems:
-        s1 = p.square.bot.table
+    for _s0, s1, _u, free in problems:
         for b in free:
             total *= fib_sizes[bt[s1[b]]]
             if total == 0:
@@ -521,8 +520,8 @@ def _filler_template(problems, base: CommSquare) -> tuple[list, list]:
     as (position, bottom point of ``g`` it must lie over)."""
     bt, bb = base.top.table, base.bot.table
     table, slots = [], []
-    for p, u, free in problems:
-        s0, s1, start = p.square.top.table, p.square.bot.table, len(table)
+    for s0, s1, u, free in problems:
+        start = len(table)
         table.extend([None] * u.bot.size)
         for a, b in enumerate(u.map.table):
             table[start + b] = bt[s0[a]]
@@ -585,10 +584,12 @@ def oracle_kappa(
     """Check that squares out of the one-step extension of ``f`` into ``g``
     correspond exactly to lifting structures on ``f`` over ``g``.
 
-    A lifting is a base square and one flat filler table over ∐ₚ Bₚ, in the
-    structure's problem order; with connecting squares the natural ones are
-    those ``mediate`` accepts.  Cardinalities are always compared exactly
-    (big-integer products over fibres).  When both sides fit under
+    Both sides go through the step the engine uses (``step_tables``), whose
+    problems are listed within the budget.  A lifting is a base square and
+    one flat filler table over ∐ₚ Bₚ, in the structure's problem order;
+    with connecting squares the natural ones are those ``mediate`` accepts.
+    Cardinalities are always compared exactly (big-integer products over
+    fibres).  When both sides fit under
     ``LIST_CAP`` the bijection is checked exhaustively, one pass per side:
     each lifting is mediated once and filed by its tables, then each square
     is restricted once and must find the lifting that mediates to it.
@@ -602,7 +603,8 @@ def oracle_kappa(
                 f"oracle carrier size {size} exceeds the configured bound {bound}"
             )
     engine = StepEngine(pres, budget)
-    struct = engine.step(f)
+    struct = engine.step_tables(f)
+    struct.check_listable(engine.budget, "oracle kappa")
     fib = _fibres(g)
     fib_sizes = [len(c) for c in fib]
     problems = _problem_free_positions(struct)

@@ -3,7 +3,7 @@
 ``extract`` returns a ``LiftTable``: every filler held in one checked map,
 ``beta0`` after the copaired cells, sliced out on demand.  The reference
 below is the dictionary ``extract`` built before, one checked map per
-problem read off the step's cell tables.  The two must agree in key order,
+problem read off the problem's cell.  The two must agree in key order,
 length, lookups, unknown keys and the certificate bytes, on fast and general
 structures in both modes, including generators with an empty bottom,
 generators with no problems and an empty table.  Path guards count the
@@ -30,7 +30,7 @@ from awfskit.arrows import CommSquare
 from awfskit.chain import FactorisationResult, LiftTable, extract, factorise, run_chain, solve_lift
 from awfskit.cli import main as cli_main
 from awfskit.errors import NotStabilised, ProblemMismatch, SizeBudgetExceeded
-from awfskit.finset import FinSet, FiniteMap
+from awfskit.finset import FinSet, FiniteMap, compose
 from awfskit.presentation import PlainPresentation
 from awfskit.serialize import (
     decode_certificate,
@@ -40,7 +40,7 @@ from awfskit.serialize import (
     parse_text,
     read_json,
 )
-from awfskit.step import LiftingProblem, SizeBudget, StepStructure
+from awfskit.step import LiftingProblem, SizeBudget, StepStructure, enumerate_problems
 from awfskit.verify import Certificate, verify_certificate
 
 from fixture_lib import (
@@ -63,12 +63,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def reference_table(result: FactorisationResult) -> dict:
     """The lift table as ``extract`` built it one problem at a time: a
-    checked map per problem, ``beta0`` after the problem's cell table."""
+    checked map per problem, ``beta0`` after the problem's cell."""
     st = result.trace.engine.step_tables(result.right)
-    b0 = result.beta0.table.__getitem__
     return {
-        key: FiniteMap(bot, result.beta0.cod, tuple(map(b0, ct)))
-        for key, bot, ct in st.cell_tables()
+        p.key: compose(result.beta0, st.cell(p.key))
+        for name, u in result.trace.shape.lifting_generators()
+        for p in enumerate_problems(name, u, result.right)
     }
 
 
@@ -182,7 +182,8 @@ def test_lift_table_matches_per_filler_reference(make, mode):
 ], ids=lambda v: getattr(v, "__name__", str(v)))
 def test_both_kinds_of_structure_are_covered(make, mode, general):
     result = factorise(make(), f_0to1(), mode=mode, max_stage=4)
-    assert result.trace.engine.step_tables(result.right).has_factories == general
+    # only general steps carry the quotient of the problems' bottoms
+    assert (result.trace.engine.step_tables(result.right).bottoms is not None) == general
 
 
 class TestEdgeCases:

@@ -1,6 +1,11 @@
 """Tests for presentation validation and the composable-pairs derivation."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -436,6 +441,55 @@ def test_vertical_square_checks_skip_squares_with_faults():
     assert ("unknown-reference", "vertical composite of squares (1_ea, t) = t") in [
         (v.axiom, v.witness) for v in report.violations
     ]
+
+
+def _functor_fault_pres() -> DoubleCatPresentation:
+    """Two parallel squares ``s`` and ``t`` next to the identity square
+    ``eh`` of ``h``, whose vertical composites break functoriality over
+    horizontal composition in four ways."""
+    bound = {"eh": ("ex", "ex"), "s": ("v", "v"), "t": ("v", "v")}
+    return DoubleCatPresentation.build(
+        objects={"x": 1},
+        harrows=[("h", "x", "x", [0])],
+        hcomp=[("h", "h", "h")],
+        varrows=[("ex", "x", "x", [0]), ("v", "x", "x", [0])],
+        vid={"x": "ex"},
+        vcomp=[("v", "v", "v")],
+        squares=[(n, src, dst, "h", "h") for n, (src, dst) in bound.items()],
+        square_comp=[("eh", "eh", "eh"), ("s", "s", "s"), ("s", "t", "t"), ("t", "s", "t"),
+                     ("t", "t", "s")],
+        square_vcomp=[("eh", "eh", "eh"), ("eh", "s", "t"), ("eh", "t", "t"), ("s", "eh", "s"),
+                      ("s", "s", "s"), ("s", "t", "t"), ("t", "eh", "t"), ("t", "s", "t"),
+                      ("t", "t", "s")],
+    )
+
+
+FUNCTOR_FAULTS = [("vertical-composition-functor", w) for w in (
+    "((eh, s), (eh, s))", "((eh, s), (eh, t))", "((eh, t), (eh, s))", "((eh, t), (eh, t))")]
+
+
+def test_functoriality_faults_are_listed_in_pair_order():
+    assert [(v.axiom, v.witness) for v in _functor_fault_pres().validate().violations] == (
+        FUNCTOR_FAULTS)
+
+
+def test_validate_report_does_not_depend_on_string_hashing():
+    """Under two hash seeds that order a set of the square pairs differently,
+    ``validate`` lists the same violations in the same order."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]))
+    code = ("import json, test_presentation as t; print(json.dumps([[v.axiom, v.witness] "
+            "for v in t._functor_fault_pres().validate().violations]))")
+    reports = []
+    for hash_seed in ("1", "3"):
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**env, "PYTHONHASHSEED": hash_seed}, timeout=60)
+        assert run.returncode == 0, run.stderr
+        reports.append(run.stdout)
+    assert reports[0] == reports[1]
+    assert [tuple(v) for v in json.loads(reports[0])] == FUNCTOR_FAULTS
 
 
 def test_square_with_wrong_boundary_is_reported_not_raised():

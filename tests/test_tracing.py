@@ -7,7 +7,8 @@ every traced benchmark run, so this test installs the tracer, requires
 that nothing is missing, and checks that uninstalling puts the
 originals back.  A name that is still found but no longer on the path
 the program takes would read zero just as silently, so a general step's
-spans must also record calls.
+spans must also record calls, and so must the mediator's when the kappa
+oracle runs on a fast step.
 """
 
 import importlib
@@ -48,11 +49,15 @@ def test_general_step_spans_are_on_the_production_path(tracing):
     tracer = tracing.Tracer().install()
     try:
         assert tracer.missing == []
-        # a connecting square sends factor through the general step; the
-        # kappa oracle always builds it
+        # a connecting square sends factor through the general step
         chain.factorise(two_gen_plain_pres(), ArrowObject(f_3to2()), max_stage=3)
+        general = tracer.calls["step.general_step"]
+        # the kappa oracle mediates and restricts on the fast step of a
+        # shape without squares, and builds no general step
         verify.oracle_kappa(plain_split_epi_pres(), ArrowObject(f_1to1()), ArrowObject(f_1to1()))
     finally:
         tracer.uninstall()
-    for name in ("arrows.colimit", "finset.coequalise", "finset.induced", "step.general_step"):
+    for name in ("arrows.colimit", "finset.coequalise", "finset.induced", "step.general_step",
+                 "step.mediate", "step.restrict"):
         assert tracer.calls[name] > 0, name
+    assert tracer.calls["step.general_step"] == general

@@ -27,12 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from awfskit import step as step_module
 from awfskit import verify
 from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
-from awfskit.chain import factorise, special_algebra_routes
+from awfskit.chain import LiftTable, factorise, special_algebra_routes
 from awfskit.errors import DiagramError, NotStabilised, SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap, compose, identity
-from awfskit.serialize import dumps
+from awfskit.serialize import decode_certificate, dumps, encode_certificate, parse_text
 from awfskit.step import (
     DoubleEngine,
     OneStepLifting,
@@ -193,6 +194,21 @@ class TestMutationSensitivity:
                     undetected.append(f"{name}:{desc}")
         assert total >= 200, f"corpus too small: {total}"
         assert undetected == []
+
+    def test_dict_table_reports_as_its_decoded_columns(self, certs):
+        """A dict lift table is walked key by key; the certificate decoded
+        from its encoding holds columns.  Both get the same report."""
+        checked = 0
+        for _, cert in certs.items():
+            for desc, mutant in _mutants(cert):
+                decoded = decode_certificate(parse_text(dumps(encode_certificate(mutant))),
+                                             mutant.pres)
+                assert isinstance(mutant.lift_table, dict)
+                assert isinstance(decoded.lift_table, LiftTable), desc
+                assert dumps(verify_certificate(mutant).to_payload()) == dumps(
+                    verify_certificate(decoded).to_payload()), desc
+                checked += 1
+        assert checked >= 200
 
     def test_specific_labels(self, certs):
         cert = certs["plain"]
@@ -656,6 +672,24 @@ class TestOracleKappa:
         assert report.ok
         details = {e.label: e.detail for e in report.entries}
         assert "sampled" in details["two-sided-inverse"]
+
+    def test_general_step_is_built_only_for_shapes_that_need_it(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("general step built")
+
+        monkeypatch.setattr(step_module, "step", refuse)
+        assert oracle_kappa(abc_pres(), arr(1, 2, [0]), arr(2, 1, [0, 0])).ok
+        assert oracle_kappa(split_epi_pres(), arr(2, 1, [0, 0]), arr(2, 1, [0, 0])).ok
+        with pytest.raises(AssertionError, match="general step built"):
+            oracle_kappa(two_gen_plain_pres(), arr(1, 1, [0]), arr(1, 1, [0]))
+
+    def test_budget_counts_every_listed_problem(self):
+        # e0, e1 and j have 1, 2 and 1 problems on 2 -> 1; only j adjoins a cell
+        f = arr(2, 1, [0, 0])
+        assert oracle_kappa(split_epi_pres(), f, f, budget=SizeBudget(max_problems=4)).ok
+        with pytest.raises(SizeBudgetExceeded) as exc:
+            oracle_kappa(split_epi_pres(), f, f, budget=SizeBudget(max_problems=3))
+        assert str(exc.value) == "oracle kappa lists 4 problems, budget allows 3"
 
     def test_square_presentations_enumerate_with_naturality(self):
         report = oracle_kappa(two_gen_plain_pres(), arr(1, 1, [0]), arr(1, 1, [0]))

@@ -13,8 +13,10 @@ Two presentation kinds drive the factorisation engine:
 Both kinds expose the view consumed by the one-step construction:
 ``lifting_generators()`` (named arrow objects) and ``lifting_squares()``
 (named connecting squares between them).  ``composable_pairs`` derives
-the category of vertically composable pairs, which exposes the same view
-and additionally records which vertical arrow each pair composes to.
+the shape of the free pair extension, which exposes the same view: one
+generator per vertically composable pair, realised through the arrow it
+composes to, and no connecting squares (``DoubleEngine`` says why none
+are needed).
 
 Identity horizontal arrows, identity squares, and composites involving
 them are implied rather than listed; they use the reserved name prefix
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
 from .errors import CompositionError, InvalidPresentation
@@ -604,11 +606,6 @@ class DoubleCatPresentation(_Validated):
         v = self._varrow
         return abot == btop and (v[asrc].vcod, v[adst].vcod) == (v[bsrc].vdom, v[bdst].vdom)
 
-    def _j2_square_pairs(self, names: Sequence[str]) -> list[tuple[str, str]]:
-        """All vertically composable pairs of ``names`` but pairs of identity squares."""
-        return [(a, b) for a in names for b in names
-                if not (is_id_name(a) and is_id_name(b)) and self._vcomposable(a, b)]
-
     # --- validation ---
 
     def validate(self) -> ValidationReport:
@@ -714,7 +711,9 @@ class DoubleCatPresentation(_Validated):
                     expected = vtable.get((a[len(ID_PREFIX):], b[len(ID_PREFIX):]))
                     if expected is not None and r != id_name(expected):
                         bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
-            pairs_sq = self._j2_square_pairs(sq_wf)
+            # every vertically composable pair but pairs of identity squares
+            pairs_sq = [(a, b) for a in sq_wf for b in sq_wf
+                        if not (is_id_name(a) and is_id_name(b)) and self._vcomposable(a, b)]
             for a, b in pairs_sq:
                 try:
                     r = self.square_vcompose(a, b)
@@ -731,13 +730,15 @@ class DoubleCatPresentation(_Validated):
                     continue  # a hole in the vertical table, reported there
                 if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
                     bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
-            # functoriality over composition of square pairs, in list order
+            # functoriality over composition of square pairs, in list order;
+            # the pairs that can follow (a, b) are those starting at its ends
             pair_list = pairs_sq + [(id_name(f), id_name(g)) for f, g in vtable]
             ends = {n: self.square_boundary(n)[:2] for pair in pair_list for n in pair}
+            starting: dict[tuple[str, str], list[tuple[str, str]]] = {}
+            for c, d in pair_list:
+                starting.setdefault((ends[c][0], ends[d][0]), []).append((c, d))
             for a, b in pair_list:
-                for c, d in pair_list:
-                    if ends[a][1] != ends[c][0] or ends[b][1] != ends[d][0]:
-                        continue
+                for c, d in starting.get((ends[a][1], ends[b][1]), ()):
                     try:
                         ac = j1.composite(a, c)
                         bd = j1.composite(b, d)
@@ -800,32 +801,11 @@ class DoubleCatPresentation(_Validated):
 
     def composable_pairs(self) -> "ComposablePairs":
         self.ensure_valid()
-        pairs = []
-        for left in self.varrows:
-            for right in self.varrows:
-                if left.vcod == right.vdom:
-                    pairs.append(
-                        PairGen(
-                            pair_name(left.name, right.name),
-                            left.name,
-                            right.name,
-                            self.vcompose(left.name, right.name),
-                        )
-                    )
-        squares = []
-        names = [id_name(v.name) for v in self.varrows] + [s.name for s in self.squares]
-        for a, b in self._j2_square_pairs(names):
-            asrc, adst, atop, _ = self.square_boundary(a)
-            bsrc, bdst, _, bbot = self.square_boundary(b)
-            src, dst = pair_name(asrc, bsrc), pair_name(adst, bdst)
-            cs = CommSquare(
-                self.uarrow(self.vcompose(asrc, bsrc)),
-                self.uarrow(self.vcompose(adst, bdst)),
-                self.hmap(atop),
-                self.hmap(bbot),
-            )
-            squares.append((pair_name(a, b), src, dst, cs))
-        return ComposablePairs(self, pairs, squares)
+        return ComposablePairs(self, [
+            PairGen(pair_name(left.name, right.name), left.name, right.name,
+                    self.vcompose(left.name, right.name))
+            for left in self.varrows for right in self.varrows if left.vcod == right.vdom
+        ])
 
 
 @dataclass(frozen=True)
@@ -840,12 +820,12 @@ class PairGen:
 
 @dataclass
 class ComposablePairs:
-    """The category of vertically composable pairs, realised through the
-    composite of each pair; exposes the same view as a presentation."""
+    """The free pair extension's shape: one generator per vertically
+    composable pair, realised through the pair's composite, and no
+    connecting squares; exposes the same view as a presentation."""
 
     base: DoubleCatPresentation
     pairs: list[PairGen]
-    pair_squares: list[tuple[str, str, str, CommSquare]]
 
     kind: ClassVar[str] = "pairs"
 
@@ -859,4 +839,4 @@ class ComposablePairs:
         return [(p.name, self.base.uarrow(p.composite)) for p in self.pairs]
 
     def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
-        return list(self.pair_squares)
+        return []

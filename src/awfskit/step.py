@@ -11,7 +11,8 @@ and ``lifting_squares``) and a target map ``f``, this module builds:
   square ``f -> Tf``, the inclusion of the domain carrier, and the
   adjoined cell of every lifting problem,
 * the functorial action on squares, and the two comparison squares that
-  relate the pair-indexed extension to the plain one.
+  relate the free pair extension (one block of cells per problem of each
+  composable pair, and no connecting squares) to the plain one.
 
 Two step constructions produce identical tables, and ``fast_eligible``
 picks one from the shape alone.  When the shape has no connecting squares
@@ -766,9 +767,10 @@ class StepEngine:
 
 class DoubleEngine:
     """Step engines over a double presentation: ``single``, indexed by the
-    presentation's generators and squares, and ``paired``, indexed by its
-    composable pairs, with the comparison squares between the extensions
-    they generate.  Each comparison is built one way, by classification;
+    presentation's generators and squares, and ``paired``, the free pair
+    extension, indexed by its composable pairs with no connecting squares,
+    with the comparison squares between the extensions they generate.
+    Each comparison is built one way, by classification;
     ``compose_mediated`` and ``iterate_mediated`` are the cross-checks."""
 
     def __init__(self, pres, budget: Optional[SizeBudget] = None):
@@ -776,6 +778,11 @@ class DoubleEngine:
         self.pres = pres
         self.pairs = pres.composable_pairs()
         self.single = StepEngine(pres, budget)
+        # The pair extension is only the domain of squares that are
+        # coequalised (the composition fork) or compared (the special law).
+        # Stacked squares would identify cells of this free extension P̃, by
+        # a surjection π: P̃ -> P onto a quotient; coeq(u, v) = coeq(u∘π, v∘π)
+        # and u = v exactly when u∘π = v∘π, so they change no table.
         self.paired = StepEngine(self.pairs, budget)
         self._right_tables = {
             p.name: pres.uarrow(p.right).map.table for p in self.pairs.pairs

@@ -7,18 +7,32 @@ square and target problem (each built by ``square_compose``), the
 pointwise colimit over one vertex per problem (and the initial arrow) with
 its counit, and the pushout along the counit.  The differential test in
 ``test_step.py`` compares the two on fixtures and random shapes.
+
+It also keeps the pair shape of a double presentation as the engine built
+it before it took the free pair extension: the composable pairs connected
+by one square per vertically stacked pair of squares (``pair_squares``).
+``reference_double_engine`` runs special mode on it, the reference of the
+differential in ``test_pair_squares.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow, square_compose
 from awfskit.errors import SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
-from awfskit.step import LiftingProblem, SizeBudget, count_problems_bound, enumerate_problems
+from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
+from awfskit.step import (
+    DoubleEngine,
+    LiftingProblem,
+    SizeBudget,
+    StepEngine,
+    count_problems_bound,
+    enumerate_problems,
+)
 
 
 @dataclass
@@ -115,3 +129,57 @@ def reference_step(shape, target: ArrowObject,
              for p, leg, end in zip(density.comma.problems, bot.legs, ends)}
     return ReferenceStep(density, po, po.left, extended, unit,
                          QuotientResult(bot.apex, bot.q), copair, cells)
+
+
+@dataclass
+class PairsWithSquares(ComposablePairs):
+    """The composable pairs connected by the pair squares."""
+
+    pair_squares: list = field(default_factory=list)
+
+    def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
+        return list(self.pair_squares)
+
+
+def pairs_with_squares(pres) -> PairsWithSquares:
+    """The pair shape of ``pres``, with a square for every vertically
+    composable pair of squares but pairs of identity squares: the body of
+    ``DoubleCatPresentation.composable_pairs`` before the engine took the
+    free pair extension, with ``pres`` for ``self``."""
+    pres.ensure_valid()
+    pairs = []
+    for left in pres.varrows:
+        for right in pres.varrows:
+            if left.vcod == right.vdom:
+                pairs.append(
+                    PairGen(
+                        pair_name(left.name, right.name),
+                        left.name,
+                        right.name,
+                        pres.vcompose(left.name, right.name),
+                    )
+                )
+    squares = []
+    names = [id_name(v.name) for v in pres.varrows] + [s.name for s in pres.squares]
+    for a, b in [(a, b) for a in names for b in names
+                 if not (is_id_name(a) and is_id_name(b)) and pres._vcomposable(a, b)]:
+        asrc, adst, atop, _ = pres.square_boundary(a)
+        bsrc, bdst, _, bbot = pres.square_boundary(b)
+        src, dst = pair_name(asrc, bsrc), pair_name(adst, bdst)
+        cs = CommSquare(
+            pres.uarrow(pres.vcompose(asrc, bsrc)),
+            pres.uarrow(pres.vcompose(adst, bdst)),
+            pres.hmap(atop),
+            pres.hmap(bbot),
+        )
+        squares.append((pair_name(a, b), src, dst, cs))
+    return PairsWithSquares(pres, pairs, squares)
+
+
+def reference_double_engine(pres, budget: Optional[SizeBudget] = None) -> DoubleEngine:
+    """A ``DoubleEngine`` whose pair step runs on ``pairs_with_squares``."""
+    dengine = DoubleEngine(pres, budget)
+    dengine.pairs = pairs_with_squares(pres)
+    dengine.paired = StepEngine(dengine.pairs, budget)
+    dengine._right_tables = {p.name: pres.uarrow(p.right).map.table for p in dengine.pairs.pairs}
+    return dengine

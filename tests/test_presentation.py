@@ -18,7 +18,17 @@ from awfskit.presentation import (
     PlainPresentation,
     RawMap,
 )
-from fixture_lib import abc_pres, composite_pres, split_epi_pres, two_gen_plain_pres
+from awfskit.serialize import encode_presentation, read_json
+
+from fixture_lib import (
+    abc_pres,
+    composite_pres,
+    split_epi_pres,
+    two_gen_plain_pres,
+    uniform_monos_pres,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +174,16 @@ def test_composite_fixture_is_valid():
     assert report.ok, report.summary()
 
 
+def test_uniform_monos_fixture_is_the_builders_encoding():
+    pres = uniform_monos_pres(2)
+    assert read_json(str(FIXTURES / "gen_uniform2.json")) == encode_presentation(pres)
+    report = pres.validate()
+    assert report.ok, report.summary()
+    counts = [len(t) for t in (pres.harrows, pres.varrows, pres.squares, pres.square_comp,
+                               pres.square_vcomp, pres.composable_pairs().pairs)]
+    assert counts == [8, 8, 45, 276, 188, 19]
+
+
 def test_empty_presentation_is_valid():
     pres = DoubleCatPresentation.build(objects={})
     assert pres.validate().ok
@@ -183,7 +203,7 @@ def test_split_epi_composable_pairs_frozen():
         ("e1*e1", "e1"),
         ("j*e1", "j"),
     ]
-    assert pairs.pair_squares == []
+    assert pairs.lifting_squares() == []
     gens = pairs.lifting_generators()
     assert dict(gens)["e0*j"].bot.size == 1
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import CompositionError, DiagramError, UniversalityError
@@ -80,6 +80,14 @@ class FiniteMap:
         return f"FiniteMap({self.dom.size}->{self.cod.size}, {list(self.table)})"
 
 
+def _gather(table: Sequence, positions: Sequence[int]) -> tuple:
+    """``table`` at each of ``positions``: ``itemgetter`` is about four times as
+    fast as ``map`` over a tuple's ``__getitem__``, but copies the positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)(table)
+    return tuple(map(table.__getitem__, positions))
+
+
 def identity(s: FinSet) -> FiniteMap:
     return FiniteMap(s, s, tuple(range(s.size)))
 
@@ -135,6 +143,11 @@ def _quotient_table(n: int, merges: Iterable[tuple[int, int]]) -> tuple[int, tup
     return labels[n], tuple(map(labels.__getitem__, parent))
 
 
+# the faults of the two mediators, also raised by the table kernels of ``step``
+_NOT_COEQUALISED = "map does not coequalise: elements of class {cls} disagree ({first} vs {other})"
+_NOT_COMMUTING = "cospan does not commute with the pushout identifications"
+
+
 def _mediate(size: int, pairs: Iterable[tuple[Sequence[int], Sequence[int]]], message: str) -> tuple:
     """The table u on {0, .., size-1} with u[leg[x]] == h[x] for every ``(leg,
     h)`` in ``pairs``; unreached classes get -1, which ``FiniteMap`` rejects.
@@ -162,8 +175,8 @@ class QuotientResult:
         """The unique map u with u . q = h; h must be constant on classes."""
         if h.dom != self.q.dom:
             raise DiagramError("mediating input must start at the quotiented carrier")
-        message = "map does not coequalise: elements of class {cls} disagree ({first} vs {other})"
-        return FiniteMap(self.apex, h.cod, _mediate(self.apex.size, [(self.q.table, h.table)], message))
+        table = _mediate(self.apex.size, [(self.q.table, h.table)], _NOT_COEQUALISED)
+        return FiniteMap(self.apex, h.cod, table)
 
 
 def joint_coequalizer(
@@ -213,8 +226,7 @@ class PushoutResult:
         if u.dom != self.left.dom or v.dom != self.right.dom:
             raise DiagramError("mediating cospan does not match the pushout feet")
         pairs = [(self.left.table, u.table), (self.right.table, v.table)]
-        message = "cospan does not commute with the pushout identifications"
-        return FiniteMap(self.apex, u.cod, _mediate(self.apex.size, pairs, message))
+        return FiniteMap(self.apex, u.cod, _mediate(self.apex.size, pairs, _NOT_COMMUTING))
 
 
 def pushout(f: FiniteMap, g: FiniteMap) -> PushoutResult:

@@ -37,10 +37,11 @@ The universal-property mediator (``mediate`` and ``restrict_square``) and
 the constructions built on it (``extend_square``, ``compose_mediated``,
 ``iterate_mediated``) compute the same squares through the universal
 property; no production path calls them.  They are kept as an independent
-cross-check for the tests and for ``oracle_kappa``, which mediates each
-lifting once and restricts each square once, on fast and general steps
-alike.  A lifting is one map out of the coproduct ∐ₚ Bₚ of the problems'
-bottoms, read against the copaired cells, so each call builds one map.
+cross-check, on fast and general steps alike.  A lifting is one map out of
+the coproduct ∐ₚ Bₚ of the problems' bottoms, read against the copaired
+cells.  ``mediate`` and ``restrict_square`` wrap two table kernels,
+``_mediated_top`` and ``_restricted``, which ``oracle_kappa`` runs on raw
+tables in its exhaustive branch.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from .errors import (
     SizeBudgetExceeded,
     UniversalityError,
 )
-from .finset import FinSet, FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
+from .finset import (_NOT_COEQUALISED, _NOT_COMMUTING, FinSet, FiniteMap, QuotientResult,
+                     _gather, _mediate, compose, identity, pushout)
 
 
 # ---------------------------------------------------------------------------
@@ -475,36 +477,49 @@ def restrict_square(struct: StepStructure, t: CommSquare) -> OneStepLifting:
     after the unit, and ``t.top`` after the copairing ∐ₚ Bₚ -> Tf of the cells."""
     if t.src != struct.extended:
         raise DiagramError("square does not start at this extension")
-    return OneStepLifting(square_compose(t, struct.unit), compose(t.top, struct.copaired()))
+    top, fillers = _restricted(struct, t.top.table)
+    base = CommSquare(struct.target, t.dst, FiniteMap(struct.target.top, t.dst.top, top), t.bot)
+    return OneStepLifting(base, FiniteMap(struct.copaired().dom, t.dst.top, fillers))
+
+
+def _restricted(struct: StepStructure, top: tuple) -> tuple[tuple, tuple]:
+    """The kernel of ``restrict_square``: the top table of a square after the
+    inclusion, and after the copaired cells."""
+    return _gather(top, struct.inclusion.table), _gather(top, struct.copaired().table)
 
 
 def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
-    """The unique square ``Tf -> g`` classifying ``lifting``.
-
-    Built constructively: when connecting squares merge problem bottoms,
-    the fillers, one map out of ∐ₚ Bₚ, must descend through their quotient
-    ``bottoms`` (failure means they are not natural across the squares);
-    then the top is the map out of the extension carrier, the pushout of
-    the inclusion and the copaired cells, induced by the base's top and
-    the fillers.  The factories re-verify their defining equations, so an
-    inconsistent lifting cannot slip through.  The engine builds its
-    squares by classification instead; this is the independent
-    construction that ``oracle_kappa`` and the tests check the
-    classification against.
-    """
+    """The unique square ``Tf -> g`` classifying ``lifting``, its top built by
+    ``_mediated_top``.  The engine builds its squares by classification
+    instead; this is the independent construction the tests check it against."""
     if lifting.base.src != struct.target:
         raise ProblemMismatch("lifting does not start at this structure's target")
-    g, fillers, cells = lifting.base.dst, lifting.fillers, struct.copaired()
-    if fillers.dom != cells.dom or fillers.cod != g.top:
+    g, fillers = lifting.base.dst, lifting.fillers
+    if fillers.dom != struct.copaired().dom or fillers.cod != g.top:
         raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
+    top = _mediated_top(struct, lifting.base.top.table, fillers.table, g.top.size)
+    return CommSquare(struct.extended, g, FiniteMap(struct.extended.top, g.top, top),
+                      lifting.base.bot)
+
+
+def _mediated_top(struct: StepStructure, base_top: tuple, fillers: tuple, cod_size: int) -> tuple:
+    """The kernel of ``mediate``: the top table, into ``cod_size`` points, of
+    the square out of the extension that sends the inclusion to ``base_top``
+    and the copaired cells to ``fillers``.  The fillers descend through
+    ``bottoms`` (else ``NonNaturalLifting``), the pushout of the inclusion
+    and the cells induces the top (else ``UniversalityError``), and every
+    point must land in range, as ``FiniteMap`` checks (else ``DiagramError``)."""
     bottoms = struct.bottoms
     if bottoms is not None and bottoms.apex.size != bottoms.q.dom.size:
         try:
-            bottoms.induced(fillers)
+            _mediate(bottoms.apex.size, [(bottoms.q.table, fillers)], _NOT_COEQUALISED)
         except UniversalityError as exc:
             raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
-    legs = PushoutResult(struct.extended.top, struct.inclusion, cells)
-    return CommSquare(struct.extended, g, legs.induced(lifting.base.top, fillers), lifting.base.bot)
+    legs = [(struct.inclusion.table, base_top), (struct.copaired().table, fillers)]
+    top = _mediate(struct.size, legs, _NOT_COMMUTING)
+    if top and not (0 <= min(top) and max(top) < cod_size):
+        FiniteMap(FinSet(len(top)), FinSet(cod_size), top)  # raises, naming the first bad entry
+    return top
 
 
 def _mediate_cells(

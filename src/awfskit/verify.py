@@ -21,8 +21,9 @@ through the engine's own construction: ``oracle_kappa`` enumerates (or
 counts, with exact big-integer arithmetic, when enumeration is beyond
 reach) commuting squares out of the one-step extension and lifting
 structures on the original arrow, and confirms they correspond one to
-one; ``oracle_initiality`` confirms the extracted algebra maps uniquely
-into any supplied algebra under any boundary square.
+one, on raw tables through the kernels that ``mediate`` and
+``restrict_square`` wrap; ``oracle_initiality`` confirms the extracted
+algebra maps uniquely into any supplied algebra under any boundary square.
 """
 
 from __future__ import annotations
@@ -32,17 +33,20 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
 from .chain import FactorisationResult, LiftTable, _keys, special_algebra_routes
-from .errors import EngineError, NonNaturalLifting, SizeBudgetExceeded
-from .finset import FinSet, FiniteMap, compose, identity
+from .errors import DiagramError, EngineError, NonNaturalLifting, ProblemMismatch, SizeBudgetExceeded
+from .finset import FinSet, FiniteMap, _gather, compose, identity
 from .step import (
     DoubleEngine,
     OneStepLifting,
     SizeBudget,
     StepEngine,
+    _mediated_top,
+    _restricted,
     _rows,
     check_listable,
     mediate,
@@ -466,15 +470,19 @@ def _fibres(g: ArrowObject) -> list:
     return out
 
 
-def _commuting_squares(src: ArrowObject, dst: ArrowObject):
-    """All squares src -> dst, bottom-major lexicographic order."""
+def _square_tables(src: ArrowObject, dst: ArrowObject):
+    """Top and bottom tables of all squares src -> dst, bottom-major lexicographic order."""
     fib = _fibres(dst)
     for bot in itertools.product(range(dst.bot.size), repeat=src.bot.size):
-        choices = [fib[bot[src.map.table[x]]] for x in range(src.top.size)]
-        if any(not c for c in choices):
-            continue
+        for top in itertools.product(*[fib[bot[w]] for w in src.map.table]):
+            yield top, bot
+
+
+def _commuting_squares(src: ArrowObject, dst: ArrowObject):
+    """All squares src -> dst, in the order of ``_square_tables``."""
+    for bot, squares in itertools.groupby(_square_tables(src, dst), key=itemgetter(1)):
         bot_map = FiniteMap(src.bot, dst.bot, bot)
-        for top in itertools.product(*choices):
+        for top, _ in squares:
             yield CommSquare(src, dst, FiniteMap(src.top, dst.top, top), bot_map)
 
 
@@ -529,14 +537,20 @@ def _filler_template(problems, base: CommSquare) -> tuple[list, list]:
     return table, slots
 
 
-def _enumerate_liftings(problems, base: CommSquare, fib, g: ArrowObject):
-    """All lifting structures over a fixed base square, canonical order."""
+def _lifting_tables(problems, base: CommSquare, fib):
+    """The filler table of each lifting over a fixed base square, canonical order."""
     table, slots = _filler_template(problems, base)
-    dom, positions = FinSet(len(table)), [pos for pos, _ in slots]
+    positions = [pos for pos, _ in slots]
     for combo in itertools.product(*[fib[w] for _, w in slots]):
         for pos, v in zip(positions, combo):
             table[pos] = v
-        yield OneStepLifting(base, FiniteMap(dom, g.top, tuple(table)))
+        yield tuple(table)
+
+
+def _enumerate_liftings(problems, base: CommSquare, fib, g: ArrowObject):
+    """All lifting structures over a fixed base square, canonical order."""
+    for table in _lifting_tables(problems, base, fib):
+        yield OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, table))
 
 
 def _random_lifting(rng, problems, bases, fib, g: ArrowObject):
@@ -589,13 +603,14 @@ def oracle_kappa(
     one flat filler table over ∐ₚ Bₚ, in the structure's problem order;
     with connecting squares the natural ones are those ``mediate`` accepts.
     Cardinalities are always compared exactly (big-integer products over
-    fibres).  When both sides fit under
-    ``LIST_CAP`` the bijection is checked exhaustively, one pass per side:
-    each lifting is mediated once and filed by its tables, then each square
-    is restricted once and must find the lifting that mediates to it.
-    Otherwise the two inverse identities are checked on a seeded sample
-    from each side.  A square whose restriction fails to mediate back
-    counts as a failed identity.
+    fibres).  When both sides fit under ``LIST_CAP`` the bijection is
+    checked exhaustively on tables, one pass per side, through the kernels
+    ``mediate`` and ``restrict_square`` wrap: each lifting is mediated once
+    and filed by its tables, then each square is restricted once and must
+    find the lifting that mediates to it.  Otherwise the two inverse
+    identities are checked on a seeded sample from each side, through
+    ``mediate`` and ``restrict_square``.  A square whose restriction fails
+    to mediate back counts as a failed identity.
     """
     for size in (f.top.size, f.bot.size, g.top.size, g.bot.size):
         if size > bound:
@@ -630,27 +645,38 @@ def oracle_kappa(
         # restrict are functions, every pop returning t with nothing left
         # over holds exactly when restrict∘mediate = id on the liftings,
         # mediate∘restrict = id on the squares and the mediated multiset is
-        # the squares.  A restriction that raises is a miss.
-        mediated = {}
+        # the squares.  A restriction that raises is a miss.  The boundary
+        # the wrappers check per call holds for every listed lifting.
+        n_bottoms = sum(u.bot.size for _, _, u, _ in problems)
+        if f != struct.target or n_bottoms != struct.copaired().dom.size:
+            raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
+        ext, gt, mediated = struct.extended.map.table, g.map.table, {}
         for base in bases:
-            for lift in _enumerate_liftings(problems, base, fib, g):
+            bt, bb = base.top.table, base.bot.table
+            want = _gather(bb, ext)
+            for fillers in _lifting_tables(problems, base, fib):
                 try:  # only connecting squares can make a lifting non-natural
-                    t = mediate(struct, lift)
+                    top = _mediated_top(struct, bt, fillers, g.top.size)
                 except NonNaturalLifting:
                     continue
-                mediated[base.top.table, base.bot.table, lift.fillers.table] = t
+                if _gather(gt, top) != want:
+                    raise DiagramError("square does not commute")
+                mediated[bt, bb, fillers] = top, bb
         # the fibre-product counts must agree with the actual enumerations
         counted = n_liftings is None or n_liftings == len(mediated)
         n_liftings, listed, inverse = len(mediated), 0, True
-        for t in _commuting_squares(struct.extended, g):
-            listed += 1
-            try:
-                back = restrict_square(struct, t)
-            except EngineError:
-                inverse = False
-                continue
-            key = (back.base.top.table, back.base.bot.table, back.fillers.table)
-            inverse = mediated.pop(key, None) == t and inverse
+        for bot, squares in itertools.groupby(_square_tables(struct.extended, g), key=itemgetter(1)):
+            want = _gather(bot, ext)
+            for top, _ in squares:
+                listed += 1
+                if _gather(gt, top) != want:
+                    raise DiagramError("square does not commute")
+                try:
+                    back_top, back_fillers = _restricted(struct, top)
+                except EngineError:
+                    inverse = False
+                    continue
+                inverse = mediated.pop((back_top, bot, back_fillers), None) == (top, bot) and inverse
         counted, inverse = counted and listed == n_squares, inverse and not mediated
         how = f"exhaustive over {n_squares} squares and {n_liftings} liftings"
     else:

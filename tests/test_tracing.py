@@ -8,7 +8,8 @@ that nothing is missing, and checks that uninstalling puts the
 originals back.  A name that is still found but no longer on the path
 the program takes would read zero just as silently, so a general step's
 spans must also record calls, and so must the mediator's when the kappa
-oracle runs on a fast step.
+oracle samples on a fast step (its exhaustive branch runs the kernels
+``mediate`` and ``restrict_square`` wrap, not the wrapped names).
 """
 
 import importlib
@@ -20,7 +21,7 @@ import pytest
 from awfskit import chain, step, verify
 from awfskit.arrows import ArrowObject
 
-from fixture_lib import f_1to1, f_3to2, plain_split_epi_pres, two_gen_plain_pres
+from fixture_lib import abc_pres, f_1to1, f_3to2, fmap, plain_split_epi_pres, two_gen_plain_pres
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,8 +54,11 @@ def test_general_step_spans_are_on_the_production_path(tracing):
         chain.factorise(two_gen_plain_pres(), ArrowObject(f_3to2()), max_stage=3)
         general = tracer.calls["step.general_step"]
         # the kappa oracle mediates and restricts on the fast step of a
-        # shape without squares, and builds no general step
+        # shape without squares, and builds no general step; the sampled
+        # pair goes through mediate and restrict_square by name
         verify.oracle_kappa(plain_split_epi_pres(), ArrowObject(f_1to1()), ArrowObject(f_1to1()))
+        verify.oracle_kappa(abc_pres(), ArrowObject(fmap(2, 2, [0, 1])),
+                            ArrowObject(fmap(2, 2, [0, 0])), samples=8)
     finally:
         tracer.uninstall()
     for name in ("arrows.colimit", "finset.coequalise", "finset.induced", "step.general_step",

@@ -702,41 +702,43 @@ class TestOracleKappa:
                 assert oracle_kappa(split_epi_pres(), f, g).ok
 
     @staticmethod
-    def _counted_engine_calls(monkeypatch, pres, f, g):
-        counts = {"mediate": 0, "restrict_square": 0, "liftings": 0}
-        real_enumerate = verify._enumerate_liftings
-        for name in ("mediate", "restrict_square"):
-            def counted(struct, arg, _name=name, _real=getattr(verify, name)):
+    def _counted_kernel_calls(monkeypatch, pres, f, g):
+        """Run the exhaustive oracle, counting the filler tables it lists and
+        its calls of the kernels ``mediate`` and ``restrict_square`` wrap."""
+        counts = {"_mediated_top": 0, "_restricted": 0, "liftings": 0}
+        real_tables = verify._lifting_tables
+        for name in ("_mediated_top", "_restricted"):
+            def counted(*args, _name=name, _real=getattr(verify, name)):
                 counts[_name] += 1
-                return _real(struct, arg)
+                return _real(*args)
 
             monkeypatch.setattr(verify, name, counted)
 
-        def counted_enumerate(*args):
-            for lift in real_enumerate(*args):
+        def counted_tables(*args):
+            for table in real_tables(*args):
                 counts["liftings"] += 1
-                yield lift
+                yield table
 
-        monkeypatch.setattr(verify, "_enumerate_liftings", counted_enumerate)
+        monkeypatch.setattr(verify, "_lifting_tables", counted_tables)
         report = oracle_kappa(pres, f, g)
         assert report.ok and "exhaustive" in report.entries[1].detail
         return report, counts
 
     def test_each_natural_lifting_is_mediated_once(self, monkeypatch):
-        report, counts = self._counted_engine_calls(
+        report, counts = self._counted_kernel_calls(
             monkeypatch, two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
         details = {e.label: e.detail for e in report.entries}
         assert details["cardinality"] == "squares=4 liftings=4"
         # one mediation per enumerated lifting, natural or not, and one
         # restriction per square; no square is mediated
-        assert counts == {"liftings": 16, "mediate": 16, "restrict_square": 4}
+        assert counts == {"liftings": 16, "_mediated_top": 16, "_restricted": 4}
 
     def test_heavy_pair_mediates_and_restricts_once_each(self, monkeypatch):
         # a heavy pair of the benchmark's oracle workload
-        report, counts = self._counted_engine_calls(
+        report, counts = self._counted_kernel_calls(
             monkeypatch, abc_pres(), arr(1, 2, [0]), arr(2, 2, [0, 0]))
         assert report.entries[0].detail == "squares=8192 liftings=8192"
-        assert counts == {"liftings": 8192, "mediate": 8192, "restrict_square": 8192}
+        assert counts == {"liftings": 8192, "_mediated_top": 8192, "_restricted": 8192}
 
 
 class TestOracleKappaMutations:
@@ -748,19 +750,19 @@ class TestOracleKappaMutations:
         return {e.label: e.ok for e in report.entries}
 
     def test_corrupted_restriction_fails_two_sided_inverse(self, monkeypatch):
-        real = verify.restrict_square
+        real = step_module._restricted
 
-        def corrupted(struct, t):
-            lift = real(struct, t)
-            table = list(lift.fillers.table)
-            table[0] = (table[0] + 1) % lift.fillers.cod.size
-            fillers = FiniteMap(lift.fillers.dom, lift.fillers.cod, tuple(table))
-            return OneStepLifting(lift.base, fillers)
+        def corrupted(struct, top):
+            # both targets below have two points, so this moves the first filler
+            incl, fillers = real(struct, top)
+            return incl, ((fillers[0] + 1) % 2,) + fillers[1:]
 
         exhaustive = (plain_split_epi_pres(), arr(1, 1, [0]), arr(2, 1, [0, 0]))
         sampled = (abc_pres(), arr(2, 2, [0, 1]), arr(2, 2, [0, 0]))
         assert oracle_kappa(*exhaustive).ok and oracle_kappa(*sampled, samples=8).ok
-        monkeypatch.setattr(verify, "restrict_square", corrupted)
+        # the exhaustive branch calls the kernel, the sampled one restrict_square
+        monkeypatch.setattr(verify, "_restricted", corrupted)
+        monkeypatch.setattr(step_module, "_restricted", corrupted)
         report = oracle_kappa(*exhaustive)
         assert "exhaustive" in report.entries[1].detail
         assert self._labels(report) == {"cardinality": True, "two-sided-inverse": False}
@@ -771,19 +773,19 @@ class TestOracleKappaMutations:
     @pytest.mark.parametrize("shape", [plain_split_epi_pres(), two_gen_plain_pres()],
                              ids=["no-squares", "connecting-square"])
     def test_dropped_lifting_fails_cardinality(self, shape, monkeypatch):
-        real = verify._enumerate_liftings
+        real = verify._lifting_tables
         dropped = []
 
-        def dropping(*args):
-            for lift in real(*args):
+        def dropping(problems, base, fib):
+            for table in real(problems, base, fib):
                 if dropped:
-                    yield lift
+                    yield table
                 else:
-                    dropped.append(lift)
+                    dropped.append(OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, table)))
 
-        monkeypatch.setattr(verify, "_enumerate_liftings", dropping)
-        f = arr(1, 1, [0])
-        report = oracle_kappa(shape, f, arr(2, 1, [0, 0]))
+        monkeypatch.setattr(verify, "_lifting_tables", dropping)
+        f, g = arr(1, 1, [0]), arr(2, 1, [0, 0])
+        report = oracle_kappa(shape, f, g)
         mediate(step(shape, f), dropped[0])  # a natural lifting was dropped
         assert self._labels(report)["cardinality"] is False
 

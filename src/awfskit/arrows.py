@@ -18,6 +18,7 @@ from .finset import (
     FinSet,
     FiniteMap,
     QuotientResult,
+    _gather,
     compose,
     finite_colimit,
     identity,
@@ -61,8 +62,8 @@ class CommSquare:
             raise DiagramError("square top component has wrong boundaries")
         if self.bot.dom != self.src.bot or self.bot.cod != self.dst.bot:
             raise DiagramError("square bottom component has wrong boundaries")
-        dt, bt = self.dst.map.table, self.bot.table  # both composites are defined
-        if tuple(map(dt.__getitem__, self.top.table)) != tuple(map(bt.__getitem__, self.src.map.table)):
+        # both composites are defined
+        if _gather(self.dst.map.table, self.top.table) != _gather(self.bot.table, self.src.map.table):
             raise DiagramError("square does not commute")
 
     def is_identity(self) -> bool:

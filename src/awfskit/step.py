@@ -67,8 +67,8 @@ from .errors import (
     SizeBudgetExceeded,
     UniversalityError,
 )
-from .finset import (_NOT_COEQUALISED, _NOT_COMMUTING, FinSet, FiniteMap, QuotientResult,
-                     _gather, _mediate, compose, identity, pushout)
+from .finset import (_NOT_COEQUALISED, _NOT_COMMUTING, FinSet, FiniteMap, _gather, _mediate,
+                     compose, identity, pushout)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class StepStructure:
     ``copair``), through which ``mediate`` and ``restrict_square`` read
     the cells of either kind.  General
     instances (built by ``step``) also carry their problems
-    (``problem_list``) and the quotient ``bottoms`` of ∐ₚ Bₚ onto the
+    (``problem_list``) and the quotient map ``bottoms`` of ∐ₚ Bₚ onto the
     colimit's bottom; a cell is the slice of ``copair`` at its problem's
     offset.  Fast instances (built by ``fast_step``) compute each cell from
     the rank of its problem.
@@ -231,7 +231,7 @@ class StepStructure:
         self.extended: ArrowObject = None  # type: ignore[assignment]
         self.unit: CommSquare = None  # type: ignore[assignment]
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
-        self.bottoms: Optional[QuotientResult] = None
+        self.bottoms: Optional[FiniteMap] = None
         self.copair: Optional[FiniteMap] = None
         self._problems: Optional[list[LiftingProblem]] = None
         self._index: Optional[dict] = None  # problem key -> its number
@@ -451,8 +451,8 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     struct.inclusion = po.left
     struct.extended = ArrowObject(po.induced(target.map, counit.bot))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    struct.bottoms = QuotientResult(colim.bot.apex, colim.bot.legs[0])
-    struct.copair = compose(po.right, struct.bottoms.q)  # each cell is a slice of it
+    struct.bottoms = colim.bot.legs[0]
+    struct.copair = compose(po.right, struct.bottoms)  # each cell is a slice of it
     struct._problems, struct._index, struct._starts = problems, index, ubots
     return struct
 
@@ -510,9 +510,9 @@ def _mediated_top(struct: StepStructure, base_top: tuple, fillers: tuple, cod_si
     and the cells induces the top (else ``UniversalityError``), and every
     point must land in range, as ``FiniteMap`` checks (else ``DiagramError``)."""
     bottoms = struct.bottoms
-    if bottoms is not None and bottoms.apex.size != bottoms.q.dom.size:
+    if bottoms is not None and bottoms.cod.size != bottoms.dom.size:
         try:
-            _mediate(bottoms.apex.size, [(bottoms.q.table, fillers)], _NOT_COEQUALISED)
+            _mediate(bottoms.cod.size, [(bottoms.table, fillers)], _NOT_COEQUALISED)
         except UniversalityError as exc:
             raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
     legs = [(struct.inclusion.table, base_top), (struct.copaired().table, fillers)]
@@ -616,7 +616,7 @@ def _classify(
     return _square_out(src, dst, top, bot)
 
 
-def _square_out(src: StepStructure, dst: ArrowObject, top: list, bot: FiniteMap) -> CommSquare:
+def _square_out(src: StepStructure, dst: ArrowObject, top: Sequence, bot: FiniteMap) -> CommSquare:
     return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, tuple(top)), bot)
 
 
@@ -685,7 +685,7 @@ def _extend_blocks(src: StepStructure, dst: StepStructure, alpha: CommSquare) ->
     per-digit tables ``at`` and ``ab`` into the radices of ``g``."""
     at, ab = alpha.top.table, alpha.bot.table
     xd, yd = dst.target.top.size, dst.target.bot.size
-    top = list(map(dst.inclusion.table.__getitem__, at))
+    top = list(_gather(dst.inclusion.table, at))
     for meta in src._fast.values():
         k = meta.fcount
         if not k:
@@ -716,11 +716,10 @@ def classify_extend(
         top = _extend_blocks(struct_src, struct_dst, alpha)
         return _square_out(struct_src, struct_dst.extended, top, alpha.bot)
     at, ab = alpha.top.table.__getitem__, alpha.bot.table.__getitem__
-    kd = struct_dst.inclusion.table
     return _classify(
         struct_src,
         struct_dst.extended,
-        list(map(kd.__getitem__, alpha.top.table)),
+        _gather(struct_dst.inclusion.table, alpha.top.table),
         lambda gen, s0, s1: struct_dst._cell_table(
             (gen, tuple(map(at, s0)), tuple(map(ab, s1)))
         ),
@@ -848,10 +847,9 @@ class DoubleEngine:
         if collapse.src != s1.extended:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
-        knext = snext.inclusion.table
-        incl = [knext[w] for w in map(collapse.top.table.__getitem__, s1.inclusion.table)]
+        incl = _gather(snext.inclusion.table, _gather(collapse.top.table, s1.inclusion.table))
         if s2._fast is not None and s1._fast is not None and snext._fast is not None:
-            top = incl + self._iterate_blocks(s2, s1, snext, collapse)
+            top = incl + tuple(self._iterate_blocks(s2, s1, snext, collapse))
             return _square_out(s2, snext.extended, top, collapse.bot)
         ct, cb = collapse.top.table.__getitem__, collapse.bot.table.__getitem__
 
@@ -881,7 +879,7 @@ class DoubleEngine:
         ct, cb = collapse.top.table, collapse.bot.table
         x, y = s1.target.top.size, s1.target.bot.size
         xn, yn = snext.target.top.size, snext.target.bot.size
-        incl = list(map(ct.__getitem__, s1.inclusion.table))
+        incl = _gather(ct, s1.inclusion.table)
         out: list = []
         for meta in s2._fast.values():
             k, n = meta.fcount, meta.block

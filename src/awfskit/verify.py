@@ -519,27 +519,35 @@ def _count_liftings(problems, base: CommSquare, fib_sizes) -> int:
             total *= fib_sizes[bt[s1[b]]]
             if total == 0:
                 return 0
-    return total
+    return 0 if _filler_template(problems, base) is None else total
 
 
-def _filler_template(problems, base: CommSquare) -> tuple[list, list]:
+def _filler_template(problems, base: CommSquare) -> Optional[tuple[list, list]]:
     """The filler table over ``base`` (one entry per point of ∐ₚ Bₚ) with
     the entries the generator images force filled in, and each free entry
-    as (position, bottom point of ``g`` it must lie over)."""
+    as (position, bottom point of ``g`` it must lie over).  None when a
+    generator that is not injective forces one entry two different ways:
+    then ``base`` has no lifting."""
     bt, bb = base.top.table, base.bot.table
     table, slots = [], []
     for s0, s1, u, free in problems:
         start = len(table)
         table.extend([None] * u.bot.size)
         for a, b in enumerate(u.map.table):
-            table[start + b] = bt[s0[a]]
+            v = bt[s0[a]]
+            if table[start + b] not in (None, v):
+                return None
+            table[start + b] = v
         slots.extend((start + b, bb[s1[b]]) for b in free)
     return table, slots
 
 
 def _lifting_tables(problems, base: CommSquare, fib):
     """The filler table of each lifting over a fixed base square, canonical order."""
-    table, slots = _filler_template(problems, base)
+    template = _filler_template(problems, base)
+    if template is None:
+        return
+    table, slots = template
     positions = [pos for pos, _ in slots]
     for combo in itertools.product(*[fib[w] for _, w in slots]):
         for pos, v in zip(positions, combo):
@@ -554,6 +562,7 @@ def _enumerate_liftings(problems, base: CommSquare, fib, g: ArrowObject):
 
 
 def _random_lifting(rng, problems, bases, fib, g: ArrowObject):
+    """A random lifting over one of ``bases``, each with ``_count_liftings`` > 0."""
     base = rng.choice(bases)
     table, slots = _filler_template(problems, base)
     for pos, w in slots:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow, square_compose
 from awfskit.errors import SizeBudgetExceeded
-from awfskit.finset import FiniteMap, PushoutResult, QuotientResult, compose, identity, pushout
+from awfskit.finset import FiniteMap, PushoutResult, compose, identity, pushout
 from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
 from awfskit.step import (
     DoubleEngine,
@@ -110,7 +110,7 @@ class ReferenceStep:
     inclusion: FiniteMap
     extended: ArrowObject
     unit: CommSquare
-    bottoms: QuotientResult
+    bottoms: FiniteMap
     copair: FiniteMap
     cells: dict
 
@@ -128,7 +128,7 @@ def reference_step(shape, target: ArrowObject,
     cells = {p.key: FiniteMap(leg.dom, tmap.dom, ct[end - leg.dom.size : end])
              for p, leg, end in zip(density.comma.problems, bot.legs, ends)}
     return ReferenceStep(density, po, po.left, extended, unit,
-                         QuotientResult(bot.apex, bot.q), copair, cells)
+                         bot.q, copair, cells)
 
 
 @dataclass

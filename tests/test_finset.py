@@ -354,8 +354,9 @@ def test_determinism_identical_inputs():
 # same exceptions with the same text.
 
 
-def ref_quotient_table(n: int, merges) -> tuple[int, tuple[int, ...]]:
-    """Union-find with path halving, labels numbered by a walk in order."""
+def ref_quotient_table(n: int, merges) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Union-find with path halving, labels numbered by a walk in order; the
+    points met after the first point of their class are the hung ones."""
     parent = list(range(n))
 
     def find(x):
@@ -369,10 +370,13 @@ def ref_quotient_table(n: int, merges) -> tuple[int, tuple[int, ...]]:
         if ra != rb:
             parent[rb] = ra
     labels: dict[int, int] = {}
-    table = [0] * n
+    table, hung = [0] * n, []
     for x in range(n):
-        table[x] = labels.setdefault(find(x), len(labels))
-    return len(labels), tuple(table)
+        root = find(x)
+        if root in labels:
+            hung.append(x)
+        table[x] = labels.setdefault(root, len(labels))
+    return len(labels), tuple(table), tuple(hung)
 
 
 def ref_check_table(table, cod: int) -> None:
@@ -476,7 +480,7 @@ def test_quotient_table_edge_cases_match_reference_loop():
     ]
     for n, merges in cases:
         assert _quotient_table(n, merges) == ref_quotient_table(n, merges)
-    assert _quotient_table(3001, chain) == (1, (0,) * 3001)
+    assert _quotient_table(3001, chain) == (1, (0,) * 3001, tuple(range(1, 3001)))
 
 
 def _maps_into(draw, doms, cod):
@@ -487,18 +491,44 @@ def _maps_into(draw, doms, cod):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_quotient_induced_matches_reference_loop(data):
+    """Descent through the hung points of a joint coequaliser of several
+    pairs, on maps constant on classes, on the same maps with some points
+    moved (several hung points may then disagree with their class) and on
+    maps that start elsewhere."""
     draw = data.draw
-    y = draw(st.integers(1, 6))
-    d = draw(st.integers(0, 6))
-    f, g = _maps_into(draw, [d, d], y)
-    res = joint_coequalizer([(f, g)])
-    z = draw(st.integers(1, 4))
-    if draw(st.booleans()):  # constant on classes
-        w = draw(st.lists(st.integers(0, z - 1), min_size=res.apex.size, max_size=res.apex.size))
-        h = fmap(y, z, [w[c] for c in res.q.table])
-    else:
-        (h,) = _maps_into(draw, [draw(st.sampled_from([y, y, y + 1]))], z)
+    y = draw(st.integers(1, 30))
+    pairs = [tuple(_maps_into(draw, [d, d], y)) for d in draw(st.lists(st.integers(0, 8), max_size=4))]
+    res = joint_coequalizer(pairs, codomain=FinSet(y))
+    assert res.hung == ref_quotient_table(y, [m for f, g in pairs for m in zip(f.table, g.table)])[2]
+    z = draw(st.integers(1, 5))
+    w = draw(st.lists(st.integers(0, z - 1), min_size=res.apex.size, max_size=res.apex.size))
+    table = [w[c] for c in res.q.table]
+    for x in draw(st.lists(st.integers(0, y - 1), max_size=y)):  # none: constant on classes
+        table[x] = draw(st.integers(0, z - 1))
+    if draw(st.integers(0, 5)) == 0:
+        table.append(0)
+    h = fmap(len(table), z, table)
     assert outcome(res.induced, h) == outcome(ref_quotient_induced, res, h)
+
+
+def test_quotient_descent_on_a_large_sparse_quotient():
+    """200,001 points, 80 merges: the same table as the walk, and the same
+    first disagreement, at the last hung point and at the first."""
+    n, rng = 200_001, random.Random(7)
+    f = fmap(80, n, [rng.randrange(n) for _ in range(80)])
+    g = fmap(80, n, [rng.randrange(n) for _ in range(80)])
+    res = joint_coequalizer([(f, g)])
+    assert 0 < len(res.hung) <= 80 and res.apex.size == n - len(res.hung)
+    w = [rng.randrange(5) for _ in range(res.apex.size)]
+    table = [w[c] for c in res.q.table]
+    h = fmap(n, 5, table)
+    assert res.induced(h) == ref_quotient_induced(res, h) == fmap(res.apex.size, 5, w)
+    for x in (res.hung[-1], res.hung[0]):
+        table[x] = (table[x] + 1) % 5
+        h = fmap(n, 5, table)
+        faults = outcome(res.induced, h)
+        assert faults == outcome(ref_quotient_induced, res, h)
+        assert faults[0] is UniversalityError and f"class {res.q.table[x]} " in faults[1]
 
 
 @settings(max_examples=300, deadline=None)

@@ -123,15 +123,14 @@ HEAVY = [(arr(1, 2, [0]), arr(2, 2, [0, 0])), (arr(2, 1, [0, 0]), arr(2, 1, [0, 
 
 # presentation, carrier bound, and how many of its pairs give an exhaustive
 # report, a sampled one (not compared: the reference lists exhaustively) or
-# an engine error.  The errors are the pairs where a non-injective generator
-# forces one filler entry two ways; both sides raise the same one there.
+# an engine error.
 DIFFERENTIAL = {
     "split_epi": (split_epi_pres, 2, {"exhaustive": 121}),
     "two_gen_plain": (two_gen_plain_pres, 2, {"exhaustive": 121}),
     "composite": (composite_pres, 2, {"exhaustive": 121}),
     "abc": (abc_pres, 2, {"exhaustive": 109, "sampled": 12}),
-    "retract": (retract_pres, 2, {"exhaustive": 112, "error": 9}),
-    "codiag": (codiag_pres, 2, {"exhaustive": 112, "error": 9}),
+    "retract": (retract_pres, 2, {"exhaustive": 121}),
+    "codiag": (codiag_pres, 2, {"exhaustive": 121}),
     "square": (square_pres, 1, {"exhaustive": 9}),
     "pair_square": (pair_square_pres, 1, {"exhaustive": 9}),
     "uniform2": (lambda: uniform_monos_pres(2), 1, {"exhaustive": 9}),
@@ -151,6 +150,19 @@ class TestKappaDifferential:
             if kind != "sampled":
                 assert ours == outcome(reference_kappa, shape, f, g), (f, g)
         assert kinds == expected
+
+    def test_entries_forced_two_ways_must_agree(self):
+        """A generator that is not injective (``d: 2→1`` of retract, the
+        codiagonal of codiag) forces one filler entry twice; a base square
+        that forces it two different ways has no lifting, so every one of
+        the 242 pairs reports equal cardinalities and none raises."""
+        for build in (retract_pres, codiag_pres):
+            shape = build()
+            for f, g in itertools.product(small_arrows(2), repeat=2):
+                report = oracle_kappa(shape, f, g)
+                assert report.ok, (build.__name__, f, g)
+        report = oracle_kappa(retract_pres(), arr(2, 1, [0, 0]), arr(2, 1, [0, 0]))
+        assert report.entries[0].detail == "squares=128 liftings=128"
 
     @pytest.mark.parametrize("f, g", HEAVY, ids=["1to2-into-2to2", "2to1-into-2to1"])
     def test_heavy_abc_pairs_give_identical_reports(self, f, g):

@@ -212,7 +212,7 @@ class TestDensityStep:
         ds = density_step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
         assert ds.apex.top.size == 0 and ds.apex.bot.size == 0
         st = step(plain_split_epi_pres(), aobj(fmap(0, 0, [])))
-        assert st.size == 0 and st.bottoms.apex.size == 0
+        assert st.size == 0 and st.bottoms.cod.size == 0
 
 
 def _assert_matches_reference(shape, target: ArrowObject) -> None:

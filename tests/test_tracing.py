@@ -10,9 +10,15 @@ the program takes would read zero just as silently, so a general step's
 spans must also record calls, and so must the mediator's when the kappa
 oracle samples on a fast step (its exhaustive branch runs the kernels
 ``mediate`` and ``restrict_square`` wrap, not the wrapped names).
+
+The benchmark's own tiny-size self test, ``python3 perfbench/smoke.py``,
+must also exit 0, so a program change that breaks a pinned answer or a
+traced name fails here as well as in a benchmark run.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +71,10 @@ def test_general_step_spans_are_on_the_production_path(tracing):
                  "step.mediate", "step.restrict"):
         assert tracer.calls[name] > 0, name
     assert tracer.calls["step.general_step"] == general
+
+
+def test_benchmark_smoke_test_passes():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave the benchmark's tree as it is
+    run = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")], cwd=PERFBENCH.parent,
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]

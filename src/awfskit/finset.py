@@ -21,8 +21,8 @@ rebuilding their tables with ``dict``/``map``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import eq, itemgetter
+from itertools import accumulate, compress
+from operator import eq, itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import CompositionError, DiagramError, UniversalityError
@@ -223,7 +223,7 @@ def joint_coequalizer(
             raise DiagramError("coequaliser pair is not parallel")
         if f.cod != cod:
             raise DiagramError("coequaliser pairs do not share a codomain")
-        merges.extend(zip(f.table, g.table))
+        merges.extend(compress(zip(f.table, g.table), map(ne, f.table, g.table)))  # no self-merges
     size, table, hung = _quotient_table(cod.size, merges)
     apex = FinSet(size)
     return QuotientResult(apex, FiniteMap(cod, apex, table), hung)

@@ -14,12 +14,13 @@ and ``lifting_squares``) and a target map ``f``, this module builds:
   relate the free pair extension (one block of cells per problem of each
   composable pair, and no connecting squares) to the plain one.
 
-Two step constructions produce identical tables, and ``fast_eligible``
+Two step constructions produce identical tables from one layout of each
+generator's problems as key columns (``_GenLayout``), and ``fast_eligible``
 picks one from the shape alone.  When the shape has no connecting squares
 and every generator realisation is injective, ``fast_step`` computes the
-canonical numbering by rank arithmetic without enumerating problems;
-otherwise ``step`` lists the problems and runs the colimit/pushout
-factories, guarded by a problem-count budget.
+canonical numbering by rank arithmetic; otherwise ``step`` builds the
+colimit/pushout factories' inputs from the key columns, guarded by a
+problem-count budget.
 
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
@@ -113,49 +114,11 @@ class LiftingProblem:
         return (self.gen, self.square.top.table, self.square.bot.table)
 
 
-def _image_reps(umap: FiniteMap) -> tuple[dict, list]:
-    """First preimage of each value in the image, and the free positions."""
-    reps: dict[int, int] = {}
-    for a, b in enumerate(umap.table):
-        reps.setdefault(b, a)
-    free = [b for b in range(umap.cod.size) if b not in reps]
-    return reps, free
-
-
-def count_problems_bound(u: ArrowObject, f: ArrowObject) -> int:
-    """Cheap upper bound on the number of lifting problems of ``u`` in ``f``."""
-    _, free = _image_reps(u.map)
-    return (f.top.size ** u.top.size) * (f.bot.size ** len(free))
-
-
-def _problem_tables(u: ArrowObject, f: ArrowObject, free: Sequence[int]) -> Iterator[tuple]:
-    """Top and bottom tables of every lifting problem of ``u`` in ``f``.
-
-    Canonical order: top components lexicographically, then the free
-    bottom coordinates ``free`` lexicographically (the others are forced
-    by the top component, which is skipped when it forces a coordinate
-    two different ways).
-    """
-    ut, ft = u.map.table, f.map.table
-    forced_twice = len(set(ut)) != len(ut)
-    nbot, values, nfree = u.bot.size, range(f.bot.size), len(free)
-    for s0 in itertools.product(range(f.top.size), repeat=u.top.size):
-        s1 = [0] * nbot
-        for a, b in enumerate(ut):
-            s1[b] = ft[s0[a]]
-        if forced_twice and any(s1[b] != ft[s0[a]] for a, b in enumerate(ut)):
-            continue
-        for vals in itertools.product(values, repeat=nfree):
-            for b, v in zip(free, vals):
-                s1[b] = v
-            yield s0, tuple(s1)
-
-
 def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[LiftingProblem]:
-    """All lifting problems of ``u`` in ``f``, in the canonical order of
-    ``_problem_tables``."""
-    _, free = _image_reps(u.map)
-    for s0, s1 in _problem_tables(u, f, free):
+    """All lifting problems of ``u`` in ``f``, in canonical order: the rows
+    of ``_GenLayout.columns``."""
+    count, tops, bots = _layout(gen, u, f.top.size, f.bot.size).columns(f)
+    for s0, s1 in zip(_rows(tops, count), _rows(bots, count)):
         yield LiftingProblem(
             gen,
             CommSquare(u, f, FiniteMap(u.top, f.top, s0), FiniteMap(u.bot, f.bot, s1)),
@@ -168,23 +131,26 @@ def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[Lif
 
 
 @dataclass
-class _FastGen:
-    """Per-generator rank arithmetic for the fast path."""
+class _GenLayout:
+    """The problems of a generator ``u: A -> B`` against a target ``X ->
+    Y``: the rows of the product of its top digits (radix |X|) and its free
+    digits (radix |Y|, the bottom positions outside the image of ``u``) in
+    lexicographic order (Garner 2009, §4: one cell per problem)."""
 
     name: str
     u: ArrowObject
     free: list
-    layout: tuple  # per bottom position: (True, index in free) or (False, top preimage)
+    layout: tuple  # per bottom position: (True, index in free) or (False, first top preimage)
     top_count: int  # |X|^|A|
     free_count: int  # |Y|^(free positions)
-    cells_before: int  # adjoined cells contributed by earlier generators
+    cells_before: int  # adjoined cells of earlier generators, on fast steps
 
     @property
     def fcount(self) -> int:
         return len(self.free)
 
     @property
-    def block(self) -> int:
+    def block(self) -> int:  # the problems, or a bound on them if u is not injective
         return self.top_count * self.free_count
 
     def rank(self, s0: tuple, s1: tuple, x: int, y: int) -> int:
@@ -198,34 +164,66 @@ class _FastGen:
         return rank
 
     def top_columns(self, x: int) -> list:
-        """The top digits (radix ``x``) of the generator's problems, in
-        product order, as columns."""
+        """The top digits (radix ``x``) of the rows, in product order, as
+        columns."""
         a = self.u.top.size
         return [_column(range(x), x ** (a - 1 - j) * self.free_count, x**j) for j in range(a)]
 
-    def free_columns(self, y: int) -> list:
-        """The free digits (radix ``y``) of the generator's problems, in
-        product order, as columns."""
-        k = self.fcount
-        return [_column(range(y), y ** (k - 1 - i), self.top_count * y**i) for i in range(k)]
+    def columns(self, f: ArrowObject) -> tuple[int, list, list]:
+        """The problems against ``f`` in canonical order: their number, and
+        their top and bottom tables as columns, one per position.  A forced
+        bottom entry is ``f`` after its first top preimage; a row where a
+        later preimage forces it otherwise is dropped."""
+        ft, ut, y, k = f.map.table, self.u.map.table, f.bot.size, self.fcount
+        tops = self.top_columns(f.top.size)
+        frees = [_column(range(y), y ** (k - 1 - i), self.top_count * y**i) for i in range(k)]
+        bots = [frees[i] if free else list(map(ft.__getitem__, tops[i]))
+                for free, i in self.layout]
+        later = [a for a, b in enumerate(ut) if self.layout[b][1] != a]
+        if not later:
+            return self.block, tops, bots
+        keep = list(map(operator.eq, zip(*(map(ft.__getitem__, tops[a]) for a in later)),
+                        zip(*(bots[ut[a]] for a in later))))
+        return (sum(keep), [list(itertools.compress(c, keep)) for c in tops],
+                [list(itertools.compress(c, keep)) for c in bots])
+
+
+def _layout(name: str, u: ArrowObject, x: int, y: int, cells_before: int = 0) -> _GenLayout:
+    reps: dict[int, int] = {}  # the first preimage of each point of the image
+    for a, b in enumerate(u.map.table):
+        reps.setdefault(b, a)
+    free = [b for b in range(u.bot.size) if b not in reps]
+    layout = tuple((True, free.index(b)) if b not in reps else (False, reps[b])
+                   for b in range(u.bot.size))
+    return _GenLayout(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
+
+
+def _layouts(shape, x: int, y: int) -> dict[str, _GenLayout]:
+    """The layout of every generator of ``shape`` against a target ``X ->
+    Y``, by name, in generator order."""
+    out, cells = {}, 0
+    for name, u in shape.lifting_generators():
+        out[name] = meta = _layout(name, u, x, y, cells)
+        cells += meta.block * meta.fcount
+    return out
 
 
 class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
 
-    Both kinds list their problems by generator (``problem_blocks``) and
+    Both kinds hold the layout of every generator (``_gens``), list their
+    problems by generator as its key columns (``problem_blocks``) and
     copair their cells into one map out of ∐ₚ Bₚ (``copaired``, kept in
     ``copair``), through which ``mediate`` and ``restrict_square`` read
-    the cells of either kind.  General
-    instances (built by ``step``) also carry their problems
-    (``problem_list``) and the quotient map ``bottoms`` of ∐ₚ Bₚ onto the
-    colimit's bottom; a cell is the slice of ``copair`` at its problem's
-    offset.  Fast instances (built by ``fast_step``) compute each cell from
-    the rank of its problem.
+    the cells of either kind.  General instances (built by ``step``) also
+    carry the quotient map ``bottoms`` of ∐ₚ Bₚ onto the colimit's bottom
+    and the number of each problem; a cell is the slice of ``copair`` at
+    its problem's offset.  Fast instances (built by ``fast_step``) compute
+    each cell from the rank of its problem.
     """
 
-    def __init__(self, shape, target: ArrowObject):
+    def __init__(self, shape, target: ArrowObject, gens: dict[str, _GenLayout], fast: bool):
         self.shape = shape
         self.target = target
         self.extended: ArrowObject = None  # type: ignore[assignment]
@@ -233,21 +231,20 @@ class StepStructure:
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
         self.bottoms: Optional[FiniteMap] = None
         self.copair: Optional[FiniteMap] = None
-        self._problems: Optional[list[LiftingProblem]] = None
+        self._gens = gens
+        self._fast = fast
         self._index: Optional[dict] = None  # problem key -> its number
         # the offset of each problem's bottom in ∐ₚ Bₚ, then |∐ₚ Bₚ|
         self._starts: Optional[list] = None
-        self._fast: Optional[dict] = None
 
     @property
     def size(self) -> int:
         return self.extended.top.size
 
-    @property
+    @cached_property
     def problem_list(self) -> list[LiftingProblem]:
-        if self._problems is None:
-            raise DiagramError("fast step structure does not materialise its problems")
-        return self._problems
+        return [p for name, u in self.shape.lifting_generators()
+                for p in enumerate_problems(name, u, self.target)]
 
     def lifting(self, base: CommSquare, fillers: Mapping) -> OneStepLifting:
         """The lifting over ``base`` with filler ``fillers[p.key]`` for every
@@ -270,11 +267,11 @@ class StepStructure:
 
     def _cell_table(self, key: ProblemKey) -> tuple:
         """The table of ``cell(key)``, without building the map."""
-        if self._fast is None:
+        if not self._fast:
             i = self._index[key]
             return self.copair.table[self._starts[i] : self._starts[i + 1]]
         gen, s0, s1 = key
-        meta: _FastGen = self._fast[gen]
+        meta = self._gens[gen]
         x, y = self.target.map.dom.size, self.target.map.cod.size
         base = x + meta.cells_before + meta.rank(s0, s1, x, y) * meta.fcount
         return tuple([base + i if free else s0[i] for free, i in meta.layout])
@@ -282,25 +279,13 @@ class StepStructure:
     def problem_blocks(self) -> Iterator[tuple]:
         """The lifting problems of each generator that has any, as one
         block, in canonical order: ``(name, bottom, count, tops, bots)``,
-        the generator's name and bottom carrier, its number of problems,
-        and their top and bottom tables as columns, one per position.  On
-        fast steps the columns are digit columns, the forced bottom entries
-        ``f`` after the top ones; general steps read them off their
-        problems."""
-        if self._fast is None:
-            for name, group in itertools.groupby(self._problems, key=operator.attrgetter("gen")):
-                squares = [p.square for p in group]
-                tops = list(zip(*(sq.top.table for sq in squares)))
-                bots = list(zip(*(sq.bot.table for sq in squares)))
-                yield name, squares[0].src.bot, len(squares), tops, bots
-            return
-        x, y, ft = self.target.top.size, self.target.bot.size, self.target.map.table
-        for meta in self._fast.values():
-            if meta.block:
-                tops, frees = meta.top_columns(x), meta.free_columns(y)
-                bots = [frees[i] if free else list(map(ft.__getitem__, tops[i]))
-                        for free, i in meta.layout]
-                yield meta.name, meta.u.bot, meta.block, tops, bots
+        the generator's name and bottom carrier, and ``columns`` of its
+        layout, the number of its problems and their top and bottom tables
+        as columns, one per position."""
+        for meta in self._gens.values():
+            count, tops, bots = meta.columns(self.target)
+            if count:
+                yield meta.name, meta.u.bot, count, tops, bots
 
     def copaired(self) -> FiniteMap:
         """The cells copaired into one map ∐ₚ Bₚ -> extension carrier,
@@ -311,7 +296,7 @@ class StepStructure:
         if self.copair is not None:
             return self.copair
         x, table = self.target.top.size, []
-        for meta in self._fast.values():
+        for meta in self._gens.values():
             n, k, base = meta.block, meta.fcount, x + meta.cells_before
             if n and meta.layout:
                 tops = meta.top_columns(x)
@@ -324,9 +309,9 @@ class StepStructure:
     def problem_count(self) -> int:
         """The number of lifting problems, those of surjective generators
         included, by arithmetic on fast steps."""
-        if self._fast is None:
-            return len(self._problems)
-        return sum(meta.block for meta in self._fast.values())
+        if not self._fast:
+            return len(self._index)
+        return sum(meta.block for meta in self._gens.values())
 
     def check_listable(self, budget: SizeBudget, what: str) -> None:
         """Refuse ``what``, a listing of every problem, when there are more
@@ -350,18 +335,7 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     if not fast_eligible(shape):
         raise DiagramError("shape is not eligible for the fast step path")
     x, y = target.top.size, target.bot.size
-    struct = StepStructure(shape, target)
-    metas: dict[str, _FastGen] = {}
-    cells_before = 0
-    for name, u in shape.lifting_generators():
-        reps, free = _image_reps(u.map)
-        layout = tuple(
-            (True, free.index(b)) if b not in reps else (False, reps[b])
-            for b in range(u.bot.size)
-        )
-        meta = _FastGen(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
-        metas[name] = meta
-        cells_before += meta.block * meta.fcount
+    metas = _layouts(shape, x, y)
     # the budget bounds the problems that adjoin cells (problems of
     # surjective generators are never enumerated by the chain; ``extract``
     # counts them before it lists the lift table); checked arithmetically
@@ -374,33 +348,25 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
             f"problems, budget allows {limit}"
         )
     ttable = list(target.map.table)
-    for name, _ in shape.lifting_generators():
-        meta = metas[name]
+    for meta in metas.values():
         if meta.fcount:
             block = [v for vals in itertools.product(range(y), repeat=meta.fcount) for v in vals]
             ttable.extend(block * meta.top_count)
-    size = x + cells_before
+    size = len(ttable)
+    struct = StepStructure(shape, target, metas, True)
     struct.extended = ArrowObject(FiniteMap(FinSet(size), target.bot, tuple(ttable)))
     struct.inclusion = FiniteMap(target.top, FinSet(size), tuple(range(x)))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    struct._fast = metas
     return struct
 
 
-def _coproduct(arrows: Sequence[ArrowObject]) -> tuple[ArrowObject, list, list]:
-    """The coproduct of ``arrows`` in the arrow category, with the offset of
-    each summand's top and of its bottom, each list ending with the total."""
-    tops, bots, table = [0], [0], []
-    for u in arrows:
-        b = bots[-1]
-        table += [b + v for v in u.map.table]
-        tops.append(tops[-1] + u.top.size)
-        bots.append(b + u.bot.size)
-    return ArrowObject(FiniteMap(FinSet(tops[-1]), FinSet(bots[-1]), tuple(table))), tops, bots
+def _copies(table: Sequence[int], size: int, count: int, base: int) -> list:
+    """``count`` copies of a map into ``size`` points, side by side from ``base``."""
+    return [base + r * size + v for r in range(count) for v in table]
 
 
 def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> StepStructure:
-    """The general one-step extension, with its problems listed.
+    """The general one-step extension, its problems read off the layouts.
 
     The colimit of the problems over the comma category is one coequaliser
     in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
@@ -410,29 +376,40 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     ``V`` is merged with a point of ``U``, so the classes are numbered by
     their least point of ``U``, in problem order.  The extension is the
     pushout of the colimit along its counit into ``target``."""
-    gens = shape.lifting_generators()
-    check_listable(sum(count_problems_bound(u, target) for _, u in gens), budget,
+    gens = _layouts(shape, target.top.size, target.bot.size)
+    check_listable(sum(meta.block for meta in gens.values()), budget,
                    "general step", "problems at most")
-    problems: list[LiftingProblem] = []
+    index = {}  # problem key -> its number
     spans = {}  # generator -> the numbers of its problems
-    for name, u in gens:
-        first = len(problems)
-        problems.extend(enumerate_problems(name, u, target))
-        spans[name] = range(first, len(problems))
-    index = {p.key: i for i, p in enumerate(problems)}
-    big_u, utops, ubots = _coproduct([p.square.src for p in problems])
-    copies, moved_top, moved_bot, along_top, along_bot = [], [], [], [], []
+    utable, to_top, to_bot, tsizes, bsizes = [], [], [], [], []
+    for name, meta in gens.items():
+        count, tops, bots = meta.columns(target)
+        first, nb = len(index), meta.u.bot.size
+        index.update(zip(zip(itertools.repeat(name), _rows(tops, count), _rows(bots, count)),
+                         itertools.count(first)))
+        spans[name] = range(first, len(index))
+        utable += _copies(meta.u.map.table, nb, count, len(to_bot))
+        to_top += _interleave(tops, count)
+        to_bot += _interleave(bots, count)
+        tsizes += itertools.repeat(meta.u.top.size, count)
+        bsizes += itertools.repeat(nb, count)
+    utops = list(itertools.accumulate(tsizes, initial=0))
+    ubots = list(itertools.accumulate(bsizes, initial=0))
+    big_u = ArrowObject(FiniteMap(FinSet(utops[-1]), FinSet(ubots[-1]), tuple(utable)))
+    keys = list(index)
+    vtable, vtop, moved_top, moved_bot, along_top, along_bot = [], 0, [], [], [], []
     for _, src_gen, dst_gen, sq in shape.lifting_squares():
         st, sb = sq.top.table, sq.bot.table
+        vtable += _copies(sq.src.map.table, len(sb), len(spans[dst_gen]), len(along_bot))
+        vtop += len(st) * len(spans[dst_gen])
         for i in spans[dst_gen]:
-            _, s0, s1 = problems[i].key
+            _, s0, s1 = keys[i]
             j = index[src_gen, tuple(map(s0.__getitem__, st)), tuple(map(s1.__getitem__, sb))]
-            copies.append(sq.src)
             moved_top += range(utops[j], utops[j + 1])
             moved_bot += range(ubots[j], ubots[j + 1])
             along_top += [utops[i] + v for v in st]
             along_bot += [ubots[i] + v for v in sb]
-    big_v = _coproduct(copies)[0]
+    big_v = ArrowObject(FiniteMap(FinSet(vtop), FinSet(len(along_bot)), tuple(vtable)))
 
     def edge(top: list, bot: list) -> CommSquare:
         return CommSquare(big_v, big_u, FiniteMap(big_v.top, big_u.top, tuple(top)),
@@ -440,20 +417,17 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
 
     moved, along = edge(moved_top, moved_bot), edge(along_top, along_bot)
     colim = ArrowColimit(ArrowDiagram([big_u, big_v], [(1, 0, moved), (1, 0, along)]))
-    chain = itertools.chain.from_iterable
-    to_f = CommSquare(
-        big_u, target,
-        FiniteMap(big_u.top, target.top, tuple(chain(p.square.top.table for p in problems))),
-        FiniteMap(big_u.bot, target.bot, tuple(chain(p.square.bot.table for p in problems))))
+    to_f = CommSquare(big_u, target, FiniteMap(big_u.top, target.top, tuple(to_top)),
+                      FiniteMap(big_u.bot, target.bot, tuple(to_bot)))
     counit = colim.induced([to_f, square_compose(to_f, moved)], target)
-    struct = StepStructure(shape, target)
+    struct = StepStructure(shape, target, gens, False)
     po = pushout(counit.top, colim.apex.map)
     struct.inclusion = po.left
     struct.extended = ArrowObject(po.induced(target.map, counit.bot))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
     struct.bottoms = colim.bot.legs[0]
     struct.copair = compose(po.right, struct.bottoms)  # each cell is a slice of it
-    struct._problems, struct._index, struct._starts = problems, index, ubots
+    struct._index, struct._starts = index, ubots
     return struct
 
 
@@ -604,9 +578,9 @@ def _classify(
     top = [0] * src.size
     for v, pos in enumerate(src.inclusion.table):
         top[pos] = incl_image[v]
-    gens, cells, start = dict(src.shape.lifting_generators()), src.copaired().table, 0
+    cells, start = src.copaired().table, 0
     for name, bottom, count, tops, bots in src.problem_blocks():
-        free, n = _image_reps(gens[name].map)[1], bottom.size
+        free, n = src._gens[name].free, bottom.size
         if free:
             for r, (s0, s1) in enumerate(zip(_rows(tops, count), _rows(bots, count))):
                 image = cell_image(name, s0, s1)
@@ -686,7 +660,7 @@ def _extend_blocks(src: StepStructure, dst: StepStructure, alpha: CommSquare) ->
     at, ab = alpha.top.table, alpha.bot.table
     xd, yd = dst.target.top.size, dst.target.bot.size
     top = list(_gather(dst.inclusion.table, at))
-    for meta in src._fast.values():
+    for meta in src._gens.values():
         k = meta.fcount
         if not k:
             continue
@@ -696,7 +670,7 @@ def _extend_blocks(src: StepStructure, dst: StepStructure, alpha: CommSquare) ->
         for _ in range(k - 1):
             ranks = _fold(ranks, yd, ab)
         # the last digit also scales by k and adds the base of the block
-        base = xd + dst._fast[meta.name].cells_before
+        base = xd + dst._gens[meta.name].cells_before
         ranks = _fold(ranks, yd * k, [base + d * k for d in ab])
         top.extend(ranks if k == 1 else [p + i for p in ranks for i in range(k)])
     return top
@@ -712,7 +686,7 @@ def classify_extend(
     block per generator; otherwise problem by problem."""
     if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
-    if struct_src._fast is not None and struct_dst._fast is not None:
+    if struct_src._fast and struct_dst._fast:
         top = _extend_blocks(struct_src, struct_dst, alpha)
         return _square_out(struct_src, struct_dst.extended, top, alpha.bot)
     at, ab = alpha.top.table.__getitem__, alpha.bot.table.__getitem__
@@ -809,14 +783,14 @@ class DoubleEngine:
         steps, problem by problem otherwise."""
         s2 = self.paired.step_tables(f)
         s1 = self.single.step_tables(f)
-        if s2._fast is not None and s1._fast is not None:
+        if s2._fast and s1._fast:
             # a pair problem is the problem of its composite with the same
             # tables, so its cells land on the cells of the same rank: the
             # whole block of a pair is one run of the composite's block
             top, x = list(s1.inclusion.table), f.top.size
-            for meta in s2._fast.values():
+            for meta in s2._gens.values():
                 if meta.fcount:
-                    start = x + s1._fast[self.pairs.pair(meta.name).composite].cells_before
+                    start = x + s1._gens[self.pairs.pair(meta.name).composite].cells_before
                     top.extend(range(start, start + meta.block * meta.fcount))
             return _square_out(s2, s1.extended, top, identity(f.bot))
         return _classify(
@@ -848,7 +822,7 @@ class DoubleEngine:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
         incl = _gather(snext.inclusion.table, _gather(collapse.top.table, s1.inclusion.table))
-        if s2._fast is not None and s1._fast is not None and snext._fast is not None:
+        if s2._fast and s1._fast and snext._fast:
             top = incl + tuple(self._iterate_blocks(s2, s1, snext, collapse))
             return _square_out(s2, snext.extended, top, collapse.bot)
         ct, cb = collapse.top.table.__getitem__, collapse.bot.table.__getitem__
@@ -881,12 +855,12 @@ class DoubleEngine:
         xn, yn = snext.target.top.size, snext.target.bot.size
         incl = _gather(ct, s1.inclusion.table)
         out: list = []
-        for meta in s2._fast.values():
+        for meta in s2._gens.values():
             k, n = meta.fcount, meta.block
             if not k or not n:
                 continue
             pair = self.pairs.pair(meta.name)
-            left, right = s1._fast[pair.left], snext._fast[pair.right]
+            left, right = s1._gens[pair.left], snext._gens[pair.right]
             a = meta.u.top.size
             radices = [x] * a + [y] * k
             outer = list(itertools.accumulate(radices, operator.mul, initial=1))

@@ -8,6 +8,11 @@ pointwise colimit over one vertex per problem (and the initial arrow) with
 its counit, and the pushout along the counit.  The differential test in
 ``test_step.py`` compares the two on fixtures and random shapes.
 
+The comma category lists its problems row by row (``_problem_tables``),
+not through the digit columns ``awfskit.step`` reads them off, so the
+differential of ``problem_blocks`` and ``enumerate_problems`` against
+``reference_problems`` compares two independent enumerators.
+
 It also keeps the pair shape of a double presentation as the engine built
 it before it took the free pair extension: the composable pairs connected
 by one square per vertically stacked pair of squares (``pair_squares``).
@@ -19,20 +24,62 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow, square_compose
 from awfskit.errors import SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, compose, identity, pushout
 from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
-from awfskit.step import (
-    DoubleEngine,
-    LiftingProblem,
-    SizeBudget,
-    StepEngine,
-    count_problems_bound,
-    enumerate_problems,
-)
+from awfskit.step import DoubleEngine, LiftingProblem, SizeBudget, StepEngine
+
+
+def _image_reps(umap: FiniteMap) -> tuple[dict, list]:
+    """First preimage of each value in the image, and the free positions."""
+    reps: dict[int, int] = {}
+    for a, b in enumerate(umap.table):
+        reps.setdefault(b, a)
+    free = [b for b in range(umap.cod.size) if b not in reps]
+    return reps, free
+
+
+def count_problems_bound(u: ArrowObject, f: ArrowObject) -> int:
+    """Cheap upper bound on the number of lifting problems of ``u`` in ``f``."""
+    _, free = _image_reps(u.map)
+    return (f.top.size ** u.top.size) * (f.bot.size ** len(free))
+
+
+def _problem_tables(u: ArrowObject, f: ArrowObject, free: Sequence[int]) -> Iterator[tuple]:
+    """Top and bottom tables of every lifting problem of ``u`` in ``f``.
+
+    Canonical order: top components lexicographically, then the free
+    bottom coordinates ``free`` lexicographically (the others are forced
+    by the top component, which is skipped when it forces a coordinate
+    two different ways).
+    """
+    ut, ft = u.map.table, f.map.table
+    forced_twice = len(set(ut)) != len(ut)
+    nbot, values, nfree = u.bot.size, range(f.bot.size), len(free)
+    for s0 in itertools.product(range(f.top.size), repeat=u.top.size):
+        s1 = [0] * nbot
+        for a, b in enumerate(ut):
+            s1[b] = ft[s0[a]]
+        if forced_twice and any(s1[b] != ft[s0[a]] for a, b in enumerate(ut)):
+            continue
+        for vals in itertools.product(values, repeat=nfree):
+            for b, v in zip(free, vals):
+                s1[b] = v
+            yield s0, tuple(s1)
+
+
+def reference_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[LiftingProblem]:
+    """All lifting problems of ``u`` in ``f``, in canonical order, listed
+    row by row by ``_problem_tables``."""
+    _, free = _image_reps(u.map)
+    for s0, s1 in _problem_tables(u, f, free):
+        yield LiftingProblem(
+            gen,
+            CommSquare(u, f, FiniteMap(u.top, f.top, s0), FiniteMap(u.bot, f.bot, s1)),
+        )
 
 
 @dataclass
@@ -63,7 +110,7 @@ def comma_category(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -
         )
     problems: list[LiftingProblem] = []
     for name, u in gens:
-        problems.extend(enumerate_problems(name, u, f))
+        problems.extend(reference_problems(name, u, f))
     index = {p.key: i for i, p in enumerate(problems)}
     edges = []
     for sqname, src_gen, dst_gen, sq in shape.lifting_squares():

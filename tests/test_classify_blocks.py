@@ -205,7 +205,7 @@ def _assert_chain_squares(trace, dengine):
             src, dst = engine.step_tables(stage), engine.step_tables(nxt)
         except SizeBudgetExceeded:
             break  # the last stage, whose extension the chain never built
-        assert (src._fast is not None) == fast
+        assert src._fast == fast
         j = trace.connect[n]
         assert classify_extend(src, dst, j) == ref_extend(src, dst, j)
         if dengine is None:

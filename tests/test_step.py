@@ -35,7 +35,6 @@ from awfskit.step import (
     OneStepLifting,
     SizeBudget,
     StepEngine,
-    count_problems_bound,
     classify_extend,
     enumerate_problems,
     extend_square,
@@ -61,7 +60,8 @@ from fixture_lib import (
     split_epi_pres,
     two_gen_plain_pres,
 )
-from reference_step import comma_category, density_step, reference_step
+from reference_step import (comma_category, count_problems_bound, density_step, reference_problems,
+                            reference_step)
 
 
 def aobj(f: FiniteMap) -> ArrowObject:
@@ -191,7 +191,7 @@ class TestCommaCategory:
         def refuse(*args):
             raise AssertionError("problems enumerated before the budget check")
 
-        monkeypatch.setattr(step_module, "enumerate_problems", refuse)
+        monkeypatch.setattr(step_module._GenLayout, "columns", refuse)
         with pytest.raises(SizeBudgetExceeded) as exc:
             step(split_epi_pres(), aobj(f_3to2()), SizeBudget(max_problems=3))
         # the bound: 1 for e0, 3 for e1, 2 for j
@@ -302,6 +302,72 @@ def test_general_step_matches_reference_on_random_shapes(data):
         shape = _Shape(gens, squares)
         target = _draw_arrow(draw, 3, 3)
     _assert_matches_reference(shape, target)
+
+
+# generators that are not injective (``d: 2 -> 1`` of ``retract_pres``, the
+# codiagonal of ``codiag_pres``, one forcing two entries twice), surjective
+# and empty ones, next to drawn ones of every kind
+LAYOUT_GENERATORS = [
+    dict(retract_pres().lifting_generators())["d"],
+    dict(codiag_pres().lifting_generators())["d"],
+    aobj(fmap(4, 2, [1, 0, 1, 0])),
+    aobj(fmap(3, 2, [0, 1, 1])),
+    aobj(fmap(2, 2, [1, 0])),
+    aobj(fmap(0, 0, [])),
+    aobj(fmap(0, 2, [])),
+]
+
+
+def _reference_blocks(shape, f: ArrowObject) -> list:
+    """``problem_blocks`` built from the rows of the reference enumerator."""
+    out = []
+    for name, u in shape.lifting_generators():
+        rows = [(p.square.top.table, p.square.bot.table) for p in reference_problems(name, u, f)]
+        if rows:
+            out.append((name, u.bot, len(rows), list(zip(*(r[0] for r in rows))),
+                        list(zip(*(r[1] for r in rows)))))
+    return out
+
+
+def _blocks(st) -> list:
+    return [(name, bottom, count, list(map(tuple, tops)), list(map(tuple, bots)))
+            for name, bottom, count, tops, bots in st.problem_blocks()]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(hst.data())
+def test_problem_layout_matches_the_reference_enumerator(data):
+    """Both step kinds list, in ``problem_blocks``, and ``enumerate_problems``
+    lists, exactly the rows of the reference enumerator, in its order."""
+    draw = data.draw
+    gens = [(f"g{i}", draw(hst.sampled_from(LAYOUT_GENERATORS)) if draw(hst.booleans())
+             else _draw_arrow(draw, 3, 3)) for i in range(draw(hst.integers(1, 3)))]
+    shape, f = _Shape(gens, []), _draw_arrow(draw, 3, 3)
+    expect = _reference_blocks(shape, f)
+    assert _blocks(step(shape, f)) == expect
+    if fast_eligible(shape):
+        assert _blocks(fast_step(shape, f)) == expect
+    for name, u in gens:
+        assert ([p.key for p in enumerate_problems(name, u, f)]
+                == [p.key for p in reference_problems(name, u, f)])
+
+
+def test_general_step_builds_no_square_per_problem(monkeypatch):
+    """The general step reads its problems off the layouts' key columns:
+    on ``two_gen`` against a map 1500 -> 500 (2,000 problems) it builds a
+    handful of squares, not one per problem."""
+    f, built = aobj(fmap(1500, 500, [x % 500 for x in range(1500)])), []
+    post_init = CommSquare.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CommSquare, "__post_init__", counted)
+    st = step(two_gen_plain_pres(), f)
+    assert st.problem_count() == 2000
+    assert len(built) <= 10
 
 
 class TestStepFrozen:
@@ -452,8 +518,7 @@ class TestFastPath:
         for f in SMALL_ARROWS:
             fast, general = fast_step(shape, f), step(shape, f)
             assert fast.copaired() == general.copair and fast.unit == general.unit
-            with pytest.raises(DiagramError):
-                fast.problem_list
+            assert fast.problem_list == general.problem_list
             problems = verify._problem_free_positions(fast)
             for g in SMALL_ARROWS:
                 fib = verify._fibres(g)

@@ -40,6 +40,7 @@ from .errors import (
     EngineError,
     InvalidPresentation,
     NotStabilised,
+    OutputError,
     ParseError,
     SizeBudgetExceeded,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "LiftTable",
     "LiftingProblem",
     "NotStabilised",
+    "OutputError",
     "ParseError",
     "PlainPresentation",
     "Report",

@@ -20,6 +20,7 @@ from .errors import (
     EngineError,
     InvalidPresentation,
     NotStabilised,
+    OutputError,
     ParseError,
     SizeBudgetExceeded,
 )
@@ -154,7 +155,14 @@ def _cmd_factor(args) -> int:
     trace = run_chain(pres, f, mode=args.mode, max_stage=args.max_stage, budget=_budget(args))
     if args.trace:
         write_json(args.trace, trace_summary(trace))
-    result = extract(trace)
+    try:
+        result = extract(trace)
+    except NotStabilised as e:
+        print(f"not stabilised: {e}", file=sys.stderr)
+        if args.out:
+            write_json(args.out, {"error": "not-stabilised", "carrier_sizes": e.sizes,
+                                  "detail": str(e)})
+        return EXIT_NOT_STABILISED
     cert = Certificate.from_result(pres, result)
     if args.out:
         write_json(args.out, encode_certificate(cert))
@@ -268,18 +276,10 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     try:
         return _COMMANDS[args.command](args)
-    except NotStabilised as e:
-        print(f"not stabilised: {e}", file=sys.stderr)
-        if getattr(args, "out", None):
-            write_json(
-                args.out,
-                {"error": "not-stabilised", "carrier_sizes": e.sizes, "detail": str(e)},
-            )
-        return EXIT_NOT_STABILISED
     except SizeBudgetExceeded as e:
         print(f"size budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, InvalidPresentation) as e:
+    except (ParseError, InvalidPresentation, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
     except EngineError as e:

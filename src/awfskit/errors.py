@@ -53,3 +53,7 @@ class ProblemMismatch(EngineError):
 
 class ParseError(EngineError):
     """Input file could not be decoded into engine data."""
+
+
+class OutputError(EngineError):
+    """Output file could not be written."""

@@ -63,7 +63,7 @@ from typing import Optional
 
 from .arrows import ArrowObject
 from .chain import LiftTable, detect_stabilisation
-from .errors import DiagramError, ParseError
+from .errors import DiagramError, OutputError, ParseError
 from .finset import FinSet, FiniteMap, is_iso
 from .presentation import (
     DoubleCatPresentation,
@@ -186,8 +186,11 @@ def read_json(path: str):
 
 
 def write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(payload))
+    except OSError as e:
+        raise OutputError(f"{path}: {e.strerror or e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,13 @@ Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
 cover the extension carrier.  The functorial action and the comparison
 squares are all written that way, by classification, the only way the
-engine builds any of them.  On fast steps the cells of a generator are
-indexed by the ranks of its problems, so each square's top table is built
-one block per generator by rank arithmetic; on general steps
-``_classify`` writes it problem by problem.  The two-stage comparison is
-only ever used followed by a square out of the second extension, so
-``DoubleEngine.iterate_then`` builds that composite fused and never
-builds the twice-iterated extension.
+engine builds any of them.  Both kinds locate a problem's cell by its
+rank in its generator's product order, a fast step by arithmetic and a
+general step off the copaired cells, so each square's top table is built
+one block per generator by rank arithmetic on either kind.  The two-stage
+comparison is only ever used followed by a square out of the second
+extension, so ``DoubleEngine.iterate_then`` builds that composite fused
+and never builds the twice-iterated extension.
 
 The universal-property mediator (``mediate`` and ``restrict_square``) and
 the constructions built on it (``extend_square``, ``compose_mediated``,
@@ -117,8 +117,8 @@ class LiftingProblem:
 def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[LiftingProblem]:
     """All lifting problems of ``u`` in ``f``, in canonical order: the rows
     of ``_GenLayout.columns``."""
-    count, tops, bots = _layout(gen, u, f.top.size, f.bot.size).columns(f)
-    for s0, s1 in zip(_rows(tops, count), _rows(bots, count)):
+    ranks, tops, bots = _layout(gen, u, f.top.size, f.bot.size).columns(f)
+    for s0, s1 in zip(_rows(tops, len(ranks)), _rows(bots, len(ranks))):
         yield LiftingProblem(
             gen,
             CommSquare(u, f, FiniteMap(u.top, f.top, s0), FiniteMap(u.bot, f.bot, s1)),
@@ -135,7 +135,10 @@ class _GenLayout:
     """The problems of a generator ``u: A -> B`` against a target ``X ->
     Y``: the rows of the product of its top digits (radix |X|) and its free
     digits (radix |Y|, the bottom positions outside the image of ``u``) in
-    lexicographic order (Garner 2009, §4: one cell per problem)."""
+    lexicographic order (Garner 2009, §4: one cell per problem); ``ranks``
+    lists the rows that are problems.  The offset ``base + r*k + i`` of the
+    free entry ``i`` of the cell of the problem of rank ``r`` is its point
+    on a fast step; a general step (``base`` 0) reads it off ``points``."""
 
     name: str
     u: ArrowObject
@@ -143,14 +146,16 @@ class _GenLayout:
     layout: tuple  # per bottom position: (True, index in free) or (False, first top preimage)
     top_count: int  # |X|^|A|
     free_count: int  # |Y|^(free positions)
-    cells_before: int  # adjoined cells of earlier generators, on fast steps
+    base: int  # |X| plus the free entries of earlier generators' cells, on fast steps
+    ranks: Sequence[int]
+    points: Optional[Sequence[int]] = None
 
     @property
     def fcount(self) -> int:
         return len(self.free)
 
     @property
-    def block(self) -> int:  # the problems, or a bound on them if u is not injective
+    def block(self) -> int:  # the rows: the problems, or a bound on them if u is not injective
         return self.top_count * self.free_count
 
     def rank(self, s0: tuple, s1: tuple, x: int, y: int) -> int:
@@ -169,8 +174,8 @@ class _GenLayout:
         a = self.u.top.size
         return [_column(range(x), x ** (a - 1 - j) * self.free_count, x**j) for j in range(a)]
 
-    def columns(self, f: ArrowObject) -> tuple[int, list, list]:
-        """The problems against ``f`` in canonical order: their number, and
+    def columns(self, f: ArrowObject) -> tuple[Sequence[int], list, list]:
+        """The problems against ``f`` in canonical order: their ranks, and
         their top and bottom tables as columns, one per position.  A forced
         bottom entry is ``f`` after its first top preimage; a row where a
         later preimage forces it otherwise is dropped."""
@@ -181,30 +186,54 @@ class _GenLayout:
                 for free, i in self.layout]
         later = [a for a, b in enumerate(ut) if self.layout[b][1] != a]
         if not later:
-            return self.block, tops, bots
+            return range(self.block), tops, bots
         keep = list(map(operator.eq, zip(*(map(ft.__getitem__, tops[a]) for a in later)),
                         zip(*(bots[ut[a]] for a in later))))
-        return (sum(keep), [list(itertools.compress(c, keep)) for c in tops],
+        return (list(itertools.compress(range(self.block), keep)),
+                [list(itertools.compress(c, keep)) for c in tops],
                 [list(itertools.compress(c, keep)) for c in bots])
 
+    def select(self, column: Sequence[int], k: int = 1) -> Sequence[int]:
+        """A column of ``k`` entries per row, at the rows that are problems."""
+        if len(self.ranks) == self.block:
+            return column
+        rows = self.ranks if k == 1 else [r * k + i for r in self.ranks for i in range(k)]
+        return _gather(column, rows)
 
-def _layout(name: str, u: ArrowObject, x: int, y: int, cells_before: int = 0) -> _GenLayout:
+    def points_at(self, offsets: Sequence[int]) -> Sequence[int]:
+        """The extension points of the cell entries at ``offsets``."""
+        return offsets if self.points is None else _gather(self.points, offsets)
+
+    def by_rank(self, rows: Sequence[int], k: int = 1) -> Sequence[int]:
+        """The inverse of ``select``: ``rows`` of ``k`` entries, one per
+        problem, at its rank; a row that is no problem gets zeros, never read."""
+        if len(self.ranks) == self.block:
+            return rows
+        out = [0] * (self.block * k)
+        for j, r in enumerate(self.ranks):
+            out[r * k : r * k + k] = rows[j * k : j * k + k]
+        return out
+
+
+def _layout(name: str, u: ArrowObject, x: int, y: int, base: int = 0) -> _GenLayout:
     reps: dict[int, int] = {}  # the first preimage of each point of the image
     for a, b in enumerate(u.map.table):
         reps.setdefault(b, a)
     free = [b for b in range(u.bot.size) if b not in reps]
     layout = tuple((True, free.index(b)) if b not in reps else (False, reps[b])
                    for b in range(u.bot.size))
-    return _GenLayout(name, u, free, layout, x ** u.top.size, y ** len(free), cells_before)
+    top_count, free_count = x ** u.top.size, y ** len(free)
+    return _GenLayout(name, u, free, layout, top_count, free_count, base,
+                      range(top_count * free_count))
 
 
 def _layouts(shape, x: int, y: int) -> dict[str, _GenLayout]:
     """The layout of every generator of ``shape`` against a target ``X ->
-    Y``, by name, in generator order."""
-    out, cells = {}, 0
+    Y``, by name, in generator order, with the bases of a fast step."""
+    out, base = {}, x
     for name, u in shape.lifting_generators():
-        out[name] = meta = _layout(name, u, x, y, cells)
-        cells += meta.block * meta.fcount
+        out[name] = meta = _layout(name, u, x, y, base)
+        base += meta.block * meta.fcount
     return out
 
 
@@ -212,18 +241,18 @@ class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
 
-    Both kinds hold the layout of every generator (``_gens``), list their
-    problems by generator as its key columns (``problem_blocks``) and
-    copair their cells into one map out of ∐ₚ Bₚ (``copaired``, kept in
-    ``copair``), through which ``mediate`` and ``restrict_square`` read
-    the cells of either kind.  General instances (built by ``step``) also
-    carry the quotient map ``bottoms`` of ∐ₚ Bₚ onto the colimit's bottom
-    and the number of each problem; a cell is the slice of ``copair`` at
-    its problem's offset.  Fast instances (built by ``fast_step``) compute
-    each cell from the rank of its problem.
+    Both kinds hold the layout of every generator (``_gens``), which
+    locates the cells of its problems by rank, list their problems by
+    generator as its key columns (``problem_blocks``) and copair their
+    cells into one map out of ∐ₚ Bₚ (``copaired``, kept in ``copair``),
+    through which ``mediate`` and ``restrict_square`` read the cells of
+    either kind.  General instances (built by ``step``) also carry the
+    quotient map ``bottoms`` of ∐ₚ Bₚ onto the colimit's bottom, and
+    ``cover``: the point of each target point, then of each free entry of
+    each cell in problem order, which on fast ones is the carrier in order.
     """
 
-    def __init__(self, shape, target: ArrowObject, gens: dict[str, _GenLayout], fast: bool):
+    def __init__(self, shape, target: ArrowObject, gens: dict[str, _GenLayout]):
         self.shape = shape
         self.target = target
         self.extended: ArrowObject = None  # type: ignore[assignment]
@@ -231,11 +260,8 @@ class StepStructure:
         self.inclusion: FiniteMap = None  # type: ignore[assignment]
         self.bottoms: Optional[FiniteMap] = None
         self.copair: Optional[FiniteMap] = None
+        self.cover: Optional[list] = None
         self._gens = gens
-        self._fast = fast
-        self._index: Optional[dict] = None  # problem key -> its number
-        # the offset of each problem's bottom in ∐ₚ Bₚ, then |∐ₚ Bₚ|
-        self._starts: Optional[list] = None
 
     @property
     def size(self) -> int:
@@ -260,32 +286,31 @@ class StepStructure:
         return OneStepLifting(base, FiniteMap(self.copaired().dom, top, tuple(table)))
 
     def cell(self, key: ProblemKey) -> FiniteMap:
-        """The adjoined cell of the problem ``key``: a map from the bottom
-        carrier of its generator into the extension carrier."""
-        table = self._cell_table(key)
-        return FiniteMap(FinSet(len(table)), self.extended.top, table)
-
-    def _cell_table(self, key: ProblemKey) -> tuple:
-        """The table of ``cell(key)``, without building the map."""
-        if not self._fast:
-            i = self._index[key]
-            return self.copair.table[self._starts[i] : self._starts[i + 1]]
+        """The adjoined cell of the problem ``key``, located by its rank: a
+        map from the bottom carrier of its generator into the extension
+        carrier, its forced entries the inclusion of its top."""
         gen, s0, s1 = key
         meta = self._gens[gen]
-        x, y = self.target.map.dom.size, self.target.map.cod.size
-        base = x + meta.cells_before + meta.rank(s0, s1, x, y) * meta.fcount
-        return tuple([base + i if free else s0[i] for free, i in meta.layout])
+        if _gather(self.target.map.table, s0) != _gather(s1, meta.u.map.table):
+            raise ProblemMismatch(f"{key} is not a lifting problem of this step")
+        at = meta.base + meta.rank(s0, s1, self.target.top.size, self.target.bot.size) * meta.fcount
+        free, incl = meta.points_at(range(at, at + meta.fcount)), self.inclusion.table
+        table = tuple([free[i] if is_free else incl[s0[i]] for is_free, i in meta.layout])
+        return FiniteMap(FinSet(len(table)), self.extended.top, table)
+
+    def included(self, points: Sequence[int]) -> Sequence[int]:
+        """The inclusion at ``points``: on a fast step ``points`` itself."""
+        return points if self.cover is None else _gather(self.inclusion.table, points)
 
     def problem_blocks(self) -> Iterator[tuple]:
         """The lifting problems of each generator that has any, as one
         block, in canonical order: ``(name, bottom, count, tops, bots)``,
-        the generator's name and bottom carrier, and ``columns`` of its
-        layout, the number of its problems and their top and bottom tables
-        as columns, one per position."""
+        the generator's name and bottom carrier, the number of its problems
+        and their top and bottom tables as columns (``columns``)."""
         for meta in self._gens.values():
-            count, tops, bots = meta.columns(self.target)
-            if count:
-                yield meta.name, meta.u.bot, count, tops, bots
+            ranks, tops, bots = meta.columns(self.target)
+            if ranks:
+                yield meta.name, meta.u.bot, len(ranks), tops, bots
 
     def copaired(self) -> FiniteMap:
         """The cells copaired into one map ∐ₚ Bₚ -> extension carrier,
@@ -297,21 +322,19 @@ class StepStructure:
             return self.copair
         x, table = self.target.top.size, []
         for meta in self._gens.values():
-            n, k, base = meta.block, meta.fcount, x + meta.cells_before
+            n, k = meta.block, meta.fcount
             if n and meta.layout:
                 tops = meta.top_columns(x)
                 table += _interleave(
-                    [range(base + i, base + i + n * k, k) if free else tops[i]
+                    [range(meta.base + i, meta.base + i + n * k, k) if free else tops[i]
                      for free, i in meta.layout], n)
         self.copair = FiniteMap(FinSet(len(table)), self.extended.top, tuple(table))
         return self.copair
 
     def problem_count(self) -> int:
         """The number of lifting problems, those of surjective generators
-        included, by arithmetic on fast steps."""
-        if not self._fast:
-            return len(self._index)
-        return sum(meta.block for meta in self._gens.values())
+        included."""
+        return sum(len(meta.ranks) for meta in self._gens.values())
 
     def check_listable(self, budget: SizeBudget, what: str) -> None:
         """Refuse ``what``, a listing of every problem, when there are more
@@ -353,7 +376,7 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
             block = [v for vals in itertools.product(range(y), repeat=meta.fcount) for v in vals]
             ttable.extend(block * meta.top_count)
     size = len(ttable)
-    struct = StepStructure(shape, target, metas, True)
+    struct = StepStructure(shape, target, metas)
     struct.extended = ArrowObject(FiniteMap(FinSet(size), target.bot, tuple(ttable)))
     struct.inclusion = FiniteMap(target.top, FinSet(size), tuple(range(x)))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
@@ -372,22 +395,21 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
     copy of ``sq.src`` per connecting square ``sq`` and problem ``p`` of
     its target generator.  One edge sends the copy identically to the
-    problem ``p ∘ sq``, the other along ``sq`` into ``p``.  Every point of
-    ``V`` is merged with a point of ``U``, so the classes are numbered by
-    their least point of ``U``, in problem order.  The extension is the
-    pushout of the colimit along its counit into ``target``."""
-    gens = _layouts(shape, target.top.size, target.bot.size)
+    problem ``p ∘ sq`` (found by its rank), the other along ``sq`` into
+    ``p``.  Every point of ``V`` is merged with a point of ``U``, so the
+    classes are numbered by their least point of ``U``, in problem order.
+    The extension is the pushout of the colimit along its counit into
+    ``target``."""
+    x, y = target.top.size, target.bot.size
+    gens = _layouts(shape, x, y)
     check_listable(sum(meta.block for meta in gens.values()), budget,
                    "general step", "problems at most")
-    index = {}  # problem key -> its number
-    spans = {}  # generator -> the numbers of its problems
+    cols, firsts = {}, {}  # generator -> its key columns, the number of its first problem
     utable, to_top, to_bot, tsizes, bsizes = [], [], [], [], []
     for name, meta in gens.items():
-        count, tops, bots = meta.columns(target)
-        first, nb = len(index), meta.u.bot.size
-        index.update(zip(zip(itertools.repeat(name), _rows(tops, count), _rows(bots, count)),
-                         itertools.count(first)))
-        spans[name] = range(first, len(index))
+        meta.ranks, tops, bots = meta.columns(target)
+        count, nb = len(meta.ranks), meta.u.bot.size
+        cols[name], firsts[name] = (tops, bots), len(tsizes)
         utable += _copies(meta.u.map.table, nb, count, len(to_bot))
         to_top += _interleave(tops, count)
         to_bot += _interleave(bots, count)
@@ -396,15 +418,19 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     utops = list(itertools.accumulate(tsizes, initial=0))
     ubots = list(itertools.accumulate(bsizes, initial=0))
     big_u = ArrowObject(FiniteMap(FinSet(utops[-1]), FinSet(ubots[-1]), tuple(utable)))
-    keys = list(index)
     vtable, vtop, moved_top, moved_bot, along_top, along_bot = [], 0, [], [], [], []
     for _, src_gen, dst_gen, sq in shape.lifting_squares():
         st, sb = sq.top.table, sq.bot.table
-        vtable += _copies(sq.src.map.table, len(sb), len(spans[dst_gen]), len(along_bot))
-        vtop += len(st) * len(spans[dst_gen])
-        for i in spans[dst_gen]:
-            _, s0, s1 = keys[i]
-            j = index[src_gen, tuple(map(s0.__getitem__, st)), tuple(map(s1.__getitem__, sb))]
+        src, (tops, bots) = gens[src_gen], cols[dst_gen]
+        first, count = firsts[dst_gen], len(gens[dst_gen].ranks)
+        vtable += _copies(sq.src.map.table, len(sb), count, len(along_bot))
+        vtop += len(st) * count
+        # the rank of p ∘ sq among the rows of src_gen, for each problem p
+        digits = [(x, tops[v]) for v in st] + [(y, bots[sb[b]]) for b in src.free]
+        ranks = _rank_column(digits, 1, 0) if digits else [0] * count
+        numbers = src.by_rank(range(len(src.ranks)))
+        for i, r in zip(range(first, first + count), ranks):
+            j = firsts[src_gen] + numbers[r]
             moved_top += range(utops[j], utops[j + 1])
             moved_bot += range(ubots[j], ubots[j + 1])
             along_top += [utops[i] + v for v in st]
@@ -420,14 +446,20 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     to_f = CommSquare(big_u, target, FiniteMap(big_u.top, target.top, tuple(to_top)),
                       FiniteMap(big_u.bot, target.bot, tuple(to_bot)))
     counit = colim.induced([to_f, square_compose(to_f, moved)], target)
-    struct = StepStructure(shape, target, gens, False)
+    struct = StepStructure(shape, target, gens)
     po = pushout(counit.top, colim.apex.map)
     struct.inclusion = po.left
     struct.extended = ArrowObject(po.induced(target.map, counit.bot))
     struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
     struct.bottoms = colim.bot.legs[0]
-    struct.copair = compose(po.right, struct.bottoms)  # each cell is a slice of it
-    struct._index, struct._starts = index, ubots
+    struct.copair = compose(po.right, struct.bottoms)
+    # each cell's free entries, read off the copaired cells in problem order
+    cells, struct.cover = struct.copair.table, list(struct.inclusion.table)
+    for name, meta in gens.items():
+        nb, start = meta.u.bot.size, ubots[firsts[name]]
+        entries = [cells[start + j * nb + b] for j in range(len(meta.ranks)) for b in meta.free]
+        struct.cover += entries
+        meta.base, meta.points = 0, meta.by_rank(entries, meta.fcount)
     return struct
 
 
@@ -558,50 +590,23 @@ def iterate_mediated(dengine: DoubleEngine, f: ArrowObject) -> CommSquare:
 # ---------------------------------------------------------------------------
 
 
-def _classify(
-    src: StepStructure,
-    dst: ArrowObject,
-    incl_image: Sequence[int],
-    cell_image: Callable[[str, tuple, tuple], Sequence[int]],
-    bot: FiniteMap,
-) -> CommSquare:
-    """The square ``src.extended -> dst`` with bottom ``bot`` that sends the
-    inclusion of each point ``v`` of the target to ``incl_image[v]`` and the
-    cell of each problem ``(gen, s0, s1)`` to the table ``cell_image(gen,
-    s0, s1)``.  The inclusion and the free entries of the cells, read off
-    ``problem_blocks`` and ``copaired``, cover the extension carrier, so
-    these determine the top table.
-
-    This is the per-problem classification, taken when a structure
-    involved is a general one: the shape has connecting squares or a
-    non-injective realisation, or a direct caller passes a general step."""
-    top = [0] * src.size
-    for v, pos in enumerate(src.inclusion.table):
-        top[pos] = incl_image[v]
-    cells, start = src.copaired().table, 0
-    for name, bottom, count, tops, bots in src.problem_blocks():
-        free, n = src._gens[name].free, bottom.size
-        if free:
-            for r, (s0, s1) in enumerate(zip(_rows(tops, count), _rows(bots, count))):
-                image = cell_image(name, s0, s1)
-                for b in free:
-                    top[cells[start + r * n + b]] = image[b]
-        start += count * n
-    return _square_out(src, dst, top, bot)
+def _square_out(src: StepStructure, dst: ArrowObject, parts: list, bot: FiniteMap) -> CommSquare:
+    """The square ``src.extended -> dst`` with bottom ``bot`` whose top
+    sends the inclusion, then the free entries of the cells of every
+    generator's problems in rank order, to the entries of ``parts`` in turn:
+    on a fast step the carrier in order, on a general step ``src.cover``."""
+    top = tuple(itertools.chain.from_iterable(parts))
+    if src.cover is not None:
+        scattered = [0] * src.size
+        for point, v in zip(src.cover, top):
+            scattered[point] = v
+        top = tuple(scattered)
+    return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, top), bot)
 
 
-def _square_out(src: StepStructure, dst: ArrowObject, top: Sequence, bot: FiniteMap) -> CommSquare:
-    return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, tuple(top)), bot)
-
-
-# On fast steps a square out of an extension is classified one block per
-# generator.  The problems of a generator are the product of its top digits
-# (radix |X|) and its free digits (radix |Y|) in lexicographic order, and the
-# cell of the problem of rank r occupies the positions base + r*k + i, for its
-# k free positions i (Garner 2009, §4: the cells are indexed by the
-# problems).  So where a square sends a block is the rank of the problem each
-# source problem is sent to, computed for the whole block at once from digit
-# tables or digit columns.
+# A square out of an extension is classified one block per generator: where
+# it sends a block is the rank of the problem each source problem is sent to,
+# computed for the whole block at once from digit tables or digit columns.
 
 
 def _fold(ranks: list, radix: int, digits: Sequence[int]) -> list:
@@ -653,52 +658,34 @@ def _interleave(columns: list, n: int) -> list:
     return out
 
 
-def _extend_blocks(src: StepStructure, dst: StepStructure, alpha: CommSquare) -> list:
-    """The top table of ``classify_extend`` between two fast steps.  The
-    problem ``(s0, s1)`` goes to ``(at∘s0, ab∘s1)``, whose rank folds the
-    per-digit tables ``at`` and ``ab`` into the radices of ``g``."""
-    at, ab = alpha.top.table, alpha.bot.table
-    xd, yd = dst.target.top.size, dst.target.bot.size
-    top = list(_gather(dst.inclusion.table, at))
-    for meta in src._gens.values():
-        k = meta.fcount
-        if not k:
-            continue
-        ranks = [0]
-        for _ in range(meta.u.top.size):
-            ranks = _fold(ranks, xd, at)
-        for _ in range(k - 1):
-            ranks = _fold(ranks, yd, ab)
-        # the last digit also scales by k and adds the base of the block
-        base = xd + dst._gens[meta.name].cells_before
-        ranks = _fold(ranks, yd * k, [base + d * k for d in ab])
-        top.extend(ranks if k == 1 else [p + i for p in ranks for i in range(k)])
-    return top
-
-
 def classify_extend(
     struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
 ) -> CommSquare:
     """The functorial action of the one-step extension on a square ``alpha:
     f -> g``: the inclusion follows ``alpha`` into the inclusion of ``g``,
     and each adjoined cell lands on the cell of the problem ``alpha``
-    transports it to.  Between two fast steps the top table is built one
-    block per generator; otherwise problem by problem."""
+    transports it to.  The problem ``(s0, s1)`` goes to ``(at∘s0,
+    ab∘s1)``, whose rank folds the per-digit tables ``at`` and ``ab`` into
+    the radices of ``g``."""
     if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
         raise ProblemMismatch("square endpoints do not match the step structures")
-    if struct_src._fast and struct_dst._fast:
-        top = _extend_blocks(struct_src, struct_dst, alpha)
-        return _square_out(struct_src, struct_dst.extended, top, alpha.bot)
-    at, ab = alpha.top.table.__getitem__, alpha.bot.table.__getitem__
-    return _classify(
-        struct_src,
-        struct_dst.extended,
-        _gather(struct_dst.inclusion.table, alpha.top.table),
-        lambda gen, s0, s1: struct_dst._cell_table(
-            (gen, tuple(map(at, s0)), tuple(map(ab, s1)))
-        ),
-        alpha.bot,
-    )
+    at, ab = alpha.top.table, alpha.bot.table
+    xd, yd = struct_dst.target.top.size, struct_dst.target.bot.size
+    parts = [struct_dst.included(at)]
+    for meta in struct_src._gens.values():
+        k = meta.fcount
+        if not k:
+            continue
+        dst = struct_dst._gens[meta.name]
+        ranks = [0]
+        for _ in range(meta.u.top.size):
+            ranks = _fold(ranks, xd, at)
+        for _ in range(k - 1):
+            ranks = _fold(ranks, yd, ab)
+        # the last digit also scales by k and adds the base of the block
+        ranks = meta.select(_fold(ranks, yd * k, [dst.base + d * k for d in ab]))
+        parts.append(dst.points_at(ranks if k == 1 else [p + i for p in ranks for i in range(k)]))
+    return _square_out(struct_src, struct_dst.extended, parts, alpha.bot)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +705,8 @@ class StepEngine:
     the fast one when ``fast_eligible`` accepts the shape, the general one
     otherwise, whatever was built before.  ``step`` returns the general
     structure (budgeted), which on fast shapes only the tests build, as the
-    reference the fast one is checked against.
+    reference the fast one is checked against.  Classification takes
+    either kind at either end.
     """
 
     def __init__(self, shape, budget: Optional[SizeBudget] = None):
@@ -758,8 +746,9 @@ class DoubleEngine:
     presentation's generators and squares, and ``paired``, the free pair
     extension, indexed by its composable pairs with no connecting squares,
     with the comparison squares between the extensions they generate.
-    Each comparison is built one way, by classification;
-    ``compose_mediated`` and ``iterate_mediated`` are the cross-checks."""
+    Each comparison is built one way, by classification one block per
+    pair, on fast and general steps alike; ``compose_mediated`` and
+    ``iterate_mediated`` are the cross-checks."""
 
     def __init__(self, pres, budget: Optional[SizeBudget] = None):
         pres.ensure_valid()
@@ -772,36 +761,22 @@ class DoubleEngine:
         # a surjection π: P̃ -> P onto a quotient; coeq(u, v) = coeq(u∘π, v∘π)
         # and u = v exactly when u∘π = v∘π, so they change no table.
         self.paired = StepEngine(self.pairs, budget)
-        self._right_tables = {
-            p.name: pres.uarrow(p.right).map.table for p in self.pairs.pairs
-        }
 
     def compose_comparison(self, f: ArrowObject) -> CommSquare:
         """The square from the pair-indexed extension to the plain one that
         lifts each pair problem through the pair's composite arrow, by
-        classification: one run of the composite's block per pair on fast
-        steps, problem by problem otherwise."""
+        classification.  A pair problem is the problem of its composite
+        with the same tables, so of the same rank: its cell lands on the
+        cell at the same offsets of the composite's block."""
         s2 = self.paired.step_tables(f)
         s1 = self.single.step_tables(f)
-        if s2._fast and s1._fast:
-            # a pair problem is the problem of its composite with the same
-            # tables, so its cells land on the cells of the same rank: the
-            # whole block of a pair is one run of the composite's block
-            top, x = list(s1.inclusion.table), f.top.size
-            for meta in s2._gens.values():
-                if meta.fcount:
-                    start = x + s1._gens[self.pairs.pair(meta.name).composite].cells_before
-                    top.extend(range(start, start + meta.block * meta.fcount))
-            return _square_out(s2, s1.extended, top, identity(f.bot))
-        return _classify(
-            s2,
-            s1.extended,
-            s1.inclusion.table,
-            lambda pname, s0, s1tab: s1._cell_table(
-                (self.pairs.pair(pname).composite, s0, s1tab)
-            ),
-            identity(f.bot),
-        )
+        parts = [s1.inclusion.table]
+        for meta in s2._gens.values():
+            if meta.fcount:
+                composite, k = s1._gens[self.pairs.pair(meta.name).composite], meta.fcount
+                offsets = range(composite.base, composite.base + meta.block * k)
+                parts.append(composite.points_at(meta.select(offsets, k)))
+        return _square_out(s2, s1.extended, parts, identity(f.bot))
 
     def iterate_then(self, stage: ArrowObject, collapse: CommSquare) -> CommSquare:
         """The composite ``T(collapse) ∘ λ`` of ``collapse`` (a square out
@@ -810,54 +785,41 @@ class DoubleEngine:
         left arrow against ``stage``, then through the right arrow against
         its extension.  Built fused, by classification: each pair cell
         lands on the cell of its right arrow against the extension of
-        ``stage``, moved along ``collapse``.  The twice-iterated extension,
-        whose carrier grows quadratically and dwarfs everything else in
-        chain runs, is never built; ``λ`` itself is the case where
-        ``collapse`` is the identity.  On fast steps the top table is built
-        one block per pair (``_iterate_blocks``); otherwise problem by
-        problem."""
+        ``stage``, moved along ``collapse``, one block per pair
+        (``_iterate_blocks``).  The twice-iterated extension, whose carrier
+        grows quadratically and dwarfs everything else in chain runs, is
+        never built; ``λ`` itself is the case where ``collapse`` is the
+        identity."""
         s2 = self.paired.step_tables(stage)
         s1 = self.single.step_tables(stage)
         if collapse.src != s1.extended:
             raise ProblemMismatch("collapse square does not start at the extension of the stage")
         snext = self.single.step_tables(collapse.dst)
-        incl = _gather(snext.inclusion.table, _gather(collapse.top.table, s1.inclusion.table))
-        if s2._fast and s1._fast and snext._fast:
-            top = incl + tuple(self._iterate_blocks(s2, s1, snext, collapse))
-            return _square_out(s2, snext.extended, top, collapse.bot)
-        ct, cb = collapse.top.table.__getitem__, collapse.bot.table.__getitem__
+        incl = _gather(collapse.top.table, s1.inclusion.table)
+        parts = [snext.included(incl)]
+        parts += self._iterate_blocks(s2, s1, snext, collapse, incl)
+        return _square_out(s2, snext.extended, parts, collapse.bot)
 
-        def cell_image(pname, s0, s1tab):
-            pair = self.pairs.pair(pname)
-            rt = self._right_tables[pname]
-            inner = s1._cell_table((pair.left, s0, tuple(map(s1tab.__getitem__, rt))))
-            return snext._cell_table((pair.right, tuple(map(ct, inner)), tuple(map(cb, s1tab))))
-
-        return _classify(s2, snext.extended, incl, cell_image, collapse.bot)
-
-    def _iterate_blocks(
-        self, s2: StepStructure, s1: StepStructure, snext: StepStructure, collapse: CommSquare
-    ) -> list:
-        """The cell part of ``iterate_then``'s top table on fast steps, in
-        digit columns over each pair's problems.
+    def _iterate_blocks(self, s2: StepStructure, s1: StepStructure, snext: StepStructure,
+                        collapse: CommSquare, incl: Sequence[int]) -> Iterator[list]:
+        """The cell part of ``iterate_then``'s top table, one block per
+        pair, in digit columns over the pair's problems.
 
         A pair problem ``(s0, s1)`` of ``left; right`` has the digits of
         ``s0`` (radix |X|) and the free digits of ``s1`` (radix |Y|).  The
-        left problem has top ``s0`` and its free digits at the positions
-        ``right`` sends them to, which are free for the composite; that
-        gives the inner cell's rank.  Moving the inner cell along
-        ``collapse`` gives the right problem's top digits, and ``collapse``
-        on the right arrow's free positions its free digits; that gives the
-        outer cell's rank.  The image of the pair cell is the outer cell at
-        the composite's free positions, row after row."""
-        ct, cb = collapse.top.table, collapse.bot.table
+        left problem has top ``s0`` and its free digits the entries of
+        ``s1`` where ``right`` sends them (``bottom``); that gives the inner
+        cell's rank.  Moving the inner cell along ``collapse`` (``incl`` on
+        the inclusion) gives the right problem's top digits, and
+        ``collapse`` on the right arrow's free positions its free digits;
+        that gives the outer cell's rank.  The image of the pair cell is the
+        outer cell at the composite's free positions, row after row."""
+        ct, cb, ft = collapse.top.table, collapse.bot.table, s1.target.map.table
         x, y = s1.target.top.size, s1.target.bot.size
         xn, yn = snext.target.top.size, snext.target.bot.size
-        incl = _gather(ct, s1.inclusion.table)
-        out: list = []
         for meta in s2._gens.values():
-            k, n = meta.fcount, meta.block
-            if not k or not n:
+            k = meta.fcount
+            if not k or not meta.ranks:
                 continue
             pair = self.pairs.pair(meta.name)
             left, right = s1._gens[pair.left], snext._gens[pair.right]
@@ -866,29 +828,27 @@ class DoubleEngine:
             outer = list(itertools.accumulate(radices, operator.mul, initial=1))
             inner = list(itertools.accumulate(reversed(radices), operator.mul, initial=1))[::-1]
 
-            def column(j: int, values: Sequence[int]) -> list:
-                return _column(values, inner[j + 1], outer[j])
+            def column(j: int, values: Sequence[int]) -> Sequence[int]:
+                return meta.select(_column(values, inner[j + 1], outer[j]))
 
-            # digit index of each of the composite's free positions
-            slot = {b: a + i for i, b in enumerate(meta.free)}
+            def bottom(c: int) -> Sequence[int]:
+                # the bottom entry at c: a free digit, or f after its first top preimage
+                is_free, i = meta.layout[c]
+                return column(a + i, range(y)) if is_free else column(i, ft)
+
             moved = []  # per bottom point of left: the inner cell there, after collapse
             if left.fcount:
                 rt = right.u.map.table
-                digits = [(None, _column(range(x**a), y**k, 1))]
-                digits += [(y, column(slot[rt[b]], range(y))) for b in left.free]
-                lpos = _rank_column(digits, left.fcount, x + left.cells_before)
+                digits = [(None, meta.select(_column(range(x**a), y**k, 1)))]
+                digits += [(y, bottom(rt[b])) for b in left.free]
+                lpos = _rank_column(digits, left.fcount, left.base)
             for is_free, i in left.layout:
-                if is_free:
-                    moved.append([ct[p + i] for p in lpos])
-                else:
-                    moved.append(column(i, incl))
+                moved.append(_gather(ct, left.points_at([p + i for p in lpos])) if is_free
+                             else column(i, incl))
             if right.fcount:
                 digits = [(xn, col) for col in moved]
-                digits += [(yn, column(slot[c], cb)) for c in right.free]
-                rpos = _rank_column(digits, right.fcount, xn + right.cells_before)
-            columns = []
-            for b in meta.free:
-                is_free, i = right.layout[b]
-                columns.append([p + i for p in rpos] if is_free else moved[i])
-            out.extend(_interleave(columns, n))
-        return out
+                digits += [(yn, column(a + meta.layout[c][1], cb)) for c in right.free]
+                rpos = _rank_column(digits, right.fcount, right.base)
+            columns = [right.points_at([p + i for p in rpos]) if is_free else snext.included(moved[i])
+                       for is_free, i in map(right.layout.__getitem__, meta.free)]
+            yield _interleave(columns, len(meta.ranks))

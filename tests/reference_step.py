@@ -228,5 +228,4 @@ def reference_double_engine(pres, budget: Optional[SizeBudget] = None) -> Double
     dengine = DoubleEngine(pres, budget)
     dengine.pairs = pairs_with_squares(pres)
     dengine.paired = StepEngine(dengine.pairs, budget)
-    dengine._right_tables = {p.name: pres.uarrow(p.right).map.table for p in dengine.pairs.pairs}
     return dengine

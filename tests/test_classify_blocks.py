@@ -1,16 +1,18 @@
-"""The block classification of squares out of fast extensions against the
+"""The block classification of squares out of extensions against the
 per-problem classification.
 
-On fast steps ``classify_extend``, the composition comparison and
-``iterate_then`` build their top tables one block per generator by rank
-arithmetic.  The reference below is the per-problem route they replaced:
-enumerate every problem, compute the cell it is sent to with
-``StepStructure.cell`` (which re-derives the rank digit by digit), and
-write that cell's free entries.  Every square must be equal, table for
-table, on every stage of the fixture chains in both modes, on Hypothesis
-plain shapes with injective generators, and on mixed fast and general
-structures.  A path guard makes a silent fallback to the per-problem
-route fail without any timing.
+``classify_extend``, the composition comparison and ``iterate_then`` build
+their top tables one block per generator by rank arithmetic, on fast and
+general steps alike.  The reference below is the per-problem route they
+replaced: enumerate every problem, look up the cell it is sent to by its
+key among the copaired cells (or the cells of the literal construction of
+``reference_step``), and write that cell's free entries.  Neither lookup
+goes through the rank of a problem.  Every square must be equal, table
+for table, on every stage of the fixture chains in both modes, on
+Hypothesis plain shapes (injective ones, and ones with non-injective
+generators and connecting squares), and on mixed fast and general
+structures.  A path guard makes a per-problem location in production fail
+without any timing.
 """
 
 import itertools
@@ -20,10 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from awfskit import step as step_module
 from awfskit.arrows import ArrowObject, CommSquare, identity_square
 from awfskit.chain import _advance, _start, run_chain
-from awfskit.errors import SizeBudgetExceeded
+from awfskit.errors import ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FiniteMap
 from awfskit.presentation import DoubleCatPresentation, PlainPresentation
 from awfskit.step import (
@@ -31,6 +32,8 @@ from awfskit.step import (
     SizeBudget,
     StepEngine,
     StepStructure,
+    _GenLayout,
+    _rows,
     classify_extend,
     enumerate_problems,
     fast_eligible,
@@ -51,6 +54,8 @@ from fixture_lib import (
     split_epi_pres,
     two_gen_plain_pres,
 )
+from reference_step import reference_step
+from test_step import _draw_arrow, _draw_square, _Shape
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +68,46 @@ def _free(u: ArrowObject) -> list:
     return [b for b in range(u.bot.size) if b not in image]
 
 
-def ref_square(src: StepStructure, dst: ArrowObject, incl_image, cell_image, bot) -> CommSquare:
+def copaired_cells(struct: StepStructure) -> dict:
+    """The cell of every problem, by key: its slice of the copaired cells."""
+    cells, start, out = struct.copaired().table, 0, {}
+    for name, bottom, count, tops, bots in struct.problem_blocks():
+        for s0, s1 in zip(_rows(tops, count), _rows(bots, count)):
+            out[name, s0, s1] = cells[start : start + bottom.size]
+            start += bottom.size
+    return out
+
+
+def cell_lookup(struct: StepStructure):
+    """The cell table of a problem key: sliced off the copaired cells on a
+    general step, and by ``StepStructure.cell``'s digit-by-digit rank on a
+    fast one, whose cells can be too many to list."""
+    if struct.bottoms is None:
+        return lambda key: struct.cell(key).table
+    return copaired_cells(struct).__getitem__
+
+
+def literal_lookup(struct: StepStructure):
+    """The cell table of a problem key in the literal construction."""
+    cells = reference_step(struct.shape, struct.target).cells
+    return lambda key: cells[key].table
+
+
+def ref_square(src: StepStructure, dst: ArrowObject, incl_image, cell_image, bot,
+               lookup=cell_lookup) -> CommSquare:
     """The square out of ``src.extended`` that sends the inclusion along
     ``incl_image`` and the cell of each problem to ``cell_image(gen, s0,
     s1)``, problem by problem; every carrier position is written."""
     top = [None] * src.size
     for v, pos in enumerate(src.inclusion.table):
         top[pos] = incl_image[v]
+    src_cell = lookup(src)
     for name, u in src.shape.lifting_generators():
         free = _free(u)
         if not free:
             continue
         for p in enumerate_problems(name, u, src.target):
-            cell = src.cell(p.key).table
+            cell = src_cell(p.key)
             image = cell_image(*p.key)
             for b in free:
                 # cells joined by a connecting square share positions
@@ -85,26 +117,29 @@ def ref_square(src: StepStructure, dst: ArrowObject, incl_image, cell_image, bot
     return CommSquare(src.extended, dst, FiniteMap(src.extended.top, dst.top, tuple(top)), bot)
 
 
-def ref_extend(src: StepStructure, dst: StepStructure, alpha: CommSquare) -> CommSquare:
+def ref_extend(src: StepStructure, dst: StepStructure, alpha: CommSquare,
+               lookup=cell_lookup) -> CommSquare:
     at, ab = alpha.top.table, alpha.bot.table
-    kd = dst.inclusion.table
+    kd, dst_cell = dst.inclusion.table, lookup(dst)
     return ref_square(
         src,
         dst.extended,
         [kd[v] for v in at],
-        lambda gen, s0, s1: dst.cell((gen, tuple(at[v] for v in s0), tuple(ab[w] for w in s1))).table,
+        lambda gen, s0, s1: dst_cell((gen, tuple(at[v] for v in s0), tuple(ab[w] for w in s1))),
         alpha.bot,
+        lookup,
     )
 
 
 def ref_compose(dengine: DoubleEngine, f: ArrowObject) -> CommSquare:
     s2 = dengine.paired.step_tables(f)
     s1 = dengine.single.step_tables(f)
+    s1_cell = cell_lookup(s1)
     return ref_square(
         s2,
         s1.extended,
         s1.inclusion.table,
-        lambda pname, s0, s1tab: s1.cell((dengine.pairs.pair(pname).composite, s0, s1tab)).table,
+        lambda pname, s0, s1tab: s1_cell((dengine.pairs.pair(pname).composite, s0, s1tab)),
         FiniteMap(f.bot, f.bot, tuple(range(f.bot.size))),
     )
 
@@ -114,12 +149,13 @@ def ref_iterate(dengine: DoubleEngine, stage: ArrowObject, collapse: CommSquare)
     s1 = dengine.single.step_tables(stage)
     snext = dengine.single.step_tables(collapse.dst)
     ct, cb = collapse.top.table, collapse.bot.table
+    s1_cell, snext_cell = cell_lookup(s1), cell_lookup(snext)
 
     def cell_image(pname, s0, s1tab):
         pair = dengine.pairs.pair(pname)
         rt = dengine.pres.uarrow(pair.right).map.table
-        inner = s1.cell((pair.left, s0, tuple(s1tab[c] for c in rt))).table
-        return snext.cell((pair.right, tuple(ct[v] for v in inner), tuple(cb[w] for w in s1tab))).table
+        inner = s1_cell((pair.left, s0, tuple(s1tab[c] for c in rt)))
+        return snext_cell((pair.right, tuple(ct[v] for v in inner), tuple(cb[w] for w in s1tab)))
 
     knext = snext.inclusion.table
     return ref_square(s2, snext.extended, [knext[ct[w]] for w in s1.inclusion.table],
@@ -205,7 +241,7 @@ def _assert_chain_squares(trace, dengine):
             src, dst = engine.step_tables(stage), engine.step_tables(nxt)
         except SizeBudgetExceeded:
             break  # the last stage, whose extension the chain never built
-        assert src._fast == fast
+        assert (src.bottoms is None) == fast
         j = trace.connect[n]
         assert classify_extend(src, dst, j) == ref_extend(src, dst, j)
         if dengine is None:
@@ -303,6 +339,44 @@ def test_extend_blocks_match_reference_on_random_plain_shapes(data):
     assert engine.extend(alpha) == got
 
 
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_classification_matches_literal_cells_on_random_general_shapes(data):
+    """Non-injective generators drop rows of their product order, so a
+    problem's number is not its rank, and connecting squares merge cells:
+    the general step's rank location must still find every cell that the
+    literal construction adjoins."""
+    draw = data.draw
+    gens = [(f"g{i}", _draw_arrow(draw, 2, 2)) for i in range(draw(hst.integers(1, 3)))]
+    squares = []
+    for i in range(draw(hst.integers(0, 4))):
+        src_name, src = draw(hst.sampled_from(gens))
+        dst_name, dst = draw(hst.sampled_from(gens))
+        sq = _draw_square(draw, src, dst)
+        if sq is not None:
+            squares.append((f"s{i}", src_name, dst_name, sq))
+    shape = _Shape(gens, squares)
+    alpha = draw(squares_from(draw(arrows())))
+    engine = StepEngine(shape)
+    src, dst = engine.step(alpha.src), engine.step(alpha.dst)
+    got = classify_extend(src, dst, alpha)
+    assert got == ref_extend(src, dst, alpha, literal_lookup)
+    if not alpha.is_identity():
+        assert engine.extend(alpha) == got
+    literal = literal_lookup(src)
+    for p in src.problem_list:
+        assert src.cell(p.key).table == literal(p.key)
+
+
+def test_cell_refuses_a_row_that_is_no_problem():
+    # codiag's d: 2 -> 1 keeps only the rows whose two top points f joins,
+    # so (0, 1) over 3 -> 2 is a row of its product but no problem
+    st = StepEngine(codiag_pres()).step(ArrowObject(f_3to2()))
+    assert st.cell(("d", (0, 2), (0,))).table == (0,)
+    with pytest.raises(ProblemMismatch):
+        st.cell(("d", (0, 1), (0,)))
+
+
 EDGE_SHAPES = [
     # no free position at all, next to one with two
     PlainPresentation.build(generators=[("e", 2, 2, [1, 0]), ("w", 1, 3, [2])]),
@@ -369,6 +443,35 @@ class TestMixedStructures:
             assert classify_extend(src, dst, alpha) == expected == ref_extend(src, dst, alpha)
 
 
+    @pytest.mark.parametrize("general_paired", [False, True], ids=["fast-pairs", "general-pairs"])
+    @pytest.mark.parametrize("general_single", [False, True], ids=["fast-single", "general-single"])
+    @pytest.mark.parametrize("make", [split_epi_pres, abc_pres], ids=["split-epi", "abc"])
+    def test_comparisons_on_fast_and_general_steps(self, make, general_single, general_paired):
+        f = ArrowObject(f_3to2())
+        fast = DoubleEngine(make())
+        s1 = fast.single.step_tables(f)
+        g = ArrowObject(fmap(2, 1, [0, 0]))
+        rng = random.Random(21)
+        collapses = [
+            identity_square(s1.extended),
+            CommSquare(s1.extended, g, fmap(s1.size, 2, [rng.randrange(2) for _ in range(s1.size)]),
+                       fmap(2, 1, [0, 0])),
+        ]
+        dengine = DoubleEngine(make())
+        if general_single:
+            dengine.single.step_tables = dengine.single.step
+        if general_paired:
+            dengine.paired.step_tables = dengine.paired.step
+        assert (dengine.single.step_tables(f).bottoms is None) != general_single
+        assert (dengine.paired.step_tables(f).bottoms is None) != general_paired
+        expected = fast.compose_comparison(f)
+        assert dengine.compose_comparison(f) == expected == ref_compose(dengine, f)
+        for collapse in collapses:
+            expected = fast.iterate_then(f, collapse)
+            got = dengine.iterate_then(f, collapse)
+            assert got == expected == ref_iterate(dengine, f, collapse)
+
+
 # ---------------------------------------------------------------------------
 # the path guard
 # ---------------------------------------------------------------------------
@@ -376,38 +479,47 @@ class TestMixedStructures:
 
 @pytest.fixture
 def per_problem_calls(monkeypatch):
-    """Counts of the calls into the per-problem route during a test."""
-    counts = {"_cell_table": 0, "_classify": 0}
-    cell_table, classify = StepStructure._cell_table, step_module._classify
+    """Counts of the per-problem locations of a cell during a test: the
+    rank of one problem, and the cell of one problem."""
+    counts = {"rank": 0, "cell": 0}
+    rank, cell = _GenLayout.rank, StepStructure.cell
 
-    def counted_cell_table(self, key):
-        counts["_cell_table"] += 1
-        return cell_table(self, key)
+    def counted_rank(self, *args):
+        counts["rank"] += 1
+        return rank(self, *args)
 
-    def counted_classify(*args, **kwargs):
-        counts["_classify"] += 1
-        return classify(*args, **kwargs)
+    def counted_cell(self, key):
+        counts["cell"] += 1
+        return cell(self, key)
 
-    monkeypatch.setattr(StepStructure, "_cell_table", counted_cell_table)
-    monkeypatch.setattr(step_module, "_classify", counted_classify)
+    monkeypatch.setattr(_GenLayout, "rank", counted_rank)
+    monkeypatch.setattr(StepStructure, "cell", counted_cell)
     return counts
+
+
+def _seeded(x: int, y: int, seed: int):
+    rng = random.Random(seed)
+    return fmap(x, y, [rng.randrange(y) for _ in range(x)])
 
 
 class TestPathGuard:
     def test_growth_chain_never_classifies_per_problem(self, per_problem_calls):
         trace = run_chain(growth_pres(), f_1to1(), mode="plain", max_stage=60)
         assert trace.carrier_sizes[-1] == 61
-        assert per_problem_calls == {"_cell_table": 0, "_classify": 0}
+        assert per_problem_calls == {"rank": 0, "cell": 0}
 
     def test_composite_special_chain_never_classifies_per_problem(self, per_problem_calls):
-        rng = random.Random(4000)
-        f = fmap(400, 40, [rng.randrange(40) for _ in range(400)])
-        trace = run_chain(composite_pres(), f, mode="special", max_stage=4)
+        trace = run_chain(composite_pres(), _seeded(400, 40, 4000), mode="special", max_stage=4)
         assert trace.carrier_sizes[1] > 400
-        assert per_problem_calls == {"_cell_table": 0, "_classify": 0}
+        assert per_problem_calls == {"rank": 0, "cell": 0}
 
-    def test_counter_sees_the_per_problem_route(self, per_problem_calls):
-        # a general shape takes the per-problem route, so the guard above
-        # would catch a fallback
-        run_chain(two_gen_plain_pres(), f_3to2(), mode="plain", max_stage=3)
-        assert per_problem_calls["_classify"] > 0
+    @pytest.mark.parametrize("make", [two_gen_plain_pres, codiag_pres], ids=["two-gen", "codiag"])
+    def test_general_chain_never_classifies_per_problem(self, make, per_problem_calls):
+        # general steps: a connecting square, and a generator that drops rows
+        trace = run_chain(make(), _seeded(30, 6, 30), mode="plain", max_stage=3)
+        assert not fast_eligible(make()) and len(trace.carrier_sizes) == 4
+        assert per_problem_calls == {"rank": 0, "cell": 0}
+        # the counters are live: one cell looked up by key counts once each
+        st = trace.engine.step_tables(trace.stages[0])
+        st.cell(st.problem_list[0].key)
+        assert per_problem_calls == {"rank": 1, "cell": 1}

@@ -449,6 +449,26 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    """An output path in a missing directory exits 1 and names the path."""
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--presentation", fx("gen_split_epi.json"), "--map", fx("f_3to2.json"),
+         "--max-stage", "2", "--out", "{missing}"],
+        ["factor", "--presentation", fx("gen_split_epi.json"), "--map", fx("f_3to2.json"),
+         "--max-stage", "2", "--trace", "{missing}"],
+        ["validate", "--presentation", fx("gen_split_epi.json"), "--out", "{missing}"],
+        # the report of a chain that does not stabilise
+        ["factor", "--presentation", fx("gen_growth.json"), "--map", fx("f_1to1.json"),
+         "--max-stage", "5", "--out", "{missing}"],
+    ], ids=["factor-out", "factor-trace", "validate-out", "not-stabilised-out"])
+    def test_missing_directory_exits_1(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-dir" / "out.json")
+        code = main([a.format(missing=missing) for a in argv])
+        assert code == 1
+        assert f"error: {missing}: No such file or directory" in capsys.readouterr().err
+
+
 class TestUsage:
     """A command line that does not parse is an input failure (exit 1), not
     exit 2, which means the chain did not stabilise."""

@@ -40,7 +40,7 @@ from awfskit.serialize import (
     parse_text,
     read_json,
 )
-from awfskit.step import LiftingProblem, SizeBudget, StepStructure, enumerate_problems
+from awfskit.step import LiftingProblem, SizeBudget, StepStructure, _GenLayout, enumerate_problems
 from awfskit.verify import Certificate, verify_certificate
 
 from fixture_lib import (
@@ -273,8 +273,8 @@ def _counting(monkeypatch, owners) -> dict:
                          ids=["composite-special", "composite-plain", "two_gen-plain"])
 def test_verify_makes_no_per_key_lookup(make, mode, monkeypatch):
     """``verify_certificate`` reads the lift table as columns, in memory and
-    decoded: no filler is looked up by key, no cell is computed per problem
-    (``StepStructure`` has no per-key ``locate``), and on fast steps the
+    decoded: no filler is looked up by key, no cell or rank is computed per
+    problem (``StepStructure`` has no per-key ``locate``), and on fast steps the
     number of maps it builds does not grow with the table."""
     assert not hasattr(StepStructure, "locate")
     built = {}
@@ -287,7 +287,7 @@ def test_verify_makes_no_per_key_lookup(make, mode, monkeypatch):
         assert isinstance(decoded.lift_table, LiftTable)
         with monkeypatch.context() as m:
             counts = _counting(m, [(LiftTable, "__getitem__"), (StepStructure, "cell"),
-                                   (StepStructure, "_cell_table"), (FiniteMap, "__post_init__")])
+                                   (_GenLayout, "rank"), (FiniteMap, "__post_init__")])
             for c in (cert, decoded):
                 report = verify_certificate(c)
                 assert report.ok == (mode == "special" or make is two_gen_plain_pres)

@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from awfskit.chain import detect_stabilisation, extract, run_chain, solve_lift
+from awfskit.chain import extract, run_chain, solve_lift
 from awfskit.serialize import (
     decode_map_or_arrow,
     decode_presentation,
@@ -28,7 +28,7 @@ from awfskit.serialize import (
 from awfskit.step import LiftingProblem
 from awfskit.arrows import CommSquare
 from awfskit.finset import FiniteMap
-from awfskit.verify import Certificate, verify_certificate
+from awfskit.verify import verify_certificate
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -48,12 +48,11 @@ def main() -> int:
     print(f"chain carriers per stage: {summary['carrier_sizes']}")
     print(f"stabilised at stage: {summary['stabilised_at']}")
 
-    result = extract(trace)
-    print(f"left leg  (into the middle object): {list(result.left.table)}")
-    print(f"right leg (onto the codomain):      {list(result.right.map.table)}")
-    print(f"structure map of the right leg:     {list(result.beta0.table)}")
+    cert = extract(trace)
+    print(f"left leg  (into the middle object): {list(cert.left.table)}")
+    print(f"right leg (onto the codomain):      {list(cert.right.map.table)}")
+    print(f"structure map of the right leg:     {list(cert.beta0.table)}")
 
-    cert = Certificate.from_result(pres, result)
     report = verify_certificate(cert)
     for entry in report.entries:
         status = "ok  " if entry.ok else "FAIL"
@@ -70,10 +69,10 @@ def main() -> int:
         for name, u in pres.lifting_generators()
         if u.top.size == 0 and u.bot.size == 1
     )
-    bot = FiniteMap(gen.bot, result.right.bot, (1,))
-    top = FiniteMap(gen.top, result.right.top, ())
-    problem = LiftingProblem(gen_name, CommSquare(gen, result.right, top, bot))
-    filler = solve_lift(result, problem)
+    bot = FiniteMap(gen.bot, cert.right.bot, (1,))
+    top = FiniteMap(gen.top, cert.right.top, ())
+    problem = LiftingProblem(gen_name, CommSquare(gen, cert.right, top, bot))
+    filler = solve_lift(cert, problem)
     print(f"filler for problem ({gen_name}, top=[], bot=[1]): {list(filler.table)}")
 
     if args.out:

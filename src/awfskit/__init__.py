@@ -7,13 +7,13 @@ lifting structure, and verify every defining equation exhaustively.
 
 Typical use::
 
-    from awfskit import factorise, Certificate, verify_certificate
-    from awfskit.serialize import decode_presentation, read_json
+    from awfskit import factorise, verify_certificate
+    from awfskit.serialize import decode_map_or_arrow, decode_presentation, read_json
 
     pres = decode_presentation(read_json("fixtures/gen_split_epi.json"))
-    result = factorise(pres, f, mode="special", max_stage=3)
-    report = verify_certificate(Certificate.from_result(pres, result))
-    assert report.ok
+    f = decode_map_or_arrow(read_json("fixtures/f_3to2.json"))
+    cert = factorise(pres, f, mode="special", max_stage=3)  # a Certificate
+    assert verify_certificate(cert).ok
 """
 
 from .arrows import (
@@ -24,8 +24,8 @@ from .arrows import (
     square_compose,
 )
 from .chain import (
+    Certificate,
     ChainTrace,
-    FactorisationResult,
     LiftTable,
     detect_stabilisation,
     extract,
@@ -68,7 +68,6 @@ from .step import (
     StepStructure,
 )
 from .verify import (
-    Certificate,
     Report,
     ReportEntry,
     check_algebra,
@@ -89,7 +88,6 @@ __all__ = [
     "DoubleCatPresentation",
     "DoubleEngine",
     "EngineError",
-    "FactorisationResult",
     "FinSet",
     "FiniteMap",
     "InvalidPresentation",

@@ -15,6 +15,8 @@ stage is the middle object, the composite of the connecting squares is
 the left half, the stage itself (as an arrow) is the right half, and the
 inverse of the stabilised connecting square turns the stage's structure
 square into the algebra map that answers every lifting problem.
+``extract`` returns all of it as one ``Certificate``, the record that
+``verify``, the certificate encoder and the command line read.
 
 That algebra map ``beta0: Tg -> g`` is the whole lifting structure: the
 filler of a problem is ``beta0`` after its cell.  So the lift table is
@@ -27,7 +29,7 @@ certificate encoder, the decoder and ``verify`` read the same columns.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -277,19 +279,27 @@ class LiftTable(Mapping):
 
 
 @dataclass
-class FactorisationResult:
-    """The extracted factorisation f = R after L with its lifting algebra:
-    ``beta0`` and the lift table it gives, a ``LiftTable`` of columns that
-    slices each filler out of one map on demand."""
+class Certificate:
+    """The factorisation f = R after L with its lifting algebra ``beta0``,
+    from ``extract`` (with the chain, ``trace``) or supplied for auditing.
+    The lift table maps each problem key to its filler: a ``LiftTable`` of
+    columns, from the chain or the decoder, or a dict of checked maps when
+    built by hand (or decoded from records the column passes do not take)."""
 
+    pres: object
     mode: str
-    stage: int
     input: ArrowObject
     left: FiniteMap  # input domain -> middle carrier
     right: ArrowObject  # middle carrier -> input codomain
     beta0: FiniteMap  # extension carrier of the right leg -> middle carrier
-    lift_table: LiftTable
-    trace: Optional[ChainTrace] = None
+    lift_table: Mapping
+    stage: Optional[int] = None
+    trace_sizes: Optional[list] = None
+    trace: Optional[ChainTrace] = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def from_result(cls, pres, result: "Certificate") -> "Certificate":
+        return replace(result, pres=pres)
 
     @property
     def middle_size(self) -> int:
@@ -299,50 +309,42 @@ class FactorisationResult:
         return CommSquare(extension, self.right, self.beta0, identity(self.right.bot))
 
 
-def extract(trace: ChainTrace, n: Optional[int] = None) -> FactorisationResult:
-    """Extract the factorisation at the stabilised stage, re-verifying the
-    algebra laws before returning."""
-    detected = detect_stabilisation(trace)
+def extract(trace: ChainTrace) -> Certificate:
+    """Extract the factorisation at the stage ``detect_stabilisation``
+    finds, re-verifying the algebra laws before returning."""
+    n = detect_stabilisation(trace)
     if n is None:
-        n = detected
-    if n is None or detected is None or n < detected:
         raise NotStabilised(
             f"chain did not stabilise within {len(trace.stages) - 1} stages "
             f"(carrier sizes {trace.carrier_sizes})",
             sizes=trace.carrier_sizes,
         )
-    if n >= len(trace.connect):
-        raise DiagramError(f"no stage {n} to extract in a trace of {len(trace.stages)} stages")
-    inv = is_iso(trace.connect[n].top)
-    if inv is None:
-        raise NotStabilised(
-            f"connecting square at stage {n} is not invertible",
-            sizes=trace.carrier_sizes,
-        )
     right = trace.stages[n]
-    beta0 = compose(inv, trace.structure[n].top)
+    beta0 = compose(is_iso(trace.connect[n].top), trace.structure[n].top)
     left = trace.connecting(0, n).top
     st = trace.engine.step_tables(right)
-    if compose(trace.stages[n].map, left).table != trace.target.map.table:
+    if compose(right.map, left).table != trace.target.map.table:
         raise DiagramError("extracted factorisation does not recompose the input")
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
     st.check_listable(trace.engine.budget, f"lift table at stage {n}")
-    result = FactorisationResult(
+    cert = Certificate(
+        pres=trace.shape,
         mode=trace.mode,
-        stage=n,
         input=trace.target,
         left=left,
         right=right,
         beta0=beta0,
         lift_table=LiftTable(list(st.problem_blocks()), compose(beta0, st.copaired())),
+        stage=n,
+        trace_sizes=trace.carrier_sizes,
         trace=trace,
     )
     if trace.mode == "special":
-        lhs, rhs = special_algebra_routes(trace.double_engine, result.beta_square(st.extended))
+        lhs, rhs = special_algebra_routes(trace.double_engine, cert.beta_square(st.extended))
         if lhs != rhs:
             raise DiagramError("extracted algebra violates the pair-composition law")
-    return result
+    return cert
 
 
 def special_algebra_routes(
@@ -359,7 +361,7 @@ def special_algebra_routes(
     return through_composite, two_stage
 
 
-def solve_lift(result: FactorisationResult, problem: LiftingProblem) -> FiniteMap:
+def solve_lift(result: Certificate, problem: LiftingProblem) -> FiniteMap:
     """Answer a lifting problem against the extracted middle arrow."""
     if problem.square.dst != result.right:
         raise ProblemMismatch("problem does not target the extracted arrow")
@@ -370,6 +372,6 @@ def solve_lift(result: FactorisationResult, problem: LiftingProblem) -> FiniteMa
 
 
 def factorise(shape, f, mode: str = "plain", max_stage: int = 16,
-              budget: Optional[SizeBudget] = None) -> FactorisationResult:
+              budget: Optional[SizeBudget] = None) -> Certificate:
     """Run the chain and extract in one call."""
     return extract(run_chain(shape, f, mode, max_stage, budget))

@@ -37,7 +37,7 @@ from .serialize import (
     write_json,
 )
 from .step import SizeBudget, check_listable
-from .verify import Certificate, Report, oracle_initiality, oracle_kappa, verify_certificate
+from .verify import Report, oracle_initiality, oracle_kappa, verify_certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -80,14 +80,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=False, chain=False):
+    def common(p, mode=False, chain=False, budget=True):
         p.add_argument("--presentation", required=True, help="presentation JSON file")
         if mode:
             p.add_argument("--mode", choices=("plain", "special"), default="plain")
         if chain:
             p.add_argument("--max-stage", type=int, default=16, metavar="N")
-        p.add_argument("--budget", type=_non_negative("budget"), default=None, metavar="N",
-                       help="problem-count budget for enumerations")
+        if budget:
+            p.add_argument("--budget", type=_non_negative("budget"), default=None, metavar="N",
+                           help="problem-count budget for enumerations")
         p.add_argument("--out", default=None, metavar="PATH", help="write the JSON artifact here")
 
     p = sub.add_parser("factor", help="compute the factorisation and its certificate")
@@ -118,7 +119,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="kappa: seed for the sampled regime")
 
     p = sub.add_parser("validate", help="check a presentation against the axioms")
-    common(p)
+    common(p, budget=False)
     return top
 
 
@@ -156,20 +157,18 @@ def _cmd_factor(args) -> int:
     if args.trace:
         write_json(args.trace, trace_summary(trace))
     try:
-        result = extract(trace)
+        cert = extract(trace)
     except NotStabilised as e:
         print(f"not stabilised: {e}", file=sys.stderr)
         if args.out:
             write_json(args.out, {"error": "not-stabilised", "carrier_sizes": e.sizes,
                                   "detail": str(e)})
         return EXIT_NOT_STABILISED
-    cert = Certificate.from_result(pres, result)
     if args.out:
         write_json(args.out, encode_certificate(cert))
-    sizes = trace.carrier_sizes
     print(
-        f"stabilised at stage {result.stage}; middle carrier {result.right.top.size}; "
-        f"stage carriers {sizes}; lift table {len(cert.lift_table)} fillers"
+        f"stabilised at stage {cert.stage}; middle carrier {cert.middle_size}; "
+        f"stage carriers {cert.trace_sizes}; lift table {len(cert.lift_table)} fillers"
     )
     return EXIT_OK
 

@@ -62,7 +62,7 @@ from operator import itemgetter, lt
 from typing import Optional
 
 from .arrows import ArrowObject
-from .chain import LiftTable, detect_stabilisation
+from .chain import Certificate, LiftTable, detect_stabilisation
 from .errors import DiagramError, OutputError, ParseError
 from .finset import FinSet, FiniteMap, is_iso
 from .presentation import (
@@ -76,7 +76,6 @@ from .presentation import (
     VArrowSpec,
 )
 from .step import _interleave
-from .verify import Certificate
 
 CERTIFICATE_SCHEMA = "awfskit/certificate-v1"
 

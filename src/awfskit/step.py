@@ -227,12 +227,12 @@ def _layout(name: str, u: ArrowObject, x: int, y: int, base: int = 0) -> _GenLay
                       range(top_count * free_count))
 
 
-def _layouts(shape, x: int, y: int) -> dict[str, _GenLayout]:
+def _layouts(shape, x: int, y: int, fast: bool) -> dict[str, _GenLayout]:
     """The layout of every generator of ``shape`` against a target ``X ->
-    Y``, by name, in generator order, with the bases of a fast step."""
+    Y``, by name, in generator order, based as on a fast step if ``fast``, else at 0."""
     out, base = {}, x
     for name, u in shape.lifting_generators():
-        out[name] = meta = _layout(name, u, x, y, base)
+        out[name] = meta = _layout(name, u, x, y, base if fast else 0)
         base += meta.block * meta.fcount
     return out
 
@@ -252,16 +252,16 @@ class StepStructure:
     each cell in problem order, which on fast ones is the carrier in order.
     """
 
-    def __init__(self, shape, target: ArrowObject, gens: dict[str, _GenLayout]):
+    def __init__(self, shape, target: ArrowObject, gens: dict[str, _GenLayout],
+                 extended: ArrowObject, inclusion: FiniteMap,
+                 bottoms: Optional[FiniteMap] = None, copair: Optional[FiniteMap] = None,
+                 cover: Optional[list] = None):
         self.shape = shape
         self.target = target
-        self.extended: ArrowObject = None  # type: ignore[assignment]
-        self.unit: CommSquare = None  # type: ignore[assignment]
-        self.inclusion: FiniteMap = None  # type: ignore[assignment]
-        self.bottoms: Optional[FiniteMap] = None
-        self.copair: Optional[FiniteMap] = None
-        self.cover: Optional[list] = None
         self._gens = gens
+        self.extended, self.inclusion = extended, inclusion
+        self.unit = CommSquare(target, extended, inclusion, identity(target.bot))
+        self.bottoms, self.copair, self.cover = bottoms, copair, cover
 
     @property
     def size(self) -> int:
@@ -288,12 +288,16 @@ class StepStructure:
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``, located by its rank: a
         map from the bottom carrier of its generator into the extension
-        carrier, its forced entries the inclusion of its top."""
+        carrier, its forced entries the inclusion of its top.  A key that is
+        no lifting problem of this step is refused before its rank is read."""
         gen, s0, s1 = key
-        meta = self._gens[gen]
-        if _gather(self.target.map.table, s0) != _gather(s1, meta.u.map.table):
+        meta = self._gens.get(gen)
+        x, y = self.target.top.size, self.target.bot.size
+        if (meta is None or len(s0) != meta.u.top.size or len(s1) != meta.u.bot.size
+                or not all(0 <= v < x for v in s0) or not all(0 <= v < y for v in s1)
+                or _gather(self.target.map.table, s0) != _gather(s1, meta.u.map.table)):
             raise ProblemMismatch(f"{key} is not a lifting problem of this step")
-        at = meta.base + meta.rank(s0, s1, self.target.top.size, self.target.bot.size) * meta.fcount
+        at = meta.base + meta.rank(s0, s1, x, y) * meta.fcount
         free, incl = meta.points_at(range(at, at + meta.fcount)), self.inclusion.table
         table = tuple([free[i] if is_free else incl[s0[i]] for is_free, i in meta.layout])
         return FiniteMap(FinSet(len(table)), self.extended.top, table)
@@ -358,7 +362,7 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
     if not fast_eligible(shape):
         raise DiagramError("shape is not eligible for the fast step path")
     x, y = target.top.size, target.bot.size
-    metas = _layouts(shape, x, y)
+    metas = _layouts(shape, x, y, True)
     # the budget bounds the problems that adjoin cells (problems of
     # surjective generators are never enumerated by the chain; ``extract``
     # counts them before it lists the lift table); checked arithmetically
@@ -375,12 +379,9 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
         if meta.fcount:
             block = [v for vals in itertools.product(range(y), repeat=meta.fcount) for v in vals]
             ttable.extend(block * meta.top_count)
-    size = len(ttable)
-    struct = StepStructure(shape, target, metas)
-    struct.extended = ArrowObject(FiniteMap(FinSet(size), target.bot, tuple(ttable)))
-    struct.inclusion = FiniteMap(target.top, FinSet(size), tuple(range(x)))
-    struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    return struct
+    extended = ArrowObject(FiniteMap(FinSet(len(ttable)), target.bot, tuple(ttable)))
+    return StepStructure(shape, target, metas, extended,
+                         FiniteMap(target.top, extended.top, tuple(range(x))))
 
 
 def _copies(table: Sequence[int], size: int, count: int, base: int) -> list:
@@ -401,7 +402,7 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     The extension is the pushout of the colimit along its counit into
     ``target``."""
     x, y = target.top.size, target.bot.size
-    gens = _layouts(shape, x, y)
+    gens = _layouts(shape, x, y, False)
     check_listable(sum(meta.block for meta in gens.values()), budget,
                    "general step", "problems at most")
     cols, firsts = {}, {}  # generator -> its key columns, the number of its first problem
@@ -446,21 +447,18 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     to_f = CommSquare(big_u, target, FiniteMap(big_u.top, target.top, tuple(to_top)),
                       FiniteMap(big_u.bot, target.bot, tuple(to_bot)))
     counit = colim.induced([to_f, square_compose(to_f, moved)], target)
-    struct = StepStructure(shape, target, gens)
     po = pushout(counit.top, colim.apex.map)
-    struct.inclusion = po.left
-    struct.extended = ArrowObject(po.induced(target.map, counit.bot))
-    struct.unit = CommSquare(target, struct.extended, struct.inclusion, identity(target.bot))
-    struct.bottoms = colim.bot.legs[0]
-    struct.copair = compose(po.right, struct.bottoms)
+    bottoms = colim.bot.legs[0]
+    copair = compose(po.right, bottoms)
     # each cell's free entries, read off the copaired cells in problem order
-    cells, struct.cover = struct.copair.table, list(struct.inclusion.table)
+    cells, cover = copair.table, list(po.left.table)
     for name, meta in gens.items():
         nb, start = meta.u.bot.size, ubots[firsts[name]]
         entries = [cells[start + j * nb + b] for j in range(len(meta.ranks)) for b in meta.free]
-        struct.cover += entries
-        meta.base, meta.points = 0, meta.by_rank(entries, meta.fcount)
-    return struct
+        cover += entries
+        meta.points = meta.by_rank(entries, meta.fcount)
+    return StepStructure(shape, target, gens, ArrowObject(po.induced(target.map, counit.bot)),
+                         po.left, bottoms, copair, cover)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent re-verification of factorisation certificates.
 
-Everything here is a pure table computation over the certificate and the
-presentation: the checks recompute the extension tables and compare
+Everything here is a pure table computation over the certificate (the
+``Certificate`` record that ``chain.extract`` builds, re-exported here)
+and the presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
 hold on the nose, not up to tolerance.  A ``LiftTable`` is read as
 columns: the key columns of each generator are compared with the step's
@@ -37,7 +38,7 @@ from operator import itemgetter
 from typing import Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
-from .chain import FactorisationResult, LiftTable, _keys, special_algebra_routes
+from .chain import Certificate, LiftTable, _keys, special_algebra_routes
 from .errors import DiagramError, EngineError, NonNaturalLifting, ProblemMismatch, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, _gather, compose, identity
 from .step import (
@@ -55,41 +56,7 @@ from .step import (
 
 
 # ---------------------------------------------------------------------------
-# certificates and reports
-
-
-@dataclass
-class Certificate:
-    """A claimed factorisation with its lifting algebra, as produced by the
-    chain (or supplied externally for auditing).  The lift table maps each
-    problem key to its filler: a ``LiftTable`` of columns, from the chain
-    or the decoder, or a dict of checked maps when built by hand (or
-    decoded from records the column passes do not take)."""
-
-    pres: object
-    mode: str
-    input: ArrowObject
-    left: FiniteMap
-    right: ArrowObject
-    beta0: FiniteMap
-    lift_table: Mapping
-    stage: Optional[int] = None
-    trace_sizes: Optional[list] = None
-
-    @classmethod
-    def from_result(cls, pres, result: FactorisationResult) -> "Certificate":
-        sizes = result.trace.carrier_sizes if result.trace is not None else None
-        return cls(
-            pres=pres,
-            mode=result.mode,
-            input=result.input,
-            left=result.left,
-            right=result.right,
-            beta0=result.beta0,
-            lift_table=result.lift_table,
-            stage=result.stage,
-            trace_sizes=sizes,
-        )
+# reports
 
 
 @dataclass(frozen=True)

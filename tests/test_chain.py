@@ -17,6 +17,7 @@ cells answer lifting problems through the same point 3+y, whereas the
 plain run stops at carrier 7 with the a- and c-cells kept apart.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -25,8 +26,8 @@ import pytest
 from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
 from awfskit.errors import DiagramError, NotStabilised, ProblemMismatch, SizeBudgetExceeded
 from awfskit.chain import (
+    Certificate,
     ChainTrace,
-    FactorisationResult,
     detect_stabilisation,
     extract,
     factorise,
@@ -38,7 +39,7 @@ from awfskit.chain import (
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
 from awfskit.step import LiftingProblem, SizeBudget, StepEngine, enumerate_problems
-from awfskit.verify import _commuting_squares
+from awfskit.verify import _commuting_squares, verify_certificate
 
 from fixture_lib import (
     abc_pres,
@@ -146,19 +147,15 @@ class TestPlainSplitEpi:
         # the left factor and the identity on the codomain form a square into R
         CommSquare(result.input, result.right, result.left, identity(FinSet(2)))
 
-    def test_extract_beyond_detection_stage(self):
-        trace = run_plain(plain_split_epi_pres(), f_3to2(), max_stage=3)
-        late = extract(trace, n=2)
-        assert late.middle_size == 5
-        with pytest.raises(NotStabilised):
-            extract(trace, n=0)
-
-    def test_extract_past_the_trace_is_refused(self):
-        trace = run_plain(plain_split_epi_pres(), f_3to2(), max_stage=3)
-        assert len(trace.stages) == 4
-        for n in (len(trace.connect), len(trace.stages), 99):
-            with pytest.raises(DiagramError, match=f"no stage {n} to extract in a trace of 4 stages"):
-                extract(trace, n=n)
+    def test_extract_returns_one_certificate(self):
+        shape = plain_split_epi_pres()
+        trace = run_plain(shape, f_3to2(), max_stage=3)
+        cert = extract(trace)
+        assert isinstance(cert, Certificate)
+        assert (cert.pres, cert.stage, cert.trace_sizes) == (shape, 1, [3, 5, 5, 5])
+        assert cert.trace is trace and dataclasses.replace(cert, trace=None) == cert
+        assert Certificate.from_result(shape, cert) == cert
+        assert verify_certificate(cert).ok
 
     def test_identity_target_stabilises(self):
         result = factorise(plain_split_epi_pres(), f_1to1(), mode="plain", max_stage=2)
@@ -363,7 +360,7 @@ class TestSolveLift:
         assert a.lift_table == b.lift_table
 
 
-def _per_problem_lift_table(result: FactorisationResult) -> dict:
+def _per_problem_lift_table(result: Certificate) -> dict:
     """The lift table built one problem at a time: beta0 after the cell map
     of every enumerated problem.  ``extract`` reads the same maps off the
     step's cell tables; this is the reference it is checked against."""
@@ -394,6 +391,18 @@ _DIFFERENTIAL_MAPS = {
     "f_0to1": f_0to1, "f_1to1": f_1to1, "f_2to3": f_2to3, "f_3to2": f_3to2,
     "r40to5": lambda: _seeded_map(40, 5, 7),
 }
+# the cases whose chain reaches no lift table within four stages and a
+# budget of 20,000 problems, with the exception each one raises
+_OVER_BUDGET = ("f_1to1", "f_2to3", "f_3to2", "r40to5")
+_UNREACHABLE = {
+    **{("growth_pres", "plain", m): NotStabilised for m in ("f_1to1", "f_2to3", "f_3to2")},
+    ("growth_pres", "plain", "r40to5"): SizeBudgetExceeded,
+    **{("abc_pres", mode, m): SizeBudgetExceeded
+       for mode in ("plain", "special") for m in _OVER_BUDGET},
+    **{("retract_pres", "plain", m): SizeBudgetExceeded for m in _OVER_BUDGET},
+    ("retract_pres", "special", "f_1to1"): NotStabilised,
+    **{("retract_pres", "special", m): SizeBudgetExceeded for m in _OVER_BUDGET[1:]},
+}
 
 
 @pytest.mark.parametrize("map_name", list(_DIFFERENTIAL_MAPS))
@@ -404,10 +413,15 @@ _DIFFERENTIAL_MAPS = {
     if mode == "plain" or make().kind == "double"
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_lift_table_equals_per_problem_reference_in_order(make_shape, mode, map_name):
-    try:
-        result = factorise(make_shape(), _DIFFERENTIAL_MAPS[map_name](), mode=mode,
-                           max_stage=4, budget=SizeBudget(max_problems=20_000))
-    except (NotStabilised, SizeBudgetExceeded):
-        pytest.skip("the chain does not reach a lift table")
+    def run():
+        return factorise(make_shape(), _DIFFERENTIAL_MAPS[map_name](), mode=mode,
+                         max_stage=4, budget=SizeBudget(max_problems=20_000))
+
+    unreachable = _UNREACHABLE.get((make_shape.__name__, mode, map_name))
+    if unreachable is not None:
+        with pytest.raises(unreachable):
+            run()
+        return
+    result = run()
     reference = _per_problem_lift_table(result)
     assert list(result.lift_table.items()) == list(reference.items())

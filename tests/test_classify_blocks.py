@@ -377,6 +377,19 @@ def test_cell_refuses_a_row_that_is_no_problem():
         st.cell(("d", (0, 1), (0,)))
 
 
+def test_cell_refuses_keys_out_of_range():
+    # g, h: 0 -> 1 over 3 -> 2: g's cells are points 3 and 4, h's 5 and 6;
+    # each key's rank would land on another problem's cell, a point of X,
+    # or past the carrier
+    shape = PlainPresentation.build(generators=[("g", 0, 1, []), ("h", 0, 1, [])])
+    st = StepEngine(shape).step_fast(ArrowObject(f_3to2()))
+    assert st.cell(("g", (), (1,))).table == (4,)
+    assert st.cell(("h", (), (0,))).table == (5,)
+    for key in [("g", (), (2,)), ("g", (), (0, 1)), ("g", (), (-1,)), ("g", (), (5,))]:
+        with pytest.raises(ProblemMismatch):
+            st.cell(key)
+
+
 EDGE_SHAPES = [
     # no free position at all, next to one with two
     PlainPresentation.build(generators=[("e", 2, 2, [1, 0]), ("w", 1, 3, [2])]),

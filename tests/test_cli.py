@@ -483,8 +483,9 @@ class TestUsage:
         ["verify", "--presentation", fx("gen_growth.json")],
         ["oracle", "sigma", "--presentation", fx("gen_growth.json")],
         ["factorise"],
+        ["validate", "--presentation", fx("gen_uniform2.json"), "--budget", "0"],
     ], ids=["no-command", "missing-map", "bad-max-stage", "bad-budget", "missing-certificate",
-            "unknown-oracle", "unknown-command"])
+            "unknown-oracle", "unknown-command", "validate-has-no-budget"])
     def test_usage_error_exits_1_with_usage(self, argv, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -27,7 +27,7 @@ from hypothesis import strategies as hst
 
 from awfskit import serialize
 from awfskit.arrows import CommSquare
-from awfskit.chain import FactorisationResult, LiftTable, extract, factorise, run_chain, solve_lift
+from awfskit.chain import LiftTable, extract, factorise, run_chain, solve_lift
 from awfskit.cli import main as cli_main
 from awfskit.errors import NotStabilised, ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap, compose
@@ -61,7 +61,7 @@ from test_serialize import plain_certificate_payload, reference_dumps
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def reference_table(result: FactorisationResult) -> dict:
+def reference_table(result: Certificate) -> dict:
     """The lift table as ``extract`` built it one problem at a time: a
     checked map per problem, ``beta0`` after the problem's cell."""
     st = result.trace.engine.step_tables(result.right)
@@ -72,7 +72,7 @@ def reference_table(result: FactorisationResult) -> dict:
     }
 
 
-def unknown_keys(result: FactorisationResult, ref: dict) -> list:
+def unknown_keys(result: Certificate, ref: dict) -> list:
     """Keys that name no problem: an unknown generator, wrong lengths,
     entries outside the arrow, a square that does not commute, and keys
     that are not triples."""
@@ -89,7 +89,7 @@ def unknown_keys(result: FactorisationResult, ref: dict) -> list:
     return [key for key in out if key not in ref]
 
 
-def check_against_reference(pres, result: FactorisationResult) -> None:
+def check_against_reference(pres, result: Certificate) -> None:
     table, ref = result.lift_table, reference_table(result)
     assert isinstance(table, LiftTable)
     assert list(table) == list(ref)

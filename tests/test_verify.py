@@ -64,10 +64,12 @@ from fixture_lib import (
     f_3to2,
     fmap,
     growth_pres,
+    pair_square_pres,
     plain_split_epi_pres,
     retract_pres,
     split_epi_pres,
     two_gen_plain_pres,
+    uniform_monos_pres,
 )
 
 
@@ -85,6 +87,17 @@ def certs():
         "plain": _cert(plain_split_epi_pres(), f_3to2(), "plain", 2),
         "double": _cert(split_epi_pres(), f_3to2(), "special", 3),
         "composite": _cert(composite_pres(), f_3to2(), "special", 4),
+    }
+
+
+@pytest.fixture(scope="module")
+def square_certs():
+    """Special certificates of presentations with squares: the special fork
+    of ``pair_square_pres`` merges cells, and ``uniform_monos_pres(2)``
+    has squares between its injections."""
+    return {
+        "pair_square": _cert(pair_square_pres(), f_3to2(), "special", 4),
+        "uniform2": _cert(uniform_monos_pres(2), fmap(2, 1, [0, 0]), "special", 6),
     }
 
 
@@ -184,22 +197,22 @@ class TestPassingCertificates:
 
 
 class TestMutationSensitivity:
-    def test_every_single_entry_mutation_is_detected(self, certs):
+    def test_every_single_entry_mutation_is_detected(self, certs, square_certs):
         total = 0
         undetected = []
-        for name, cert in certs.items():
+        for name, cert in {**certs, **square_certs}.items():
             for desc, mutant in _mutants(cert):
                 total += 1
                 if verify_certificate(mutant).ok:
                     undetected.append(f"{name}:{desc}")
-        assert total >= 200, f"corpus too small: {total}"
+        assert total >= 200 + 120 + 116, f"corpus too small: {total}"
         assert undetected == []
 
-    def test_dict_table_reports_as_its_decoded_columns(self, certs):
+    def test_dict_table_reports_as_its_decoded_columns(self, certs, square_certs):
         """A dict lift table is walked key by key; the certificate decoded
         from its encoding holds columns.  Both get the same report."""
         checked = 0
-        for _, cert in certs.items():
+        for _, cert in {**certs, **square_certs}.items():
             for desc, mutant in _mutants(cert):
                 decoded = decode_certificate(parse_text(dumps(encode_certificate(mutant))),
                                              mutant.pres)
@@ -208,7 +221,7 @@ class TestMutationSensitivity:
                 assert dumps(verify_certificate(mutant).to_payload()) == dumps(
                     verify_certificate(decoded).to_payload()), desc
                 checked += 1
-        assert checked >= 200
+        assert checked >= 200 + 120 + 116
 
     def test_specific_labels(self, certs):
         cert = certs["plain"]

@@ -362,7 +362,9 @@ def special_algebra_routes(
 
 
 def solve_lift(result: Certificate, problem: LiftingProblem) -> FiniteMap:
-    """Answer a lifting problem against the extracted middle arrow."""
+    """Answer a lifting problem against the extracted middle arrow: the
+    command line's ``lift`` answers through it, once its problem's square
+    has been built and checked (``LiftingProblem.of``)."""
     if problem.square.dst != result.right:
         raise ProblemMismatch("problem does not target the extracted arrow")
     try:

@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .chain import extract, run_chain
+from .chain import extract, run_chain, solve_lift
 from .errors import (
     EngineError,
     InvalidPresentation,
@@ -36,7 +36,7 @@ from .serialize import (
     trace_summary,
     write_json,
 )
-from .step import SizeBudget, check_listable
+from .step import LiftingProblem, SizeBudget, check_listable
 from .verify import Report, oracle_initiality, oracle_kappa, verify_certificate
 
 EXIT_OK = 0
@@ -182,32 +182,16 @@ def _cmd_lift(args) -> int:
     if isinstance(records, list):
         check_listable(len(records), _budget(args), "lift table")
     cert = decode_certificate(obj, pres, args.certificate)
-    key = decode_problem(read_json(args.problem), args.problem)
-    gens = dict(pres.lifting_generators())
-    if key[0] not in gens:
-        print(f"unknown generator {key[0]!r}", file=sys.stderr)
+    gen, top, bot = decode_problem(read_json(args.problem), args.problem)
+    u = dict(pres.lifting_generators()).get(gen)
+    if u is None:
+        print(f"unknown generator {gen!r}", file=sys.stderr)
         return EXIT_FAIL
-    u, top, bot = gens[key[0]], key[1], key[2]
-    if len(top) != u.top.size or len(bot) != u.bot.size:
-        print(f"problem tables do not match the boundary of {key[0]}", file=sys.stderr)
-        return EXIT_FAIL
-    if not all(0 <= v < cert.right.top.size for v in top) or not all(
-        0 <= v < cert.right.bot.size for v in bot
-    ):
-        print("problem table entries lie outside the extracted arrow", file=sys.stderr)
-        return EXIT_FAIL
-    rt = cert.right.map.table
-    if any(rt[top[a]] != bot[u.map.table[a]] for a in range(u.top.size)):
-        print("problem square does not commute against the extracted arrow", file=sys.stderr)
-        return EXIT_FAIL
-    filler = cert.lift_table.get(key)
-    if filler is None:
-        print(f"no lift-table entry for problem {key}", file=sys.stderr)
-        return EXIT_FAIL
-    payload = encode_map(filler)
+    problem = LiftingProblem.of(gen, u, cert.right, top, bot)
+    filler = solve_lift(cert, problem)
     if args.out:
-        write_json(args.out, payload)
-    print(f"filler for {key}: {list(filler.table)}")
+        write_json(args.out, encode_map(filler))
+    print(f"filler for {problem.key}: {list(filler.table)}")
     return EXIT_OK
 
 

@@ -113,16 +113,21 @@ class LiftingProblem:
     def key(self) -> ProblemKey:
         return (self.gen, self.square.top.table, self.square.bot.table)
 
+    @classmethod
+    def of(cls, gen: str, u: ArrowObject, f: ArrowObject, top, bot) -> "LiftingProblem":
+        """The problem of ``u`` in ``f`` with top and bottom tables ``top``
+        and ``bot``, its square checked: a ``DiagramError`` when a table is
+        no map between the carriers it joins, or the square does not commute."""
+        top, bot = FiniteMap(u.top, f.top, top), FiniteMap(u.bot, f.bot, bot)
+        return cls(gen, CommSquare(u, f, top, bot))
+
 
 def enumerate_problems(gen: str, u: ArrowObject, f: ArrowObject) -> Iterator[LiftingProblem]:
     """All lifting problems of ``u`` in ``f``, in canonical order: the rows
     of ``_GenLayout.columns``."""
     ranks, tops, bots = _layout(gen, u, f.top.size, f.bot.size).columns(f)
     for s0, s1 in zip(_rows(tops, len(ranks)), _rows(bots, len(ranks))):
-        yield LiftingProblem(
-            gen,
-            CommSquare(u, f, FiniteMap(u.top, f.top, s0), FiniteMap(u.bot, f.bot, s1)),
-        )
+        yield LiftingProblem.of(gen, u, f, s0, s1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +293,19 @@ class StepStructure:
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``, located by its rank: a
         map from the bottom carrier of its generator into the extension
-        carrier, its forced entries the inclusion of its top.  A key that is
-        no lifting problem of this step is refused before its rank is read."""
+        carrier, its forced entries the inclusion of its top.  A key whose
+        checked square (``LiftingProblem.of``) does not build is no lifting
+        problem of this step, and is refused before its rank is read."""
         gen, s0, s1 = key
         meta = self._gens.get(gen)
-        x, y = self.target.top.size, self.target.bot.size
-        if (meta is None or len(s0) != meta.u.top.size or len(s1) != meta.u.bot.size
-                or not all(0 <= v < x for v in s0) or not all(0 <= v < y for v in s1)
-                or _gather(self.target.map.table, s0) != _gather(s1, meta.u.map.table)):
+        if meta is not None:
+            try:
+                LiftingProblem.of(gen, meta.u, self.target, s0, s1)
+            except DiagramError:
+                meta = None
+        if meta is None:
             raise ProblemMismatch(f"{key} is not a lifting problem of this step")
+        x, y = self.target.top.size, self.target.bot.size
         at = meta.base + meta.rank(s0, s1, x, y) * meta.fcount
         free, incl = meta.points_at(range(at, at + meta.fcount)), self.inclusion.table
         table = tuple([free[i] if is_free else incl[s0[i]] for is_free, i in meta.layout])
@@ -749,6 +758,8 @@ class DoubleEngine:
     ``iterate_mediated`` are the cross-checks."""
 
     def __init__(self, pres, budget: Optional[SizeBudget] = None):
+        if getattr(pres, "kind", None) != "double":
+            raise DiagramError("special mode needs a presentation with vertical composition")
         pres.ensure_valid()
         self.pres = pres
         self.pairs = pres.composable_pairs()

@@ -18,6 +18,11 @@ it before it took the free pair extension: the composable pairs connected
 by one square per vertically stacked pair of squares (``pair_squares``).
 ``reference_double_engine`` runs special mode on it, the reference of the
 differential in ``test_pair_squares.py``.
+
+``reference_lift_table`` builds a certificate's lift table one problem at
+a time, ``beta0`` after each enumerated problem's cell, the reference for
+the columns ``extract`` reads off the step in ``test_chain.py`` and
+``test_lift_table.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, 
 from awfskit.errors import SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, compose, identity, pushout
 from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
-from awfskit.step import DoubleEngine, LiftingProblem, SizeBudget, StepEngine
+from awfskit.step import DoubleEngine, LiftingProblem, SizeBudget, StepEngine, enumerate_problems
 
 
 def _image_reps(umap: FiniteMap) -> tuple[dict, list]:
@@ -229,3 +234,15 @@ def reference_double_engine(pres, budget: Optional[SizeBudget] = None) -> Double
     dengine.pairs = pairs_with_squares(pres)
     dengine.paired = StepEngine(dengine.pairs, budget)
     return dengine
+
+
+def reference_lift_table(cert) -> dict:
+    """The lift table of ``cert`` (from ``extract``, with its chain) built
+    one problem at a time: a checked map per enumerated problem, ``beta0``
+    after the problem's cell."""
+    st = cert.trace.engine.step_tables(cert.right)
+    return {
+        p.key: compose(cert.beta0, st.cell(p.key))
+        for name, u in st.shape.lifting_generators()
+        for p in enumerate_problems(name, u, cert.right)
+    }

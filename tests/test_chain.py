@@ -38,7 +38,7 @@ from awfskit.chain import (
 )
 from awfskit.finset import FinSet, FiniteMap, compose, identity, is_iso
 from awfskit.presentation import PlainPresentation
-from awfskit.step import LiftingProblem, SizeBudget, StepEngine, enumerate_problems
+from awfskit.step import LiftingProblem, SizeBudget, StepEngine
 from awfskit.verify import _commuting_squares, verify_certificate
 
 from fixture_lib import (
@@ -56,6 +56,7 @@ from fixture_lib import (
     split_epi_pres,
     two_gen_plain_pres,
 )
+from reference_step import reference_lift_table
 
 
 def aobj(f) -> ArrowObject:
@@ -247,6 +248,18 @@ class TestGrowthDoesNotStabilise:
         assert exc.value.sizes == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("run", [
+    lambda pres, f: factorise(pres, f, mode="special", max_stage=3),
+    lambda pres, f: run_chain(pres, f, mode="special", max_stage=3),
+    lambda pres, f: run_special(pres, f, max_stage=3),
+], ids=["factorise", "run_chain", "run_special"])
+def test_special_mode_refuses_a_plain_presentation(run):
+    # a plain presentation has no vertical composition to build the pair
+    # extension from: an engine error, not an AttributeError
+    with pytest.raises(DiagramError, match="special mode needs a presentation with vertical"):
+        run(plain_split_epi_pres(), f_3to2())
+
+
 class TestEmptyPresentation:
     def test_factorisation_is_trivial(self):
         empty = PlainPresentation(generators=(), morphisms=(), comp={})
@@ -360,18 +373,6 @@ class TestSolveLift:
         assert a.lift_table == b.lift_table
 
 
-def _per_problem_lift_table(result: Certificate) -> dict:
-    """The lift table built one problem at a time: beta0 after the cell map
-    of every enumerated problem.  ``extract`` reads the same maps off the
-    step's cell tables; this is the reference it is checked against."""
-    st = result.trace.engine.step_tables(result.right)
-    return {
-        p.key: compose(result.beta0, st.cell(p.key))
-        for name, u in st.shape.lifting_generators()
-        for p in enumerate_problems(name, u, result.right)
-    }
-
-
 def _seeded_map(dom: int, cod: int, seed: int) -> FiniteMap:
     rng = random.Random(seed)
     return fmap(dom, cod, [rng.randrange(cod) for _ in range(dom)])
@@ -423,5 +424,5 @@ def test_lift_table_equals_per_problem_reference_in_order(make_shape, mode, map_
             run()
         return
     result = run()
-    reference = _per_problem_lift_table(result)
+    reference = reference_lift_table(result)
     assert list(result.lift_table.items()) == list(reference.items())

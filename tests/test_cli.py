@@ -304,6 +304,33 @@ class TestLift:
         assert code == 1
         assert "does not commute" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload,err", [
+        ({"generator": "j", "top": [], "bot": [1, 0]},
+         "DiagramError: table length 2 does not match domain size 1"),
+        ({"generator": "j", "top": [], "bot": [7]},
+         "DiagramError: table entry 0 -> 7 lies outside codomain of size 2"),
+        ({"generator": "e1", "top": [0], "bot": [1]}, "DiagramError: square does not commute"),
+    ], ids=["table-length", "entry-out-of-range", "not-commuting"])
+    def test_no_problem_is_refused_by_its_square(self, cert_path, tmp_path, capsys,
+                                                 payload, err):
+        problem = write(tmp_path, "p.json", payload)
+        code = main(["lift", "--presentation", fx("gen_split_epi.json"),
+                     "--certificate", cert_path, "--problem", problem])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_problem_with_no_table_entry(self, cert_path, tmp_path, capsys):
+        obj = json.loads(Path(cert_path).read_text())
+        obj["lift_table"] = [r for r in obj["lift_table"]
+                             if (r["generator"], r["bot"]) != ("j", [1])]
+        cert = write(tmp_path, "partial.json", obj)
+        problem = write(tmp_path, "p.json", {"generator": "j", "top": [], "bot": [1]})
+        code = main(["lift", "--presentation", fx("gen_split_epi.json"),
+                     "--certificate", cert, "--problem", problem])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: ProblemMismatch: no table entry for problem ('j', (), (1,))\n")
+
     @pytest.mark.parametrize("payload,fault", [
         ({"generator": "j", "top": [], "bot": [True]}, ".bot[0]: expected an integer, got bool"),
         ({"generator": "j", "top": []}, ": missing key 'bot'"),

@@ -2,12 +2,12 @@
 
 Seeded examples factor a random small target through one of two kinds of
 shape: a fixture presentation (the plain ones in plain mode, the double
-ones in special mode), or a random plain shape of one to three generators,
-non-injective ones included, with connecting squares between them.  A
-chain that does not stabilise by stage 6, or that lists more than 20,000
-problems, is skipped.  The certificate must verify with no failed check
-twice: as ``factor`` returned it, and after a round trip through its JSON
-text.
+ones, ``pair_square_pres`` among them, in special mode), or a random plain
+shape of one to three generators, non-injective ones included, with
+connecting squares between them.  A chain that does not stabilise by
+stage 6, or that lists more than 20,000 problems, is skipped.  The
+certificate must verify with no failed check twice: as ``factor``
+returned it, and after a round trip through its JSON text.
 """
 
 import json
@@ -28,12 +28,14 @@ from awfskit.serialize import (
 from awfskit.step import SizeBudget
 from awfskit.verify import Certificate, verify_certificate
 
+from fixture_lib import pair_square_pres
 from test_step import _draw_arrow, _draw_square, _Shape
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 PRESENTATIONS = {
-    name: decode_presentation(json.loads((FIXTURES / f"{name}.json").read_text()))
-    for name in ("gen_abc", "gen_composite", "gen_growth", "gen_split_epi")
+    **{name: decode_presentation(json.loads((FIXTURES / f"{name}.json").read_text()))
+       for name in ("gen_abc", "gen_composite", "gen_growth", "gen_split_epi", "gen_uniform2")},
+    "pair_square": pair_square_pres(),
 }
 
 

@@ -30,7 +30,7 @@ from awfskit.arrows import CommSquare
 from awfskit.chain import LiftTable, extract, factorise, run_chain, solve_lift
 from awfskit.cli import main as cli_main
 from awfskit.errors import NotStabilised, ProblemMismatch, SizeBudgetExceeded
-from awfskit.finset import FinSet, FiniteMap, compose
+from awfskit.finset import FinSet, FiniteMap
 from awfskit.presentation import PlainPresentation
 from awfskit.serialize import (
     decode_certificate,
@@ -40,7 +40,7 @@ from awfskit.serialize import (
     parse_text,
     read_json,
 )
-from awfskit.step import LiftingProblem, SizeBudget, StepStructure, _GenLayout, enumerate_problems
+from awfskit.step import LiftingProblem, SizeBudget, StepStructure, _GenLayout
 from awfskit.verify import Certificate, verify_certificate
 
 from fixture_lib import (
@@ -51,25 +51,17 @@ from fixture_lib import (
     f_3to2,
     fmap,
     growth_pres,
+    pair_square_pres,
     plain_split_epi_pres,
     retract_pres,
     split_epi_pres,
     two_gen_plain_pres,
+    uniform_monos_pres,
 )
+from reference_step import reference_lift_table
 from test_serialize import plain_certificate_payload, reference_dumps
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def reference_table(result: Certificate) -> dict:
-    """The lift table as ``extract`` built it one problem at a time: a
-    checked map per problem, ``beta0`` after the problem's cell."""
-    st = result.trace.engine.step_tables(result.right)
-    return {
-        p.key: compose(result.beta0, st.cell(p.key))
-        for name, u in result.trace.shape.lifting_generators()
-        for p in enumerate_problems(name, u, result.right)
-    }
 
 
 def unknown_keys(result: Certificate, ref: dict) -> list:
@@ -90,7 +82,7 @@ def unknown_keys(result: Certificate, ref: dict) -> list:
 
 
 def check_against_reference(pres, result: Certificate) -> None:
-    table, ref = result.lift_table, reference_table(result)
+    table, ref = result.lift_table, reference_lift_table(result)
     assert isinstance(table, LiftTable)
     assert list(table) == list(ref)
     assert len(table) == len(ref) == len(table.keys()) == len(table.items())
@@ -108,10 +100,9 @@ def check_against_reference(pres, result: Certificate) -> None:
     # solve_lift answers from either table the same way, and refuses the same way
     st = result.trace.engine.step_tables(result.right)
     by_dict = replace(result, lift_table=ref)
-    problems = [LiftingProblem(key[0], CommSquare(u, result.right, FiniteMap(u.top, result.right.top, key[1]),
-                                                  FiniteMap(u.bot, result.right.bot, key[2])))
-                for key in itertools.islice(ref, 8)
-                for u in [dict(st.shape.lifting_generators())[key[0]]]]
+    gens = dict(st.shape.lifting_generators())
+    problems = [LiftingProblem.of(gen, gens[gen], result.right, top, bot)
+                for gen, top, bot in itertools.islice(ref, 8)]
     for p in problems:
         assert solve_lift(result, p) == solve_lift(by_dict, p) == ref[p.key]
         ghost = LiftingProblem("ghost", p.square)
@@ -140,6 +131,10 @@ def small_maps() -> list:
     return out + [_seeded_map(40, 5, 7)]
 
 
+def uniform_monos2_pres():
+    return uniform_monos_pres(2)
+
+
 SHAPES = [
     plain_split_epi_pres,
     two_gen_plain_pres,
@@ -149,6 +144,8 @@ SHAPES = [
     abc_pres,
     composite_pres,
     retract_pres,
+    pair_square_pres,
+    uniform_monos2_pres,
 ]
 SHAPE_MODES = [(make, mode) for make in SHAPES for mode in ("plain", "special")
                if mode == "plain" or make().kind == "double"]

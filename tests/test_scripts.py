@@ -16,15 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
 CASES = [
-    pytest.param(["run_split_epi.py"], 0, "filler for problem (j, top=[], bot=[1]): [4]",
-                 id="run_split_epi"),
-    pytest.param(["growth_report.py", "--max-stage", "3",
-                  "--presentation", str(FIXTURES / "gen_split_epi.json"),
-                  "--map", str(FIXTURES / "f_3to2.json")], 0, "stationary from stage 1",
-                 id="growth_report-stationary"),
-    pytest.param(["growth_report.py", "--max-stage", "3"], 2,
-                 "no stationary stage within max stage 3; carriers grew 1 -> 4",
-                 id="growth_report-growing"),
     pytest.param(["kappa_sweep.py", "--bound", "0"], 0, "swept 1 pairs, 0 failures",
                  id="kappa_sweep"),
     pytest.param(["kappa_sweep.py", "--presentation", str(FIXTURES / "gen_abc.json"),

@@ -207,6 +207,14 @@ def _transpose(rows: list) -> list:
     return [tuple(map(itemgetter(j), rows)) for j in range(len(rows[0]))]
 
 
+def _checked_key(key) -> tuple:
+    """``key`` when it is a problem key ``(generator, top, bottom)``."""
+    if not (type(key) is tuple and len(key) == 3 and isinstance(key[0], str)
+            and all(type(t) is tuple and all(isinstance(v, int) for v in t) for t in key[1:])):
+        raise DiagramError(f"lift table key {key!r} is not (generator, top, bottom)")
+    return key
+
+
 def _keys(name, tops: list, bots: list, count: int) -> Iterator[tuple]:
     """The keys of a block's ``count`` problems, from its key columns."""
     return zip(repeat(name), _rows(tops, count), _rows(bots, count))
@@ -216,14 +224,15 @@ class LiftTable(Mapping):
     """A lift table held as columns: a read-only mapping from each lifting
     problem's key ``(generator, top, bottom)`` to its filler.
 
-    The keys come in ``runs``, one per stretch of keys of one generator,
-    ``(name, bottom, count, tops, bots)``: the fillers' domain, the number
-    of keys, and their top and bottom tables as columns, one per position.
-    All fillers are one checked map, ``fillers``, out of ∐ₚ Bₚ in the order
-    of the keys, which is the order of iteration; a lookup slices one out
-    as a checked map (KeyError when the key is no entry).  ``extract``
-    gives one run per generator, problems in canonical order and fillers
-    ``beta0`` after the copaired cells."""
+    The keys come in ``runs``, one per stretch of keys that share a
+    generator and table lengths, ``(name, bottom, count, tops, bots)``: the
+    fillers' domain, the number of keys, and their top and bottom tables as
+    columns, one per position.  All fillers are one checked map,
+    ``fillers``, out of ∐ₚ Bₚ in the order of the keys, which is the order
+    of iteration; a lookup slices one out as a checked map (KeyError when
+    the key is no entry).  ``extract`` gives one run per generator,
+    problems in canonical order and fillers ``beta0`` after the copaired
+    cells; the decoder and ``from_items`` give the keys sorted."""
 
     def __init__(self, runs: list, fillers: FiniteMap):
         self.runs = runs
@@ -231,20 +240,39 @@ class LiftTable(Mapping):
         self._filler_tables: Optional[dict] = None
 
     @classmethod
-    def from_columns(cls, gens, tops, bots, doms, fillers: FiniteMap) -> Optional["LiftTable"]:
+    def from_columns(cls, gens, tops, bots, doms, fillers: FiniteMap) -> "LiftTable":
         """The table whose ``i``-th key is ``(gens[i], tops[i], bots[i])``
         with a filler on ``doms[i]`` points, the fillers laid out in that
-        order in ``fillers``: one run per stretch of keys of one generator,
-        or None when the tables of a stretch have several lengths."""
+        order in ``fillers``: one run per stretch of keys that share a
+        generator and table lengths."""
         runs, start = [], 0
-        for gen, run in groupby(gens):
+        shapes = zip(gens, map(len, tops), map(len, bots), doms)
+        for (gen, _, _, dom), run in groupby(shapes):
             end = start + len(list(run))
-            top, bot, dom = tops[start:end], bots[start:end], doms[start:end]
-            if len(set(map(len, top))) != 1 or len(set(map(len, bot))) != 1 or len(set(dom)) != 1:
-                return None
-            runs.append((gen, FinSet(dom[0]), end - start, _transpose(top), _transpose(bot)))
+            runs.append((gen, FinSet(dom), end - start,
+                         _transpose(tops[start:end]), _transpose(bots[start:end])))
             start = end
         return cls(runs, fillers)
+
+    @classmethod
+    def from_items(cls, items) -> "LiftTable":
+        """The table of ``(key, filler)`` pairs, keys sorted.  Refuses with
+        ``DiagramError`` a key that is not ``(generator, top, bottom)`` of a
+        string and two tuples of integers, a repeated key, a filler that is
+        not a ``FiniteMap``, and fillers into more than one carrier."""
+        items = sorted(items, key=lambda item: _checked_key(item[0]))
+        for i, (key, filler) in enumerate(items):
+            if not isinstance(filler, FiniteMap):
+                raise DiagramError(f"lift table entry {key} is not a map")
+            if i and key == items[i - 1][0]:
+                raise DiagramError(f"lift table key {key} is repeated")
+        cods = {filler.cod for _, filler in items}
+        if len(cods) > 1:
+            raise DiagramError("lift table fillers land in more than one carrier")
+        table = tuple(chain.from_iterable(filler.table for _, filler in items))
+        fillers = FiniteMap(FinSet(len(table)), cods.pop() if cods else FinSet(0), table)
+        gens, tops, bots = _transpose([key for key, _ in items]) if items else ((), (), ())
+        return cls.from_columns(gens, tops, bots, [f.dom.size for _, f in items], fillers)
 
     def __len__(self) -> int:
         return sum(run[2] for run in self.runs)
@@ -282,9 +310,10 @@ class LiftTable(Mapping):
 class Certificate:
     """The factorisation f = R after L with its lifting algebra ``beta0``,
     from ``extract`` (with the chain, ``trace``) or supplied for auditing.
-    The lift table maps each problem key to its filler: a ``LiftTable`` of
-    columns, from the chain or the decoder, or a dict of checked maps when
-    built by hand (or decoded from records the column passes do not take)."""
+    The lift table maps each problem key to its filler and is always a
+    ``LiftTable``: any other mapping given to the constructor (or to
+    ``replace``) is turned into one by ``LiftTable.from_items``, which
+    refuses malformed keys and fillers with ``DiagramError``."""
 
     pres: object
     mode: str
@@ -292,10 +321,14 @@ class Certificate:
     left: FiniteMap  # input domain -> middle carrier
     right: ArrowObject  # middle carrier -> input codomain
     beta0: FiniteMap  # extension carrier of the right leg -> middle carrier
-    lift_table: Mapping
+    lift_table: LiftTable
     stage: Optional[int] = None
     trace_sizes: Optional[list] = None
     trace: Optional[ChainTrace] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.lift_table, LiftTable):
+            self.lift_table = LiftTable.from_items(self.lift_table.items())
 
     @classmethod
     def from_result(cls, pres, result: "Certificate") -> "Certificate":

@@ -33,12 +33,14 @@ bottom, ``trace_sizes``, a problem's tables) goes through ``_ints``: one
 C-level pass over the whole list (types by ``set(map(type, ...))``,
 ranges by ``min`` and ``max``), and a walk element by element only when
 that pass fails, so valid input costs one pass per table and a fault is
-named with its JSON path.  A certificate's lift table is first read as
-columns (``_checked_lift_table``), all fillers in one checked map, and
-gives a ``LiftTable``; only when that pass refuses (a fault, records out
-of key order, fillers with several codomains, one generator's tables of
-several lengths) are the records walked one at a time, into a dictionary
-of checked maps or to the first fault.
+named with its JSON path.  A certificate's lift table is always decoded
+into a ``LiftTable``.  It is first read as columns
+(``_checked_lift_table``), all fillers in one checked map; only when that
+pass refuses (a fault, or records out of key order) are the records walked
+one at a time, to the first fault or, when they are well formed, through
+``LiftTable.from_items``, which sorts them.  Fillers into more than one
+codomain are a fault, named at the first record whose codomain differs
+from record 0's.
 
 Encoding is canonical: keys are sorted, composition triples are sorted
 by operand names, and lift-table records are sorted by key, so encoding
@@ -48,8 +50,8 @@ encoder, ``dumps``, whose text is exactly that of ``json.dumps(payload,
 sort_keys=True, indent=2)`` plus a newline; ``json.dumps`` itself stays
 only in the tests, as the reference the encoder is checked against.  A
 certificate's lift table is written as text straight from the columns of
-a ``LiftTable``, without a dictionary per record: each run of records that
-share a template is one ``%`` into the repeated template.
+its ``LiftTable``, without a dictionary per record: each run of records
+that share a template is one ``%`` into the repeated template.
 """
 
 from __future__ import annotations
@@ -455,44 +457,25 @@ def _row_template(gen: str, ntop: int, nbot: int, ntable: int, nl: str) -> str:
     )).replace("\n", nl)
 
 
-def _lift_rows(lift_table, nl: str):
+def _lift_rows(lift_table: LiftTable, nl: str) -> _Text:
     """The sorted ``{"generator", "top", "bot", "filler"}`` records of the
     lift table as text, written for a first line indented by ``nl``.
 
     Sorted records come in runs that share a generator and table lengths,
     so a run of ``k`` rows is one ``%`` into ``k`` copies of its template,
-    filled from the run's columns.  Any other mapping, and a ``LiftTable``
-    with a generator that is not a string, is left to ``_encode`` as plain
-    records."""
-    runs = _block_runs(lift_table) if isinstance(lift_table, LiftTable) else None
-    if runs is None:
-        return [
-            {"generator": gen, "top": list(top), "bot": list(bot),
-             "filler": encode_map(lift_table[gen, top, bot])}
-            for gen, top, bot in sorted(lift_table)
-        ]
+    filled from the run's columns: the runs sorted by generator name, each
+    with its values interleaved from its columns in template order.  Within
+    a run of ``extract`` or of ``LiftTable.from_items`` the keys are sorted,
+    and so are the runs of one generator."""
+    cod = lift_table.fillers.cod.size
     sep = "," + nl + "  "
     texts = [
-        sep.join(repeat(_row_template(*shape, nl), count)) % tuple(values)
-        for shape, count, values in runs
+        sep.join(repeat(_row_template(name, len(tops), len(bots), len(fillers), nl), count))
+        % tuple(_interleave(bots + [[cod] * count] + fillers + tops, count))
+        for (name, _, count, tops, bots), fillers in sorted(
+            zip(lift_table.runs, lift_table.filler_columns()), key=lambda run: run[0][0])
     ]
     return _Text("[" + sep[1:] + sep.join(texts) + nl + "]" if texts else "[]", nl)
-
-
-def _block_runs(lift_table: LiftTable) -> Optional[list]:
-    """The runs of a ``LiftTable`` sorted by generator name, each with its
-    values interleaved from its columns in template order.  Within a run
-    of ``extract`` or of a decoded certificate the keys are sorted."""
-    runs = []
-    cod = lift_table.fillers.cod.size
-    for (name, _, count, tops, bots), fillers in sorted(
-            zip(lift_table.runs, lift_table.filler_columns()), key=lambda run: run[0][0]):
-        if type(name) is not str:
-            return None
-        columns = bots + [[cod] * count] + fillers + tops
-        runs.append(((name, len(tops), len(bots), len(fillers)), count,
-                     _interleave(columns, count)))
-    return runs
 
 
 _record_fields = tuple(map(itemgetter, ("generator", "top", "bot", "filler")))
@@ -500,14 +483,11 @@ _map_fields = tuple(map(itemgetter, ("dom", "cod", "table")))
 
 
 def _checked_lift_table(records: list) -> Optional[LiftTable]:
-    """The lift table ``records`` encode, as columns, one run per
-    generator, or None if any check of ``_walk_lift_table`` fails, or the
-    records are out of key order, or their fillers have more than one
-    codomain, or one generator's tables have several lengths (the walk then
-    builds a dictionary).  Each check is one pass over all records; the
-    fillers are built as one checked map, which tests the ranges."""
-    if not records:
-        return LiftTable([], FiniteMap(FinSet(0), FinSet(0), ()))
+    """The lift table ``records`` encode, as columns, or None if any check
+    of ``_walk_lift_table`` fails or the records are out of key order (the
+    walk then names the fault, or sorts the keys).  Each check is one pass
+    over all records; the fillers are built as one checked map, which tests
+    the ranges."""
     if set(map(type, records)) != {dict} or set(map(len, records)) != {4}:
         return None
     try:
@@ -558,17 +538,23 @@ def decode_problem(obj, path: str = "$", more=()) -> tuple:
     )
 
 
-def _walk_lift_table(records: list, path: str) -> dict:
-    """The lift table one record at a time, as a dictionary of checked
-    maps, naming the first fault."""
+def _walk_lift_table(records: list, path: str) -> LiftTable:
+    """The lift table one record at a time, naming the first fault: a
+    record that does not decode, a repeated key, or a filler whose codomain
+    differs from the first filler's."""
     lift_table = {}
     for i, rec in enumerate(records):
         rpath = f"{path}[{i}]"
         key = decode_problem(rec, rpath, ("filler",))
         if key in lift_table:
             _fail(rpath, f"duplicate lift-table key {key}")
-        lift_table[key] = decode_map(rec["filler"], f"{rpath}.filler")
-    return lift_table
+        filler = lift_table[key] = decode_map(rec["filler"], f"{rpath}.filler")
+        if not i:
+            cod = filler.cod.size
+        elif filler.cod.size != cod:
+            _fail(f"{rpath}.filler.cod", f"codomain {filler.cod.size} differs from {cod}, "
+                  "the codomain of record 0")
+    return LiftTable.from_items(lift_table.items())
 
 
 def decode_certificate(obj, pres, path: str = "$") -> Certificate:

@@ -4,18 +4,18 @@ Everything here is a pure table computation over the certificate (the
 ``Certificate`` record that ``chain.extract`` builds, re-exported here)
 and the presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance.  A ``LiftTable`` is read as
-columns: the key columns of each generator are compared with the step's
-``problem_blocks``, the fillers with ``beta0`` after the copaired cells,
-and every equation is checked on whole columns, with moved, inner and
-outer fillers found in the table's index of filler tables.  No problem,
-square or map is built per problem, and nothing is looked up key by key
-unless a block differs, which is then walked to name what fails; any
-other mapping is walked key by key.  Failures never raise — they
-become report entries naming the violated equation and the witnessing
-element, and a filler whose boundaries do not fit its problem is a
-``boundary`` entry — so a corrupted certificate yields a deterministic,
-complete list of everything wrong with it.
+hold on the nose, not up to tolerance.  The lift table, always a
+``LiftTable``, is read as columns: the key columns of each generator are
+compared with the step's ``problem_blocks``, the fillers with ``beta0``
+after the copaired cells, and every equation is checked on whole columns,
+with moved, inner and outer fillers found in the table's index of filler
+tables.  No problem, square or map is built per problem, and nothing is
+looked up key by key unless a block differs, which is then walked to name
+what fails.  Failures never raise — they become report entries naming the
+violated equation and the witnessing element, and a certificate whose
+boundaries do not fit (a filler off its problem's bottom among them) gets
+one ``boundary`` entry per fault — so a corrupted certificate yields a
+deterministic, complete list of everything wrong with it.
 
 The two oracles check the engine against definitions that do not go
 through the engine's own construction: ``oracle_kappa`` enumerates (or
@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Mapping, Optional
+from typing import Optional
 
 from .arrows import ArrowObject, CommSquare
 from .chain import Certificate, LiftTable, _keys, special_algebra_routes
@@ -103,46 +103,25 @@ def _entry_ok(label: str, count: int, unit: str = "instances") -> ReportEntry:
 # algebra checks
 
 
-def _columns(table: Mapping) -> Optional[LiftTable]:
-    """The lift table as columns, or None when it is some other mapping."""
-    return table if isinstance(table, LiftTable) else None
-
-
-def _filler_tables(table: Mapping, cols: Optional[LiftTable]) -> dict:
-    """Every key's filler table."""
-    return cols.filler_tables() if cols is not None else {key: m.table for key, m in table.items()}
-
-
 def _lift_table_problem(cert: Certificate) -> Optional[str]:
-    """The first malformed lift-table entry, described, or None.
-
-    A value that is not a map into the middle object is named first; then
-    a filler whose domain is not the bottom of the generator its key names
-    (keys naming no generator are surplus, reported by ``check_compat``).
-    On columns each check is one test per run; a walk runs only to name
-    the first bad key, or on any other mapping."""
-    table, top = cert.lift_table, cert.right.top
-    cols = _columns(table)
-    if cols is None:
-        for key, val in table.items():
-            if not isinstance(val, FiniteMap) or val.cod != top:
-                return f"lift table entry {key} does not land in the middle object"
-    elif len(cols) and cols.fillers.cod != top:
-        return f"lift table entry {next(iter(cols))} does not land in the middle object"
-    bots = {name: u.bot.size for name, u in cert.pres.lifting_generators()}
-    if cols is not None and all(bots.get(run[0], run[1].size) == run[1].size
-                                for run in cols.runs):
-        return None
-    for key, filler in _filler_tables(table, cols).items():
-        dom = len(filler)
-        bot = bots.get(key[0], dom) if type(key) is tuple and key else dom
-        if bot != dom:
-            return (f"lift table entry {key} has domain {dom}, "
-                    f"its generator's bottom has {bot}")
+    """The first malformed lift-table entry, described, or None: fillers
+    off the middle object, named by the first key, then a run whose domain
+    is not its generator's bottom, by the run's first key (keys naming no
+    generator are surplus, for ``check_compat``).  One test per run."""
+    table = cert.lift_table
+    if len(table) and table.fillers.cod != cert.right.top:
+        return f"lift table entry {next(iter(table))} does not land in the middle object"
+    bottoms = {name: u.bot.size for name, u in cert.pres.lifting_generators()}
+    for name, bottom, count, tops, bots in table.runs:
+        if count and bottoms.get(name, bottom.size) != bottom.size:
+            return (f"lift table entry {next(_keys(name, tops, bots, count))} has domain "
+                    f"{bottom.size}, its generator's bottom has {bottoms[name]}")
     return None
 
 
-def _boundary_problems(cert: Certificate) -> list:
+def _boundary_report(cert: Certificate, name: str) -> Optional[Report]:
+    """The report ``name`` of the certificate's boundary faults, one entry
+    each, or None when its boundaries fit."""
     out = []
     if cert.mode not in ("plain", "special"):
         out.append(f"unknown mode {cert.mode!r}")
@@ -157,7 +136,7 @@ def _boundary_problems(cert: Certificate) -> list:
     entry = _lift_table_problem(cert)
     if entry is not None:
         out.append(entry)
-    return out
+    return Report(name, tuple(ReportEntry("boundary", False, b) for b in out)) if out else None
 
 
 def _algebra_violations(g: ArrowObject, beta0: FiniteMap, engine: StepEngine,
@@ -209,15 +188,14 @@ def _engines(cert: Certificate, budget: Optional[SizeBudget]):
     return None, StepEngine(cert.pres, budget)
 
 
-def _aligned(table: Mapping, cols: Optional[LiftTable], blocks: list) -> list:
+def _aligned(table: LiftTable, blocks: list) -> list:
     """The problem blocks of a step (``problem_blocks``) with their fillers
     in the table: ``(name, count, tops, bots, fillers)``, where ``fillers``
     holds each problem's filler table, or None when the table has none.  A
     block the table holds as a run with the same key columns is read off
     the run's filler columns; any other is looked up key by key."""
-    runs = {} if cols is None else {
-        run[0]: (run, fillers) for run, fillers in zip(cols.runs, cols.filler_columns())}
-    out, tables = [], None
+    runs = {run[0]: (run, fillers) for run, fillers in zip(table.runs, table.filler_columns())}
+    out = []
     for name, _, count, tops, bots in blocks:
         run, fillers = runs.get(name, (None, None))
         # the boundary check has matched the run's fillers to the bottom
@@ -225,8 +203,7 @@ def _aligned(table: Mapping, cols: Optional[LiftTable], blocks: list) -> list:
                 list(map(tuple, run[3] + run[4])) == list(map(tuple, tops + bots))):
             rows = list(_rows(fillers, count))
         else:
-            tables = _filler_tables(table, cols) if tables is None else tables
-            rows = list(map(tables.get, _keys(name, tops, bots, count)))
+            rows = list(map(table.filler_tables().get, _keys(name, tops, bots, count)))
         out.append((name, count, tops, bots, rows))
     return out
 
@@ -244,11 +221,11 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
     Raises ``SizeBudgetExceeded`` when the lift table lists more problems
     than ``budget`` allows.  ``engines`` are those of ``_engines``, which
     ``verify_certificate`` shares with ``check_compat``."""
-    entries = [ReportEntry("boundary", False, b) for b in _boundary_problems(cert)]
-    if entries:
-        return Report("check-algebra", tuple(entries))
+    boundary = _boundary_report(cert, "check-algebra")
+    if boundary:
+        return boundary
+    entries = [_entry_ok("boundary", 1, "certificates")]
     fail = _failing(entries)
-    entries.append(_entry_ok("boundary", 1, "certificates"))
 
     dengine, engine = engines or _engines(cert, budget)
     st = engine.step_tables(cert.right)
@@ -277,7 +254,7 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
     # the algebra route of every filler: beta0 after the copaired cells
     blocks = list(st.problem_blocks())
     routes = LiftTable(blocks, compose(cert.beta0, st.copaired())).filler_columns()
-    blocks = _aligned(cert.lift_table, _columns(cert.lift_table), blocks)
+    blocks = _aligned(cert.lift_table, blocks)
     consistent = True
     for (name, count, tops, bots, rows), fillers in zip(blocks, routes):
         expected = list(_rows(fillers, count))
@@ -310,20 +287,20 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
     each aligned with its filler in the table; every equation is checked
     on whole columns, and moved, inner and outer fillers are found in the
     table's index of filler tables.  A block is walked problem by problem
-    only to name what fails in it, or when the table is not a
-    ``LiftTable``.  A filler whose boundaries do not fit its problem is a
-    ``boundary`` failure, so the passes index only tables that fit."""
-    entries = [ReportEntry("boundary", False, b) for b in _boundary_problems(cert)]
-    if entries:
-        return Report("check-compat", tuple(entries))
+    only to name what fails in it.  A filler whose boundaries do not fit
+    its problem is a ``boundary`` failure, so the passes index only tables
+    that fit."""
+    boundary = _boundary_report(cert, "check-compat")
+    if boundary:
+        return boundary
+    entries = []
     fail = _failing(entries)
 
     pres, table = cert.pres, cert.lift_table
     _, engine = engines or _engines(cert, budget)
     st = engine.step_tables(cert.right)
     st.check_listable(engine.budget, "lift table")
-    cols = _columns(table)
-    blocks = _aligned(table, cols, list(st.problem_blocks()))
+    blocks = _aligned(table, list(st.problem_blocks()))
     project = cert.right.map.table.__getitem__
     fills_checked, complete = 0, True
     fill_ok = {"filler-fill-top": True, "filler-fill-bottom": True}
@@ -367,7 +344,7 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
     by_name = {block[0]: block for block in blocks}
     squares = pres.lifting_squares()
     double = getattr(pres, "kind", "plain") == "double"
-    get = _filler_tables(table, cols).get if squares or double else None
+    get = table.filler_tables().get if squares or double else None
     horiz_checked, horiz_ok = 0, True
     for sqname, vsrc, vdst, sq in squares:
         if vdst not in by_name:
@@ -420,8 +397,12 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
 
 def verify_certificate(cert: Certificate, budget: Optional[SizeBudget] = None) -> Report:
     """The full deterministic suite: algebra laws plus compatibilities, on
-    one step."""
-    engines = None if _boundary_problems(cert) else _engines(cert, budget)
+    one step.  A certificate whose boundaries do not fit gets one entry per
+    fault, and nothing else."""
+    boundary = _boundary_report(cert, "verify")
+    if boundary:
+        return boundary
+    engines = _engines(cert, budget)
     reports = [check_algebra(cert, budget, engines), check_compat(cert, budget, engines)]
     return Report.merged("verify", reports)
 
@@ -694,10 +675,9 @@ def oracle_initiality(
     boundary checks gets those failures as its report, before any step is
     built.
     """
-    boundary = _boundary_problems(cert)
+    boundary = _boundary_report(cert, "oracle-initiality")
     if boundary:
-        return Report("oracle-initiality",
-                      tuple(ReportEntry("boundary", False, b) for b in boundary))
+        return boundary
     dengine, engine = _engines(cert, budget)
     if targets is None:
         targets = [(cert.right, cert.beta0)]

@@ -4,11 +4,12 @@
 and walks it element by element only when that pass fails.  This module
 keeps the walk it is checked against: every map, arrow and certificate
 read one element and one record at a time, with the schema checks in the
-same order, and the lift table always decoded into a dictionary of checked
-maps.  Only the calls between the walks are redirected to this module, so
-nothing here runs a whole-table pass.  The tests compare the two on the
-first fault of mutated documents, on the golden certificates and through
-the command line.
+same order, and the lift table decoded into a dictionary of checked maps
+(which ``Certificate`` turns into a ``LiftTable``), refusing a filler whose
+codomain differs from record 0's.  Only the calls between the walks are
+redirected to this module, so nothing here runs a whole-table pass.  The
+tests compare the two on the first fault of mutated documents, on the
+golden certificates and through the command line.
 
 ``awfskit.serialize`` reads and writes presentations from one schema
 table.  This module also keeps the hand-written walks that table replaced,
@@ -115,6 +116,10 @@ def decode_certificate(obj, pres, path: str = "$") -> Certificate:
         if key in lift_table:
             _fail(rpath, f"duplicate lift-table key {key}")
         lift_table[key] = walk_map(rec["filler"], f"{rpath}.filler")
+        first = next(iter(lift_table.values()))
+        if lift_table[key].cod != first.cod:
+            _fail(f"{rpath}.filler.cod", f"codomain {lift_table[key].cod.size} differs from "
+                  f"{first.cod.size}, the codomain of record 0")
     stage = obj.get("stage")
     if stage is not None:
         stage = _as_int(stage, f"{path}.stage")

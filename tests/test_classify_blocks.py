@@ -49,10 +49,12 @@ from fixture_lib import (
     f_3to2,
     fmap,
     growth_pres,
+    pair_square_pres,
     plain_split_epi_pres,
     retract_pres,
     split_epi_pres,
     two_gen_plain_pres,
+    uniform_monos_pres,
 )
 from reference_step import reference_step
 from test_step import _draw_arrow, _draw_square, _Shape
@@ -205,10 +207,12 @@ def reversed_pres() -> DoubleCatPresentation:
     )
 
 
-# retract_pres takes the general step in both engines
+# retract_pres takes the general step in both engines, and so do pair-square
+# and uniform2, whose connecting squares the step's colimit glues along
 DOUBLES = [split_epi_pres(), abc_pres(), composite_pres(), retract_pres(), twisted_pres(),
-           reversed_pres()]
-DOUBLE_IDS = ["split-epi", "abc", "composite", "retract", "twisted", "reversed"]
+           reversed_pres(), pair_square_pres(), uniform_monos_pres(2)]
+DOUBLE_IDS = ["split-epi", "abc", "composite", "retract", "twisted", "reversed",
+              "pair-square", "uniform2"]
 # codiag and two-gen take the general step
 PLAINS = [plain_split_epi_pres(), growth_pres(), codiag_pres(), two_gen_plain_pres()]
 PLAIN_IDS = ["split-epi", "growth", "codiag", "two-gen"]

@@ -110,7 +110,8 @@ def check_against_reference(pres, result: Certificate) -> None:
             with pytest.raises(ProblemMismatch):
                 solve_lift(r, ghost)
 
-    # the certificate bytes: the lift table's runs, the dictionary's runs and json.dumps
+    # the certificate bytes: the lift table's runs, the runs from_items builds from the
+    # dictionary, and json.dumps
     cert = Certificate.from_result(pres, result)
     assert cert.lift_table is table
     text = dumps(encode_certificate(cert))

@@ -25,15 +25,25 @@ from awfskit.cli import main
 from awfskit.serialize import dumps, encode_certificate, encode_map, encode_presentation
 from awfskit.verify import Certificate
 
-from fixture_lib import composite_pres, f_3to2, fmap, split_epi_pres, two_gen_plain_pres
+from fixture_lib import (
+    composite_pres,
+    f_3to2,
+    fmap,
+    pair_square_pres,
+    split_epi_pres,
+    two_gen_plain_pres,
+)
 
-PRESENTATIONS = {"split_epi": split_epi_pres, "two_gen": two_gen_plain_pres}
+# pair_square has connecting squares, so the oracles also meet the general step
+PRESENTATIONS = {"split_epi": split_epi_pres, "two_gen": two_gen_plain_pres,
+                 "pair_square": pair_square_pres}
 KAPPA_PAIRS = [((1, 1, [0]), (2, 1, [0, 0])), ((2, 2, [0, 1]), (2, 1, [0, 0])),
                ((2, 1, [0, 0]), (1, 1, [0])), ((0, 1, []), (2, 2, [1, 0]))]
 CERTIFICATES = {
     "split_epi-special": (split_epi_pres, f_3to2(), "special", 3),
     "two_gen-plain": (two_gen_plain_pres, fmap(2, 2, [0, 1]), "plain", 3),
     "composite-special": (composite_pres, fmap(2, 1, [0, 0]), "special", 4),
+    "pair_square-special": (pair_square_pres, f_3to2(), "special", 4),
 }
 FAULTS = ("bool", "range", "length", "missing")
 

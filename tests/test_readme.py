@@ -1,10 +1,11 @@
-"""The README's examples, run as written.
+"""The README's examples, and the package docstring's, run as written.
 
 The README holds one ``python`` code block.  It runs in a fresh
 interpreter from the repository root (its fixture paths are relative to
 it) with ``src`` on the path, and each ``print(...)  # value`` line must
 print exactly the value its comment shows, so a library name the example
-uses that changes or disappears fails here.
+uses that changes or disappears fails here.  The ``Typical use::`` block of
+the ``awfskit`` package docstring runs the same way and must exit 0.
 
 Its ``sh`` blocks hold the command line walkthrough.  Each ``$ `` line is
 one command, its ``\\`` continuations joined, and the lines after it, up to
@@ -16,6 +17,7 @@ directory that holds a copy of ``fixtures/``: ``awfskit ...`` through
 whose exit code the README does not show must exit 0.
 """
 
+import ast
 import io
 import os
 import re
@@ -23,7 +25,9 @@ import shlex
 import shutil
 import subprocess
 import sys
+import textwrap
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -38,17 +42,49 @@ SH_BLOCK = re.compile(r"^```sh\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 WRITE = re.compile(r"echo '([^']*)' > (\S+)")
 
 
+PACKAGE_DOC = ast.get_docstring(ast.parse(
+    (ROOT / "src" / "awfskit" / "__init__.py").read_text(encoding="utf-8")))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter from the repository root, with
+    ``src`` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
 def test_readme_example_prints_its_comments():
     blocks = BLOCK.findall(README)
     assert len(blocks) == 1
     shown = [m.group(1) for m in map(SHOWN.match, blocks[0].splitlines()) if m]
     assert shown, "the example shows no printed value"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, capture_output=True,
-                         text=True, env=env, timeout=60)
+    run = run_python(blocks[0])
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == shown
+
+
+def typical_use(doc: str) -> str:
+    """The indented block after ``Typical use::`` in ``doc``, dedented."""
+    _, found, rest = doc.partition("Typical use::\n")
+    assert found, "the docstring has no 'Typical use::' block"
+    lines = takewhile(lambda line: not line.strip() or line.startswith(" "), rest.splitlines())
+    return textwrap.dedent("\n".join(lines))
+
+
+def test_package_docstring_example_runs():
+    code = typical_use(PACKAGE_DOC)
+    assert "factorise(" in code
+    run = run_python(code)
+    assert run.returncode == 0, run.stderr
+
+
+def test_a_broken_docstring_example_fails():
+    line = "assert verify_certificate(cert).ok"
+    assert PACKAGE_DOC.count(line) == 1
+    broken = PACKAGE_DOC.replace(line, "assert not verify_certificate(cert).ok")
+    assert run_python(typical_use(broken)).returncode != 0
 
 
 def shell_examples(text: str) -> list:

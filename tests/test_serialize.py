@@ -4,13 +4,14 @@ import copy
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awfskit.arrows import ArrowObject
-from awfskit.chain import factorise, run_chain
+from awfskit.chain import LiftTable, factorise, run_chain
 from awfskit.errors import ParseError
 from awfskit.finset import FinSet, FiniteMap
 from awfskit.serialize import (
@@ -37,6 +38,7 @@ from fixture_lib import (
     f_2to3,
     fmap,
     growth_pres,
+    pair_square_pres,
     plain_split_epi_pres,
     split_epi_pres,
     two_gen_plain_pres,
@@ -264,19 +266,26 @@ class TestEncoderMatchesJsonDumps:
                 dumps(bad)
 
     def test_certificate_with_non_int_entries_matches_json_dumps(self):
-        # API-built tables are not rows of ints: the plain-record path writes them
+        # an API-built filler may hold bools: they are written as 0 and 1,
+        # which decode back to the same table
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
-        cert.lift_table = dict(cert.lift_table)
-        cert.lift_table[("j", (), (1,))] = FiniteMap(FinSet(1), FinSet(5), (True,))
-        assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
+        table = dict(cert.lift_table)
+        table[("j", (), (1,))] = FiniteMap(FinSet(1), FinSet(5), (True,))
+        cert = replace(cert, lift_table=table)
+        text = dumps(encode_certificate(cert))
+        back = decode_certificate(parse_text(text), pres)
+        assert back == cert
+        assert back.lift_table[("j", (), (1,))].table == (1,)
+        assert text == reference_dumps(plain_certificate_payload(back))
 
     def test_certificate_rows_escape_generator_names(self):
         pres = plain_split_epi_pres()
         cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=2))
-        cert.lift_table = dict(cert.lift_table)
+        table = dict(cert.lift_table)
         for name in ('%d', '%s%%', 'é"\\\x01', ''):
-            cert.lift_table[(name, (0, 1), ())] = FiniteMap(FinSet(0), FinSet(5), ())
+            table[(name, (0, 1), ())] = FiniteMap(FinSet(0), FinSet(5), ())
+        cert = replace(cert, lift_table=table)
         assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
 
 
@@ -331,6 +340,8 @@ CERT_MUTANTS = [
      "$.lift_table[4].filler.cod: expected an integer, got float"),
     (("lift_table", 4, "filler", "cod"), -5,
      "$.lift_table[4].filler: carrier sizes must be non-negative"),
+    (("lift_table", 4, "filler", "cod"), 6,
+     "$.lift_table[4].filler.cod: codomain 6 differs from 5, the codomain of record 0"),
     (("lift_table", 4, "filler", "cod"), DELETE,
      "$.lift_table[4].filler: missing key 'cod'"),
     (("lift_table", 4, "filler", "extra"), 0,
@@ -490,3 +501,53 @@ def test_map_and_arrow_decoders_agree_with_the_walk_on_any_one_fault(kind, data)
     mutant = _mutant(doc, path, value)
     assert _outcome(decode_map_or_arrow, mutant) == _outcome(
         reference_decode.decode_map_or_arrow, mutant)
+
+
+# ---------------------------------------------------------------------------
+# one lift-table type
+
+
+@pytest.fixture(scope="module")
+def written_certificates():
+    """(presentation, text, decoded certificate) of a few written certificates."""
+    out = []
+    for make, f, mode, stage in [(composite_pres, f_2to3(), "special", 4),
+                                 (two_gen_plain_pres, f_3to2(), "plain", 3),
+                                 (pair_square_pres, f_3to2(), "special", 4)]:
+        pres = make()
+        text = dumps(encode_certificate(factorise(pres, f, mode=mode, max_stage=stage)))
+        out.append((pres, text, decode_certificate(parse_text(text), pres)))
+    return out
+
+
+def test_every_route_gives_a_lift_table(written_certificates):
+    pres, text, decoded = written_certificates[0]
+    cert = factorise(pres, f_2to3(), mode="special", max_stage=4)
+    assert isinstance(cert.lift_table, LiftTable)
+    assert isinstance(decoded.lift_table, LiftTable)
+    from_dict = replace(cert, lift_table=dict(cert.lift_table))
+    assert isinstance(from_dict.lift_table, LiftTable) and from_dict == cert
+    obj = parse_text(text)
+    obj["lift_table"].reverse()  # out of key order: walked, then sorted
+    reordered = decode_certificate(obj, pres)
+    assert isinstance(reordered.lift_table, LiftTable)
+    assert dumps(encode_certificate(reordered)) == text
+    record = obj["lift_table"][0]  # one record's bottom and filler one longer
+    record["bot"].append(0)
+    record["filler"]["dom"] += 1
+    record["filler"]["table"].append(0)
+    mixed = decode_certificate(obj, pres)
+    assert isinstance(mixed.lift_table, LiftTable)
+    assert mixed == reference_decode.decode_certificate(obj, pres)
+    assert len(mixed.lift_table.runs) > len(decoded.lift_table.runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_from_items_in_any_order_is_the_decoded_table(written_certificates, data):
+    pres, text, decoded = data.draw(st.sampled_from(written_certificates))
+    items = data.draw(st.permutations(list(decoded.lift_table.items())))
+    table = LiftTable.from_items(items)
+    assert table == decoded.lift_table
+    assert table.runs == decoded.lift_table.runs
+    assert dumps(encode_certificate(replace(decoded, lift_table=table))) == text

@@ -209,14 +209,14 @@ class TestMutationSensitivity:
         assert undetected == []
 
     def test_dict_table_reports_as_its_decoded_columns(self, certs, square_certs):
-        """A dict lift table is walked key by key; the certificate decoded
-        from its encoding holds columns.  Both get the same report."""
+        """A dict lift table is turned into columns by ``from_items``; the
+        certificate decoded from its encoding holds the decoder's columns.
+        Both get the same report."""
         checked = 0
         for _, cert in {**certs, **square_certs}.items():
             for desc, mutant in _mutants(cert):
                 decoded = decode_certificate(parse_text(dumps(encode_certificate(mutant))),
                                              mutant.pres)
-                assert isinstance(mutant.lift_table, dict)
                 assert isinstance(decoded.lift_table, LiftTable), desc
                 assert dumps(verify_certificate(mutant).to_payload()) == dumps(
                     verify_certificate(decoded).to_payload()), desc
@@ -287,19 +287,39 @@ class TestMutationSensitivity:
         )
         assert [(e.label, e.ok, e.detail) for e in report.entries] == [
             ("boundary", False, detail)
-        ] * 2
+        ]
 
     def test_wrong_codomain_is_named_before_wrong_domain(self, certs):
         cert = certs["double"]
         first, second = sorted(cert.lift_table)[:2]
-        table = dict(cert.lift_table)
-        a, b = table[first], table[second]
-        table[first] = FiniteMap(FinSet(a.dom.size + 1), a.cod, a.table + (0,))
-        table[second] = FiniteMap(b.dom, FinSet(b.cod.size + 1), b.table)
+        cod = FinSet(cert.right.top.size + 1)
+        table = {key: FiniteMap(m.dom, cod, m.table) for key, m in cert.lift_table.items()}
+        b = table[second]
+        table[second] = FiniteMap(FinSet(b.dom.size + 1), cod, b.table + (0,))
         fails = check_compat(_with(cert, lift_table=table)).failures()
         assert [e.detail for e in fails] == [
-            f"lift table entry {second} does not land in the middle object"
+            f"lift table entry {first} does not land in the middle object"
         ]
+
+    def test_malformed_api_tables_are_refused_when_built(self, certs):
+        cert = certs["double"]
+        key = sorted(cert.lift_table)[0]
+        m = cert.lift_table[key]
+        for bad, message in [
+            ({key: "not a map"}, f"lift table entry {key} is not a map"),
+            ({key: FiniteMap(m.dom, FinSet(m.cod.size + 1), m.table)},
+             "lift table fillers land in more than one carrier"),
+            ({"j": m}, "lift table key 'j' is not (generator, top, bottom)"),
+            ({("j", (0,)): m}, "lift table key ('j', (0,)) is not (generator, top, bottom)"),
+            ({(7, (), ()): m}, "lift table key (7, (), ()) is not (generator, top, bottom)"),
+            ({("j", ("0",), ()): m},
+             "lift table key ('j', ('0',), ()) is not (generator, top, bottom)"),
+        ]:
+            with pytest.raises(DiagramError) as exc:
+                _with(cert, lift_table={**cert.lift_table, **bad})
+            assert str(exc.value) == message
+        with pytest.raises(DiagramError, match="is repeated"):
+            LiftTable.from_items([(key, m), (key, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +345,7 @@ def _reference_boundary(cert):
     if cert.beta0.cod != cert.right.top:
         out.append("algebra map does not land in the middle object")
     for key, val in cert.lift_table.items():
-        if not isinstance(val, FiniteMap) or val.cod != cert.right.top:
+        if val.cod != cert.right.top:
             out.append(f"lift table entry {key} does not land in the middle object")
             break
     return out
@@ -473,9 +493,12 @@ def _reference_check_compat(cert):
 
 
 def _assert_same_report(cert):
-    reference = Report.merged(
-        "verify", [_reference_check_algebra(cert), _reference_check_compat(cert)]
-    )
+    boundary = _reference_boundary(cert)
+    if boundary:  # one entry per fault, and nothing else
+        reference = Report("verify", tuple(ReportEntry("boundary", False, b) for b in boundary))
+    else:
+        reference = Report.merged(
+            "verify", [_reference_check_algebra(cert), _reference_check_compat(cert)])
     assert dumps(verify_certificate(cert).to_payload()) == dumps(reference.to_payload())
 
 
@@ -577,10 +600,9 @@ class TestReportsMatchPerProblemReference:
         table[("ghost", (), (0,))] = removed
         table[("j", (), (7,))] = removed
         _assert_same_report(_with(cert, lift_table=table))
-        table = dict(cert.lift_table)
-        table[("j", (), (0,))] = "not a map"
+        table = {key: FiniteMap(m.dom, FinSet(9), m.table) for key, m in cert.lift_table.items()}
         _assert_same_report(_with(cert, lift_table=table))
-        table[("j", (), (0,))] = FiniteMap(FinSet(1), FinSet(9), (0,))
+        table[("j", (), (0,))] = FiniteMap(FinSet(2), FinSet(9), (0, 0))
         _assert_same_report(_with(cert, lift_table=table))
         _assert_same_report(_with(cert, mode="special"))
         _assert_same_report(_with(cert, mode="odd"))

@@ -6,23 +6,23 @@ of the underlying coproduct.  Equal inputs therefore produce identical
 tables, and "same map" is literal table equality.  All values here are
 immutable and every operation is a pure function of its inputs.
 
-Quotients use an ordered union-find: each root is the least member of its
-class.  Every carrier size is checked to be a non-negative integer, every
-map is checked when built and every mediator checks that it factors its
-input.  The per-element passes of the map check, composition, the square
-check and quotient labelling run in C (``map``, ``itemgetter``, ``min``/
-``max``, ``sum``, ``itertools.accumulate``); a Python loop walks a table
-only to name its first bad entry.  A quotient's mediator copies the least
-members with slices and compares only the points it merged; the pushout and
-cocone mediators keep one Python walk per leg, which measured faster than
-rebuilding their tables with ``dict``/``map``.
+Quotients use an ordered union-find over the merged points and write labels
+as ``range`` slices, so their Python work grows with the merges.  Every
+carrier size is checked to be a non-negative integer, every map is checked
+when built and every mediator checks that it factors its input.  The
+per-element passes of the map check, composition and the square check run in
+C (``map``, ``itemgetter``, ``min``/``max``, ``sum``); a Python loop walks a
+table only to name its first bad entry.  A quotient's mediator copies the
+least members with slices and compares only the points it merged; the
+pushout and cocone mediators keep one Python walk per leg, which measured
+faster than rebuilding their tables with ``dict``/``map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import eq, itemgetter, ne
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
 from .errors import CompositionError, DiagramError, UniversalityError
@@ -118,35 +118,38 @@ def is_iso(f: FiniteMap) -> Optional[FiniteMap]:
 
 
 def _quotient_table(n: int, merges: Iterable[tuple[int, int]]) -> tuple[int, tuple, tuple]:
-    """Quotient {0, .., n-1} by the relation generated by the merges: the
-    number of classes, the class of each point and the hung points, those
-    that are not the least member of their class, in ascending order.
+    """Quotient {0, .., n-1} by the relation generated by the merges, each
+    merged point in ``range(n)`` as the callers guarantee (a point past n - 1
+    lengthens the table, which ``FiniteMap`` refuses): the number of classes,
+    the class of each point, numbered by least member, and the hung points,
+    those not the least member of their class, in ascending order.
 
-    Classes are numbered by order of least member, which makes the result
-    canonical for identical inputs.  A union hangs the larger root under the
-    smaller, so ``parent[x] < x`` off the roots and one ascending pass over
-    the hung elements points each at its root; a class's label is the
-    number of roots below its root, a running sum over the root flags.
+    The union-find keeps parents only for hung points and hangs the larger
+    root under the smaller, so ``parent[x] < x``.  In ascending order, the
+    unhung points before a hung x take the labels up to ``x - k`` (k the hung
+    points below x) as one slice, and x copies its parent's label.
     """
-    parent = list(range(n))
+    parent = {}
     hung = []
     for a, b in merges:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
+        while a in parent:  # path halving: hang a at its grandparent, step there
+            parent[a] = a = parent.get(parent[a], parent[a])
+        while b in parent:
+            parent[b] = b = parent.get(parent[b], parent[b])
         if a != b:
             if a < b:
                 a, b = b, a
             parent[a] = b
             hung.append(a)
     hung.sort()
-    for x in hung:
-        parent[x] = parent[parent[x]]
-    labels = list(accumulate(map(eq, parent, range(n)), initial=0))
-    return labels[n], tuple(map(labels.__getitem__, parent)), tuple(hung)
+    table, lo = [], 0  # lo: the unhung points written so far
+    for k, x in enumerate(hung):
+        if x != lo + k:
+            table += range(lo, x - k)
+            lo = x - k
+        table.append(table[parent[x]])
+    table += range(lo, n - len(hung))
+    return n - len(hung), tuple(table), tuple(hung)
 
 
 # the faults of the two mediators, also raised by the table kernels of ``step``

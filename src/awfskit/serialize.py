@@ -180,9 +180,11 @@ def read_json(path: str):
             text = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8: {e.reason} at byte {e.start}") from None
     try:
         return parse_text(text)
-    except ParseError as e:
+    except (ParseError, RecursionError) as e:  # too deep a nesting raises the latter
         raise ParseError(f"{path}: {e}") from None
 
 

@@ -490,6 +490,30 @@ class TestValidate:
         assert "error" in capsys.readouterr().err
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8, or that nests deeper than the decoder can
+    follow, exits 1 and names the path, as any other bad input does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--presentation", fx("gen_split_epi.json"), "--map", "{bad}"],
+        ["validate", "--presentation", "{bad}"],
+        ["verify", "--presentation", fx("gen_split_epi.json"), "--certificate", "{bad}"],
+        ["lift", "--presentation", fx("gen_split_epi.json"), "--certificate", "{cert}",
+         "--problem", "{bad}"],
+    ], ids=["factor-map", "validate-presentation", "verify-certificate", "lift-problem"])
+    @pytest.mark.parametrize("content, fault", [
+        (b"\xff\xfe{}", "not UTF-8: invalid start byte at byte 0\n"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "too-deep"])
+    def test_exits_1_naming_the_path(self, argv, content, fault, cert_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([a.format(bad=bad, cert=cert_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: {fault}")
+
+
 class TestUnwritableOutput:
     """An output path in a missing directory exits 1 and names the path."""
 

@@ -468,6 +468,8 @@ def test_quotient_table_matches_reference_loop(case):
 def test_quotient_table_edge_cases_match_reference_loop():
     rng = random.Random(23)
     chain = [(i, i + 1) for i in range(3000)]
+    n, m = 200_000, 5000
+    descending = [(x, x - 1) for x in range(m - 1, 0, -1)]  # one parent path through every point
     cases = [
         (0, []),
         (1, [(0, 0)]),
@@ -477,10 +479,56 @@ def test_quotient_table_edge_cases_match_reference_loop():
         (3001, [(b, a) for a, b in chain]),
         (3001, rng.sample(chain, len(chain))),
         (3001, [(0, i) for i in range(3001)] + [(i, 3000 - i) for i in range(3001)]),
+        # sparse: few merges on a large carrier
+        (n, []),
+        (n, [(n - 1, n - 3), (n - 2, n - 1), (n - 4, n - 4)]),  # only the last few points
+        (m, [(x, m - 1) for x in range(m - 1)]),  # every point into the last
+        (m, descending),
+        (m, descending + [(m - 1, m // 2), (m - 2, 0)]),  # finds that walk the long path
     ]
-    for n, merges in cases:
-        assert _quotient_table(n, merges) == ref_quotient_table(n, merges)
+    for size, merges in cases:
+        assert _quotient_table(size, merges) == ref_quotient_table(size, merges)
     assert _quotient_table(3001, chain) == (1, (0,) * 3001, tuple(range(1, 3001)))
+    assert _quotient_table(n, []) == (n, tuple(range(n)), ())
+    assert _quotient_table(n, cases[9][1]) == (
+        n - 2, tuple(range(n - 3)) + (n - 3, n - 3, n - 3), (n - 2, n - 1))
+    assert _quotient_table(m, cases[10][1]) == (1, (0,) * m, tuple(range(1, m)))
+
+
+@st.composite
+def sparse_merge_lists(draw):
+    """Few merges on a large carrier, some of them among its last points: the
+    labels are mostly slices between a handful of hung points."""
+    n = draw(st.integers(1, 5000))
+    point = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 6), n - 1))
+    return n, draw(st.lists(st.tuples(point, point), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_merge_lists())
+def test_sparse_quotient_table_matches_reference_loop(case):
+    n, merges = case
+    assert _quotient_table(n, iter(merges)) == ref_quotient_table(n, merges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_merge_lists(), st.data())
+def test_sparse_quotient_induced_matches_reference_loop(case, data):
+    """Descent through a sparse joint coequaliser, on a map constant on
+    classes and on the same map moved at one point."""
+    n, merges = case
+    f = fmap(len(merges), n, [a for a, _ in merges])
+    g = fmap(len(merges), n, [b for _, b in merges])
+    res = joint_coequalizer([(f, g)])
+    assert (res.apex.size, res.q.table, res.hung) == ref_quotient_table(n, merges)
+    w = data.draw(st.lists(st.integers(0, 3), min_size=res.apex.size, max_size=res.apex.size))
+    table = [w[c] for c in res.q.table]
+    h = fmap(n, 4, table)
+    assert res.induced(h) == ref_quotient_induced(res, h) == fmap(res.apex.size, 4, w)
+    x = data.draw(st.integers(0, n - 1))
+    table[x] = (table[x] + 1) % 4
+    h = fmap(n, 4, table)
+    assert outcome(res.induced, h) == outcome(ref_quotient_induced, res, h)
 
 
 def _maps_into(draw, doms, cod):

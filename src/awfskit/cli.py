@@ -6,12 +6,14 @@ stdout.  Exit codes: 0 all checks passed; 1 a verification, validation,
 or input error (the report names what failed; a command line that does
 not parse prints its usage); 2 the chain did not stabilise within
 ``--max-stage`` (the summary lists the per-stage carrier sizes); 3 an
-enumeration or carrier exceeded the size budget.
+enumeration or carrier exceeded the size budget.  ``oracle kappa`` with
+neither map sweeps every pair of maps with carriers at most ``--bound``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Optional
 
@@ -37,7 +39,7 @@ from .serialize import (
     write_json,
 )
 from .step import LiftingProblem, SizeBudget, check_listable
-from .verify import Report, oracle_initiality, oracle_kappa, verify_certificate
+from .verify import Report, oracle_initiality, oracle_kappa, small_arrows, verify_certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,11 +112,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run an independent cross-check")
     p.add_argument("kind", choices=("kappa", "initiality"))
     common(p)
-    p.add_argument("--map", default=None, help="kappa: the map whose extension is probed")
-    p.add_argument("--target-map", default=None, help="kappa: the map lifted against")
+    sweep = " (omit --map and --target-map to sweep every pair within --bound)"
+    p.add_argument("--map", default=None, help="kappa: the map whose extension is probed" + sweep)
+    p.add_argument("--target-map", default=None, help="kappa: the map lifted against" + sweep)
     p.add_argument("--certificate", default=None, help="initiality: the certificate to check")
     p.add_argument("--bound", type=_non_negative("bound"), default=2, metavar="N",
-                   help="kappa: maximum carrier size accepted")
+                   help="kappa: maximum carrier size accepted" + sweep)
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="kappa: seed for the sampled regime")
 
@@ -201,9 +204,29 @@ def _cmd_verify(args) -> int:
     return _finish_report(verify_certificate(cert, budget=_budget(args)), args.out)
 
 
+def _sweep_kappa(pres, args) -> int:
+    if args.out:
+        print("oracle kappa sweep writes no report; --out needs both maps", file=sys.stderr)
+        return EXIT_FAIL
+    n = sum(y ** x for x in range(args.bound + 1) for y in range(args.bound + 1))
+    check_listable(n * n, _budget(args), "oracle kappa sweep", "pairs")
+    print(f"{n} maps with carriers <= {args.bound}; sweeping {n * n} ordered pairs")
+    failures = 0
+    for f, g in itertools.product(small_arrows(args.bound), repeat=2):
+        report = oracle_kappa(pres, f, g, bound=args.bound, budget=_budget(args), seed=args.seed)
+        detail = "; ".join(e.detail for e in report.entries if e.detail)
+        print(f"{'ok  ' if report.ok else 'FAIL'} f={list(f.map.table)}:{f.top.size}->{f.bot.size} "
+              f"g={list(g.map.table)}:{g.top.size}->{g.bot.size}  {detail}")
+        failures += not report.ok
+    print(f"swept {n * n} pairs, {failures} failures")
+    return EXIT_FAIL if failures else EXIT_OK
+
+
 def _cmd_oracle(args) -> int:
     pres = _load_presentation(args.presentation)
     if args.kind == "kappa":
+        if not args.map and not args.target_map:
+            return _sweep_kappa(pres, args)
         if not args.map or not args.target_map:
             print("oracle kappa needs --map and --target-map", file=sys.stderr)
             return EXIT_FAIL

@@ -23,8 +23,9 @@ counts, with exact big-integer arithmetic, when enumeration is beyond
 reach) commuting squares out of the one-step extension and lifting
 structures on the original arrow, and confirms they correspond one to
 one, on raw tables through the kernels that ``mediate`` and
-``restrict_square`` wrap; ``oracle_initiality`` confirms the extracted
-algebra maps uniquely into any supplied algebra under any boundary square.
+``restrict_square`` wrap (the command line sweeps it over every pair of
+``small_arrows``); ``oracle_initiality`` confirms the extracted algebra
+maps uniquely into any supplied algebra under any boundary square.
 """
 
 from __future__ import annotations
@@ -653,6 +654,12 @@ def oracle_kappa(
         ReportEntry("cardinality", n_squares == n_liftings and counted,
                     f"squares={n_squares} liftings={n_liftings}"),
         ReportEntry("two-sided-inverse", inverse, how)))
+
+
+def small_arrows(bound: int) -> list:
+    """Every map with carriers of at most ``bound`` points, by domain, codomain, then table."""
+    return [ArrowObject(FiniteMap(FinSet(x), FinSet(y), t)) for x in range(bound + 1)
+            for y in range(bound + 1) for t in itertools.product(range(y), repeat=x)]
 
 
 # ---------------------------------------------------------------------------

@@ -445,10 +445,52 @@ class TestOracle:
         assert capsys.readouterr().out.splitlines() == [out.strip()]
 
     def test_kappa_needs_both_maps(self, capsys):
-        code = main(
-            ["oracle", "kappa", "--presentation", fx("gen_split_epi.json")]
-        )
-        assert code == 1
+        for flag in ("--map", "--target-map"):
+            code = main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                         flag, fx("f_1to1.json")])
+            assert code == 1
+            assert capsys.readouterr() == ("", "oracle kappa needs --map and --target-map\n")
+
+    @pytest.mark.parametrize("presentation, bound, line", [
+        ("gen_split_epi.json", "0", "swept 1 pairs, 0 failures"),
+        ("gen_abc.json", "1", "swept 9 pairs, 0 failures"),
+    ], ids=["kappa_sweep", "kappa_sweep-abc"])
+    def test_kappa_sweep_runs_to_its_summary(self, presentation, bound, line, capsys):
+        assert main(["oracle", "kappa", "--presentation", fx(presentation), "--bound", bound]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
+    def test_kappa_sweep_lists_every_pair_in_order(self, capsys):
+        assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--bound", "1"]) == 0
+        one = "squares=1 liftings=1; exhaustive over 1 squares and 1 liftings"
+        none = "squares=0 liftings=0; exhaustive over 0 squares and 0 liftings"
+        assert capsys.readouterr().out.splitlines() == [
+            "3 maps with carriers <= 1; sweeping 9 ordered pairs",
+            f"ok   f=[]:0->0 g=[]:0->0  {one}",
+            f"ok   f=[]:0->0 g=[]:0->1  {one}",
+            f"ok   f=[]:0->0 g=[0]:1->1  {one}",
+            f"ok   f=[]:0->1 g=[]:0->0  {none}",
+            f"ok   f=[]:0->1 g=[]:0->1  {none}",
+            f"ok   f=[]:0->1 g=[0]:1->1  {one}",
+            f"ok   f=[0]:1->1 g=[]:0->0  {none}",
+            f"ok   f=[0]:1->1 g=[]:0->1  {none}",
+            f"ok   f=[0]:1->1 g=[0]:1->1  {one}",
+            "swept 9 pairs, 0 failures",
+        ]
+
+    def test_kappa_sweep_over_budget_exits_3(self, capsys):
+        assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--budget", "100"]) == 3
+        assert capsys.readouterr() == (
+            "", "size budget exceeded: oracle kappa sweep lists 121 pairs, budget allows 100\n")
+
+    def test_kappa_sweep_writes_no_report(self, tmp_path, capsys):
+        out = tmp_path / "kappa.json"
+        assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "oracle kappa sweep writes no report; --out needs both maps\n")
+        assert not out.exists()
 
 
 class TestValidate:

@@ -32,7 +32,8 @@ from awfskit.errors import DiagramError, EngineError, NonNaturalLifting, SizeBud
 from awfskit.finset import FinSet, FiniteMap, compose
 from awfskit.serialize import dumps
 from awfskit.step import SizeBudget, StepEngine
-from awfskit.verify import Certificate, Report, ReportEntry, oracle_initiality, oracle_kappa
+from awfskit.verify import (Certificate, Report, ReportEntry, oracle_initiality, oracle_kappa,
+                            small_arrows)
 
 from fixture_lib import (
     abc_pres,
@@ -49,12 +50,6 @@ from fixture_lib import (
     uniform_monos_pres,
 )
 from test_verify import arr
-
-
-def small_arrows(n):
-    """Every map between carriers of size at most ``n``."""
-    return [arr(x, y, t) for x in range(n + 1) for y in range(n + 1) if y or not x
-            for t in itertools.product(range(y), repeat=x)]
 
 
 def reference_kappa(pres, f, g, bound=2, budget=None):

@@ -454,8 +454,7 @@ class TestStepEquations:
 FAST_SHAPES = {name: shape for name, shape in DIFF_SHAPES.items() if fast_eligible(shape)}
 # the most liftings, and the most squares, the fast/general differential lists
 SMALL_LISTING = 1024
-SMALL_ARROWS = [aobj(fmap(x, y, t)) for x in range(3) for y in range(3) if y or not x
-                for t in itertools.product(range(y), repeat=x)]
+SMALL_ARROWS = verify.small_arrows(2)
 
 
 class TestFastPath:

@@ -49,6 +49,7 @@ from .step import (
     SizeBudget,
     StepEngine,
     _rows,
+    check_listable,
 )
 
 
@@ -144,7 +145,6 @@ def _advance(trace: ChainTrace, max_stage: int) -> ChainTrace:
         x_next = quot.q
         trace.stages.append(quot.apex)
         trace.structure.append(x_next)
-        eta_next = engine.step_tables(trace.stages[n + 1]).unit
         trace.connect.append(square_compose(x_next, eta_next))
     return trace
 
@@ -360,7 +360,7 @@ def extract(trace: ChainTrace) -> Certificate:
         raise DiagramError("extracted factorisation does not recompose the input")
     if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
         raise DiagramError("extracted algebra violates the unit law")
-    st.check_listable(trace.engine.budget, f"lift table at stage {n}")
+    check_listable(st.problem_count(), trace.engine.budget, f"lift table at stage {n} lists")
     cert = Certificate(
         pres=trace.shape,
         mode=trace.mode,

@@ -183,7 +183,7 @@ def _cmd_lift(args) -> int:
     # problems before it lists them; a malformed table is the decoder's to name
     records = obj.get("lift_table") if isinstance(obj, dict) else None
     if isinstance(records, list):
-        check_listable(len(records), _budget(args), "lift table")
+        check_listable(len(records), _budget(args), "lift table lists")
     cert = decode_certificate(obj, pres, args.certificate)
     gen, top, bot = decode_problem(read_json(args.problem), args.problem)
     u = dict(pres.lifting_generators()).get(gen)
@@ -209,7 +209,7 @@ def _sweep_kappa(pres, args) -> int:
         print("oracle kappa sweep writes no report; --out needs both maps", file=sys.stderr)
         return EXIT_FAIL
     n = sum(y ** x for x in range(args.bound + 1) for y in range(args.bound + 1))
-    check_listable(n * n, _budget(args), "oracle kappa sweep", "pairs")
+    check_listable(n * n, _budget(args), "oracle kappa sweep lists", "pairs")
     print(f"{n} maps with carriers <= {args.bound}; sweeping {n * n} ordered pairs")
     failures = 0
     for f, g in itertools.product(small_arrows(args.bound), repeat=2):

@@ -23,13 +23,14 @@ them are implied rather than listed; they use the reserved name prefix
 ``1_``.  Identity vertical arrows are listed arrows that ``vid`` names.
 
 Validation reports every violated axiom as data with a witness naming the
-offending cells.  Each composition table (the plain category; the
-horizontal, vertical and square categories of a double presentation) is
-checked by the one ``FiniteCategory`` checker.  Name and reference faults
-carry plain labels (``invalid-name``, ``reserved-name``,
-``duplicate-name``, ``unknown-reference``); law faults carry the table's
-prefix (``horizontal-``, ``vertical-``, ``square-``; none for a plain
-presentation), e.g. ``vertical-identity-law``.
+offending cells.  Sizes and realisation tables are valid when ``FinSet``
+and ``FiniteMap`` accept them (``RawMap.realise``).  Each composition table
+(the plain category; the horizontal, vertical and square categories of a
+double presentation) is checked by the one ``FiniteCategory`` checker.
+Name and reference faults carry plain labels (``invalid-name``,
+``reserved-name``, ``duplicate-name``, ``unknown-reference``); law faults
+carry the table's prefix (``horizontal-``, ``vertical-``, ``square-``;
+none for a plain presentation), e.g. ``vertical-identity-law``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cached_property
 from typing import ClassVar, Iterable, Mapping, Optional
 
 from .arrows import ArrowObject, CommSquare
-from .errors import CompositionError, InvalidPresentation
+from .errors import CompositionError, DiagramError, InvalidPresentation
 from .finset import FinSet, FiniteMap, compose, identity
 
 ID_PREFIX = "1_"
@@ -120,18 +121,15 @@ class RawMap:
     cod: int
     table: tuple[int, ...]
 
-    def wellformed(self) -> bool:
-        return (
-            isinstance(self.dom, int)
-            and isinstance(self.cod, int)
-            and self.dom >= 0
-            and self.cod >= 0
-            and len(self.table) == self.dom
-            and all(isinstance(v, int) and 0 <= v < self.cod for v in self.table)
-        )
-
     def build(self) -> FiniteMap:
         return FiniteMap(FinSet(self.dom), FinSet(self.cod), tuple(self.table))
+
+    def realise(self) -> Optional[FiniteMap]:
+        """The map, or None when ``FinSet`` or ``FiniteMap`` refuses it."""
+        try:
+            return self.build()
+        except DiagramError:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +403,11 @@ class PlainPresentation(_Validated):
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
         gen_ok: dict[str, FiniteMap] = {}
         for g in self._gens.values():
-            if not g.umap.wellformed():
+            umap = g.umap.realise()
+            if umap is None:
                 bad("realisation-map", f"generator {g.name}")
             else:
-                gen_ok[g.name] = g.umap.build()
+                gen_ok[g.name] = umap
         mor_ok: dict[str, tuple[FiniteMap, FiniteMap]] = {}
         for m in _first_by_name(self.morphisms).values():
             if m.name not in cat.ok_arrows or is_id_name(m.name):
@@ -416,16 +415,14 @@ class PlainPresentation(_Validated):
             if m.dom not in gen_ok or m.cod not in gen_ok:
                 continue
             dom_map, cod_map = gen_ok[m.dom], gen_ok[m.cod]
-            if not (m.top.wellformed() and m.bot.wellformed()):
+            top, bot = m.top.realise(), m.bot.realise()
+            if top is None or bot is None:
                 bad("realisation-map", f"morphism {m.name}")
                 continue
-            if (m.top.dom, m.top.cod) != (dom_map.dom.size, cod_map.dom.size) or (
-                m.bot.dom,
-                m.bot.cod,
-            ) != (dom_map.cod.size, cod_map.cod.size):
+            if (top.dom, top.cod) != (dom_map.dom, cod_map.dom) or (bot.dom, bot.cod) != (
+                    dom_map.cod, cod_map.cod):
                 bad("realisation-boundary", f"morphism {m.name}")
                 continue
-            top, bot = m.top.build(), m.bot.build()
             if compose(cod_map, top).table != compose(bot, dom_map).table:
                 bad("realisation-square", f"morphism {m.name}")
                 continue
@@ -612,13 +609,15 @@ class DoubleCatPresentation(_Validated):
         out: list[Violation] = []
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
 
+        obj_ok = set()
         for n, s in self.objects:
-            if not isinstance(s, int) or s < 0:
+            try:
+                FinSet(s)
+            except DiagramError:
                 bad("object-size", f"object {n}: {s!r}")
-        obj_ok = {
-            n for n, s in self.objects
-            if _valid_name(n) and not is_id_name(n) and isinstance(s, int) and s >= 0
-        }
+                continue
+            if _valid_name(n) and not is_id_name(n):
+                obj_ok.add(n)
         j0, vcat, j1 = self.j0_category(), self._vcat, self.j1_category()
         out += j0.violations("horizontal-")
         out += vcat.violations("vertical-")
@@ -754,26 +753,23 @@ class DoubleCatPresentation(_Validated):
             id_name(o): (identity(FinSet(self._sizes[o])),) for o in obj_ok
         }
         for h in map(self._harrow.get, hnames):
-            if not h.umap.wellformed() or (h.umap.dom, h.umap.cod) != (
-                self._sizes[h.dom],
-                self._sizes[h.cod],
-            ):
+            hmap = h.umap.realise()
+            if hmap is None or (h.umap.dom, h.umap.cod) != (self._sizes[h.dom], self._sizes[h.cod]):
                 bad("realisation-map", f"horizontal arrow {h.name}")
                 continue
-            hmaps[h.name] = (h.umap.build(),)
+            hmaps[h.name] = (hmap,)
         out += _functor_violations(j0, hmaps, "realisation-horizontal-functor")
 
         vmaps: dict[str, tuple[FiniteMap]] = {}
         for v in self._varrow.values():
             if v.name not in v_ok or not {v.vdom, v.vcod} <= obj_ok:
                 continue
-            if not v.umap.wellformed() or (v.umap.dom, v.umap.cod) != (
-                self._sizes[v.vdom],
-                self._sizes[v.vcod],
-            ):
+            vmap = v.umap.realise()
+            if vmap is None or (v.umap.dom, v.umap.cod) != (
+                    self._sizes[v.vdom], self._sizes[v.vcod]):
                 bad("realisation-map", f"vertical arrow {v.name}")
                 continue
-            vmaps[v.name] = (v.umap.build(),)
+            vmaps[v.name] = (vmap,)
         for o in sorted(obj_ok):
             vn = self.vid.get(o)
             if vn in vmaps and (self._varrow[vn].vdom, self._varrow[vn].vcod) == (o, o):

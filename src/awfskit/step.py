@@ -19,8 +19,8 @@ generator's problems as key columns (``_GenLayout``), and ``fast_eligible``
 picks one from the shape alone.  When the shape has no connecting squares
 and every generator realisation is injective, ``fast_step`` computes the
 canonical numbering by rank arithmetic; otherwise ``step`` builds the
-colimit/pushout factories' inputs from the key columns, guarded by a
-problem-count budget.
+colimit/pushout factories' inputs from the key columns.  Every listing,
+here and elsewhere, is first refused over budget by ``check_listable``.
 
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
@@ -92,11 +92,11 @@ class SizeBudget:
 def check_listable(count: int, budget: Optional[SizeBudget], what: str,
                    unit: str = "problems") -> None:
     """Refuse ``what``, a listing of ``count`` ``unit``, when ``budget`` (the
-    default budget when None) allows fewer: the one check every listing of
-    problems, records or squares goes through."""
+    default budget when None) allows fewer: the one place a budget is
+    compared.  ``what`` carries its verb, as in ``"general step lists"``."""
     limit = (budget or SizeBudget()).max_problems
     if count > limit:
-        raise SizeBudgetExceeded(f"{what} lists {count} {unit}, budget allows {limit}")
+        raise SizeBudgetExceeded(f"{what} {count} {unit}, budget allows {limit}")
 
 
 ProblemKey = tuple  # (generator name, top table, bottom table)
@@ -349,12 +349,6 @@ class StepStructure:
         included."""
         return sum(len(meta.ranks) for meta in self._gens.values())
 
-    def check_listable(self, budget: SizeBudget, what: str) -> None:
-        """Refuse ``what``, a listing of every problem, when there are more
-        problems than ``budget`` allows.  The step's own budget check never
-        counted the problems of surjective generators, which adjoin no cell."""
-        check_listable(self.problem_count(), budget, what)
-
 
 def fast_eligible(shape) -> bool:
     """The fast path applies when the shape has no connecting squares and
@@ -372,17 +366,11 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
         raise DiagramError("shape is not eligible for the fast step path")
     x, y = target.top.size, target.bot.size
     metas = _layouts(shape, x, y, True)
-    # the budget bounds the problems that adjoin cells (problems of
-    # surjective generators are never enumerated by the chain; ``extract``
-    # counts them before it lists the lift table); checked arithmetically
-    # before any table is materialised
-    limit = (budget or SizeBudget()).max_problems
-    adjoining = sum(m.block for m in metas.values() if m.fcount)
-    if adjoining > limit:
-        raise SizeBudgetExceeded(
-            f"extension of a carrier of size {x} adjoins cells for {adjoining} "
-            f"problems, budget allows {limit}"
-        )
+    # the budget bounds the problems that adjoin cells, counted before any
+    # table is built; a surjective generator's problems adjoin none, and
+    # ``extract`` counts them before it lists the lift table
+    check_listable(sum(m.block for m in metas.values() if m.fcount), budget,
+                   f"extension of a carrier of size {x} adjoins cells for")
     ttable = list(target.map.table)
     for meta in metas.values():
         if meta.fcount:
@@ -413,7 +401,7 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     x, y = target.top.size, target.bot.size
     gens = _layouts(shape, x, y, False)
     check_listable(sum(meta.block for meta in gens.values()), budget,
-                   "general step", "problems at most")
+                   "general step lists", "problems at most")
     cols, firsts = {}, {}  # generator -> its key columns, the number of its first problem
     utable, to_top, to_bot, tsizes, bsizes = [], [], [], [], []
     for name, meta in gens.items():
@@ -718,7 +706,7 @@ class StepEngine:
 
     def __init__(self, shape, budget: Optional[SizeBudget] = None):
         self.shape = shape
-        self.budget = budget or SizeBudget()
+        self.budget = budget
         self._general: dict = {}
         self._fast: dict = {}
         self._fast_ok = fast_eligible(shape)

@@ -31,6 +31,7 @@ maps uniquely into any supplied algebra under any boundary square.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -230,7 +231,7 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
 
     dengine, engine = engines or _engines(cert, budget)
     st = engine.step_tables(cert.right)
-    st.check_listable(engine.budget, "lift table")
+    check_listable(st.problem_count(), engine.budget, "lift table lists")
 
     recomposed, ft = compose(cert.right.map, cert.left).table, cert.input.map.table
     bad = [x for x in range(cert.input.top.size) if recomposed[x] != ft[x]]
@@ -300,7 +301,7 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
     pres, table = cert.pres, cert.lift_table
     _, engine = engines or _engines(cert, budget)
     st = engine.step_tables(cert.right)
-    st.check_listable(engine.budget, "lift table")
+    check_listable(st.problem_count(), engine.budget, "lift table lists")
     blocks = _aligned(table, list(st.problem_blocks()))
     project = cert.right.map.table.__getitem__
     fills_checked, complete = 0, True
@@ -460,17 +461,6 @@ def _problem_free_positions(struct) -> list:
     return out
 
 
-def _count_liftings(problems, base: CommSquare, fib_sizes) -> int:
-    total = 1
-    bt = base.bot.table
-    for _s0, s1, _u, free in problems:
-        for b in free:
-            total *= fib_sizes[bt[s1[b]]]
-            if total == 0:
-                return 0
-    return 0 if _filler_template(problems, base) is None else total
-
-
 def _filler_template(problems, base: CommSquare) -> Optional[tuple[list, list]]:
     """The filler table over ``base`` (one entry per point of ∐ₚ Bₚ) with
     the entries the generator images force filled in, and each free entry
@@ -510,10 +500,10 @@ def _enumerate_liftings(problems, base: CommSquare, fib, g: ArrowObject):
         yield OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, table))
 
 
-def _random_lifting(rng, problems, bases, fib, g: ArrowObject):
-    """A random lifting over one of ``bases``, each with ``_count_liftings`` > 0."""
-    base = rng.choice(bases)
-    table, slots = _filler_template(problems, base)
+def _random_lifting(rng, viable, fib, g: ArrowObject):
+    """A random lifting over one of the (base, filler template) pairs ``viable``."""
+    base, (template, slots) = rng.choice(viable)
+    table = list(template)
     for pos, w in slots:
         table[pos] = rng.choice(fib[w])
     return OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, tuple(table)))
@@ -577,7 +567,7 @@ def oracle_kappa(
             )
     engine = StepEngine(pres, budget)
     struct = engine.step_tables(f)
-    struct.check_listable(engine.budget, "oracle kappa")
+    check_listable(struct.problem_count(), budget, "oracle kappa lists")
     fib = _fibres(g)
     fib_sizes = [len(c) for c in fib]
     problems = _problem_free_positions(struct)
@@ -585,10 +575,17 @@ def oracle_kappa(
     has_squares = bool(pres.lifting_squares())
 
     n_squares = _count_commuting_squares(struct.extended, g)
-    if has_squares:
-        n_liftings = None  # products over problems ignore the square constraints
-    else:
-        n_liftings = sum(_count_liftings(problems, base, fib_sizes) for base in bases)
+    # a lifting over a base fills each free entry of its template from its
+    # fibre; with connecting squares the liftings are counted by listing them
+    n_liftings, viable = None, []  # viable: (base, template) with a lifting, by base
+    if not has_squares:
+        n_liftings = 0
+        for base in bases:
+            template = _filler_template(problems, base)
+            count = 0 if template is None else math.prod(fib_sizes[w] for _, w in template[1])
+            if count:
+                n_liftings += count
+                viable.append((base, template))
 
     listable = n_squares <= LIST_CAP and (n_liftings is None or n_liftings <= LIST_CAP)
     if has_squares and not listable:
@@ -639,10 +636,9 @@ def oracle_kappa(
         how = f"exhaustive over {n_squares} squares and {n_liftings} liftings"
     else:
         rng, counted, inverse = random.Random(seed), True, True
-        viable = [b for b in bases if _count_liftings(problems, b, fib_sizes) > 0]
-        if viable and n_liftings:
+        if viable:
             for _ in range(samples):
-                lift = _random_lifting(rng, problems, viable, fib, g)
+                lift = _random_lifting(rng, viable, fib, g)
                 if restrict_square(struct, mediate(struct, lift)) != lift:
                     inverse = False
         if n_squares:
@@ -698,7 +694,7 @@ def oracle_initiality(
             )
             continue
         check_listable(_count_commuting_squares(cert.right, g), budget,
-                       "oracle initiality", "candidate squares")
+                       "oracle initiality lists", "candidate squares")
         morphisms = []
         for h in _commuting_squares(cert.right, g):
             th = engine.extend(h)

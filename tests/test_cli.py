@@ -158,6 +158,14 @@ class TestFactor:
                      "--budget", "65536", "--max-stage", "2"]) == 0
         assert "lift table 65536 fillers" in capsys.readouterr().out
 
+    def test_lift_table_at_stage_over_budget_exits_3(self, capsys):
+        # the fast step adjoins cells for 2 problems, the lift table lists 8
+        code = main(["factor", "--presentation", fx("gen_split_epi.json"), "--map",
+                     fx("f_3to2.json"), "--mode", "plain", "--max-stage", "3", "--budget", "4"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "size budget exceeded: lift table at stage 1 lists 8 problems, budget allows 4\n")
+
 
 class TestVerify:
     def test_lift_table_over_budget_exits_3(self, tmp_path, capsys):
@@ -477,6 +485,13 @@ class TestOracle:
             f"ok   f=[0]:1->1 g=[0]:1->1  {one}",
             "swept 9 pairs, 0 failures",
         ]
+
+    def test_kappa_over_budget_names_the_extension(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"dom": 1, "cod": 2, "table": [0]})
+        assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                     "--map", f, "--target-map", f, "--budget", "1"]) == 3
+        assert capsys.readouterr() == ("", "size budget exceeded: extension of a carrier of "
+                                           "size 1 adjoins cells for 2 problems, budget allows 1\n")
 
     def test_kappa_sweep_over_budget_exits_3(self, capsys):
         assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),

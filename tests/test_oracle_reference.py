@@ -52,6 +52,22 @@ from fixture_lib import (
 from test_verify import arr
 
 
+def count_liftings(problems, base, fib_sizes) -> int:
+    """The reference's own count of the liftings over ``base``: the product
+    of the fibre sizes over every free filler entry, or 0 when a generator
+    that is not injective forces one entry two different ways."""
+    bt, bb = base.top.table, base.bot.table
+    total = 1
+    for s0, s1, u, free in problems:
+        forced = {}
+        for a, b in enumerate(u.map.table):
+            if forced.setdefault(b, bt[s0[a]]) != bt[s0[a]]:
+                return 0
+        for b in free:
+            total *= fib_sizes[bb[s1[b]]]
+    return total
+
+
 def reference_kappa(pres, f, g, bound=2, budget=None):
     """The exhaustive branch of ``oracle_kappa`` as four separate
     identities; a restriction that raises is a failed identity.  Engine
@@ -67,7 +83,7 @@ def reference_kappa(pres, f, g, bound=2, budget=None):
     has_squares = bool(pres.lifting_squares())
     n_squares = verify._count_commuting_squares(struct.extended, g)
     n_liftings = None if has_squares else sum(
-        verify._count_liftings(problems, base, fib_sizes) for base in bases)
+        count_liftings(problems, base, fib_sizes) for base in bases)
     listable = n_squares <= verify.LIST_CAP and (n_liftings is None or n_liftings <= verify.LIST_CAP)
     if not listable:
         raise SizeBudgetExceeded("not listable")  # both sides share the sampled branch

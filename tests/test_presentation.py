@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from awfskit.errors import InvalidPresentation
+from awfskit.finset import FinSet, FiniteMap
 from awfskit.presentation import (
     CatArrow,
     ComposablePairs,
@@ -531,7 +532,16 @@ def test_duplicate_vertical_name_with_other_endpoints_is_one_fault():
 
 
 def test_raw_map_wellformedness():
-    assert RawMap(2, 2, (0, 1)).wellformed()
-    assert not RawMap(2, 2, (0,)).wellformed()
-    assert not RawMap(1, 1, (1,)).wellformed()
-    assert not RawMap(-1, 1, ()).wellformed()
+    assert RawMap(2, 2, (0, 1)).realise() == FiniteMap(FinSet(2), FinSet(2), (0, 1))
+    assert RawMap(2, 2, (0,)).realise() is None
+    assert RawMap(1, 1, (1,)).realise() is None
+    assert RawMap(-1, 1, ()).realise() is None
+    assert RawMap(True, 1, (0,)).realise() is None  # FinSet refuses a boolean size
+
+
+def test_boolean_carrier_size_is_reported_not_raised():
+    """Only the Python API reaches these: the JSON decoders refuse booleans."""
+    plain = PlainPresentation.build([("g", True, 1, [0])])
+    assert plain.validate().summary() == "realisation-map[generator g]"
+    double = DoubleCatPresentation.build({"a": True}, varrows=[("i", "a", "a", [0])], vid={"a": "i"})
+    assert double.validate().summary() == "object-size[object a: True]"

@@ -11,8 +11,10 @@ extension map sends the adjoined cells to their defining points, and the
 inclusion is the identity onto the first three elements.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -62,6 +64,7 @@ from fixture_lib import (
 )
 from reference_step import (comma_category, count_problems_bound, density_step, reference_problems,
                             reference_step)
+from test_oracle_reference import count_liftings
 
 
 def aobj(f: FiniteMap) -> ArrowObject:
@@ -522,7 +525,7 @@ class TestFastPath:
             for g in SMALL_ARROWS:
                 fib = verify._fibres(g)
                 bases = list(verify._commuting_squares(f, g))
-                n_liftings = sum(verify._count_liftings(problems, base, list(map(len, fib)))
+                n_liftings = sum(count_liftings(problems, base, list(map(len, fib)))
                                  for base in bases)
                 n_squares = verify._count_commuting_squares(fast.extended, g)
                 if max(n_liftings, n_squares) > SMALL_LISTING:
@@ -793,6 +796,32 @@ class TestEngine:
         engine = StepEngine(abc_pres(), SizeBudget(max_problems=35))
         with pytest.raises(SizeBudgetExceeded):
             engine.step_tables(aobj(f_3to2()))
+
+    def test_budget_refusals_have_one_owner(self):
+        """``step.check_listable`` is the one place a problem budget is
+        resolved and compared; ``oracle_kappa`` refuses only its carrier
+        bound and its listing cap, which are no problem budgets."""
+        assert sorted(_calls_in_src("SizeBudgetExceeded")) == [
+            ("step", "check_listable", 1), ("verify", "oracle_kappa", 1),
+            ("verify", "oracle_kappa", 1)]
+        default_budgets = [call for call in _calls_in_src("SizeBudget") if not call[2]]
+        assert default_budgets == [("step", "check_listable", 0)]
+
+
+def _calls_in_src(name: str) -> list:
+    """(module, enclosing function, argument count) of every call of
+    ``name`` in the package's source."""
+    found = []
+
+    def walk(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                found.append((module, func, len(child.args) + len(child.keywords)))
+            walk(child, module, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    for path in sorted(Path(step_module.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, None)
+    return found
 
 
 class TestClassifyExtend:

@@ -718,8 +718,6 @@ class StepEngine:
         return self._general[key]
 
     def step_fast(self, f: ArrowObject) -> StepStructure:
-        if not self._fast_ok:
-            raise DiagramError("shape is not eligible for the fast step tables")
         key = _arrow_key(f)
         if key not in self._fast:
             self._fast[key] = fast_step(self.shape, f, self.budget)

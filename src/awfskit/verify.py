@@ -18,14 +18,14 @@ one ``boundary`` entry per fault — so a corrupted certificate yields a
 deterministic, complete list of everything wrong with it.
 
 The two oracles check the engine against definitions that do not go
-through the engine's own construction: ``oracle_kappa`` enumerates (or
-counts, with exact big-integer arithmetic, when enumeration is beyond
-reach) commuting squares out of the one-step extension and lifting
-structures on the original arrow, and confirms they correspond one to
-one, on raw tables through the kernels that ``mediate`` and
-``restrict_square`` wrap (the command line sweeps it over every pair of
-``small_arrows``); ``oracle_initiality`` confirms the extracted algebra
-maps uniquely into any supplied algebra under any boundary square.
+through the engine's own construction: ``oracle_kappa`` counts exactly
+the commuting squares out of the one-step extension and the lifting
+structures on the original arrow, natural by its own classes on ∐ₚ Bₚ,
+lists or samples both, and confirms they correspond one to one, on raw
+tables through the kernels that ``mediate`` and ``restrict_square`` wrap
+(the command line sweeps it over every pair of ``small_arrows``);
+``oracle_initiality`` confirms the extracted algebra maps uniquely into
+any supplied algebra under any boundary square.
 """
 
 from __future__ import annotations
@@ -437,76 +437,92 @@ def _commuting_squares(src: ArrowObject, dst: ArrowObject):
 
 
 def _count_commuting_squares(src: ArrowObject, dst: ArrowObject) -> int:
-    fib = _fibres(dst)
-    sizes = [len(f) for f in fib]
-    total = 0
-    for bot in itertools.product(range(dst.bot.size), repeat=src.bot.size):
-        prod = 1
-        for x in range(src.top.size):
-            prod *= sizes[bot[src.map.table[x]]]
-            if prod == 0:
-                break
-        total += prod
-    return total
+    """The number of squares src -> dst, ∏_b Σ_w |dst⁻¹(w)|^|src⁻¹(b)|: each
+    bottom point b picks its image w, each top point over b a point over w."""
+    sizes = [len(over) for over in _fibres(dst)]
+    return math.prod(sum(n ** len(over) for n in sizes) for over in _fibres(src))
 
 
-def _problem_free_positions(struct) -> list:
+def _problem_free_positions(struct) -> tuple[list, list]:
     """Every lifting problem of the structure, in canonical order, as (top
-    table, bottom table, generator realisation, free filler positions)."""
-    gens, out = dict(struct.shape.lifting_generators()), []
-    for name, _, count, tops, bots in struct.problem_blocks():
-        u = gens[name]
-        free = sorted(set(range(u.bot.size)).difference(u.map.table))
-        out += [(s0, s1, u, free) for s0, s1 in zip(_rows(tops, count), _rows(bots, count))]
-    return out
+    table, bottom table, generator realisation, free filler positions), and
+    the naturality class of each point of ∐ₚ Bₚ, by least member: for each
+    connecting square ``sq: u' → u`` and problem ``p`` of ``u``, point ``b``
+    of the moved problem ``p ∘ sq`` joins point ``sq.bot[b]`` of ``p``, by
+    the oracle's own union-find, not the step's colimit."""
+    gens, problems, spans = dict(struct.shape.lifting_generators()), [], {}
+    for name, bottom, count, tops, bots in struct.problem_blocks():
+        free = sorted(set(range(bottom.size)).difference(gens[name].map.table))
+        spans[name] = range(len(problems), len(problems) + count)
+        problems += [(s0, s1, gens[name], free) for s0, s1 in zip(_rows(tops, count), _rows(bots, count))]
+    starts = list(itertools.accumulate((u.bot.size for _, _, u, _ in problems), initial=0))
+    classes, squares = list(range(starts[-1])), struct.shape.lifting_squares()
+    if not squares:
+        return problems, classes
+
+    def find(i: int) -> int:
+        while classes[i] != i:
+            classes[i] = i = classes[classes[i]]
+        return i
+
+    index = {(name, *problems[i][:2]): starts[i] for name, span in spans.items() for i in span}
+    for _, vsrc, vdst, sq in squares:
+        for i in spans.get(vdst, ()):
+            s0, s1, _, _ = problems[i]
+            moved = index[vsrc, _gather(s0, sq.top.table), _gather(s1, sq.bot.table)]
+            for b, c in enumerate(sq.bot.table):
+                low, high = sorted((find(moved + b), find(starts[i] + c)))
+                classes[high] = low
+    return problems, list(map(find, range(len(classes))))
 
 
-def _filler_template(problems, base: CommSquare) -> Optional[tuple[list, list]]:
-    """The filler table over ``base`` (one entry per point of ∐ₚ Bₚ) with
-    the entries the generator images force filled in, and each free entry
-    as (position, bottom point of ``g`` it must lie over).  None when a
-    generator that is not injective forces one entry two different ways:
-    then ``base`` has no lifting."""
+def _filler_template(problems, base: CommSquare, classes) -> Optional[tuple[tuple, list]]:
+    """The filler values over ``base`` at each class label (``classes`` as
+    ``_problem_free_positions`` gives them): the value the class's forced
+    entries agree on, and each free class once as (label, bottom point of
+    ``g`` its fibre lies over).  None when two forced entries of a class
+    differ: then ``base`` has no lifting."""
     bt, bb = base.top.table, base.bot.table
-    table, slots = [], []
+    values, slots, start = [None] * len(classes), [], 0
     for s0, s1, u, free in problems:
-        start = len(table)
-        table.extend([None] * u.bot.size)
         for a, b in enumerate(u.map.table):
-            v = bt[s0[a]]
-            if table[start + b] not in (None, v):
+            c, v = classes[start + b], bt[s0[a]]
+            if values[c] not in (None, v):
                 return None
-            table[start + b] = v
-        slots.extend((start + b, bb[s1[b]]) for b in free)
-    return table, slots
+            values[c] = v
+        slots.extend((start + b, bb[s1[b]]) for b in free if classes[start + b] == start + b)
+        start += u.bot.size
+    return tuple(values), [(c, w) for c, w in slots if values[c] is None]
 
 
-def _lifting_tables(problems, base: CommSquare, fib):
-    """The filler table of each lifting over a fixed base square, canonical order."""
-    template = _filler_template(problems, base)
-    if template is None:
-        return
-    table, slots = template
-    positions = [pos for pos, _ in slots]
+def _lifting_tables(template, fib, classes):
+    """The filler table over ∐ₚ Bₚ of each lifting a template allows,
+    canonical order: each free class takes every point of its fibre, each
+    point its class's value, read off the template's values and that choice."""
+    values, slots = template
+    at = {c: len(values) + i for i, (c, _) in enumerate(slots)}
+    index = [at.get(c, c) for c in classes]
+    pick = itemgetter(*index) if len(index) > 1 else lambda row: _gather(row, index)
     for combo in itertools.product(*[fib[w] for _, w in slots]):
-        for pos, v in zip(positions, combo):
-            table[pos] = v
-        yield tuple(table)
+        yield pick(values + combo)
 
 
 def _enumerate_liftings(problems, base: CommSquare, fib, g: ArrowObject):
-    """All lifting structures over a fixed base square, canonical order."""
-    for table in _lifting_tables(problems, base, fib):
+    """Every candidate lifting over a fixed base square, natural or not,
+    canonical order: the listing the rejection reference filters."""
+    classes = range(sum(u.bot.size for _, _, u, _ in problems))
+    template = _filler_template(problems, base, classes)
+    for table in () if template is None else _lifting_tables(template, fib, classes):
         yield OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, table))
 
 
-def _random_lifting(rng, viable, fib, g: ArrowObject):
+def _random_lifting(rng, viable, fib, g: ArrowObject, classes):
     """A random lifting over one of the (base, filler template) pairs ``viable``."""
-    base, (template, slots) = rng.choice(viable)
-    table = list(template)
-    for pos, w in slots:
-        table[pos] = rng.choice(fib[w])
-    return OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, tuple(table)))
+    base, (values, slots) = rng.choice(viable)
+    values = list(values)
+    for c, w in slots:
+        values[c] = rng.choice(fib[w])
+    return OneStepLifting(base, FiniteMap(FinSet(len(classes)), g.top, _gather(values, classes)))
 
 
 def _round_trip(struct, t: CommSquare) -> bool:
@@ -522,12 +538,9 @@ def _random_square(rng, src: ArrowObject, dst: ArrowObject, fib):
     while True:
         bot = tuple(rng.randrange(dst.bot.size) for _ in range(src.bot.size))
         choices = [fib[bot[src.map.table[x]]] for x in range(src.top.size)]
-        if any(not c for c in choices):
-            continue
-        top = tuple(rng.choice(c) for c in choices)
-        return CommSquare(
-            src, dst, FiniteMap(src.top, dst.top, top), FiniteMap(src.bot, dst.bot, bot)
-        )
+        if all(choices):
+            top = tuple(rng.choice(c) for c in choices)
+            return CommSquare(src, dst, FiniteMap(src.top, dst.top, top), FiniteMap(src.bot, dst.bot, bot))
 
 
 # the most squares, and the most liftings, ``oracle_kappa`` lists one by one
@@ -548,78 +561,64 @@ def oracle_kappa(
 
     Both sides go through the step the engine uses (``step_tables``), whose
     problems are listed within the budget.  A lifting is a base square and
-    one flat filler table over ∐ₚ Bₚ, in the structure's problem order;
-    with connecting squares the natural ones are those ``mediate`` accepts.
-    Cardinalities are always compared exactly (big-integer products over
-    fibres).  When both sides fit under ``LIST_CAP`` the bijection is
-    checked exhaustively on tables, one pass per side, through the kernels
-    ``mediate`` and ``restrict_square`` wrap: each lifting is mediated once
-    and filed by its tables, then each square is restricted once and must
-    find the lifting that mediates to it.  Otherwise the two inverse
-    identities are checked on a seeded sample from each side, through
-    ``mediate`` and ``restrict_square``.  A square whose restriction fails
-    to mediate back counts as a failed identity.
+    one flat filler table over ∐ₚ Bₚ, in the structure's problem order,
+    constant on each naturality class (``_problem_free_positions``), so the
+    liftings over a base are counted exactly as a product of fibre sizes
+    over its free classes, as the squares are by formula.  When both sides
+    fit under ``LIST_CAP`` the bijection is checked exhaustively on tables,
+    one pass per side, through the kernels ``mediate`` and
+    ``restrict_square`` wrap: each lifting is mediated once and filed by its
+    tables, then each square is restricted once and must find the lifting
+    that mediates to it.  Otherwise the two inverse identities are checked
+    on a seeded sample from each side.  A lifting ``mediate`` finds
+    non-natural, and a square whose restriction fails to mediate back,
+    count as failed identities.
     """
     for size in (f.top.size, f.bot.size, g.top.size, g.bot.size):
         if size > bound:
-            raise SizeBudgetExceeded(
-                f"oracle carrier size {size} exceeds the configured bound {bound}"
-            )
+            raise SizeBudgetExceeded(f"oracle carrier size {size} exceeds the configured bound {bound}")
     engine = StepEngine(pres, budget)
     struct = engine.step_tables(f)
     check_listable(struct.problem_count(), budget, "oracle kappa lists")
     fib = _fibres(g)
-    fib_sizes = [len(c) for c in fib]
-    problems = _problem_free_positions(struct)
-    bases = list(_commuting_squares(f, g))
-    has_squares = bool(pres.lifting_squares())
+    problems, classes = _problem_free_positions(struct)
 
     n_squares = _count_commuting_squares(struct.extended, g)
-    # a lifting over a base fills each free entry of its template from its
-    # fibre; with connecting squares the liftings are counted by listing them
-    n_liftings, viable = None, []  # viable: (base, template) with a lifting, by base
-    if not has_squares:
-        n_liftings = 0
-        for base in bases:
-            template = _filler_template(problems, base)
-            count = 0 if template is None else math.prod(fib_sizes[w] for _, w in template[1])
-            if count:
-                n_liftings += count
-                viable.append((base, template))
+    # a natural lifting over a base fills each free class of its template from one fibre
+    n_liftings, viable = 0, []  # viable: (base, template) with a lifting, by base
+    for base in _commuting_squares(f, g):
+        template = _filler_template(problems, base, classes)
+        count = 0 if template is None else math.prod(len(fib[w]) for _, w in template[1])
+        if count:
+            n_liftings += count
+            viable.append((base, template))
 
-    listable = n_squares <= LIST_CAP and (n_liftings is None or n_liftings <= LIST_CAP)
-    if has_squares and not listable:
-        raise SizeBudgetExceeded(
-            "presentation declares connecting squares; the oracle must enumerate, "
-            f"but {n_squares} squares exceed the listing cap {LIST_CAP}"
-        )
-    if listable:
+    if n_squares <= LIST_CAP and n_liftings <= LIST_CAP:
         # Each natural lifting is mediated once and filed under its tables,
         # which fix it and are distinct by enumeration; each square t is
         # restricted once and pops the key of restrict(t).  As mediate and
         # restrict are functions, every pop returning t with nothing left
         # over holds exactly when restrict∘mediate = id on the liftings,
         # mediate∘restrict = id on the squares and the mediated multiset is
-        # the squares.  A restriction that raises is a miss.  The boundary
-        # the wrappers check per call holds for every listed lifting.
-        n_bottoms = sum(u.bot.size for _, _, u, _ in problems)
-        if f != struct.target or n_bottoms != struct.copaired().dom.size:
+        # the squares.  A restriction that raises, or a non-natural lifting,
+        # is a miss.  Every listed lifting meets the wrappers' boundaries.
+        if f != struct.target or len(classes) != struct.copaired().dom.size:
             raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
-        ext, gt, mediated = struct.extended.map.table, g.map.table, {}
-        for base in bases:
+        ext, gt, mediated, inverse = struct.extended.map.table, g.map.table, {}, True
+        for base, template in viable:
             bt, bb = base.top.table, base.bot.table
             want = _gather(bb, ext)
-            for fillers in _lifting_tables(problems, base, fib):
-                try:  # only connecting squares can make a lifting non-natural
+            for fillers in _lifting_tables(template, fib, classes):
+                try:
                     top = _mediated_top(struct, bt, fillers, g.top.size)
                 except NonNaturalLifting:
+                    inverse = False
                     continue
                 if _gather(gt, top) != want:
                     raise DiagramError("square does not commute")
                 mediated[bt, bb, fillers] = top, bb
         # the fibre-product counts must agree with the actual enumerations
-        counted = n_liftings is None or n_liftings == len(mediated)
-        n_liftings, listed, inverse = len(mediated), 0, True
+        counted, n_liftings, listed = n_liftings == len(mediated), len(mediated), 0
         for bot, squares in itertools.groupby(_square_tables(struct.extended, g), key=itemgetter(1)):
             want = _gather(bot, ext)
             for top, _ in squares:
@@ -638,8 +637,10 @@ def oracle_kappa(
         rng, counted, inverse = random.Random(seed), True, True
         if viable:
             for _ in range(samples):
-                lift = _random_lifting(rng, viable, fib, g)
-                if restrict_square(struct, mediate(struct, lift)) != lift:
+                lift = _random_lifting(rng, viable, fib, g, classes)
+                try:
+                    inverse = restrict_square(struct, mediate(struct, lift)) == lift and inverse
+                except NonNaturalLifting:
                     inverse = False
         if n_squares:
             for _ in range(samples):

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from awfskit.cli import main
+from awfskit.serialize import encode_presentation
+
+from fixture_lib import pair_square_pres
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -452,6 +455,28 @@ class TestOracle:
         assert main(["verify", *args]) == 1
         assert capsys.readouterr().out.splitlines() == [out.strip()]
 
+    def test_initiality_refuses_before_listing_squares(self, tmp_path, capsys):
+        """The identity on 9 points has 101,559,956,668,416 squares from its
+        middle object to itself: counted, not listed, then refused."""
+        f = write(tmp_path, "id9.json", {"dom": 9, "cod": 9, "table": list(range(9))})
+        cert = str(tmp_path / "cert.json")
+        pres = ["--presentation", fx("gen_split_epi.json")]
+        assert main(["factor", *pres, "--map", f, "--mode", "special", "--max-stage", "4",
+                     "--out", cert]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "initiality", *pres, "--certificate", cert]) == 3
+        assert capsys.readouterr() == ("", "size budget exceeded: oracle initiality lists "
+                                           "101559956668416 candidate squares, budget allows 250000\n")
+
+    def test_kappa_with_squares_beyond_the_listing_cap_samples(self, tmp_path, capsys):
+        pres = write(tmp_path, "pres.json", encode_presentation(pair_square_pres()))
+        f = write(tmp_path, "f.json", {"dom": 3, "cod": 3, "table": [0, 1, 2]})
+        g = write(tmp_path, "g.json", {"dom": 8, "cod": 4, "table": [0, 0, 1, 1, 2, 2, 3, 3]})
+        assert main(["oracle", "kappa", "--presentation", pres, "--map", f, "--target-map", g,
+                     "--bound", "8"]) == 0
+        assert capsys.readouterr() == ("ok cardinality: squares=32768 liftings=32768\n"
+                                       "ok two-sided-inverse: sampled 64 per side (seed 0)\n", "")
+
     def test_kappa_needs_both_maps(self, capsys):
         for flag in ("--map", "--target-map"):
             code = main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
@@ -462,7 +487,8 @@ class TestOracle:
     @pytest.mark.parametrize("presentation, bound, line", [
         ("gen_split_epi.json", "0", "swept 1 pairs, 0 failures"),
         ("gen_abc.json", "1", "swept 9 pairs, 0 failures"),
-    ], ids=["kappa_sweep", "kappa_sweep-abc"])
+        ("gen_uniform2.json", "2", "swept 121 pairs, 0 failures"),
+    ], ids=["kappa_sweep", "kappa_sweep-abc", "kappa_sweep-uniform2"])
     def test_kappa_sweep_runs_to_its_summary(self, presentation, bound, line, capsys):
         assert main(["oracle", "kappa", "--presentation", fx(presentation), "--bound", bound]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == line

@@ -32,11 +32,13 @@ from fixture_lib import (
     pair_square_pres,
     split_epi_pres,
     two_gen_plain_pres,
+    uniform_monos_pres,
 )
 
-# pair_square has connecting squares, so the oracles also meet the general step
+# pair_square and uniform2 have connecting squares, so the oracles also meet
+# the general step
 PRESENTATIONS = {"split_epi": split_epi_pres, "two_gen": two_gen_plain_pres,
-                 "pair_square": pair_square_pres}
+                 "pair_square": pair_square_pres, "uniform2": lambda: uniform_monos_pres(2)}
 KAPPA_PAIRS = [((1, 1, [0]), (2, 1, [0, 0])), ((2, 2, [0, 1]), (2, 1, [0, 0])),
                ((2, 1, [0, 0]), (1, 1, [0])), ((0, 1, []), (2, 2, [1, 0]))]
 CERTIFICATES = {

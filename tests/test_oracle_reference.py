@@ -7,13 +7,15 @@ tables, through the kernels ``mediate`` and ``restrict_square`` wrap.
 ``reference_kappa`` below is the object-level listing that checks the four
 identities separately: the counts, restrict∘mediate = id on the liftings,
 the mediated multiset against the squares, and mediate∘restrict = id on
-the squares (restricting and mediating every square a second time).  The
-two must give byte-identical reports on every exhaustive pair with
-carriers ≤ 2 of six presentations (the heavy ``gen_abc`` pairs among
-them) and with carriers ≤ 1 of three more, whose connecting squares make
-liftings slow to list, and the same verdicts under four mutants, of the
-two kernels and of the square listing, each of which must fail
-``two-sided-inverse`` without raising.
+the squares (restricting and mediating every square a second time).  With
+connecting squares it lists every candidate filler table and keeps those
+``mediate`` accepts, so its count is the rejection count that the
+oracle's count by naturality class must equal.  The two must give
+byte-identical reports on every exhaustive pair with carriers ≤ 2 of eight
+presentations (the heavy ``gen_abc`` pairs among them) and with carriers
+≤ 1 of ``uniform2``, whose candidate tables are slow to list, and the
+same verdicts under four mutants, of the two kernels and of the square
+listing, each of which must fail ``two-sided-inverse`` without raising.
 
 ``oracle_initiality`` counts the algebra morphisms by the tables of their
 restriction along the left factor; ``reference_initiality`` recomposes
@@ -78,7 +80,7 @@ def reference_kappa(pres, f, g, bound=2, budget=None):
     struct = StepEngine(pres, budget).step(f)
     fib = verify._fibres(g)
     fib_sizes = [len(c) for c in fib]
-    problems = verify._problem_free_positions(struct)
+    problems, _ = verify._problem_free_positions(struct)
     bases = list(verify._commuting_squares(f, g))
     has_squares = bool(pres.lifting_squares())
     n_squares = verify._count_commuting_squares(struct.extended, g)
@@ -142,8 +144,8 @@ DIFFERENTIAL = {
     "abc": (abc_pres, 2, {"exhaustive": 109, "sampled": 12}),
     "retract": (retract_pres, 2, {"exhaustive": 121}),
     "codiag": (codiag_pres, 2, {"exhaustive": 121}),
-    "square": (square_pres, 1, {"exhaustive": 9}),
-    "pair_square": (pair_square_pres, 1, {"exhaustive": 9}),
+    "square": (square_pres, 2, {"exhaustive": 121}),
+    "pair_square": (pair_square_pres, 2, {"exhaustive": 121}),
     "uniform2": (lambda: uniform_monos_pres(2), 1, {"exhaustive": 9}),
 }
 

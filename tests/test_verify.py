@@ -22,6 +22,7 @@ against 2x2 assignments of the extension's two elements — four each.
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -730,6 +731,20 @@ class TestOracleKappa:
         report = oracle_kappa(two_gen_plain_pres(), arr(1, 1, [0]), arr(1, 1, [0]))
         assert report.ok
 
+    def test_squares_beyond_the_listing_cap_are_counted_and_sampled(self):
+        """32,768 squares exceed ``LIST_CAP``: a presentation with connecting
+        squares gets exact counts by class and the sampled regime."""
+        f, g = arr(3, 3, [0, 1, 2]), arr(8, 4, [0, 0, 1, 1, 2, 2, 3, 3])
+        report = oracle_kappa(pair_square_pres(), f, g, bound=8)
+        assert report.ok
+        assert [e.detail for e in report.entries] == [
+            "squares=32768 liftings=32768", "sampled 64 per side (seed 0)"]
+
+    def test_square_count_formula_matches_the_listing(self):
+        for src, dst in itertools.product(verify.small_arrows(2), repeat=2):
+            listed = sum(1 for _ in verify._square_tables(src, dst))
+            assert verify._count_commuting_squares(src, dst) == listed, (src, dst)
+
     def test_exhaustive_sweep_small(self):
         maps = [arr(x, y, [i % y for i in range(x)]) for x, y in [(0, 1), (1, 1), (1, 2), (2, 1)]]
         for f in maps:
@@ -764,9 +779,10 @@ class TestOracleKappa:
             monkeypatch, two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
         details = {e.label: e.detail for e in report.entries}
         assert details["cardinality"] == "squares=4 liftings=4"
-        # one mediation per enumerated lifting, natural or not, and one
-        # restriction per square; no square is mediated
-        assert counts == {"liftings": 16, "_mediated_top": 16, "_restricted": 4}
+        # only the 4 natural liftings of the 16 candidate filler tables are
+        # listed, each mediated once, and one restriction per square; no
+        # square is mediated
+        assert counts == {"liftings": 4, "_mediated_top": 4, "_restricted": 4}
 
     def test_heavy_pair_mediates_and_restricts_once_each(self, monkeypatch):
         # a heavy pair of the benchmark's oracle workload
@@ -811,18 +827,39 @@ class TestOracleKappaMutations:
         real = verify._lifting_tables
         dropped = []
 
-        def dropping(problems, base, fib):
-            for table in real(problems, base, fib):
+        def dropping(template, fib, classes):
+            for table in real(template, fib, classes):
                 if dropped:
                     yield table
                 else:
-                    dropped.append(OneStepLifting(base, FiniteMap(FinSet(len(table)), g.top, table)))
+                    dropped.append(table)
 
         monkeypatch.setattr(verify, "_lifting_tables", dropping)
         f, g = arr(1, 1, [0]), arr(2, 1, [0, 0])
         report = oracle_kappa(shape, f, g)
-        mediate(step(shape, f), dropped[0])  # a natural lifting was dropped
+        # a natural lifting was dropped: the first listed, over the first base
+        base = next(verify._commuting_squares(f, g))
+        mediate(step(shape, f), OneStepLifting(base, FiniteMap(FinSet(len(dropped[0])), g.top, dropped[0])))
         assert self._labels(report)["cardinality"] is False
+
+    def test_dropped_square_fails_both_identities(self, monkeypatch):
+        """Classes that miss the one connecting square of two_gen list the
+        16 candidate filler tables instead of the 4 natural ones: the 12
+        that ``mediate`` finds non-natural are misses, not filtered out."""
+        shape, f, g = two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0])
+        real = verify._problem_free_positions
+
+        def dropping(struct):
+            squares = shape.lifting_squares()
+            assert len(squares) == 1
+            return real(SimpleNamespace(problem_blocks=struct.problem_blocks, shape=SimpleNamespace(
+                lifting_generators=shape.lifting_generators, lifting_squares=lambda: squares[1:])))
+
+        assert oracle_kappa(shape, f, g).ok
+        monkeypatch.setattr(verify, "_problem_free_positions", dropping)
+        report = oracle_kappa(shape, f, g)
+        assert "exhaustive" in report.entries[1].detail
+        assert self._labels(report) == {"cardinality": False, "two-sided-inverse": False}
 
 
 class TestOracleInitiality:

@@ -16,7 +16,10 @@ the left half, the stage itself (as an arrow) is the right half, and the
 inverse of the stabilised connecting square turns the stage's structure
 square into the algebra map that answers every lifting problem.
 ``extract`` returns all of it as one ``Certificate``, the record that
-``verify``, the certificate encoder and the command line read.
+``verify``, the certificate encoder and the command line read.  Whether a
+map obeys the algebra laws (unit, over the codomain, and in special mode
+the pair-composition law) is decided in one place, ``algebra_violations``,
+which ``extract``, ``verify`` and the initiality oracle all call.
 
 That algebra map ``beta0: Tg -> g`` is the whole lifting structure: the
 filler of a problem is ``beta0`` after its cell.  So the lift table is
@@ -338,13 +341,11 @@ class Certificate:
     def middle_size(self) -> int:
         return self.right.top.size
 
-    def beta_square(self, extension: ArrowObject) -> CommSquare:
-        return CommSquare(extension, self.right, self.beta0, identity(self.right.bot))
-
 
 def extract(trace: ChainTrace) -> Certificate:
     """Extract the factorisation at the stage ``detect_stabilisation``
-    finds, re-verifying the algebra laws before returning."""
+    finds, re-checking that it recomposes the input and, through
+    ``algebra_violations``, every algebra law before returning."""
     n = detect_stabilisation(trace)
     if n is None:
         raise NotStabilised(
@@ -358,10 +359,11 @@ def extract(trace: ChainTrace) -> Certificate:
     st = trace.engine.step_tables(right)
     if compose(right.map, left).table != trace.target.map.table:
         raise DiagramError("extracted factorisation does not recompose the input")
-    if compose(beta0, st.inclusion).table != tuple(range(right.top.size)):
-        raise DiagramError("extracted algebra violates the unit law")
     check_listable(st.problem_count(), trace.engine.budget, f"lift table at stage {n} lists")
-    cert = Certificate(
+    laws = algebra_violations(right, beta0, trace.engine, trace.double_engine)
+    if laws:
+        raise DiagramError("extracted algebra violates {}: {}".format(*laws[0]))
+    return Certificate(
         pres=trace.shape,
         mode=trace.mode,
         input=trace.target,
@@ -373,25 +375,42 @@ def extract(trace: ChainTrace) -> Certificate:
         trace_sizes=trace.carrier_sizes,
         trace=trace,
     )
-    if trace.mode == "special":
-        lhs, rhs = special_algebra_routes(trace.double_engine, cert.beta_square(st.extended))
-        if lhs != rhs:
-            raise DiagramError("extracted algebra violates the pair-composition law")
-    return cert
 
 
-def special_algebra_routes(
-    dengine: DoubleEngine, beta: CommSquare
-) -> tuple[CommSquare, CommSquare]:
-    """The two squares a special algebra ``beta: Tg -> g`` must make equal:
-    filling a composable pair through its composite (``beta`` after the
-    composition comparison) and in two stages (``beta`` after its own
-    extension after the two-stage comparison, computed fused by
-    ``iterate_then`` as the chain's composition fork is)."""
-    g = beta.dst
-    through_composite = square_compose(beta, dengine.compose_comparison(g))
-    two_stage = square_compose(beta, dengine.iterate_then(g, beta))
-    return through_composite, two_stage
+def _mismatches(got: tuple, want: tuple) -> list:
+    """The positions where two equally long tables differ: [] at the cost
+    of one comparison of whole tables when they are equal."""
+    return [] if got == want else [v for v, (a, b) in enumerate(zip(got, want)) if a != b]
+
+
+def algebra_violations(g: ArrowObject, beta0: FiniteMap, engine: StepEngine,
+                       dengine: Optional[DoubleEngine] = None) -> list:
+    """The algebra laws ``beta0: Tg -> g`` breaks, as (label, detail) pairs,
+    one per failing element: a ``boundary`` pair alone when ``beta0`` is off
+    the extension carrier or off ``g``'s carrier; else the unit law, lying
+    over the codomain and, when both hold and ``dengine`` is given, the
+    special law: a composable pair filled through its composite and in two
+    stages (fused by ``iterate_then``) agree.  Each law is compared on whole
+    tables; elements are walked only to name the ones that fail."""
+    st = engine.step_tables(g)
+    if beta0.dom.size != st.size:
+        return [("boundary", f"algebra map domain {beta0.dom.size} != extension carrier {st.size}")]
+    if beta0.cod != g.top:
+        return [("boundary", f"algebra map codomain {beta0.cod.size} != carrier {g.top.size}")]
+    unit = compose(beta0, st.inclusion).table
+    over, ext = compose(g.map, beta0).table, st.extended.map.table
+    out = [("unit-law", f"beta(unit({v})) = {unit[v]} != {v}")
+           for v in _mismatches(unit, tuple(range(g.top.size)))]
+    out += [("boundary", f"algebra map is not over the codomain at {v}: {over[v]} != {ext[v]}")
+            for v in _mismatches(over, ext)]
+    if out or dengine is None:
+        return out
+    beta = CommSquare(st.extended, g, beta0, identity(g.bot))
+    composite = square_compose(beta, dengine.compose_comparison(g)).top.table
+    two_stage = square_compose(beta, dengine.iterate_then(g, beta)).top.table
+    return [("special-algebra-square",
+             f"pair element {v}: composite route {composite[v]} != two-stage route {two_stage[v]}")
+            for v in _mismatches(composite, two_stage)]
 
 
 def solve_lift(result: Certificate, problem: LiftingProblem) -> FiniteMap:

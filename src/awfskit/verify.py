@@ -4,7 +4,8 @@ Everything here is a pure table computation over the certificate (the
 ``Certificate`` record that ``chain.extract`` builds, re-exported here)
 and the presentation: the checks recompute the extension tables and compare
 exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance.  The lift table, always a
+hold on the nose, not up to tolerance (the algebra laws by
+``chain.algebra_violations``, as in ``extract``).  The lift table, always a
 ``LiftTable``, is read as columns: the key columns of each generator are
 compared with the step's ``problem_blocks``, the fillers with ``beta0``
 after the copaired cells, and every equation is checked on whole columns,
@@ -40,9 +41,9 @@ from operator import itemgetter
 from typing import Optional
 
 from .arrows import ArrowObject, CommSquare
-from .chain import Certificate, LiftTable, _keys, special_algebra_routes
+from .chain import Certificate, LiftTable, _keys, _mismatches, algebra_violations
 from .errors import DiagramError, EngineError, NonNaturalLifting, ProblemMismatch, SizeBudgetExceeded
-from .finset import FinSet, FiniteMap, _gather, compose, identity
+from .finset import FinSet, FiniteMap, _gather, compose
 from .step import (
     DoubleEngine,
     OneStepLifting,
@@ -141,46 +142,6 @@ def _boundary_report(cert: Certificate, name: str) -> Optional[Report]:
     return Report(name, tuple(ReportEntry("boundary", False, b) for b in out)) if out else None
 
 
-def _algebra_violations(g: ArrowObject, beta0: FiniteMap, engine: StepEngine,
-                        dengine: Optional[DoubleEngine]) -> list:
-    """Violated algebra laws for the claimed structure map ``beta0`` on
-    ``g``, as (label, detail) pairs; the special law is checked exactly
-    when ``dengine`` is given."""
-    out = []
-    st = engine.step_tables(g)
-    if beta0.dom.size != st.size:
-        return [("boundary", f"algebra map domain {beta0.dom.size} != extension carrier {st.size}")]
-    unit = compose(beta0, st.inclusion)
-    for v in range(g.top.size):
-        if unit.table[v] != v:
-            out.append(("unit-law", f"beta(unit({v})) = {unit.table[v]} != {v}"))
-    over = compose(g.map, beta0)
-    for v in range(st.size):
-        if over.table[v] != st.extended.map.table[v]:
-            out.append(
-                (
-                    "boundary",
-                    f"algebra map is not over the codomain at {v}: "
-                    f"{over.table[v]} != {st.extended.map.table[v]}",
-                )
-            )
-    if out:
-        return out
-    if dengine is not None:
-        beta = CommSquare(st.extended, g, beta0, identity(g.bot))
-        lhs, rhs = special_algebra_routes(dengine, beta)
-        for v in range(lhs.top.dom.size):
-            if lhs.top.table[v] != rhs.top.table[v]:
-                out.append(
-                    (
-                        "special-algebra-square",
-                        f"pair element {v}: composite route {lhs.top.table[v]} "
-                        f"!= two-stage route {rhs.top.table[v]}",
-                    )
-                )
-    return out
-
-
 def _engines(cert: Certificate, budget: Optional[SizeBudget]):
     """The double engine of a special certificate (None in plain mode) and
     the step engine the checks run on."""
@@ -217,12 +178,12 @@ def _failing(entries: list):
 
 def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
                   engines: Optional[tuple] = None) -> Report:
-    """Recompute the extension of the extracted arrow and verify the unit
-    law, the factorisation identity, the agreement of the lift table with
-    the algebra map, and (special mode) the pair-composition square.
-    Raises ``SizeBudgetExceeded`` when the lift table lists more problems
-    than ``budget`` allows.  ``engines`` are those of ``_engines``, which
-    ``verify_certificate`` shares with ``check_compat``."""
+    """Recompute the extension of the extracted arrow and verify the
+    factorisation identity, the algebra laws of ``beta0`` (those of
+    ``chain.algebra_violations``) and the agreement of the lift table with
+    the algebra map.  Raises ``SizeBudgetExceeded`` when the lift table
+    lists more problems than ``budget`` allows.  ``engines`` are those of
+    ``_engines``, which ``verify_certificate`` shares with ``check_compat``."""
     boundary = _boundary_report(cert, "check-algebra")
     if boundary:
         return boundary
@@ -234,13 +195,13 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
     check_listable(st.problem_count(), engine.budget, "lift table lists")
 
     recomposed, ft = compose(cert.right.map, cert.left).table, cert.input.map.table
-    bad = [x for x in range(cert.input.top.size) if recomposed[x] != ft[x]]
+    bad = _mismatches(recomposed, ft)
     for x in bad:
         fail("factorisation", f"element {x}: R(L({x})) = {recomposed[x]} != f({x}) = {ft[x]}")
     if not bad:
         entries.append(_entry_ok("factorisation", cert.input.top.size, "elements"))
 
-    laws = _algebra_violations(cert.right, cert.beta0, engine, dengine)
+    laws = algebra_violations(cert.right, cert.beta0, engine, dengine)
     law_labels = {label for label, _ in laws}
     for label, detail in laws:
         fail(label, detail)
@@ -687,7 +648,7 @@ def oracle_initiality(
         targets = [(cert.right, cert.beta0)]
     entries = []
     for ti, (g, bprime) in enumerate(targets):
-        laws = _algebra_violations(g, bprime, engine, dengine)
+        laws = algebra_violations(g, bprime, engine, dengine)
         if laws:
             details = "; ".join(f"{label}: {detail}" for label, detail in laws)
             entries.append(

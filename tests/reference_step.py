@@ -23,6 +23,12 @@ differential in ``test_pair_squares.py``.
 a time, ``beta0`` after each enumerated problem's cell, the reference for
 the columns ``extract`` reads off the step in ``test_chain.py`` and
 ``test_lift_table.py``.
+
+``reference_algebra_violations`` walks the algebra laws of a structure
+map element by element, building the special law's two squares itself:
+the reference that ``awfskit.chain.algebra_violations``, which compares
+whole tables, must match pair for pair, and the law check of the
+references of ``check_algebra`` and ``oracle_initiality``.
 """
 
 from __future__ import annotations
@@ -246,3 +252,35 @@ def reference_lift_table(cert) -> dict:
         for name, u in st.shape.lifting_generators()
         for p in enumerate_problems(name, u, cert.right)
     }
+
+
+def reference_algebra_violations(g: ArrowObject, beta0: FiniteMap, engine: StepEngine,
+                                 dengine: Optional[DoubleEngine]) -> list:
+    """Violated algebra laws for the claimed structure map ``beta0`` on
+    ``g``, as (label, detail) pairs, found by walking every element; the
+    special law is checked exactly when ``dengine`` is given.  A map into
+    another carrier than ``g``'s raises ``CompositionError``."""
+    out = []
+    st = engine.step_tables(g)
+    if beta0.dom.size != st.size:
+        return [("boundary", f"algebra map domain {beta0.dom.size} != extension carrier {st.size}")]
+    unit = compose(beta0, st.inclusion)
+    for v in range(g.top.size):
+        if unit.table[v] != v:
+            out.append(("unit-law", f"beta(unit({v})) = {unit.table[v]} != {v}"))
+    over = compose(g.map, beta0)
+    for v in range(st.size):
+        if over.table[v] != st.extended.map.table[v]:
+            out.append(("boundary", f"algebra map is not over the codomain at {v}: "
+                                    f"{over.table[v]} != {st.extended.map.table[v]}"))
+    if out:
+        return out
+    if dengine is not None:
+        beta = CommSquare(st.extended, g, beta0, identity(g.bot))
+        lhs = square_compose(beta, dengine.compose_comparison(g))
+        rhs = square_compose(beta, dengine.iterate_then(g, beta))
+        for v in range(lhs.top.dom.size):
+            if lhs.top.table[v] != rhs.top.table[v]:
+                out.append(("special-algebra-square", f"pair element {v}: composite route "
+                            f"{lhs.top.table[v]} != two-stage route {rhs.top.table[v]}"))
+    return out

@@ -5,7 +5,9 @@ mode and map through ``awfskit.cli.main`` and, when factor exits 0,
 ``verify --out`` on the certificate it wrote.  The SHA-256 of every exit
 code, stdout, stderr and written file is compared with ``golden.json``, so
 any change to the canonical numbering, the certificate bytes, the trace
-or the verify report shows up here.  The cases span exit codes 0 to 3.
+or the verify report shows up here.  The cases span exit codes 0 to 3,
+and two presentations, ``gen_uniform2`` and ``pair_square``, have
+connecting squares.
 
 Inputs are copied under fixed names into a scratch directory, so no digest
 depends on where the repository lives.  To record new digests after an
@@ -28,16 +30,19 @@ import pytest
 from awfskit.cli import main
 from awfskit.serialize import encode_presentation, write_json
 
-from fixture_lib import two_gen_plain_pres
+from fixture_lib import pair_square_pres, two_gen_plain_pres
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
-PRESENTATIONS = ["gen_abc", "gen_composite", "gen_growth", "gen_split_epi", "two_gen_plain"]
+PRESENTATIONS = ["gen_abc", "gen_composite", "gen_growth", "gen_split_epi", "two_gen_plain",
+                 "gen_uniform2", "pair_square"]
 MODES = ["plain", "special"]
 MAPS = ["f_0to1", "f_1to1", "f_2to3", "f_3to2"]
 # Maps drawn from a fixed seed, for cases whose lift tables run to thousands
 # of records: name -> (domain size, codomain size, seed).
 SEEDED_MAPS = {"r600to60": (600, 60, 600)}
+# Presentations built by ``fixture_lib`` rather than read from ``fixtures/``.
+BUILT = {"two_gen_plain": two_gen_plain_pres, "pair_square": pair_square_pres}
 CASES = [f"{p}-{m}-{f}" for p in PRESENTATIONS for m in MODES for f in MAPS]
 CASES += [f"gen_composite-special-{f}" for f in SEEDED_MAPS]
 
@@ -60,8 +65,8 @@ def _file_digest(path: str) -> str:
 def run_case(case: str) -> dict:
     """Digests of one case, run in the current (empty) directory."""
     pres, mode, fmap = case.rsplit("-", 2)
-    if pres == "two_gen_plain":
-        write_json("pres.json", encode_presentation(two_gen_plain_pres()))
+    if pres in BUILT:
+        write_json("pres.json", encode_presentation(BUILT[pres]()))
     else:
         Path("pres.json").write_bytes((ROOT / "fixtures" / f"{pres}.json").read_bytes())
     if fmap in SEEDED_MAPS:

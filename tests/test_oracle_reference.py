@@ -51,6 +51,7 @@ from fixture_lib import (
     two_gen_plain_pres,
     uniform_monos_pres,
 )
+from reference_step import reference_algebra_violations
 from test_verify import arr
 
 
@@ -272,7 +273,7 @@ def reference_initiality(cert, targets=None, budget=None):
     dengine, engine = verify._engines(cert, budget)
     entries = []
     for ti, (g, bprime) in enumerate(targets or [(cert.right, cert.beta0)]):
-        laws = verify._algebra_violations(g, bprime, engine, dengine)
+        laws = reference_algebra_violations(g, bprime, engine, dengine)
         if laws:
             entries.append(ReportEntry(f"target-{ti}-not-algebra", False,
                                        "; ".join(f"{label}: {detail}" for label, detail in laws)))

@@ -810,12 +810,13 @@ class TestEngine:
 
 def _calls_in_src(name: str) -> list:
     """(module, enclosing function, argument count) of every call of
-    ``name`` in the package's source."""
+    ``name``, as a name or an attribute, in the package's source."""
     found = []
 
     def walk(node, module, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
                 found.append((module, func, len(child.args) + len(child.keywords)))
             walk(child, module, child.name if isinstance(child, ast.FunctionDef) else func)
 

@@ -31,7 +31,7 @@ from hypothesis import strategies as hst
 from awfskit import step as step_module
 from awfskit import verify
 from awfskit.arrows import ArrowObject, CommSquare, identity_square, square_compose
-from awfskit.chain import LiftTable, factorise, special_algebra_routes
+from awfskit.chain import LiftTable, factorise
 from awfskit.errors import DiagramError, NotStabilised, SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap, compose, identity
 from awfskit.serialize import decode_certificate, dumps, encode_certificate, parse_text
@@ -72,6 +72,7 @@ from fixture_lib import (
     two_gen_plain_pres,
     uniform_monos_pres,
 )
+from reference_step import reference_algebra_violations
 
 
 def arr(x, y, table) -> ArrowObject:
@@ -374,7 +375,7 @@ def _reference_check_algebra(cert):
         ))
     if not bad:
         entries.append(verify._entry_ok("factorisation", cert.input.top.size, "elements"))
-    laws = verify._algebra_violations(cert.right, cert.beta0, engine, dengine)
+    laws = reference_algebra_violations(cert.right, cert.beta0, engine, dengine)
     law_labels = {label for label, _ in laws}
     entries.extend(ReportEntry(label, False, detail) for label, detail in laws)
     if "boundary" in law_labels:
@@ -639,7 +640,8 @@ def _assert_two_stage_matches(cert):
         beta = CommSquare(st.extended, cert.right, cert.beta0, identity(cert.right.bot))
     except DiagramError:
         return None
-    through_composite, two_stage = special_algebra_routes(dengine, beta)
+    through_composite = square_compose(beta, dengine.compose_comparison(cert.right))
+    two_stage = square_compose(beta, dengine.iterate_then(cert.right, beta))
     assert two_stage == _unfused_two_stage(dengine, beta)
     return through_composite == two_stage
 
@@ -892,6 +894,14 @@ class TestOracleInitiality:
         report = oracle_initiality(cert, targets=[(plain.right, plain.beta0)])
         assert not report.ok
         assert "special-algebra-square" in report.failures()[0].detail
+
+    def test_target_into_another_carrier_is_reported_not_raised(self, certs):
+        cert = certs["double"]
+        b = cert.beta0
+        target = (cert.right, FiniteMap(b.dom, FinSet(b.cod.size + 1), b.table))
+        report = oracle_initiality(cert, targets=[target])
+        assert report.entries == (ReportEntry(
+            "target-0-not-algebra", False, "boundary: algebra map codomain 6 != carrier 5"),)
 
     def test_budget_guard(self, certs):
         from awfskit.step import SizeBudget

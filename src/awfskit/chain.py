@@ -8,7 +8,8 @@ the extension's own unit, or through the extension of the unit).  In
 special mode the coequaliser is joint with a second fork that forces the
 fillers of composable pairs to agree with filling through the composite,
 which is what makes the extracted lifting structure respect vertical
-composition.
+composition.  ``run_chain`` runs either mode on the engines that
+``step.engines`` builds for it; ``run_plain`` and ``run_special`` call it.
 
 A chain that becomes stationary yields the factorisation: the stabilised
 stage is the middle object, the composite of the connecting squares is
@@ -53,6 +54,7 @@ from .step import (
     StepEngine,
     _rows,
     check_listable,
+    engines,
 )
 
 
@@ -167,29 +169,23 @@ def _start(mode: str, shape, f, engine: StepEngine, dengine) -> ChainTrace:
     )
 
 
+def run_chain(shape, f, mode: str = "plain", max_stage: int = 16,
+              budget: Optional[SizeBudget] = None) -> ChainTrace:
+    """Run the chain of ``shape`` in ``mode`` up to ``max_stage``, on the
+    engines ``step.engines`` builds: at least two stages in plain mode, and
+    three in special mode, whose composition fork needs a stage more."""
+    engine, dengine = engines(shape, mode, budget)
+    if max_stage < (2 if dengine is None else 3):
+        raise DiagramError(f"a {mode} chain needs at least {'two' if dengine is None else 'three'} stages")
+    return _advance(_start(mode, shape, f, engine, dengine), max_stage)
+
+
 def run_plain(shape, f, max_stage: int = 16, budget: Optional[SizeBudget] = None) -> ChainTrace:
-    """Run the chain without the pair fork (squares still connect problems)."""
-    if max_stage < 2:
-        raise DiagramError("a plain chain needs at least two stages")
-    engine = StepEngine(shape, budget)
-    return _advance(_start("plain", shape, f, engine, None), max_stage)
+    return run_chain(shape, f, "plain", max_stage, budget)
 
 
 def run_special(pres, f, max_stage: int = 16, budget: Optional[SizeBudget] = None) -> ChainTrace:
-    """Run the chain with the composable-pair fork (double presentations)."""
-    if max_stage < 3:
-        raise DiagramError("a special chain needs at least three stages")
-    dengine = DoubleEngine(pres, budget)
-    return _advance(_start("special", pres, f, dengine.single, dengine), max_stage)
-
-
-def run_chain(shape, f, mode: str = "plain", max_stage: int = 16,
-              budget: Optional[SizeBudget] = None) -> ChainTrace:
-    if mode == "plain":
-        return run_plain(shape, f, max_stage, budget)
-    if mode == "special":
-        return run_special(shape, f, max_stage, budget)
-    raise DiagramError(f"unknown chain mode {mode!r}")
+    return run_chain(pres, f, "special", max_stage, budget)
 
 
 def detect_stabilisation(trace: ChainTrace) -> Optional[int]:
@@ -315,8 +311,8 @@ class Certificate:
     from ``extract`` (with the chain, ``trace``) or supplied for auditing.
     The lift table maps each problem key to its filler and is always a
     ``LiftTable``: any other mapping given to the constructor (or to
-    ``replace``) is turned into one by ``LiftTable.from_items``, which
-    refuses malformed keys and fillers with ``DiagramError``."""
+    ``replace``) is turned into one by ``LiftTable.from_items``; anything
+    else, and malformed keys and fillers, are refused with ``DiagramError``."""
 
     pres: object
     mode: str
@@ -331,6 +327,8 @@ class Certificate:
 
     def __post_init__(self) -> None:
         if not isinstance(self.lift_table, LiftTable):
+            if not isinstance(self.lift_table, Mapping):
+                raise DiagramError(f"lift table is a {type(self.lift_table).__name__}, not a mapping")
             self.lift_table = LiftTable.from_items(self.lift_table.items())
 
     @classmethod

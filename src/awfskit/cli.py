@@ -152,9 +152,6 @@ def _budget(args) -> Optional[SizeBudget]:
 
 def _cmd_factor(args) -> int:
     pres = _load_presentation(args.presentation)
-    if args.mode == "special" and pres.kind != "double":
-        print("special mode needs a presentation with vertical composition", file=sys.stderr)
-        return EXIT_FAIL
     f = decode_map_or_arrow(read_json(args.map), args.map)
     trace = run_chain(pres, f, mode=args.mode, max_stage=args.max_stage, budget=_budget(args))
     if args.trace:

@@ -20,7 +20,9 @@ picks one from the shape alone.  When the shape has no connecting squares
 and every generator realisation is injective, ``fast_step`` computes the
 canonical numbering by rank arithmetic; otherwise ``step`` builds the
 colimit/pushout factories' inputs from the key columns.  Every listing,
-here and elsewhere, is first refused over budget by ``check_listable``.
+here and elsewhere, is first refused over budget by ``check_listable``;
+every run's mode is judged by ``mode_fault`` and becomes engines in
+``engines``, for the chain, ``verify``, both oracles and the command line.
 
 Every square out of an extension is fixed by where it sends the
 inclusion and the free entries of every adjoined cell, which together
@@ -51,7 +53,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .arrows import (
     ArrowColimit,
@@ -276,19 +278,6 @@ class StepStructure:
     def problem_list(self) -> list[LiftingProblem]:
         return [p for name, u in self.shape.lifting_generators()
                 for p in enumerate_problems(name, u, self.target)]
-
-    def lifting(self, base: CommSquare, fillers: Mapping) -> OneStepLifting:
-        """The lifting over ``base`` with filler ``fillers[p.key]`` for every
-        problem ``p``, copaired into one map out of ∐ₚ Bₚ."""
-        top, table = base.dst.top, []
-        for p in self.problem_list:
-            m = fillers.get(p.key)
-            if m is None:
-                raise ProblemMismatch(f"lifting has no filler for problem {p.key}")
-            if m.dom != p.square.src.bot or m.cod != top:
-                raise ProblemMismatch(f"filler for problem {p.key} has wrong boundaries")
-            table.extend(m.table)
-        return OneStepLifting(base, FiniteMap(self.copaired().dom, top, tuple(table)))
 
     def cell(self, key: ProblemKey) -> FiniteMap:
         """The adjoined cell of the problem ``key``, located by its rank: a
@@ -528,9 +517,9 @@ def _mediate_cells(
 ) -> CommSquare:
     """The square out of ``struct.extended`` over ``base`` that sends the
     cell of each problem ``p`` to ``cell_of(p)``, through the universal
-    property."""
-    fillers = {p.key: cell_of(p) for p in struct.problem_list}
-    return mediate(struct, struct.lifting(base, fillers))
+    property: the tables of the ``cell_of(p)`` copaired in problem order."""
+    table = tuple(itertools.chain.from_iterable(cell_of(p).table for p in struct.problem_list))
+    return mediate(struct, OneStepLifting(base, FiniteMap(struct.copaired().dom, base.dst.top, table)))
 
 
 def extend_square(
@@ -734,6 +723,30 @@ class StepEngine:
         return classify_extend(self.step_tables(alpha.src), self.step_tables(alpha.dst), alpha)
 
 
+def mode_fault(shape, mode: str) -> Optional[str]:
+    """Why a run of ``shape`` in ``mode`` cannot start, or None: the mode is
+    not ``"plain"`` or ``"special"``, or is special on a shape not ``"double"``."""
+    if mode not in ("plain", "special"):
+        return f"unknown chain mode {mode!r}"
+    if mode == "special" and getattr(shape, "kind", None) != "double":
+        return "special mode needs a presentation with vertical composition"
+    return None
+
+
+def engines(shape, mode: str,
+            budget: Optional[SizeBudget] = None) -> tuple[StepEngine, Optional[DoubleEngine]]:
+    """The step engine a run of ``shape`` in ``mode`` runs on, and its double
+    engine in special mode (else None); a ``DiagramError`` with the text of
+    ``mode_fault`` when the run cannot start.  The one builder of engines."""
+    fault = mode_fault(shape, mode)
+    if fault:
+        raise DiagramError(fault)
+    if mode == "plain":
+        return StepEngine(shape, budget), None
+    dengine = DoubleEngine(shape, budget)
+    return dengine.single, dengine
+
+
 class DoubleEngine:
     """Step engines over a double presentation: ``single``, indexed by the
     presentation's generators and squares, and ``paired``, the free pair
@@ -744,8 +757,9 @@ class DoubleEngine:
     ``iterate_mediated`` are the cross-checks."""
 
     def __init__(self, pres, budget: Optional[SizeBudget] = None):
-        if getattr(pres, "kind", None) != "double":
-            raise DiagramError("special mode needs a presentation with vertical composition")
+        fault = mode_fault(pres, "special")
+        if fault:
+            raise DiagramError(fault)
         pres.ensure_valid()
         self.pres = pres
         self.pairs = pres.composable_pairs()

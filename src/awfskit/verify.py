@@ -2,18 +2,19 @@
 
 Everything here is a pure table computation over the certificate (the
 ``Certificate`` record that ``chain.extract`` builds, re-exported here)
-and the presentation: the checks recompute the extension tables and compare
-exact integer tables, so a passing report means the defining equations
-hold on the nose, not up to tolerance (the algebra laws by
-``chain.algebra_violations``, as in ``extract``).  The lift table, always a
-``LiftTable``, is read as columns: the key columns of each generator are
-compared with the step's ``problem_blocks``, the fillers with ``beta0``
-after the copaired cells, and every equation is checked on whole columns,
-with moved, inner and outer fillers found in the table's index of filler
-tables.  No problem, square or map is built per problem, and nothing is
-looked up key by key unless a block differs, which is then walked to name
-what fails.  Failures never raise — they become report entries naming the
-violated equation and the witnessing element, and a certificate whose
+and the presentation, on the engines ``step.engines`` builds for its mode
+(a ``step.mode_fault`` is a boundary fault): the checks recompute the
+extension tables and compare exact integer tables, so a passing report
+means the defining equations hold on the nose, not up to tolerance (the
+algebra laws by ``chain.algebra_violations``, as in ``extract``).  The lift
+table, always a ``LiftTable``, is read as columns: the key columns of each
+generator are compared with the step's ``problem_blocks``, the fillers with
+``beta0`` after the copaired cells, and every equation is checked on whole
+columns, with moved, inner and outer fillers found in the table's index of
+filler tables.  No problem, square or map is built per problem, and nothing
+is looked up key by key unless a block differs, which is then walked to
+name what fails.  Failures never raise — they become report entries naming
+the violated equation and the witnessing element, and a certificate whose
 boundaries do not fit (a filler off its problem's bottom among them) gets
 one ``boundary`` entry per fault — so a corrupted certificate yields a
 deterministic, complete list of everything wrong with it.
@@ -44,11 +45,10 @@ from .arrows import ArrowObject, CommSquare
 from .chain import Certificate, LiftTable, _keys, _mismatches, algebra_violations
 from .errors import DiagramError, EngineError, NonNaturalLifting, ProblemMismatch, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, _gather, compose
+from . import step
 from .step import (
-    DoubleEngine,
     OneStepLifting,
     SizeBudget,
-    StepEngine,
     _mediated_top,
     _restricted,
     _rows,
@@ -125,11 +125,8 @@ def _lift_table_problem(cert: Certificate) -> Optional[str]:
 def _boundary_report(cert: Certificate, name: str) -> Optional[Report]:
     """The report ``name`` of the certificate's boundary faults, one entry
     each, or None when its boundaries fit."""
-    out = []
-    if cert.mode not in ("plain", "special"):
-        out.append(f"unknown mode {cert.mode!r}")
-    if cert.mode == "special" and getattr(cert.pres, "kind", "plain") != "double":
-        out.append("special mode requires a presentation with vertical composition")
+    fault = step.mode_fault(cert.pres, cert.mode)
+    out = [fault] if fault else []
     if cert.input.bot != cert.right.bot:
         out.append("input and extracted arrow have different codomains")
     if cert.left.dom != cert.input.top or cert.left.cod != cert.right.top:
@@ -140,15 +137,6 @@ def _boundary_report(cert: Certificate, name: str) -> Optional[Report]:
     if entry is not None:
         out.append(entry)
     return Report(name, tuple(ReportEntry("boundary", False, b) for b in out)) if out else None
-
-
-def _engines(cert: Certificate, budget: Optional[SizeBudget]):
-    """The double engine of a special certificate (None in plain mode) and
-    the step engine the checks run on."""
-    if cert.mode == "special":
-        dengine = DoubleEngine(cert.pres, budget)
-        return dengine, dengine.single
-    return None, StepEngine(cert.pres, budget)
 
 
 def _aligned(table: LiftTable, blocks: list) -> list:
@@ -182,15 +170,16 @@ def check_algebra(cert: Certificate, budget: Optional[SizeBudget] = None,
     factorisation identity, the algebra laws of ``beta0`` (those of
     ``chain.algebra_violations``) and the agreement of the lift table with
     the algebra map.  Raises ``SizeBudgetExceeded`` when the lift table
-    lists more problems than ``budget`` allows.  ``engines`` are those of
-    ``_engines``, which ``verify_certificate`` shares with ``check_compat``."""
+    lists more problems than ``budget`` allows.  ``engines`` are the
+    certificate's, from ``step.engines``, which ``verify_certificate``
+    shares with ``check_compat``."""
     boundary = _boundary_report(cert, "check-algebra")
     if boundary:
         return boundary
     entries = [_entry_ok("boundary", 1, "certificates")]
     fail = _failing(entries)
 
-    dengine, engine = engines or _engines(cert, budget)
+    engine, dengine = engines or step.engines(cert.pres, cert.mode, budget)
     st = engine.step_tables(cert.right)
     check_listable(st.problem_count(), engine.budget, "lift table lists")
 
@@ -260,7 +249,7 @@ def check_compat(cert: Certificate, budget: Optional[SizeBudget] = None,
     fail = _failing(entries)
 
     pres, table = cert.pres, cert.lift_table
-    _, engine = engines or _engines(cert, budget)
+    engine, _ = engines or step.engines(cert.pres, cert.mode, budget)
     st = engine.step_tables(cert.right)
     check_listable(st.problem_count(), engine.budget, "lift table lists")
     blocks = _aligned(table, list(st.problem_blocks()))
@@ -365,7 +354,7 @@ def verify_certificate(cert: Certificate, budget: Optional[SizeBudget] = None) -
     boundary = _boundary_report(cert, "verify")
     if boundary:
         return boundary
-    engines = _engines(cert, budget)
+    engines = step.engines(cert.pres, cert.mode, budget)
     reports = [check_algebra(cert, budget, engines), check_compat(cert, budget, engines)]
     return Report.merged("verify", reports)
 
@@ -538,7 +527,7 @@ def oracle_kappa(
     for size in (f.top.size, f.bot.size, g.top.size, g.bot.size):
         if size > bound:
             raise SizeBudgetExceeded(f"oracle carrier size {size} exceeds the configured bound {bound}")
-    engine = StepEngine(pres, budget)
+    engine, _ = step.engines(pres, "plain", budget)
     struct = engine.step_tables(f)
     check_listable(struct.problem_count(), budget, "oracle kappa lists")
     fib = _fibres(g)
@@ -643,7 +632,7 @@ def oracle_initiality(
     boundary = _boundary_report(cert, "oracle-initiality")
     if boundary:
         return boundary
-    dengine, engine = _engines(cert, budget)
+    engine, dengine = step.engines(cert.pres, cert.mode, budget)
     if targets is None:
         targets = [(cert.right, cert.beta0)]
     entries = []

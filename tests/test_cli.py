@@ -105,6 +105,7 @@ class TestFactor:
                 "generators": [{"name": "j", "map": {"dom": 0, "cod": 1, "table": []}}],
             },
         )
+        out, trace = tmp_path / "cert.json", tmp_path / "trace.json"
         code = main(
             [
                 "factor",
@@ -112,10 +113,16 @@ class TestFactor:
                 "--map", fx("f_3to2.json"),
                 "--mode", "special",
                 "--max-stage", "3",
+                "--out", str(out),
+                "--trace", str(trace),
             ]
         )
+        # the engines refuse the run before the chain starts, with the
+        # text of ``step.mode_fault``
         assert code == 1
-        assert "vertical composition" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: DiagramError: special mode needs a presentation with vertical composition\n")
+        assert not out.exists() and not trace.exists()
 
     def test_growth_exits_not_stabilised(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -270,7 +270,7 @@ def reference_initiality(cert, targets=None, budget=None):
     """``oracle_initiality`` matching every boundary square against every
     algebra morphism by recomposing it along the left factor."""
     limit = (budget or SizeBudget()).max_problems
-    dengine, engine = verify._engines(cert, budget)
+    engine, dengine = step.engines(cert.pres, cert.mode, budget)
     entries = []
     for ti, (g, bprime) in enumerate(targets or [(cert.right, cert.beta0)]):
         laws = reference_algebra_violations(g, bprime, engine, dengine)

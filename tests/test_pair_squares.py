@@ -67,7 +67,7 @@ def _run(pres, f, dengine: DoubleEngine):
         cert = Certificate.from_result(pres, extract(_advance(trace, MAX_STAGE)))
     except EngineError as exc:
         return trace, f"{type(exc).__name__}: {exc}"
-    engines = (dengine, dengine.single)
+    engines = (dengine.single, dengine)
     report = Report.merged("verify", [check_algebra(cert, None, engines),
                                       check_compat(cert, None, engines)])
     return trace, (cert.stage, cert.left, cert.right, cert.beta0,

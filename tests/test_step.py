@@ -14,6 +14,7 @@ inclusion is the identity onto the first three elements.
 import ast
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -541,9 +542,16 @@ class TestFastPath:
         assert listed > 90
 
 
+def lifting(st, base: CommSquare, fillers: dict) -> OneStepLifting:
+    """The lifting over ``base`` with filler ``fillers[p.key]`` for every
+    problem ``p``, copaired in problem order into one map out of ∐ₚ Bₚ."""
+    table = tuple(v for p in st.problem_list for v in fillers[p.key].table)
+    return OneStepLifting(base, FiniteMap(st.copaired().dom, base.dst.top, table))
+
+
 class TestMediate:
-    """Liftings are built per problem through ``StepStructure.lifting`` and
-    copaired into one map out of the coproduct of problem bottoms."""
+    """Liftings are given per problem and copaired (``lifting``) into one
+    map out of the coproduct of problem bottoms."""
 
     def setup_method(self):
         self.f = aobj(f_3to2())
@@ -553,14 +561,14 @@ class TestMediate:
         # choose the least preimage of each codomain point as the filler
         fillers = {("j", (), (y,)): fmap(1, 3, [min(x for x in range(3) if f_3to2().table[x] == y)])
                    for y in range(2)}
-        t = mediate(self.st, self.st.lifting(identity_square(self.f), fillers))
+        t = mediate(self.st, lifting(self.st, identity_square(self.f), fillers))
         assert t.top.table == (0, 1, 2, 0, 1)
         assert t.bot.table == (0, 1)
         assert compose(t.top, self.st.inclusion).table == (0, 1, 2)
 
     def test_restrict_then_mediate_is_identity(self):
         fillers = {("j", (), (0,)): fmap(1, 3, [2]), ("j", (), (1,)): fmap(1, 3, [1])}
-        lift = self.st.lifting(identity_square(self.f), fillers)
+        lift = lifting(self.st, identity_square(self.f), fillers)
         assert lift.fillers == fmap(2, 3, [2, 1])
         t = mediate(self.st, lift)
         back = restrict_square(self.st, t)
@@ -572,7 +580,7 @@ class TestMediate:
         lift = restrict_square(self.st, identity_square(self.st.extended))
         assert lift.base == self.st.unit
         cells = {p.key: self.st.cell(p.key) for p in self.st.problem_list}
-        assert lift == self.st.lifting(self.st.unit, cells)
+        assert lift == lifting(self.st, self.st.unit, cells)
         assert lift.fillers == self.st.copair
         assert mediate(self.st, lift) == identity_square(self.st.extended)
 
@@ -588,7 +596,7 @@ class TestMediate:
             ("k", (1,), (1,)): fmap(1, 4, [2]),
             ("k", (2,), (0,)): fmap(1, 4, [0]),
         }
-        t = mediate(st, st.lifting(u, fillers))
+        t = mediate(st, lifting(st, u, fillers))
         assert compose(t.top, st.inclusion).table == u.top.table
         for key, val in fillers.items():
             assert compose(t.top, st.cell(key)).table == val.table
@@ -606,13 +614,13 @@ class TestMediate:
             ("k", (2,), (0,)): fmap(1, 4, [0]),
         }
         with pytest.raises(NonNaturalLifting):
-            mediate(st, st.lifting(u, fillers))
+            mediate(st, lifting(st, u, fillers))
 
     def test_filler_breaking_the_top_fill_is_rejected(self):
         st = step(split_epi_pres(), self.f)
         fillers = {p.key: st.cell(p.key) for p in st.problem_list}
         fillers[("e1", (0,), (0,))] = fmap(1, 5, [1])  # must hit the image of point 0
-        lift = st.lifting(st.unit, fillers)
+        lift = lifting(st, st.unit, fillers)
         with pytest.raises(UniversalityError):
             mediate(st, lift)
 
@@ -620,11 +628,12 @@ class TestMediate:
         fillers = {("j", (), (0,)): fmap(1, 3, [1]),  # lands over 1, problem demands 0
                    ("j", (), (1,)): fmap(1, 3, [1])}
         with pytest.raises(DiagramError):
-            mediate(self.st, self.st.lifting(identity_square(self.f), fillers))
+            mediate(self.st, lifting(self.st, identity_square(self.f), fillers))
 
     def test_missing_filler_is_a_problem_mismatch(self):
-        with pytest.raises(ProblemMismatch, match="no filler"):
-            self.st.lifting(identity_square(self.f), {})
+        one_filler = OneStepLifting(identity_square(self.f), fmap(1, 3, [0]))
+        with pytest.raises(ProblemMismatch, match="problem bottoms"):
+            mediate(self.st, one_filler)
 
     def test_base_square_must_start_at_the_target(self):
         other = aobj(f_1to1())
@@ -634,8 +643,6 @@ class TestMediate:
 
     def test_fillers_with_wrong_boundaries_are_a_problem_mismatch(self):
         base = identity_square(self.f)
-        with pytest.raises(ProblemMismatch, match="wrong boundaries"):
-            self.st.lifting(base, {("j", (), (0,)): fmap(1, 3, [0]), ("j", (), (1,)): fmap(1, 2, [1])})
         for fillers in (fmap(3, 3, [0, 1, 1]), fmap(2, 2, [0, 1])):
             with pytest.raises(ProblemMismatch, match="problem bottoms"):
                 mediate(self.st, OneStepLifting(base, fillers))
@@ -808,21 +815,83 @@ class TestEngine:
         assert default_budgets == [("step", "check_listable", 0)]
 
 
+def _nodes_in_src(match) -> list:
+    """(module, enclosing classes and functions dotted, node) of every node
+    of the package's source that ``match`` accepts, in source order."""
+    found = []
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((module, scope, child))
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            walk(child, module, inner)
+
+    for path in sorted(Path(step_module.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def _calls(name: str):
+    """A node test: a call of ``name``, as a name or an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def _calls_in_src(name: str) -> list:
     """(module, enclosing function, argument count) of every call of
     ``name``, as a name or an attribute, in the package's source."""
-    found = []
+    return [(module, scope.rsplit(".", 1)[-1] or None, len(node.args) + len(node.keywords))
+            for module, scope, node in _nodes_in_src(_calls(name))]
 
-    def walk(node, module, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                        getattr(child.func, "attr", None)):
-                found.append((module, func, len(child.args) + len(child.keywords)))
-            walk(child, module, child.name if isinstance(child, ast.FunctionDef) else func)
 
-    for path in sorted(Path(step_module.__file__).parent.glob("*.py")):
-        walk(ast.parse(path.read_text()), path.stem, None)
-    return found
+def _scopes_in_src(match) -> list:
+    """(module, dotted enclosing scope) of every node ``match`` accepts, sorted."""
+    return sorted((module, scope) for module, scope, _ in _nodes_in_src(match))
+
+
+class TestModeOwner:
+    """``step.mode_fault`` is the one place a run's mode is judged, and
+    ``step.engines`` the one place a mode becomes engines."""
+
+    def test_mode_faults(self):
+        assert step_module.mode_fault(plain_split_epi_pres(), "plain") is None
+        assert step_module.mode_fault(split_epi_pres(), "special") is None
+        assert step_module.mode_fault(split_epi_pres(), "weird") == "unknown chain mode 'weird'"
+        assert step_module.mode_fault(plain_split_epi_pres(), "special") == (
+            "special mode needs a presentation with vertical composition")
+
+    def test_engines_per_mode(self):
+        engine, dengine = step_module.engines(plain_split_epi_pres(), "plain", SizeBudget(7))
+        assert type(engine) is StepEngine and dengine is None and engine.budget == SizeBudget(7)
+        engine, dengine = step_module.engines(split_epi_pres(), "special")
+        assert type(dengine) is DoubleEngine and engine is dengine.single
+        for shape, mode in [(split_epi_pres(), "weird"), (plain_split_epi_pres(), "special")]:
+            with pytest.raises(DiagramError) as exc:
+                step_module.engines(shape, mode)
+            assert str(exc.value) == step_module.mode_fault(shape, mode)
+        with pytest.raises(DiagramError) as exc:
+            DoubleEngine(plain_split_epi_pres())
+        assert str(exc.value) == step_module.mode_fault(plain_split_epi_pres(), "special")
+
+    def test_engines_are_built_only_by_the_owner(self):
+        assert _scopes_in_src(_calls("DoubleEngine")) == [("step", "engines")]
+        assert _scopes_in_src(_calls("StepEngine")) == [
+            ("step", "DoubleEngine.__init__"), ("step", "DoubleEngine.__init__"),
+            ("step", "engines")]
+        assert _scopes_in_src(_calls("engines")) == [
+            ("chain", "run_chain"), ("verify", "check_algebra"), ("verify", "check_compat"),
+            ("verify", "oracle_initiality"), ("verify", "oracle_kappa"),
+            ("verify", "verify_certificate")]
+        assert not hasattr(verify, "_engines")
+
+    def test_mode_fault_texts_have_one_owner(self):
+        texts = re.compile(r"unknown (chain )?mode|presentation with vertical composition")
+        assert _scopes_in_src(lambda node: isinstance(node, ast.Constant)
+                              and isinstance(node.value, str) and texts.search(node.value)) == [
+            ("step", "mode_fault"), ("step", "mode_fault")]
 
 
 class TestClassifyExtend:

@@ -20,6 +20,7 @@ one point there are 2 top choices for the base and 2 filler choices,
 against 2x2 assignments of the extension's two elements — four each.
 """
 
+import dataclasses
 import itertools
 import random
 from types import SimpleNamespace
@@ -276,6 +277,26 @@ class TestMutationSensitivity:
         special_on_plain = _with(cert, mode="special")
         assert not check_algebra(special_on_plain).ok
 
+    @pytest.mark.parametrize("mode, detail", [
+        ("special", "special mode needs a presentation with vertical composition"),
+        ("odd", "unknown chain mode 'odd'"),
+    ])
+    def test_mode_faults_are_the_owners_texts(self, certs, mode, detail):
+        # the report names the fault ``step.mode_fault`` names, which is
+        # also what the chain and the command line refuse with
+        cert = _with(certs["plain"], mode=mode)
+        assert step_module.mode_fault(cert.pres, mode) == detail
+        for check in (check_algebra, check_compat, verify_certificate, oracle_initiality):
+            assert [(e.label, e.ok, e.detail) for e in check(cert).entries] == [
+                ("boundary", False, detail)]
+
+    @pytest.mark.parametrize("lift_table", [[1, 2], None, 3, "table"])
+    def test_lift_table_that_is_no_mapping_is_refused(self, certs, lift_table):
+        # an engine error naming the type, not an AttributeError
+        with pytest.raises(DiagramError) as exc:
+            dataclasses.replace(certs["plain"], lift_table=lift_table)
+        assert str(exc.value) == f"lift table is a {type(lift_table).__name__}, not a mapping"
+
     def test_filler_with_wrong_domain_is_a_boundary_failure(self, certs):
         cert = certs["double"]
         key = sorted(cert.lift_table)[0]
@@ -335,11 +356,8 @@ class TestMutationSensitivity:
 
 
 def _reference_boundary(cert):
-    out = []
-    if cert.mode not in ("plain", "special"):
-        out.append(f"unknown mode {cert.mode!r}")
-    if cert.mode == "special" and getattr(cert.pres, "kind", "plain") != "double":
-        out.append("special mode requires a presentation with vertical composition")
+    fault = step_module.mode_fault(cert.pres, cert.mode)
+    out = [fault] if fault else []
     if cert.input.bot != cert.right.bot:
         out.append("input and extracted arrow have different codomains")
     if cert.left.dom != cert.input.top or cert.left.cod != cert.right.top:

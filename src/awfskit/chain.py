@@ -8,8 +8,10 @@ the extension's own unit, or through the extension of the unit).  In
 special mode the coequaliser is joint with a second fork that forces the
 fillers of composable pairs to agree with filling through the composite,
 which is what makes the extracted lifting structure respect vertical
-composition.  ``run_chain`` runs either mode on the engines that
-``step.engines`` builds for it; ``run_plain`` and ``run_special`` call it.
+composition.  ``ChainTrace.advance`` is the one place a stage is built;
+``run_chain`` advances a trace of the target, on the engines that
+``step.engines`` builds for its mode, and ``run_plain`` and ``run_special``
+call it.  A trace is special exactly when it has a double engine.
 
 A chain that becomes stationary yields the factorisation: the stabilised
 stage is the middle object, the composite of the connecting squares is
@@ -60,17 +62,25 @@ from .step import (
 
 @dataclass
 class ChainTrace:
-    """Computed prefix of the chain: stage arrows, connecting squares
-    ``connect[n]: stage n -> stage n+1``, and structure squares
-    ``structure[n]: extension of stage n -> stage n+1``."""
+    """Computed prefix of the chain of ``engine`` from ``stages[0]``: stage
+    arrows, connecting squares ``connect[n]: stage n -> stage n+1``, and
+    structure squares ``structure[n]: extension of stage n -> stage n+1``.
+    The three lists grow only in ``advance``.  The mode and the shape are
+    read off the engines: special exactly when there is a double engine."""
 
-    mode: str  # "plain" | "special"
-    shape: object
     engine: StepEngine
     stages: list[ArrowObject]
-    connect: list[CommSquare]
-    structure: list[CommSquare]
     double_engine: Optional[DoubleEngine] = None
+    connect: list[CommSquare] = field(default_factory=list)
+    structure: list[CommSquare] = field(default_factory=list)
+
+    @property
+    def mode(self) -> str:
+        return "plain" if self.double_engine is None else "special"
+
+    @property
+    def shape(self):
+        return self.engine.shape
 
     @property
     def target(self) -> ArrowObject:
@@ -88,6 +98,35 @@ class ChainTrace:
         for i in range(n, m):
             out = square_compose(self.connect[i], out)
         return out
+
+    def advance(self, to: int) -> "ChainTrace":
+        """Build the stages up to ``to`` that the trace lacks, each appended
+        once whole, and return the trace: stage 1 with the identity structure
+        square, later ones the coequaliser of the successor fork (jointly
+        with the composition fork in special mode)."""
+        while len(self.stages) <= to:
+            st = self.engine.step_tables(self.stages[-1])
+            if len(self.stages) == 1:
+                x = identity_square(st.extended)
+            else:
+                n = len(self.stages) - 2
+                x_n = self.structure[n]
+                # The two legs of the successor fork collapse along
+                # functoriality and unit naturality to the extended
+                # connecting square and unit-then-structure; the special
+                # fork's first leg is fused so the twice-iterated extension
+                # never materialises.
+                t_j = self.engine.extend(self.connect[n])
+                pairs = [(t_j, square_compose(st.unit, x_n))]
+                if self.double_engine is not None:
+                    gam = self.double_engine.compose_comparison(self.stages[n])
+                    pairs.append((self.double_engine.iterate_then(self.stages[n], x_n),
+                                  square_compose(t_j, gam)))
+                x = arrow_joint_coequalizer(pairs, codomain=st.extended).q
+            self.stages.append(x.dst)
+            self.structure.append(x)
+            self.connect.append(square_compose(x, st.unit))
+        return self
 
     def verify_laws(self) -> list[str]:
         """Re-check the defining chain equations; returns violated labels."""
@@ -127,48 +166,6 @@ class ChainTrace:
         return out
 
 
-def _advance(trace: ChainTrace, max_stage: int) -> ChainTrace:
-    """Append stages up to ``max_stage`` following the chain recursion."""
-    engine = trace.engine
-    while len(trace.stages) <= max_stage:
-        n = len(trace.stages) - 2
-        x_n = trace.structure[n]
-        # The two legs of the successor fork collapse along functoriality
-        # and unit naturality to the extended connecting square and
-        # unit-then-structure; the special fork's first leg is fused so the
-        # twice-iterated extension never materialises.
-        t_j = engine.extend(trace.connect[n])
-        eta_next = engine.step_tables(trace.stages[n + 1]).unit
-        codomain = engine.step_tables(trace.stages[n + 1]).extended
-        pairs = [(t_j, square_compose(eta_next, x_n))]
-        if trace.mode == "special":
-            gam = trace.double_engine.compose_comparison(trace.stages[n])
-            pairs.append(
-                (trace.double_engine.iterate_then(trace.stages[n], x_n), square_compose(t_j, gam))
-            )
-        quot = arrow_joint_coequalizer(pairs, codomain=codomain)
-        x_next = quot.q
-        trace.stages.append(quot.apex)
-        trace.structure.append(x_next)
-        trace.connect.append(square_compose(x_next, eta_next))
-    return trace
-
-
-def _start(mode: str, shape, f, engine: StepEngine, dengine) -> ChainTrace:
-    target = f if isinstance(f, ArrowObject) else ArrowObject(f)
-    st0 = engine.step_tables(target)
-    first = st0.extended
-    return ChainTrace(
-        mode=mode,
-        shape=shape,
-        engine=engine,
-        stages=[target, first],
-        connect=[st0.unit],
-        structure=[identity_square(first)],
-        double_engine=dengine,
-    )
-
-
 def run_chain(shape, f, mode: str = "plain", max_stage: int = 16,
               budget: Optional[SizeBudget] = None) -> ChainTrace:
     """Run the chain of ``shape`` in ``mode`` up to ``max_stage``, on the
@@ -177,7 +174,8 @@ def run_chain(shape, f, mode: str = "plain", max_stage: int = 16,
     engine, dengine = engines(shape, mode, budget)
     if max_stage < (2 if dengine is None else 3):
         raise DiagramError(f"a {mode} chain needs at least {'two' if dengine is None else 'three'} stages")
-    return _advance(_start(mode, shape, f, engine, dengine), max_stage)
+    target = f if isinstance(f, ArrowObject) else ArrowObject(f)
+    return ChainTrace(engine, [target], dengine).advance(max_stage)
 
 
 def run_plain(shape, f, max_stage: int = 16, budget: Optional[SizeBudget] = None) -> ChainTrace:

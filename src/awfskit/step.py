@@ -37,14 +37,14 @@ extension, so ``DoubleEngine.iterate_then`` builds that composite fused
 and never builds the twice-iterated extension.
 
 The universal-property mediator (``mediate`` and ``restrict_square``) and
-the constructions built on it (``extend_square``, ``compose_mediated``,
-``iterate_mediated``) compute the same squares through the universal
-property; no production path calls them.  They are kept as an independent
-cross-check, on fast and general steps alike.  A lifting is one map out of
-the coproduct ∐ₚ Bₚ of the problems' bottoms, read against the copaired
-cells.  ``mediate`` and ``restrict_square`` wrap two table kernels,
-``_mediated_top`` and ``_restricted``, which ``oracle_kappa`` runs on raw
-tables in its exhaustive branch.
+the comparisons built on it (``compose_mediated`` and ``iterate_mediated``)
+compute the same squares through the universal property; no production
+path calls them.  They are kept as an independent cross-check, on fast and
+general steps alike.  A lifting is one map out of the coproduct ∐ₚ Bₚ of
+the problems' bottoms, read against the copaired cells.  ``mediate`` and
+``restrict_square`` wrap two table kernels, ``_mediated_top`` and
+``_restricted``, which ``oracle_kappa`` runs on raw tables in its
+exhaustive branch.
 """
 
 from __future__ import annotations
@@ -520,25 +520,6 @@ def _mediate_cells(
     property: the tables of the ``cell_of(p)`` copaired in problem order."""
     table = tuple(itertools.chain.from_iterable(cell_of(p).table for p in struct.problem_list))
     return mediate(struct, OneStepLifting(base, FiniteMap(struct.copaired().dom, base.dst.top, table)))
-
-
-def extend_square(
-    struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
-) -> CommSquare:
-    """Functorial action of the one-step extension on a square ``f -> g``,
-    built through the universal property of the source extension.  Not used
-    by the engine: it is the independent reference ``classify_extend`` is
-    tested against."""
-    if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
-        raise ProblemMismatch("square endpoints do not match the step structures")
-    if alpha.is_identity():
-        return identity_square(struct_src.extended)
-
-    def cell_of(p: LiftingProblem) -> FiniteMap:
-        moved = square_compose(alpha, p.square)
-        return struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
-
-    return _mediate_cells(struct_src, square_compose(struct_dst.unit, alpha), cell_of)
 
 
 def compose_mediated(dengine: DoubleEngine, f: ArrowObject) -> CommSquare:

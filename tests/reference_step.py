@@ -19,6 +19,10 @@ by one square per vertically stacked pair of squares (``pair_squares``).
 ``reference_double_engine`` runs special mode on it, the reference of the
 differential in ``test_pair_squares.py``.
 
+``extend_square`` is the functorial action on squares built through the
+universal property of the source extension (``_mediate_cells``), the
+mediated reference ``classify_extend`` is tested against in ``test_step.py``.
+
 ``reference_lift_table`` builds a certificate's lift table one problem at
 a time, ``beta0`` after each enumerated problem's cell, the reference for
 the columns ``extract`` reads off the step in ``test_chain.py`` and
@@ -37,11 +41,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from awfskit.arrows import ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow, square_compose
-from awfskit.errors import SizeBudgetExceeded
+from awfskit.arrows import (ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow,
+                            identity_square, square_compose)
+from awfskit.errors import ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, compose, identity, pushout
 from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
-from awfskit.step import DoubleEngine, LiftingProblem, SizeBudget, StepEngine, enumerate_problems
+from awfskit.step import (DoubleEngine, LiftingProblem, SizeBudget, StepEngine, StepStructure,
+                          _mediate_cells, enumerate_problems)
 
 
 def _image_reps(umap: FiniteMap) -> tuple[dict, list]:
@@ -232,6 +238,23 @@ def pairs_with_squares(pres) -> PairsWithSquares:
         )
         squares.append((pair_name(a, b), src, dst, cs))
     return PairsWithSquares(pres, pairs, squares)
+
+
+def extend_square(
+    struct_src: StepStructure, struct_dst: StepStructure, alpha: CommSquare
+) -> CommSquare:
+    """Functorial action of the one-step extension on a square ``f -> g``,
+    built through the universal property of the source extension."""
+    if alpha.src != struct_src.target or alpha.dst != struct_dst.target:
+        raise ProblemMismatch("square endpoints do not match the step structures")
+    if alpha.is_identity():
+        return identity_square(struct_src.extended)
+
+    def cell_of(p: LiftingProblem) -> FiniteMap:
+        moved = square_compose(alpha, p.square)
+        return struct_dst.cell((p.gen, moved.top.table, moved.bot.table))
+
+    return _mediate_cells(struct_src, square_compose(struct_dst.unit, alpha), cell_of)
 
 
 def reference_double_engine(pres, budget: Optional[SizeBudget] = None) -> DoubleEngine:

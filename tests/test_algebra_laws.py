@@ -131,7 +131,7 @@ class TestOneOwnerNamesTheSameElements:
         composition fork with them, in a form the recursion does not use."""
         for name in ("compose_comparison", "iterate_then"):
             assert sorted({call[:2] for call in _calls_in_src(name)}) == [
-                ("chain", "_advance"), ("chain", "algebra_violations"), ("chain", "verify_laws")]
+                ("chain", "advance"), ("chain", "algebra_violations"), ("chain", "verify_laws")]
         assert [call[:2] for call in _calls_in_src("algebra_violations")] == [
             ("chain", "extract"), ("verify", "check_algebra"), ("verify", "oracle_initiality")]
         source = "".join(p.read_text() for p in Path(awfskit.__file__).parent.glob("*.py"))
@@ -142,7 +142,7 @@ class TestOneOwnerNamesTheSameElements:
 class TestExtractRefusals:
     def test_plain_chain_relabelled_special_breaks_the_special_law(self):
         trace = run_plain(composite_pres(), f_3to2(), max_stage=3)
-        trace.mode, trace.double_engine = "special", DoubleEngine(composite_pres())
+        trace.double_engine = DoubleEngine(composite_pres())
         with pytest.raises(DiagramError) as caught:
             extract(trace)
         assert str(caught.value) == ("extracted algebra violates special-algebra-square: "

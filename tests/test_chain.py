@@ -17,6 +17,7 @@ cells answer lifting problems through the same point 3+y, whereas the
 plain run stops at carrier 7 with the a- and c-cells kept apart.
 """
 
+import ast
 import dataclasses
 import itertools
 import random
@@ -57,6 +58,7 @@ from fixture_lib import (
     two_gen_plain_pres,
 )
 from reference_step import reference_lift_table
+from test_step import _calls_in_src, _scopes_in_src
 
 
 def aobj(f) -> ArrowObject:
@@ -101,6 +103,10 @@ class TestTraceShape:
         special = run_chain(split_epi_pres(), f_3to2(), mode="special", max_stage=3)
         assert plain.mode == "plain" and plain.double_engine is None
         assert special.mode == "special" and special.double_engine is not None
+        # the mode and the shape are read off the engines, not stored
+        assert plain.shape is plain.engine.shape and special.shape is special.engine.shape
+        with pytest.raises(AttributeError):
+            plain.mode = "special"
         with pytest.raises(DiagramError):
             run_chain(split_epi_pres(), f_3to2(), mode="weird")
 
@@ -426,3 +432,71 @@ def test_lift_table_equals_per_problem_reference_in_order(make_shape, mode, map_
     result = run()
     reference = reference_lift_table(result)
     assert list(result.lift_table.items()) == list(reference.items())
+
+
+_CHAIN_MODES = [(make, mode) for make in _DIFFERENTIAL_SHAPES for mode in ("plain", "special")
+                if mode == "plain" or make().kind == "double"]
+_FIXTURE_MAPS = [f_0to1, f_1to1, f_2to3, f_3to2]
+
+
+def _lists(trace: ChainTrace) -> tuple:
+    return trace.stages, trace.connect, trace.structure
+
+
+def _same_items(xs: list, ys: list) -> bool:
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("make_map", _FIXTURE_MAPS, ids=lambda v: v.__name__)
+@pytest.mark.parametrize("make_shape,mode", _CHAIN_MODES, ids=lambda v: getattr(v, "__name__", v))
+def test_advancing_a_shorter_run_builds_the_longer_run(make_shape, mode, make_map):
+    """``run_chain`` to k, then ``advance(m)``, gives the stages, connecting
+    and structure squares of ``run_chain`` to m; a run that stops over the
+    budget stops the same way when advanced, keeping whole stages only."""
+    shape, f, least = make_shape(), make_map(), 2 if mode == "plain" else 3
+    budget = SizeBudget(max_problems=20_000)
+
+    def run(n: int) -> ChainTrace:
+        return run_chain(shape, f, mode, n, budget)
+
+    shorter = None
+    for m in range(least, 6):
+        try:
+            whole = run(m)
+        except SizeBudgetExceeded:
+            if shorter is not None:
+                built = [list(xs) for xs in _lists(shorter)]
+                with pytest.raises(SizeBudgetExceeded):
+                    shorter.advance(m)
+                assert all(map(_same_items, _lists(shorter), built))
+            return
+        for k in range(least, m):
+            assert _lists(run(k).advance(m)) == _lists(whole)
+        shorter = whole
+
+
+class TestAdvance:
+    def test_advancing_to_a_built_stage_changes_nothing(self):
+        for shape, mode in [(plain_split_epi_pres(), "plain"), (composite_pres(), "special")]:
+            trace = run_chain(shape, f_3to2(), mode, max_stage=4)
+            built = [list(xs) for xs in _lists(trace)]
+            for j in range(5):
+                assert trace.advance(j) is trace
+                assert all(map(_same_items, _lists(trace), built))
+
+    def test_one_place_builds_a_stage(self):
+        """The three lists grow only in ``ChainTrace.advance``, and in the
+        package only ``run_chain`` makes a trace."""
+        lists = ("stages", "connect", "structure")
+
+        def grows_a_list(node) -> bool:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                return getattr(node.func.value, "attr", None) in lists
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+                return any(getattr(getattr(t, "value", t), "attr", None) in lists for t in targets)
+            return False
+
+        assert _scopes_in_src(grows_a_list) == [("chain", "ChainTrace.advance")] * 3
+        assert _calls_in_src("ChainTrace") == [("chain", "run_chain", 3)]
+

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from awfskit.arrows import ArrowObject, CommSquare, identity_square
-from awfskit.chain import _advance, _start, run_chain
+from awfskit.chain import ChainTrace, run_chain
 from awfskit.errors import ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FiniteMap
 from awfskit.presentation import DoubleCatPresentation, PlainPresentation
@@ -227,10 +227,10 @@ def _chain(shape, f, mode):
     with the double engine of a double presentation in either mode."""
     dengine = DoubleEngine(shape, CHAIN_BUDGET) if shape.kind == "double" else None
     engine = dengine.single if dengine is not None else StepEngine(shape, CHAIN_BUDGET)
-    trace = _start(mode, shape, ArrowObject(f), engine, dengine if mode == "special" else None)
+    trace = ChainTrace(engine, [ArrowObject(f)], dengine if mode == "special" else None)
     while len(trace.stages) <= 5:
         try:
-            _advance(trace, len(trace.stages))
+            trace.advance(len(trace.stages))
         except SizeBudgetExceeded:
             break
     return trace, dengine

@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from awfskit.arrows import ArrowObject
-from awfskit.chain import _advance, _start, extract, factorise
+from awfskit.chain import ChainTrace, extract, factorise
 from awfskit.errors import EngineError
 from awfskit.step import DoubleEngine, SizeBudget
 from awfskit.verify import Certificate, Report, check_algebra, check_compat, verify_certificate
@@ -62,9 +62,9 @@ def _run(pres, f, dengine: DoubleEngine):
     """The special chain on ``dengine``, and what extracting it gives: the
     certificate with its verify report on ``dengine``, or the error text
     when the chain or the extraction stops."""
-    trace = _start("special", pres, f, dengine.single, dengine)
+    trace = ChainTrace(dengine.single, [f], dengine)
     try:
-        cert = Certificate.from_result(pres, extract(_advance(trace, MAX_STAGE)))
+        cert = Certificate.from_result(pres, extract(trace.advance(MAX_STAGE)))
     except EngineError as exc:
         return trace, f"{type(exc).__name__}: {exc}"
     engines = (dengine.single, dengine)

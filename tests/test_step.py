@@ -40,7 +40,6 @@ from awfskit.step import (
     StepEngine,
     classify_extend,
     enumerate_problems,
-    extend_square,
     fast_eligible,
     fast_step,
     mediate,
@@ -63,8 +62,8 @@ from fixture_lib import (
     split_epi_pres,
     two_gen_plain_pres,
 )
-from reference_step import (comma_category, count_problems_bound, density_step, reference_problems,
-                            reference_step)
+from reference_step import (comma_category, count_problems_bound, density_step, extend_square,
+                            reference_problems, reference_step)
 from test_oracle_reference import count_liftings
 
 

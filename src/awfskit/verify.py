@@ -23,9 +23,12 @@ The two oracles check the engine against definitions that do not go
 through the engine's own construction: ``oracle_kappa`` counts exactly
 the commuting squares out of the one-step extension and the lifting
 structures on the original arrow, natural by its own classes on ∐ₚ Bₚ,
-lists or samples both, and confirms they correspond one to one, on raw
-tables through the kernels that ``mediate`` and ``restrict_square`` wrap
-(the command line sweeps it over every pair of ``small_arrows``);
+checks the step's cells against those classes, and confirms the two
+correspond one to one: every square restricts to a lifting that mediates
+back to it, on raw tables through the kernels that ``mediate`` and
+``restrict_square`` wrap, or a seeded sample of each side when the
+squares are too many to list (the command line sweeps it over every pair
+of ``small_arrows``);
 ``oracle_initiality`` confirms the extracted algebra maps uniquely into
 any supplied algebra under any boundary square.
 """
@@ -43,7 +46,7 @@ from typing import Optional
 
 from .arrows import ArrowObject, CommSquare
 from .chain import Certificate, LiftTable, _keys, _mismatches, algebra_violations
-from .errors import DiagramError, EngineError, NonNaturalLifting, ProblemMismatch, SizeBudgetExceeded
+from .errors import EngineError, SizeBudgetExceeded
 from .finset import FinSet, FiniteMap, _gather, compose
 from . import step
 from .step import (
@@ -493,7 +496,7 @@ def _random_square(rng, src: ArrowObject, dst: ArrowObject, fib):
             return CommSquare(src, dst, FiniteMap(src.top, dst.top, top), FiniteMap(src.bot, dst.bot, bot))
 
 
-# the most squares, and the most liftings, ``oracle_kappa`` lists one by one
+# the most squares ``oracle_kappa`` lists one by one; above it, it samples
 LIST_CAP = 20_000
 
 
@@ -514,15 +517,14 @@ def oracle_kappa(
     one flat filler table over ∐ₚ Bₚ, in the structure's problem order,
     constant on each naturality class (``_problem_free_positions``), so the
     liftings over a base are counted exactly as a product of fibre sizes
-    over its free classes, as the squares are by formula.  When both sides
-    fit under ``LIST_CAP`` the bijection is checked exhaustively on tables,
-    one pass per side, through the kernels ``mediate`` and
-    ``restrict_square`` wrap: each lifting is mediated once and filed by its
-    tables, then each square is restricted once and must find the lifting
-    that mediates to it.  Otherwise the two inverse identities are checked
-    on a seeded sample from each side.  A lifting ``mediate`` finds
-    non-natural, and a square whose restriction fails to mediate back,
-    count as failed identities.
+    over its free classes, as the squares are by formula.  The step's cells
+    are checked once, on whole tables, against the oracle's own problems
+    and classes.  When the squares fit under ``LIST_CAP`` the bijection is
+    checked exhaustively from the square side, through the kernels
+    ``mediate`` and ``restrict_square`` wrap: each square is restricted once
+    and must mediate back to itself.  Otherwise the two inverse identities
+    are checked on a seeded sample from each side.  Cells that do not fit,
+    and an engine error while mediating, count as failed identities.
     """
     for size in (f.top.size, f.bot.size, g.top.size, g.bot.size):
         if size > bound:
@@ -532,6 +534,17 @@ def oracle_kappa(
     check_listable(struct.problem_count(), budget, "oracle kappa lists")
     fib = _fibres(g)
     problems, classes = _problem_free_positions(struct)
+    # the step's cells on whole tables, against the oracle's own problems and
+    # classes: constant on each class, each forced entry the inclusion of its
+    # problem's top, and each cell over its problem's bottom
+    cells, at, tops, bots = struct.copaired().table, [], [], []
+    for s0, s1, u, _ in problems:
+        at += [len(bots) + b for b in u.map.table]
+        tops += s0
+        bots += s1
+    cells_fit = (len(cells) == len(classes) and _gather(cells, classes) == cells
+                 and _gather(cells, at) == _gather(struct.inclusion.table, tops)
+                 and _gather(struct.extended.map.table, cells) == tuple(bots))
 
     n_squares = _count_commuting_squares(struct.extended, g)
     # a natural lifting over a base fills each free class of its template from one fibre
@@ -543,54 +556,32 @@ def oracle_kappa(
             n_liftings += count
             viable.append((base, template))
 
-    if n_squares <= LIST_CAP and n_liftings <= LIST_CAP:
-        # Each natural lifting is mediated once and filed under its tables,
-        # which fix it and are distinct by enumeration; each square t is
-        # restricted once and pops the key of restrict(t).  As mediate and
-        # restrict are functions, every pop returning t with nothing left
-        # over holds exactly when restrict∘mediate = id on the liftings,
-        # mediate∘restrict = id on the squares and the mediated multiset is
-        # the squares.  A restriction that raises, or a non-natural lifting,
-        # is a miss.  Every listed lifting meets the wrappers' boundaries.
-        if f != struct.target or len(classes) != struct.copaired().dom.size:
-            raise ProblemMismatch("fillers do not run from the problem bottoms to the base's target")
-        ext, gt, mediated, inverse = struct.extended.map.table, g.map.table, {}, True
-        for base, template in viable:
-            bt, bb = base.top.table, base.bot.table
-            want = _gather(bb, ext)
-            for fillers in _lifting_tables(template, fib, classes):
-                try:
-                    top = _mediated_top(struct, bt, fillers, g.top.size)
-                except NonNaturalLifting:
-                    inverse = False
-                    continue
-                if _gather(gt, top) != want:
-                    raise DiagramError("square does not commute")
-                mediated[bt, bb, fillers] = top, bb
-        # the fibre-product counts must agree with the actual enumerations
-        counted, n_liftings, listed = n_liftings == len(mediated), len(mediated), 0
-        for bot, squares in itertools.groupby(_square_tables(struct.extended, g), key=itemgetter(1)):
-            want = _gather(bot, ext)
-            for top, _ in squares:
-                listed += 1
-                if _gather(gt, top) != want:
-                    raise DiagramError("square does not commute")
-                try:
-                    back_top, back_fillers = _restricted(struct, top)
-                except EngineError:
-                    inverse = False
-                    continue
-                inverse = mediated.pop((back_top, bot, back_fillers), None) == (top, bot) and inverse
-        counted, inverse = counted and listed == n_squares, inverse and not mediated
+    if n_squares <= LIST_CAP:
+        # The unit commutes by construction, so when the cells fit, the
+        # restriction of every square is a natural lifting over its base.
+        # mediate∘restrict = id on the listed squares makes restriction
+        # injective, and equal counts (both by formula, the squares also
+        # against the listing) make it a bijection, so restrict∘mediate = id
+        # follows.
+        inverse, listed = cells_fit, 0
+        for top, _ in _square_tables(struct.extended, g):
+            listed += 1
+            try:
+                back = _mediated_top(struct, *_restricted(struct, top), g.top.size)
+            except EngineError:
+                back = None  # a round trip that raises is a miss
+            inverse = back == top and inverse
+        counted = listed == n_squares
+        inverse = inverse and counted and n_squares == n_liftings
         how = f"exhaustive over {n_squares} squares and {n_liftings} liftings"
     else:
-        rng, counted, inverse = random.Random(seed), True, True
+        rng, counted, inverse = random.Random(seed), True, cells_fit
         if viable:
             for _ in range(samples):
                 lift = _random_lifting(rng, viable, fib, g, classes)
                 try:
                     inverse = restrict_square(struct, mediate(struct, lift)) == lift and inverse
-                except NonNaturalLifting:
+                except EngineError:
                     inverse = False
         if n_squares:
             for _ in range(samples):

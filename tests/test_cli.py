@@ -9,6 +9,7 @@ from awfskit.cli import main
 from awfskit.serialize import encode_presentation
 
 from fixture_lib import pair_square_pres
+from test_verify import install_faulty_cells
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -483,6 +484,19 @@ class TestOracle:
                      "--bound", "8"]) == 0
         assert capsys.readouterr() == ("ok cardinality: squares=32768 liftings=32768\n"
                                        "ok two-sided-inverse: sampled 64 per side (seed 0)\n", "")
+
+    def test_kappa_reports_faulty_cells_as_a_failure(self, tmp_path, capsys, monkeypatch):
+        """Cells with a forced entry moved within its fibre are a FAIL line
+        and exit 1, not an escaped engine error."""
+        f = write(tmp_path, "f.json", {"dom": 2, "cod": 1, "table": [0, 0]})
+        args = ["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+                "--map", f, "--target-map", f]
+        assert main(args) == 0
+        capsys.readouterr()
+        install_faulty_cells(monkeypatch, "a")
+        assert main(args) == 1
+        assert capsys.readouterr() == ("ok cardinality: squares=8 liftings=8\nFAIL two-sided-inverse: "
+                                       "exhaustive over 8 squares and 8 liftings\n", "")
 
     def test_kappa_needs_both_maps(self, capsys):
         for flag in ("--map", "--target-map"):

@@ -24,9 +24,12 @@ from fixture_lib import (
     f_1to1,
     f_2to3,
     f_3to2,
+    pair_square_pres,
     retract_pres,
     split_epi_pres,
+    uniform_monos_pres,
 )
+from test_acceptance import _all_maps, _comparison_equations
 
 
 # The first three shapes take the fast step; the retract takes the general one.
@@ -151,3 +154,20 @@ class TestRoutes:
                 engine.single.extend(collapse), iterate_comparison(engine, f)
             )
             assert fused == composed
+
+
+# Criterion 5 of the acceptance suite on double presentations with
+# connecting squares, whose steps are general: the special fork of
+# pair_square merges cells, and uniform2 has squares between its injections.
+SQUARE_DOUBLES = {"pair-square": (pair_square_pres, 148),
+                  "uniform2": (lambda: uniform_monos_pres(2), 443)}
+
+
+@pytest.mark.parametrize("route", ["fast", "mediated"])
+@pytest.mark.parametrize("name", sorted(SQUARE_DOUBLES))
+def test_comparison_equations_with_squares(name, route):
+    """Both comparison squares meet their per-cell equations on every
+    problem of every map with carriers at most 2."""
+    build, problems = SQUARE_DOUBLES[name]
+    pres = build()
+    assert sum(_comparison_equations(pres, f, route) for f in _all_maps(2)) == problems

@@ -1,9 +1,10 @@
 """The one-pass oracles against the listings they replaced.
 
 ``oracle_kappa`` checks the correspondence between squares out of the
-one-step extension and liftings in one pass per side, on tables: each
-lifting is mediated once, each square restricted once and matched by its
-tables, through the kernels ``mediate`` and ``restrict_square`` wrap.
+one-step extension and liftings from the square side, on tables: it
+checks the step's cells once against its own classes, then restricts each
+square once and mediates it back, through the kernels ``mediate`` and
+``restrict_square`` wrap, and compares the counts.
 ``reference_kappa`` below is the object-level listing that checks the four
 identities separately: the counts, restrict∘mediate = id on the liftings,
 the mediated multiset against the squares, and mediate∘restrict = id on

@@ -36,15 +36,7 @@ from awfskit.chain import LiftTable, factorise
 from awfskit.errors import DiagramError, NotStabilised, SizeBudgetExceeded
 from awfskit.finset import FinSet, FiniteMap, compose, identity
 from awfskit.serialize import decode_certificate, dumps, encode_certificate, parse_text
-from awfskit.step import (
-    DoubleEngine,
-    OneStepLifting,
-    SizeBudget,
-    StepEngine,
-    enumerate_problems,
-    mediate,
-    step,
-)
+from awfskit.step import DoubleEngine, SizeBudget, StepEngine, enumerate_problems
 from awfskit.verify import (
     Certificate,
     Report,
@@ -799,22 +791,87 @@ class TestOracleKappa:
             monkeypatch, two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0]))
         details = {e.label: e.detail for e in report.entries}
         assert details["cardinality"] == "squares=4 liftings=4"
-        # only the 4 natural liftings of the 16 candidate filler tables are
-        # listed, each mediated once, and one restriction per square; no
-        # square is mediated
-        assert counts == {"liftings": 4, "_mediated_top": 4, "_restricted": 4}
+        # no filler table is listed: each square is restricted once and its
+        # restriction, one of the 4 natural liftings, is mediated once
+        assert counts == {"liftings": 0, "_mediated_top": 4, "_restricted": 4}
 
     def test_heavy_pair_mediates_and_restricts_once_each(self, monkeypatch):
         # a heavy pair of the benchmark's oracle workload
         report, counts = self._counted_kernel_calls(
             monkeypatch, abc_pres(), arr(1, 2, [0]), arr(2, 2, [0, 0]))
         assert report.entries[0].detail == "squares=8192 liftings=8192"
-        assert counts == {"liftings": 8192, "_mediated_top": 8192, "_restricted": 8192}
+        assert counts == {"liftings": 0, "_mediated_top": 8192, "_restricted": 8192}
+
+
+def _faulty_cells(kind, struct, cells):
+    """The copaired ``cells`` of ``struct`` with one fault of ``kind``, or
+    None where it has none to make: (a) a forced entry moved to another
+    inclusion point of its fibre, (b) two free entries over different
+    bottom points swapped, (c) a naturality class split, one free member
+    moved to another point over the same bottom point.  Each leaves the
+    other two cell checks of ``oracle_kappa`` satisfied."""
+    problems, classes = verify._problem_free_positions(struct)
+    incl, ext, ft = struct.inclusion.table, struct.extended.map.table, struct.target.map.table
+    table, forced, free, start = list(cells), [], [], 0
+    for s0, _, u, positions in problems:
+        forced += [(start + b, s0[a]) for a, b in enumerate(u.map.table)]
+        free += [start + b for b in positions]
+        start += u.bot.size
+    if kind == "a":
+        for i, x in forced:
+            moved = [incl[y] for y in range(len(ft)) if ft[y] == ft[x] and incl[y] != incl[x]]
+            if moved:
+                table[i] = moved[0]
+                return tuple(table)
+    if kind == "b":
+        for i, j in itertools.combinations(free, 2):
+            if ext[cells[i]] != ext[cells[j]]:
+                table[i], table[j] = cells[j], cells[i]
+                return tuple(table)
+    if kind == "c":
+        for i in free:
+            others = [p for p in range(len(ext)) if ext[p] == ext[cells[i]] and p != cells[i]]
+            if classes.count(classes[i]) > 1 and others:
+                table[i] = others[0]
+                return tuple(table)
+    return None
+
+
+def install_faulty_cells(monkeypatch, kind):
+    """Make every step's ``copaired`` return its cells with one fault of
+    ``kind`` (``_faulty_cells``), where it has one to make."""
+    real, faulty = step_module.StepStructure.copaired, {}
+
+    def copaired(struct):
+        cells = real(struct)
+        if id(struct) not in faulty:
+            table = _faulty_cells(kind, struct, cells.table)
+            faulty[id(struct)] = struct, table and FiniteMap(cells.dom, cells.cod, table)
+        return faulty[id(struct)][1] or cells
+
+    monkeypatch.setattr(step_module.StepStructure, "copaired", copaired)
+
+
+# (mutant, presentation, f, g): pairs whose cells each mutant changes, all
+# listed exhaustively; on split_epi and composite every class is one point,
+# and on two_gen every fibre of the extension is, so only uniform2 splits one
+FAULTY_CELLS = [
+    ("a", split_epi_pres, (2, 1, [0, 0]), (2, 1, [0, 0])),
+    ("a", split_epi_pres, (2, 1, [0, 0]), (2, 2, [0, 1])),
+    ("a", composite_pres, (2, 1, [0, 0]), (2, 1, [0, 0])),
+    ("a", composite_pres, (2, 2, [0, 0]), (2, 2, [1, 1])),
+    ("b", split_epi_pres, (2, 2, [0, 1]), (2, 1, [0, 0])),
+    ("b", composite_pres, (1, 2, [0]), (2, 2, [0, 1])),
+    ("b", two_gen_plain_pres, (2, 2, [0, 1]), (2, 1, [0, 0])),
+    ("c", lambda: uniform_monos_pres(2), (1, 1, [0]), (0, 1, [])),
+    ("c", lambda: uniform_monos_pres(2), (1, 1, [0]), (1, 1, [0])),
+    ("c", lambda: uniform_monos_pres(2), (1, 1, [0]), (2, 1, [0, 0])),
+]
 
 
 class TestOracleKappaMutations:
-    """The oracle must report, not pass, when the restriction or the
-    enumeration of liftings is broken."""
+    """The oracle must report, not pass or raise, when the restriction, the
+    count of liftings or the step's cells are broken."""
 
     @staticmethod
     def _labels(report):
@@ -844,28 +901,26 @@ class TestOracleKappaMutations:
     @pytest.mark.parametrize("shape", [plain_split_epi_pres(), two_gen_plain_pres()],
                              ids=["no-squares", "connecting-square"])
     def test_dropped_lifting_fails_cardinality(self, shape, monkeypatch):
-        real = verify._lifting_tables
-        dropped = []
+        """A filler template that drops a free slot counts one fibre's worth
+        fewer liftings over each base with a free class."""
+        real = verify._filler_template
 
-        def dropping(template, fib, classes):
-            for table in real(template, fib, classes):
-                if dropped:
-                    yield table
-                else:
-                    dropped.append(table)
+        def dropping(problems, base, classes):
+            template = real(problems, base, classes)
+            return template and (template[0], template[1][1:])
 
-        monkeypatch.setattr(verify, "_lifting_tables", dropping)
-        f, g = arr(1, 1, [0]), arr(2, 1, [0, 0])
+        f, g = arr(1, 2, [0]), arr(2, 1, [0, 0])
+        assert oracle_kappa(shape, f, g).ok
+        monkeypatch.setattr(verify, "_filler_template", dropping)
         report = oracle_kappa(shape, f, g)
-        # a natural lifting was dropped: the first listed, over the first base
-        base = next(verify._commuting_squares(f, g))
-        mediate(step(shape, f), OneStepLifting(base, FiniteMap(FinSet(len(dropped[0])), g.top, dropped[0])))
-        assert self._labels(report)["cardinality"] is False
+        squares, liftings = (int(side.split("=")[1]) for side in report.entries[0].detail.split())
+        assert liftings < squares
+        assert self._labels(report) == {"cardinality": False, "two-sided-inverse": False}
 
     def test_dropped_square_fails_both_identities(self, monkeypatch):
-        """Classes that miss the one connecting square of two_gen list the
-        16 candidate filler tables instead of the 4 natural ones: the 12
-        that ``mediate`` finds non-natural are misses, not filtered out."""
+        """Classes that miss the one connecting square of two_gen count the
+        16 candidate filler tables as liftings instead of the 4 natural
+        ones: against 4 squares, neither the counts nor the inverses hold."""
         shape, f, g = two_gen_plain_pres(), arr(2, 2, [0, 1]), arr(2, 1, [0, 0])
         real = verify._problem_free_positions
 
@@ -880,6 +935,30 @@ class TestOracleKappaMutations:
         report = oracle_kappa(shape, f, g)
         assert "exhaustive" in report.entries[1].detail
         assert self._labels(report) == {"cardinality": False, "two-sided-inverse": False}
+
+    @pytest.mark.parametrize("kind, build, f, g", FAULTY_CELLS,
+                             ids=[f"{k}-{i}" for i, (k, *_) in enumerate(FAULTY_CELLS)])
+    def test_faulty_cells_fail_two_sided_inverse(self, kind, build, f, g, monkeypatch):
+        shape, f, g = build(), arr(*f), arr(*g)
+        struct = StepEngine(shape).step_tables(f)
+        assert _faulty_cells(kind, struct, struct.copaired().table) is not None
+        assert oracle_kappa(shape, f, g, bound=2).ok
+        install_faulty_cells(monkeypatch, kind)
+        report = oracle_kappa(shape, f, g, bound=2)
+        assert "exhaustive" in report.entries[1].detail
+        assert self._labels(report) == {"cardinality": True, "two-sided-inverse": False}
+
+    def test_faulty_cells_fail_the_sampled_branch(self, monkeypatch):
+        """531,441 squares are sampled: the cells are checked all the same,
+        and mediating a sampled lifting through the faulty cells raises,
+        which counts as a failed identity, not an escaped error."""
+        args = (abc_pres(), arr(2, 1, [0, 0]), arr(3, 1, [0, 0, 0]))
+        before = oracle_kappa(*args, bound=3, samples=16)
+        assert before.ok and before.entries[1].detail == "sampled 16 per side (seed 0)"
+        install_faulty_cells(monkeypatch, "a")
+        report = oracle_kappa(*args, bound=3, samples=16)
+        assert [e.detail for e in report.entries] == [e.detail for e in before.entries]
+        assert self._labels(report) == {"cardinality": True, "two-sided-inverse": False}
 
 
 class TestOracleInitiality:

@@ -148,6 +148,11 @@ def arrow_joint_coequalizer(
             raise DiagramError("coequaliser pairs must target the declared codomain")
     top = joint_coequalizer([(u.top, v.top) for u, v in pairs], codomain=codomain.top)
     bot = joint_coequalizer([(u.bot, v.bot) for u, v in pairs], codomain=codomain.bot)
-    apex = ArrowObject(top.induced(compose(bot.q, codomain.map)))
+    # classes are numbered by least member, so a bottom quotient that merged
+    # nothing is the identity and bot.q . codomain.map is codomain.map: the
+    # chain's coequalisers are of this kind, and a carrier-sized compose per
+    # stage goes; induced still checks descent along the top quotient
+    mapped = codomain.map if bot.apex == codomain.bot else compose(bot.q, codomain.map)
+    apex = ArrowObject(top.induced(mapped))
     q = CommSquare(codomain, apex, top.q, bot.q)
     return ArrowQuotient(apex, q, top, bot)

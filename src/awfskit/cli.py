@@ -8,11 +8,18 @@ not parse prints its usage); 2 the chain did not stabilise within
 ``--max-stage`` (the summary lists the per-stage carrier sizes); 3 an
 enumeration or carrier exceeded the size budget.  ``oracle kappa`` with
 neither map sweeps every pair of maps with carriers at most ``--bound``.
+
+A process that calls ``main`` many times pays its fixed cost once: it
+builds one argument parser, on the first call, and reuses each
+presentation's decoded and validated form while the file's path and
+bytes are unchanged.  Every call still reads the presentation file in
+full; ``validate`` always decodes and validates afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from typing import Optional
@@ -34,7 +41,9 @@ from .serialize import (
     dumps,
     encode_certificate,
     encode_map,
+    parse_text,
     read_json,
+    read_text,
     trace_summary,
     write_json,
 )
@@ -75,7 +84,11 @@ def _non_negative(what: str):
     return parse
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+    Parsing leaves it unchanged, and argparse reads ``sys.stdout`` and
+    ``sys.stderr`` when it prints, so every call parses as if it were new."""
     top = _Parser(
         prog="awfskit",
         description="Factorise maps of finite sets with certified lifting structure.",
@@ -141,7 +154,23 @@ def _finish_report(report: Report, out: Optional[str]) -> int:
 
 
 def _load_presentation(path: str):
-    pres = decode_presentation(read_json(path), path)
+    """The presentation in the file at ``path``, decoded and validated once
+    per path and content: the file is read in full on every call, and a
+    changed byte decodes and validates again."""
+    return _presentation(path, read_text(path))
+
+
+# The presentations kept decoded and validated, keyed by path and text:
+# more than a run of calls uses at once, and few enough that what the memo
+# holds (these texts and their decoded forms) stays small.
+_PRESENTATION_MEMO = 8
+
+
+@functools.lru_cache(maxsize=_PRESENTATION_MEMO)
+def _presentation(path: str, text: str):
+    # a fault raises, and lru_cache keeps no exception: an invalid file
+    # fails in full, with the same message, on every call
+    pres = decode_presentation(parse_text(text, path), path)
     pres.ensure_valid()
     return pres
 

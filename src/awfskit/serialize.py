@@ -51,7 +51,10 @@ sort_keys=True, indent=2)`` plus a newline; ``json.dumps`` itself stays
 only in the tests, as the reference the encoder is checked against.  A
 certificate's lift table is written as text straight from the columns of
 its ``LiftTable``, without a dictionary per record: each run of records
-that share a template is one ``%`` into the repeated template.
+that share a template is one ``%`` into the repeated template.  The run
+texts are kept as separate pieces, and ``write_json`` writes the pieces of
+an artifact one after another, so a large certificate is never copied
+into one string on its way to the file.
 """
 
 from __future__ import annotations
@@ -86,16 +89,21 @@ CERTIFICATE_SCHEMA = "awfskit/certificate-v1"
 # text layer
 
 
-def parse_text(text: str):
-    """Decode a JSON document, converting syntax errors into ParseError
-    with line and column attributes."""
+def parse_text(text: str, path: Optional[str] = None):
+    """Decode a JSON document, converting syntax errors, and too deep a
+    nesting, into ParseError; a syntax error carries line and column
+    attributes.  Given the ``path`` the text was read from, the message
+    starts with it."""
+    prefix = "" if path is None else f"{path}: "
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        err = ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}")
+        err = ParseError(f"{prefix}line {e.lineno}, column {e.colno}: {e.msg}")
         err.line = e.lineno
         err.col = e.colno
         raise err from None
+    except RecursionError as e:
+        raise ParseError(f"{prefix}{e}") from None
 
 
 def dumps(payload) -> str:
@@ -104,21 +112,27 @@ def dumps(payload) -> str:
     booleans, ``None``, lists, tuples, dictionaries with string keys and
     text written ahead (``_Text``); the text is byte for byte
     ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``."""
+    return "".join(_pieces(payload))
+
+
+def _pieces(payload) -> list:
+    """The text of ``dumps`` as the list of strings it joins."""
     out: list = []
     _encode(payload, "\n", out)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 class _Text:
-    """A value already written as canonical text, as if its first line
-    were indented by ``nl`` (a newline and the indent); ``dumps`` splices it
-    in, re-indented when it sits at another depth."""
+    """A value already written as canonical text, in ``parts``, as if its
+    first line were indented by ``nl`` (a newline and the indent); ``dumps``
+    splices the parts in, re-indented when it sits at another depth.  The
+    parts stay apart so that a large text is not copied to join them."""
 
-    __slots__ = ("text", "nl")
+    __slots__ = ("parts", "nl")
 
-    def __init__(self, text: str, nl: str):
-        self.text = text
+    def __init__(self, parts: list, nl: str):
+        self.parts = parts
         self.nl = nl
 
 
@@ -169,29 +183,37 @@ def _encode(value, nl: str, out: list) -> None:
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(value, _Text):
-        out.append(value.text if value.nl == nl else value.text.replace(value.nl, nl))
+        if value.nl == nl:
+            out.extend(value.parts)
+        else:
+            out.append("".join(value.parts).replace(value.nl, nl))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def read_json(path: str):
+def read_text(path: str) -> str:
+    """The whole UTF-8 text of the file at ``path``; ParseError naming the
+    path when it cannot be read or is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8: {e.reason} at byte {e.start}") from None
-    try:
-        return parse_text(text)
-    except (ParseError, RecursionError) as e:  # too deep a nesting raises the latter
-        raise ParseError(f"{path}: {e}") from None
+
+
+def read_json(path: str):
+    return parse_text(read_text(path), path)
 
 
 def write_json(path: str, payload) -> None:
+    """Write the text of ``dumps(payload)``, piece by piece: a large
+    artifact is never held as one string next to its pieces."""
+    pieces = _pieces(payload)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps(payload))
+            fh.writelines(pieces)
     except OSError as e:
         raise OutputError(f"{path}: {e.strerror or e}") from None
 
@@ -477,7 +499,13 @@ def _lift_rows(lift_table: LiftTable, nl: str) -> _Text:
         for (name, _, count, tops, bots), fillers in sorted(
             zip(lift_table.runs, lift_table.filler_columns()), key=lambda run: run[0][0])
     ]
-    return _Text("[" + sep[1:] + sep.join(texts) + nl + "]" if texts else "[]", nl)
+    if not texts:
+        return _Text(["[]"], nl)
+    parts = ["[" + sep[1:]]
+    for text in texts:
+        parts += (text, sep)
+    parts[-1] = nl + "]"  # in place of the last separator
+    return _Text(parts, nl)
 
 
 _record_fields = tuple(map(itemgetter, ("generator", "top", "bot", "filler")))

@@ -1,9 +1,11 @@
 """Tests for the arrow category: squares, and pointwise colimit machinery."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from awfskit import chain as chain_module
 from awfskit.arrows import (
     ArrowColimit,
     ArrowDiagram,
@@ -13,8 +15,11 @@ from awfskit.arrows import (
     identity_square,
     square_compose,
 )
-from awfskit.errors import CompositionError, DiagramError
-from awfskit.finset import FinSet, FiniteMap, identity
+from awfskit.chain import run_chain
+from awfskit.errors import CompositionError, DiagramError, SizeBudgetExceeded
+from awfskit.finset import FinSet, FiniteMap, compose, identity, joint_coequalizer
+from awfskit.serialize import decode_map_or_arrow, decode_presentation, read_json
+from awfskit.step import SizeBudget
 
 
 def fmap(dom, cod, table):
@@ -182,3 +187,105 @@ def test_joint_coequalizer_rejects_non_parallel_pairs():
     v = identity_square(arrow(2, 2, [1, 0]))
     with pytest.raises(DiagramError):
         arrow_joint_coequalizer([(u, v)], codomain=c)
+
+
+def _assert_matches_reference(pairs, codomain):
+    """The joint coequaliser equals the reference as first written: both
+    quotients, and the apex map induced from bot.q after the codomain map
+    in every case."""
+    res = arrow_joint_coequalizer(pairs, codomain=codomain)
+    top = joint_coequalizer([(u.top, v.top) for u, v in pairs], codomain=codomain.top)
+    bot = joint_coequalizer([(u.bot, v.bot) for u, v in pairs], codomain=codomain.bot)
+    assert (res.top, res.bot) == (top, bot)
+    assert res.apex.map == top.induced(compose(bot.q, codomain.map))
+    assert res.q == CommSquare(codomain, res.apex, top.q, bot.q)
+    return res
+
+
+def _random_pairs(rng, merge_bottom):
+    """Parallel pairs of squares from an injective arrow into a random
+    codomain arrow.  Each square's bottom is forced on the image of the
+    source arrow and free elsewhere; unless ``merge_bottom``, both squares
+    of a pair share their bottom, so the bottom quotient merges nothing."""
+    bsize = rng.randint(1, 4)
+    tsize = rng.randint(bsize, bsize + 3)
+    table = list(range(bsize)) + [rng.randrange(bsize) for _ in range(tsize - bsize)]
+    rng.shuffle(table)
+    codomain = arrow(tsize, bsize, table)
+    fibres = {y: [x for x in range(tsize) if table[x] == y] for y in range(bsize)}
+    n = rng.randint(0, 2)
+    src = arrow(n, n + rng.randint(0, 2), range(n))
+    free = range(n, src.bot.size)
+
+    def square(top, bot_free):
+        bot = [table[t] for t in top] + bot_free
+        return CommSquare(src, codomain, fmap(n, tsize, top), fmap(src.bot.size, bsize, bot))
+
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        top_u = [rng.randrange(tsize) for _ in range(n)]
+        bot_u = [rng.randrange(bsize) for _ in free]
+        if merge_bottom:
+            top_v = [rng.randrange(tsize) for _ in range(n)]
+            bot_v = [rng.randrange(bsize) for _ in free]
+        else:
+            top_v = [rng.choice(fibres[table[t]]) for t in top_u]
+            bot_v = bot_u
+        pairs.append((square(top_u, bot_u), square(top_v, bot_v)))
+    return pairs, codomain
+
+
+@pytest.mark.parametrize("merge_bottom", [False, True], ids=["bottom-kept", "bottom-merged"])
+def test_joint_coequalizer_matches_the_reference_apex(merge_bottom):
+    rng = random.Random(17)
+    merged = 0
+    for _ in range(200):
+        pairs, codomain = _random_pairs(rng, merge_bottom)
+        res = _assert_matches_reference(pairs, codomain)
+        merged += res.bot.apex != codomain.bot
+    if merge_bottom:
+        assert merged > 50
+    else:
+        assert merged == 0
+
+
+def test_joint_coequalizer_merging_the_bottom_example():
+    # the two bottoms disagree, so the bottom 2 -> 1 merges and the apex
+    # map is induced through it
+    c = arrow(3, 2, [0, 1, 0])
+    src = arrow(0, 1, [])
+    u = CommSquare(src, c, fmap(0, 3, []), fmap(1, 2, [0]))
+    v = CommSquare(src, c, fmap(0, 3, []), fmap(1, 2, [1]))
+    res = _assert_matches_reference([(u, v)], c)
+    assert res.apex.map.table == (0, 0, 0)
+    assert res.bot.apex.size == 1
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+# every shipped presentation in plain mode, and the double ones in special mode
+CHAIN_RUNS = [(p.stem, mode) for p in sorted(FIXTURE_DIR.glob("gen_*.json"))
+              for mode in ("plain", "special")
+              if mode == "plain" or read_json(str(p))["kind"] == "double"]
+
+
+@pytest.mark.parametrize("name, mode", CHAIN_RUNS, ids=[f"{n}-{m}" for n, m in CHAIN_RUNS])
+def test_every_chain_coequaliser_matches_the_reference_apex(name, mode, monkeypatch):
+    """Every coequaliser the chain takes up to stage 3, on every shipped
+    presentation and map (the abc chain of 1 -> 2 reaches 429,565 cells);
+    none of them merges the bottom, so each takes the codomain map as is."""
+    pres = decode_presentation(read_json(str(FIXTURE_DIR / f"{name}.json")))
+    seen = []
+
+    def checked(pairs, codomain):
+        res = _assert_matches_reference(pairs, codomain)
+        seen.append(res.bot.apex == codomain.bot)
+        return res
+
+    monkeypatch.setattr(chain_module, "arrow_joint_coequalizer", checked)
+    maps = [decode_map_or_arrow(read_json(str(p))) for p in sorted(FIXTURE_DIR.glob("f_*.json"))]
+    for f in maps + [arrow(1, 2, [0])]:
+        try:
+            run_chain(pres, f, mode, max_stage=3, budget=SizeBudget(500_000))
+        except SizeBudgetExceeded:
+            pass
+    assert seen and all(seen)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from awfskit import cli
 from awfskit.cli import main
 from awfskit.serialize import encode_presentation
 
@@ -699,3 +700,96 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: awfskit")
+
+
+class TestCallReuse:
+    """One process calls ``main`` many times: the parser is built once and
+    each presentation is decoded and validated once per path and content,
+    and no call sees what an earlier one parsed or loaded."""
+
+    @staticmethod
+    def call(argv, capsys, out=None):
+        """Exit code, stdout, stderr and the ``--out`` bytes of one call."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = Path(out).read_bytes() if out and Path(out).exists() else None
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--presentation", fx("gen_composite.json"), "--map", fx("f_3to2.json"),
+         "--mode", "special", "--max-stage", "4"],
+        ["verify", "--presentation", fx("gen_split_epi.json"), "--certificate", "{cert}"],
+        ["lift", "--presentation", fx("gen_split_epi.json"), "--certificate", "{cert}",
+         "--problem", "{problem}"],
+        ["oracle", "kappa", "--presentation", fx("gen_split_epi.json"),
+         "--map", fx("f_1to1.json"), "--target-map", fx("f_1to1.json")],
+        ["oracle", "initiality", "--presentation", fx("gen_split_epi.json"),
+         "--certificate", "{cert}"],
+    ], ids=["factor", "verify", "lift", "oracle-kappa", "oracle-initiality"])
+    def test_same_argv_twice_is_byte_identical(self, argv, cert_path, tmp_path, capsys):
+        problem = write(tmp_path, "p.json", {"generator": "j", "top": [], "bot": [1]})
+        out = str(tmp_path / "out.json")
+        argv = [a.format(cert=cert_path, problem=problem) for a in argv] + ["--out", out]
+        first = self.call(argv, capsys, out)
+        Path(out).unlink()
+        second = self.call(argv, capsys, out)
+        assert first == second
+        assert first[0] == 0 and first[3]
+
+    def test_rewritten_presentation_is_read_again(self, tmp_path, capsys):
+        """The same path holds a valid, an invalid (twice) and another valid
+        presentation in turn; each call answers as a call on a fresh file
+        with that content does, so a memo keyed on the path alone fails."""
+        invalid = json.dumps({
+            "kind": "plain",
+            "generators": [{"name": "j", "map": {"dom": 1, "cod": 1, "table": [0]}},
+                           {"name": "k", "map": {"dom": 1, "cod": 2, "table": [1]}}],
+            "morphisms": [{"name": "s", "dom": "j", "cod": "k",
+                           "top": {"dom": 1, "cod": 1, "table": [0]},
+                           "bot": {"dom": 1, "cod": 2, "table": [0]}}],
+        })
+        contents = [Path(fx("gen_split_epi.json")).read_text(), invalid, invalid,
+                    Path(fx("gen_composite.json")).read_text()]
+        pres = tmp_path / "pres.json"
+        results = []
+        for i, text in enumerate(contents):
+            fresh = tmp_path / f"fresh-{i}.json"
+            fresh.write_text(text)
+            pres.write_text(text)
+            argv = ["factor", "--presentation", "{p}", "--map", fx("f_3to2.json"),
+                    "--max-stage", "3"]
+            got = self.call([a.format(p=pres) for a in argv], capsys)
+            want = self.call([a.format(p=fresh) for a in argv], capsys)
+            assert got == want
+            results.append(got)
+        assert results[1][0] == 1
+        assert results[1][2].startswith("error: invalid presentation: ")
+        assert "realisation-square" in results[1][2]
+        assert results[0][0] == results[3][0] == 0
+        assert results[0][1] != results[3][1]
+
+    def test_defaults_do_not_leak_between_calls(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        base = ["factor", "--presentation", fx("gen_composite.json"), "--map", fx("f_3to2.json"),
+                "--max-stage", "4", "--out", str(out)]
+        assert main(base + ["--mode", "special"]) == 0
+        assert json.loads(out.read_text())["mode"] == "special"
+        assert main(base) == 0
+        assert json.loads(out.read_text())["mode"] == "plain"
+        capsys.readouterr()
+        bad = ["factor", "--presentation", fx("gen_growth.json"), "--max-stage", "x"]
+        first = self.call(bad, capsys)
+        assert first == self.call(bad, capsys)
+        assert first[0] == 1 and first[2].startswith("usage: awfskit")
+        assert cli._parser() is cli._parser()
+
+    def test_presentation_memo_stays_bounded(self, tmp_path, capsys):
+        text = Path(fx("gen_split_epi.json")).read_text()
+        for i in range(cli._PRESENTATION_MEMO + 3):
+            pres = tmp_path / f"pres-{i}.json"
+            pres.write_text(text)
+            assert main(["oracle", "kappa", "--presentation", str(pres),
+                         "--map", fx("f_1to1.json"), "--target-map", fx("f_1to1.json")]) == 0
+        info = cli._presentation.cache_info()
+        assert info.maxsize == cli._PRESENTATION_MEMO
+        assert info.currsize == cli._PRESENTATION_MEMO

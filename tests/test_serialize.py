@@ -27,6 +27,7 @@ from awfskit.serialize import (
     encode_presentation,
     parse_text,
     trace_summary,
+    write_json,
 )
 from awfskit.verify import Certificate, verify_certificate
 
@@ -287,6 +288,19 @@ class TestEncoderMatchesJsonDumps:
             table[(name, (0, 1), ())] = FiniteMap(FinSet(0), FinSet(5), ())
         cert = replace(cert, lift_table=table)
         assert dumps(encode_certificate(cert)) == reference_dumps(plain_certificate_payload(cert))
+
+    def test_lift_rows_at_another_depth_and_through_write_json(self, tmp_path):
+        # the rows' pieces are re-indented as one text when nested deeper,
+        # and write_json writes the same bytes as dumps, piece by piece
+        pres = composite_pres()
+        cert = Certificate.from_result(pres, factorise(pres, f_2to3(), mode="special", max_stage=4))
+        assert len(cert.lift_table.runs) > 1
+        nested = {"certificates": [encode_certificate(cert)], "n": 1}
+        plain = {"certificates": [plain_certificate_payload(cert)], "n": 1}
+        assert dumps(nested) == reference_dumps(plain)
+        path = tmp_path / "nested.json"
+        write_json(str(path), nested)
+        assert path.read_text(encoding="utf-8") == reference_dumps(plain)
 
 
 @pytest.mark.parametrize("case", CASES)

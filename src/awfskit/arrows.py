@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import CompositionError, DiagramError
 from .finset import (
-    Diagram,
     FinSet,
     FiniteMap,
     QuotientResult,
@@ -85,31 +84,23 @@ def square_compose(b: CommSquare, a: CommSquare) -> CommSquare:
     return CommSquare(a.src, b.dst, compose(b.top, a.top), compose(b.bot, a.bot))
 
 
-@dataclass
-class ArrowDiagram:
-    """Finite diagram in the arrow category: arrow vertices, square edges."""
-
-    vertices: list[ArrowObject]
-    edges: list[tuple[int, int, CommSquare]]
-
-
 class ArrowColimit:
-    """Colimit of an arrow diagram with legs and a mediating factory."""
+    """Colimit of a finite diagram of arrows, given as its vertices and its
+    edges ``(source, target, square)``, with legs and a mediating factory.
+    It is computed on top and bottom carriers separately (``finite_colimit``),
+    so it depends only on the identifications its edges generate."""
 
-    def __init__(self, diagram: ArrowDiagram):
-        for s, d, e in diagram.edges:
-            if e.src != diagram.vertices[s] or e.dst != diagram.vertices[d]:
+    def __init__(self, vertices: Sequence[ArrowObject],
+                 edges: Sequence[tuple[int, int, CommSquare]]):
+        for s, d, e in edges:
+            if e.src != vertices[s] or e.dst != vertices[d]:
                 raise DiagramError("diagram edge square does not match its endpoints")
-        self.top = finite_colimit(
-            Diagram([v.top for v in diagram.vertices], [(s, d, e.top) for s, d, e in diagram.edges])
-        )
-        self.bot = finite_colimit(
-            Diagram([v.bot for v in diagram.vertices], [(s, d, e.bot) for s, d, e in diagram.edges])
-        )
+        self.top = finite_colimit([v.top for v in vertices], [(s, d, e.top) for s, d, e in edges])
+        self.bot = finite_colimit([v.bot for v in vertices], [(s, d, e.bot) for s, d, e in edges])
         self.apex = ArrowObject(self.top.induced(
-            [compose(self.bot.legs[i], v.map) for i, v in enumerate(diagram.vertices)]
+            [compose(self.bot.legs[i], v.map) for i, v in enumerate(vertices)]
         ))
-        self._vertices = list(diagram.vertices)
+        self._vertices = list(vertices)
 
     def leg(self, i: int) -> CommSquare:
         return CommSquare(self._vertices[i], self.apex, self.top.legs[i], self.bot.legs[i])

@@ -38,7 +38,6 @@ from .serialize import (
     decode_map_or_arrow,
     decode_presentation,
     decode_problem,
-    dumps,
     encode_certificate,
     encode_map,
     parse_text,

@@ -21,7 +21,7 @@ faster than rebuilding their tables with ``dict``/``map``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from operator import itemgetter, ne
 from typing import Iterable, Optional, Sequence
 
@@ -267,18 +267,6 @@ def pushout(f: FiniteMap, g: FiniteMap) -> PushoutResult:
     return PushoutResult(apex, left, right)
 
 
-@dataclass
-class Diagram:
-    """A finite diagram of sets: vertices plus edges labelled by maps.
-
-    The colimit only depends on the identifications the edges generate, so
-    identity and composite edges may be included or omitted freely.
-    """
-
-    vertices: list[FinSet]
-    edges: list[tuple[int, int, FiniteMap]]
-
-
 @dataclass(frozen=True)
 class CoconeWitness:
     """Colimit apex with its legs and the mediating-map factory; ``q`` is the
@@ -310,23 +298,24 @@ class CoconeWitness:
         return FiniteMap(self.apex, maps[0].cod, out)
 
 
-def finite_colimit(diagram: Diagram) -> CoconeWitness:
-    """Colimit of a finite diagram: quotient of the coproduct by the edges.
+def finite_colimit(vertices: Sequence[FinSet],
+                   edges: Sequence[tuple[int, int, FiniteMap]]) -> CoconeWitness:
+    """Colimit of a finite diagram of sets, given as its vertices and its
+    edges ``(source, target, map)``: the quotient of the coproduct of the
+    vertices by the edges.
 
-    Every apex class contains at least one coproduct element, so the legs
-    are jointly surjective.
+    The colimit depends only on the identifications the edges generate, so
+    identity and composite edges may be included or omitted freely.  Every
+    apex class contains at least one coproduct element, so the legs are
+    jointly surjective.
     """
-    sizes = [v.size for v in diagram.vertices]
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    merges = []
-    for src, dst, e in diagram.edges:
+    sizes = [v.size for v in vertices]
+    offsets = list(accumulate(sizes, initial=0))
+    total, merges = offsets[-1], []
+    for src, dst, e in edges:
         if not (0 <= src < len(sizes) and 0 <= dst < len(sizes)):
             raise DiagramError("diagram edge endpoint out of range")
-        if e.dom != diagram.vertices[src] or e.cod != diagram.vertices[dst]:
+        if e.dom != vertices[src] or e.cod != vertices[dst]:
             raise DiagramError("diagram edge map does not match its endpoints")
         osrc, odst = offsets[src], offsets[dst]
         merges.extend((osrc + x, odst + v) for x, v in enumerate(e.table))
@@ -334,6 +323,6 @@ def finite_colimit(diagram: Diagram) -> CoconeWitness:
     apex = FinSet(size)
     legs = tuple(
         FiniteMap(vert, apex, table[offsets[i] : offsets[i] + vert.size])
-        for i, vert in enumerate(diagram.vertices)
+        for i, vert in enumerate(vertices)
     )
     return CoconeWitness(apex, legs, FiniteMap(FinSet(total), apex, table))

@@ -55,14 +55,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .arrows import (
-    ArrowColimit,
-    ArrowDiagram,
-    ArrowObject,
-    CommSquare,
-    identity_square,
-    square_compose,
-)
+from .arrows import ArrowColimit, ArrowObject, CommSquare, identity_square, square_compose
 from .errors import (
     DiagramError,
     NonNaturalLifting,
@@ -370,9 +363,10 @@ def fast_step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -
                          FiniteMap(target.top, extended.top, tuple(range(x))))
 
 
-def _copies(table: Sequence[int], size: int, count: int, base: int) -> list:
-    """``count`` copies of a map into ``size`` points, side by side from ``base``."""
-    return [base + r * size + v for r in range(count) for v in table]
+def _copies(table: Sequence[int], size: int, rows: Sequence[int], base: int) -> list:
+    """A copy of a map into ``size`` points for each of ``rows``: the copy
+    for row r lands in block r of ``size`` points, counted from ``base``."""
+    return [base + r * size + v for r in rows for v in table]
 
 
 def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> StepStructure:
@@ -380,56 +374,50 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
 
     The colimit of the problems over the comma category is one coequaliser
     in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
-    copy of ``sq.src`` per connecting square ``sq`` and problem ``p`` of
-    its target generator.  One edge sends the copy identically to the
-    problem ``p ∘ sq`` (found by its rank), the other along ``sq`` into
-    ``p``.  Every point of ``V`` is merged with a point of ``U``, so the
-    classes are numbered by their least point of ``U``, in problem order.
-    The extension is the pushout of the colimit along its counit into
+    copy of ``sq.src`` per connecting square ``sq: u' → u`` and problem
+    ``p`` of ``u``.  Each generator's problems fill one block of each of
+    ``U``'s carriers, in problem order, so every edge column is block
+    arithmetic: one edge copies the identity of ``u'`` into the problem
+    ``p ∘ sq`` (numbered by its rank), the other ``sq`` into ``p``.  Every
+    point of ``V`` is merged with a point of ``U``, so the classes are
+    numbered by their least point of ``U``, in problem order.  The
+    extension is the pushout of the colimit along its counit into
     ``target``."""
     x, y = target.top.size, target.bot.size
     gens = _layouts(shape, x, y, False)
     check_listable(sum(meta.block for meta in gens.values()), budget,
                    "general step lists", "problems at most")
-    cols, firsts = {}, {}  # generator -> its key columns, the number of its first problem
-    utable, to_top, to_bot, tsizes, bsizes = [], [], [], [], []
+    cols, starts = {}, {}  # generator -> its key columns, where its blocks of U start
+    utable, to_top, to_bot = [], [], []
     for name, meta in gens.items():
         meta.ranks, tops, bots = meta.columns(target)
-        count, nb = len(meta.ranks), meta.u.bot.size
-        cols[name], firsts[name] = (tops, bots), len(tsizes)
-        utable += _copies(meta.u.map.table, nb, count, len(to_bot))
+        count = len(meta.ranks)
+        cols[name], starts[name] = (tops, bots), (len(to_top), len(to_bot))
+        utable += _copies(meta.u.map.table, meta.u.bot.size, range(count), len(to_bot))
         to_top += _interleave(tops, count)
         to_bot += _interleave(bots, count)
-        tsizes += itertools.repeat(meta.u.top.size, count)
-        bsizes += itertools.repeat(nb, count)
-    utops = list(itertools.accumulate(tsizes, initial=0))
-    ubots = list(itertools.accumulate(bsizes, initial=0))
-    big_u = ArrowObject(FiniteMap(FinSet(utops[-1]), FinSet(ubots[-1]), tuple(utable)))
-    vtable, vtop, moved_top, moved_bot, along_top, along_bot = [], 0, [], [], [], []
+    big_u = ArrowObject(FiniteMap(FinSet(len(to_top)), FinSet(len(to_bot)), tuple(utable)))
+    vtable, moved_top, moved_bot, along_top, along_bot = [], [], [], [], []
     for _, src_gen, dst_gen, sq in shape.lifting_squares():
-        st, sb = sq.top.table, sq.bot.table
-        src, (tops, bots) = gens[src_gen], cols[dst_gen]
-        first, count = firsts[dst_gen], len(gens[dst_gen].ranks)
-        vtable += _copies(sq.src.map.table, len(sb), count, len(along_bot))
-        vtop += len(st) * count
-        # the rank of p ∘ sq among the rows of src_gen, for each problem p
+        st, sb, (tops, bots) = sq.top.table, sq.bot.table, cols[dst_gen]
+        src, rows = gens[src_gen], range(len(gens[dst_gen].ranks))
+        vtable += _copies(sq.src.map.table, len(sb), rows, len(along_bot))
+        # the number of p ∘ sq among the problems of src_gen, for each problem p
         digits = [(x, tops[v]) for v in st] + [(y, bots[sb[b]]) for b in src.free]
-        ranks = _rank_column(digits, 1, 0) if digits else [0] * count
-        numbers = src.by_rank(range(len(src.ranks)))
-        for i, r in zip(range(first, first + count), ranks):
-            j = firsts[src_gen] + numbers[r]
-            moved_top += range(utops[j], utops[j + 1])
-            moved_bot += range(ubots[j], ubots[j + 1])
-            along_top += [utops[i] + v for v in st]
-            along_bot += [ubots[i] + v for v in sb]
-    big_v = ArrowObject(FiniteMap(FinSet(vtop), FinSet(len(along_bot)), tuple(vtable)))
+        ranks = _rank_column(digits, 1, 0) if digits else [0] * len(rows)
+        numbers = _gather(src.by_rank(range(len(src.ranks))), ranks)
+        moved_top += _copies(range(len(st)), len(st), numbers, starts[src_gen][0])
+        moved_bot += _copies(range(len(sb)), len(sb), numbers, starts[src_gen][1])
+        along_top += _copies(st, sq.dst.top.size, rows, starts[dst_gen][0])
+        along_bot += _copies(sb, sq.dst.bot.size, rows, starts[dst_gen][1])
+    big_v = ArrowObject(FiniteMap(FinSet(len(along_top)), FinSet(len(along_bot)), tuple(vtable)))
 
     def edge(top: list, bot: list) -> CommSquare:
         return CommSquare(big_v, big_u, FiniteMap(big_v.top, big_u.top, tuple(top)),
                           FiniteMap(big_v.bot, big_u.bot, tuple(bot)))
 
     moved, along = edge(moved_top, moved_bot), edge(along_top, along_bot)
-    colim = ArrowColimit(ArrowDiagram([big_u, big_v], [(1, 0, moved), (1, 0, along)]))
+    colim = ArrowColimit([big_u, big_v], [(1, 0, moved), (1, 0, along)])
     to_f = CommSquare(big_u, target, FiniteMap(big_u.top, target.top, tuple(to_top)),
                       FiniteMap(big_u.bot, target.bot, tuple(to_bot)))
     counit = colim.induced([to_f, square_compose(to_f, moved)], target)
@@ -437,10 +425,10 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     bottoms = colim.bot.legs[0]
     copair = compose(po.right, bottoms)
     # each cell's free entries, read off the copaired cells in problem order
-    cells, cover = copair.table, list(po.left.table)
+    cover = list(po.left.table)
     for name, meta in gens.items():
-        nb, start = meta.u.bot.size, ubots[firsts[name]]
-        entries = [cells[start + j * nb + b] for j in range(len(meta.ranks)) for b in meta.free]
+        nb = meta.u.bot.size
+        entries = _gather(copair.table, _copies(meta.free, nb, range(len(meta.ranks)), starts[name][1]))
         cover += entries
         meta.points = meta.by_rank(entries, meta.fcount)
     return StepStructure(shape, target, gens, ArrowObject(po.induced(target.map, counit.bot)),

@@ -532,6 +532,7 @@ def oracle_kappa(
     engine, _ = step.engines(pres, "plain", budget)
     struct = engine.step_tables(f)
     check_listable(struct.problem_count(), budget, "oracle kappa lists")
+    check_listable(_count_commuting_squares(f, g), budget, "oracle kappa lists", "base squares")
     fib = _fibres(g)
     problems, classes = _problem_free_positions(struct)
     # the step's cells on whole tables, against the oracle's own problems and
@@ -637,6 +638,8 @@ def oracle_initiality(
             continue
         check_listable(_count_commuting_squares(cert.right, g), budget,
                        "oracle initiality lists", "candidate squares")
+        check_listable(_count_commuting_squares(cert.input, g), budget,
+                       "oracle initiality lists", "boundary squares")
         morphisms = []
         for h in _commuting_squares(cert.right, g):
             th = engine.extend(h)

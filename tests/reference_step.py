@@ -41,8 +41,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from awfskit.arrows import (ArrowColimit, ArrowDiagram, ArrowObject, CommSquare, arrow,
-                            identity_square, square_compose)
+from awfskit.arrows import (ArrowColimit, ArrowObject, CommSquare, arrow, identity_square,
+                            square_compose)
 from awfskit.errors import ProblemMismatch, SizeBudgetExceeded
 from awfskit.finset import FiniteMap, PushoutResult, compose, identity, pushout
 from awfskit.presentation import ComposablePairs, PairGen, id_name, is_id_name, pair_name
@@ -109,8 +109,8 @@ class CommaCategory:
     index: dict
     edges: list[tuple[int, int, str, CommSquare]]
 
-    def diagram(self) -> ArrowDiagram:
-        return ArrowDiagram(
+    def diagram(self) -> tuple[list, list]:
+        return (
             [p.square.src for p in self.problems],
             [(s, d, sq) for s, d, _, sq in self.edges],
         )
@@ -156,9 +156,9 @@ def density_step(shape, f: ArrowObject, budget: Optional[SizeBudget] = None) -> 
     comma = comma_category(shape, f, budget)
     # a last vertex, the initial arrow with its empty square into f, changes
     # no colimit and keeps the diagram non-empty, as ArrowColimit needs
-    diagram, initial = comma.diagram(), arrow(0, 0, [])
-    diagram.vertices.append(initial)
-    colim = ArrowColimit(diagram)
+    (vertices, edges), initial = comma.diagram(), arrow(0, 0, [])
+    vertices.append(initial)
+    colim = ArrowColimit(vertices, edges)
     empty = CommSquare(initial, f, FiniteMap(initial.top, f.top, ()),
                        FiniteMap(initial.bot, f.bot, ()))
     counit = colim.induced([p.square for p in comma.problems] + [empty], f)

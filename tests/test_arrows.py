@@ -8,7 +8,6 @@ import pytest
 from awfskit import chain as chain_module
 from awfskit.arrows import (
     ArrowColimit,
-    ArrowDiagram,
     CommSquare,
     arrow,
     arrow_joint_coequalizer,
@@ -84,7 +83,7 @@ def test_colimit_of_two_vertex_chain():
     v0 = arrow(1, 1, [0])
     v1 = arrow(2, 1, [0, 0])
     e = CommSquare(v0, v1, fmap(1, 2, [0]), fmap(1, 1, [0]))
-    colim = ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+    colim = ArrowColimit([v0, v1], [(0, 1, e)])
     assert colim.apex.top.size == 2
     assert colim.apex.bot.size == 1
     assert colim.apex.map.table == (0, 0)
@@ -97,7 +96,7 @@ def test_colimit_induced_square():
     v0 = arrow(1, 1, [0])
     v1 = arrow(2, 1, [0, 0])
     e = CommSquare(v0, v1, fmap(1, 2, [0]), fmap(1, 1, [0]))
-    colim = ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+    colim = ArrowColimit([v0, v1], [(0, 1, e)])
     target = v1
     cocone = [CommSquare(v0, target, fmap(1, 2, [0]), fmap(1, 1, [0])), identity_square(v1)]
     u = colim.induced(cocone, target)
@@ -111,7 +110,7 @@ def test_colimit_of_empty_diagram():
     # the one-step construction always glues two vertices; an empty diagram
     # has no cocone to mediate its apex map out of
     with pytest.raises(DiagramError, match="cannot mediate out of an empty diagram"):
-        ArrowColimit(ArrowDiagram([], []))
+        ArrowColimit([], [])
 
 
 def test_colimit_rejects_edge_endpoint_mismatch():
@@ -119,7 +118,7 @@ def test_colimit_rejects_edge_endpoint_mismatch():
     v1 = arrow(2, 1, [0, 0])
     e = identity_square(v1)
     with pytest.raises(DiagramError):
-        ArrowColimit(ArrowDiagram([v0, v1], [(0, 1, e)]))
+        ArrowColimit([v0, v1], [(0, 1, e)])
 
 
 def test_colimit_random_diagrams_legs_commute():
@@ -140,7 +139,7 @@ def test_colimit_random_diagrams_legs_commute():
             fibers = {y: [x for x in range(fd.top.size) if fd.map.table[x] == y] for y in range(ysize)}
             top = [rng.choice(fibers[fs.map.table[x]]) for x in range(fs.top.size)]
             edges.append((s, d, CommSquare(fs, fd, fmap(fs.top.size, fd.top.size, top), identity(FinSet(ysize)))))
-        colim = ArrowColimit(ArrowDiagram(verts, edges))
+        colim = ArrowColimit(verts, edges)
         for s, d, e in edges:
             glued = square_compose(colim.leg(d), e)
             assert glued.top.table == colim.leg(s).top.table

@@ -10,7 +10,7 @@ from awfskit.cli import main
 from awfskit.serialize import encode_presentation
 
 from fixture_lib import pair_square_pres
-from test_verify import install_faulty_cells
+from test_verify import install_faulty_cells, refuse_square_listings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -476,6 +476,38 @@ class TestOracle:
         assert main(["oracle", "initiality", *pres, "--certificate", cert]) == 3
         assert capsys.readouterr() == ("", "size budget exceeded: oracle initiality lists "
                                            "101559956668416 candidate squares, budget allows 250000\n")
+
+    def test_kappa_refuses_before_listing_base_squares(self, tmp_path, capsys, monkeypatch):
+        """The identity on 8 points has 16,777,216 base squares into the
+        constant map onto one point: counted, not listed, then refused."""
+        f = write(tmp_path, "id8.json", {"dom": 8, "cod": 8, "table": list(range(8))})
+        g = write(tmp_path, "c8.json", {"dom": 8, "cod": 1, "table": [0] * 8})
+        refuse_square_listings(monkeypatch)
+        assert main(["oracle", "kappa", "--presentation", fx("gen_split_epi.json"), "--map", f,
+                     "--target-map", g, "--bound", "8", "--budget", "1000"]) == 3
+        assert capsys.readouterr() == ("", "size budget exceeded: oracle kappa lists "
+                                           "16777216 base squares, budget allows 1000\n")
+
+    def test_initiality_refuses_before_listing_boundary_squares(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """The special certificate of 2 -> 1 with its input replaced by the
+        constant map 16 -> 1 and its left factor by the constant map to 0
+        passes every boundary check; its 43,046,721 boundary squares are
+        counted, not listed, then refused."""
+        cert = tmp_path / "cert.json"
+        pres = ["--presentation", fx("gen_split_epi.json")]
+        f = write(tmp_path, "f.json", {"dom": 2, "cod": 1, "table": [0, 0]})
+        assert main(["factor", *pres, "--map", f, "--mode", "special", "--out", str(cert)]) == 0
+        obj = json.loads(cert.read_text())
+        obj["input"] = {"top": 16, "bot": 1, "map": {"dom": 16, "cod": 1, "table": [0] * 16}}
+        obj["left"] = {"dom": 16, "cod": 3, "table": [0] * 16}
+        cert.write_text(json.dumps(obj))
+        capsys.readouterr()
+        refuse_square_listings(monkeypatch)
+        assert main(["oracle", "initiality", *pres, "--certificate", str(cert),
+                     "--budget", "1000"]) == 3
+        assert capsys.readouterr() == ("", "size budget exceeded: oracle initiality lists "
+                                           "43046721 boundary squares, budget allows 1000\n")
 
     def test_kappa_with_squares_beyond_the_listing_cap_samples(self, tmp_path, capsys):
         pres = write(tmp_path, "pres.json", encode_presentation(pair_square_pres()))

@@ -18,7 +18,6 @@ from awfskit.arrows import ArrowObject, CommSquare, arrow
 from awfskit.errors import CompositionError, DiagramError, UniversalityError
 from awfskit.finset import (
     CoconeWitness,
-    Diagram,
     FinSet,
     FiniteMap,
     _quotient_table,
@@ -252,36 +251,33 @@ def test_pushout_induced_rejects_non_commuting():
 
 def test_colimit_span_frozen_example():
     # 1 <- 0 -> 1 has apex of size 2
-    d = Diagram(
+    w = finite_colimit(
         vertices=[FinSet(1), FinSet(0), FinSet(1)],
         edges=[(1, 0, fmap(0, 1, [])), (1, 2, fmap(0, 1, []))],
     )
-    w = finite_colimit(d)
     assert w.apex.size == 2
     assert w.legs[0].table == (0,) and w.legs[2].table == (1,)
 
 
 def test_colimit_single_vertex():
-    w = finite_colimit(Diagram(vertices=[FinSet(3)], edges=[]))
+    w = finite_colimit(vertices=[FinSet(3)], edges=[])
     assert w.apex.size == 3
     assert w.legs[0].table == (0, 1, 2)
 
 
 def test_colimit_empty_diagram():
-    w = finite_colimit(Diagram(vertices=[], edges=[]))
+    w = finite_colimit(vertices=[], edges=[])
     assert w.apex.size == 0 and w.legs == ()
 
 
 def test_colimit_edge_validation():
-    d = Diagram(vertices=[FinSet(1), FinSet(2)], edges=[(0, 1, fmap(2, 2, [0, 1]))])
     with pytest.raises(DiagramError):
-        finite_colimit(d)
-    d2 = Diagram(vertices=[FinSet(1)], edges=[(0, 3, fmap(1, 1, [0]))])
+        finite_colimit(vertices=[FinSet(1), FinSet(2)], edges=[(0, 1, fmap(2, 2, [0, 1]))])
     with pytest.raises(DiagramError):
-        finite_colimit(d2)
+        finite_colimit(vertices=[FinSet(1)], edges=[(0, 3, fmap(1, 1, [0]))])
 
 
-def _random_diagram(rng: random.Random) -> Diagram:
+def _random_diagram(rng: random.Random) -> tuple[list, list]:
     nv = rng.randint(1, 4)
     vertices = [FinSet(rng.randint(0, 4)) for _ in range(nv)]
     edges = []
@@ -291,15 +287,15 @@ def _random_diagram(rng: random.Random) -> Diagram:
             continue
         table = [rng.randrange(vertices[d].size) for _ in range(vertices[s].size)]
         edges.append((s, d, FiniteMap(vertices[s], vertices[d], tuple(table))))
-    return Diagram(vertices, edges)
+    return vertices, edges
 
 
 def test_colimit_legs_commute_and_cover():
     rng = random.Random(17)
     for _ in range(100):
-        d = _random_diagram(rng)
-        w = finite_colimit(d)
-        for s, t, e in d.edges:
+        vertices, edges = _random_diagram(rng)
+        w = finite_colimit(vertices, edges)
+        for s, t, e in edges:
             assert compose(w.legs[t], e).table == w.legs[s].table
         covered = {c for leg in w.legs for c in leg.table}
         assert covered == set(range(w.apex.size))
@@ -309,13 +305,13 @@ def test_colimit_induced_unique_by_enumeration():
     rng = random.Random(19)
     checked = 0
     while checked < 100:
-        d = _random_diagram(rng)
-        w = finite_colimit(d)
+        vertices, edges = _random_diagram(rng)
+        w = finite_colimit(vertices, edges)
         z = rng.randint(1, 3)
         vals = [rng.randrange(z) for _ in range(w.apex.size)]
         maps = [
             FiniteMap(v, FinSet(z), tuple(vals[c] for c in w.legs[i].table))
-            for i, v in enumerate(d.vertices)
+            for i, v in enumerate(vertices)
         ]
         if not maps:
             continue
@@ -330,11 +326,10 @@ def test_colimit_induced_unique_by_enumeration():
 
 
 def test_colimit_induced_rejects_non_cocone():
-    d = Diagram(
+    w = finite_colimit(
         vertices=[FinSet(1), FinSet(1)],
         edges=[(0, 1, fmap(1, 1, [0]))],
     )
-    w = finite_colimit(d)
     with pytest.raises(UniversalityError):
         w.induced([fmap(1, 2, [0]), fmap(1, 2, [1])])
 
@@ -609,7 +604,7 @@ def test_cocone_induced_matches_reference_loop(data):
         s, t = draw(st.integers(0, len(sizes) - 1)), draw(st.integers(0, len(sizes) - 1))
         (e,) = _maps_into(draw, [sizes[s]], sizes[t])
         edges.append((s, t, e))
-    w = finite_colimit(Diagram(vertices, edges))
+    w = finite_colimit(vertices, edges)
     z = draw(st.integers(1, 3))
     if draw(st.booleans()):  # a commuting cocone
         vals = draw(st.lists(st.integers(0, z - 1), min_size=w.apex.size, max_size=w.apex.size))
@@ -631,7 +626,7 @@ def test_induced_messages_match_reference_loops():
     assert outcome(res.induced, h) == outcome(ref_quotient_induced, res, h) == (
         UniversalityError, "map does not coequalise: elements of class 0 disagree (0 vs 2)"
     )
-    w = finite_colimit(Diagram([FinSet(1), FinSet(1), FinSet(1)], [(0, 1, fmap(1, 1, [0]))]))
+    w = finite_colimit([FinSet(1), FinSet(1), FinSet(1)], [(0, 1, fmap(1, 1, [0]))])
     # a disagreement on the first two legs comes before the misplaced third map
     maps = [fmap(1, 2, [0]), fmap(1, 2, [1]), fmap(2, 2, [0, 0])]
     assert outcome(w.induced, maps) == outcome(ref_cocone_induced, w, maps) == (

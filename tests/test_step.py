@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as hst
 
-from awfskit.arrows import ArrowDiagram, ArrowObject, ArrowColimit, CommSquare, arrow, identity_square, square_compose
+from awfskit.arrows import ArrowObject, ArrowColimit, CommSquare, arrow, identity_square, square_compose
 from awfskit.errors import (
     DiagramError,
     NonNaturalLifting,
@@ -946,7 +946,7 @@ class TestFilteredColimitSanity:
             # chain f0 -> f1 -> f1 -> ... is eventually constant with colimit f1
             t0, t1 = engine.step(f0).extended, engine.step(f1).extended
             e01 = engine.extend(a01)
-            colim = ArrowColimit(ArrowDiagram([t0, t1], [(0, 1, e01)]))
+            colim = ArrowColimit([t0, t1], [(0, 1, e01)])
             # mediating square from the colimit of extensions to the
             # extension of the colimit is invertible on both carriers
             med = colim.induced([e01, identity_square(t1)], t1)

@@ -72,6 +72,15 @@ def arr(x, y, table) -> ArrowObject:
     return ArrowObject(fmap(x, y, table))
 
 
+def refuse_square_listings(monkeypatch):
+    """Make any listing of squares by the oracles fail the test at once."""
+    def listed(*args):
+        raise AssertionError("squares listed")
+
+    monkeypatch.setattr(verify, "_commuting_squares", listed)
+    monkeypatch.setattr(verify, "_square_tables", listed)
+
+
 def _cert(pres, f, mode, max_stage):
     return Certificate.from_result(pres, factorise(pres, f, mode=mode, max_stage=max_stage))
 
@@ -739,6 +748,15 @@ class TestOracleKappa:
             oracle_kappa(split_epi_pres(), f, f, budget=SizeBudget(max_problems=3))
         assert str(exc.value) == "oracle kappa lists 4 problems, budget allows 3"
 
+    def test_budget_counts_the_base_squares_before_listing_them(self, monkeypatch):
+        """The identity on 8 points has 8**8 base squares into the constant
+        map onto one point: counted, refused, and none of them listed."""
+        refuse_square_listings(monkeypatch)
+        f, g = arr(8, 8, range(8)), arr(8, 1, [0] * 8)
+        with pytest.raises(SizeBudgetExceeded) as exc:
+            oracle_kappa(split_epi_pres(), f, g, bound=8, budget=SizeBudget(max_problems=1000))
+        assert str(exc.value) == "oracle kappa lists 16777216 base squares, budget allows 1000"
+
     def test_square_presentations_enumerate_with_naturality(self):
         report = oracle_kappa(two_gen_plain_pres(), arr(1, 1, [0]), arr(1, 1, [0]))
         assert report.ok
@@ -1006,6 +1024,19 @@ class TestOracleInitiality:
         cert = certs["plain"]
         with pytest.raises(SizeBudgetExceeded):
             oracle_initiality(cert, budget=SizeBudget(max_problems=10))
+
+    def test_budget_counts_the_boundary_squares_before_listing_any(self, monkeypatch):
+        """With the input of the special certificate of 2 -> 1 replaced by
+        the constant map 16 -> 1, and its left factor by the constant map to
+        0, every boundary check passes; its 3**16 boundary squares into the
+        right factor 3 -> 1 are counted and refused before any square is listed."""
+        cert = _cert(split_epi_pres(), fmap(2, 1, [0, 0]), "special", 3)
+        cert = _with(cert, input=arr(16, 1, [0] * 16), left=fmap(16, 3, [0] * 16))
+        refuse_square_listings(monkeypatch)
+        with pytest.raises(SizeBudgetExceeded) as exc:
+            oracle_initiality(cert, budget=SizeBudget(max_problems=1000))
+        assert str(exc.value) == ("oracle initiality lists 43046721 boundary squares, "
+                                  "budget allows 1000")
 
 
 class TestChecksShareOneStep:

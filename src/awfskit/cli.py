@@ -210,6 +210,7 @@ def _cmd_lift(args) -> int:
     if isinstance(records, list):
         check_listable(len(records), _budget(args), "lift table lists")
     cert = decode_certificate(obj, pres, args.certificate)
+    del obj, records  # the parsed text is not needed past decoding
     gen, top, bot = decode_problem(read_json(args.problem), args.problem)
     u = dict(pres.lifting_generators()).get(gen)
     if u is None:

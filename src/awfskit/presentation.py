@@ -24,7 +24,10 @@ them are implied rather than listed; they use the reserved name prefix
 
 Validation reports every violated axiom as data with a witness naming the
 offending cells.  Sizes and realisation tables are valid when ``FinSet``
-and ``FiniteMap`` accept them (``RawMap.realise``).  Each composition table
+and ``FiniteMap`` accept them (``RawMap.realise``).  Validation alone
+realises a presentation, into the ``Realisation`` on its report, which the
+view reads once ``ensure_valid`` has passed; an identity map is built only
+for a square on it, and compared as a ``range``.  Each composition table
 (the plain category; the horizontal, vertical and square categories of a
 double presentation) is checked by the one ``FiniteCategory`` checker.
 Name and reference faults carry plain labels (``invalid-name``,
@@ -37,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Mapping, Optional
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence
 
 from .arrows import ArrowObject, CommSquare
 from .errors import CompositionError, DiagramError, InvalidPresentation
-from .finset import FinSet, FiniteMap, compose, identity
+from .finset import FinSet, FiniteMap, _gather, identity
 
 ID_PREFIX = "1_"
 PAIR_SEP = "*"
@@ -86,11 +89,24 @@ class Violation:
 
 
 @dataclass
+class Realisation:
+    """The cells validation realised, by name: generators (plain ones or
+    vertical arrows), declared squares (plain morphisms or double squares)
+    as view entries, and horizontal maps, identities added on first use."""
+
+    arrows: dict[str, ArrowObject] = field(default_factory=dict)
+    squares: list[tuple[str, str, str, CommSquare]] = field(default_factory=list)
+    hmaps: dict[str, FiniteMap] = field(default_factory=dict)
+
+
+@dataclass
 class ValidationReport:
     """Violations in the order found; a fault that two tables sharing a
-    cell both find (same axiom and witness) is listed once."""
+    cell both find (same axiom and witness) is listed once.  ``realised``
+    holds what validation built; equality and repr leave it out."""
 
     violations: list[Violation]
+    realised: Realisation = field(default_factory=Realisation, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.violations = list(dict.fromkeys(self.violations))
@@ -121,13 +137,10 @@ class RawMap:
     cod: int
     table: tuple[int, ...]
 
-    def build(self) -> FiniteMap:
-        return FiniteMap(FinSet(self.dom), FinSet(self.cod), tuple(self.table))
-
     def realise(self) -> Optional[FiniteMap]:
         """The map, or None when ``FinSet`` or ``FiniteMap`` refuses it."""
         try:
-            return self.build()
+            return FiniteMap(FinSet(self.dom), FinSet(self.cod), tuple(self.table))
         except DiagramError:
             return None
 
@@ -302,15 +315,22 @@ class FiniteCategory:
         return out, ok, table
 
 
+def _is_after(c: Sequence[int], g: Sequence[int], f: Sequence[int]) -> bool:
+    """Whether table ``c`` is ``g`` after ``f``.  An identity's table is a
+    ``range``, spelt out only against a tuple of its length."""
+    gf = g if type(f) is range else f if type(g) is range else _gather(g, f)
+    return c == gf if type(c) is type(gf) else len(c) == len(gf) and tuple(c) == tuple(gf)
+
+
 def _functor_violations(cat: FiniteCategory, real: Mapping[str, tuple], axiom: str) -> list[Violation]:
     """``axiom`` for every composite in the category's computed table whose
-    realisation (a tuple of maps per arrow) is not the composite of the
+    realisation (a tuple of tables per arrow) is not the composite of the
     realisations of its factors."""
     return [
         Violation(axiom, f"composite ({f}, {g}) = {r}")
         for (f, g), r in cat.composites.items()
         if f in real and g in real and r in real
-        and any(c.table != compose(b, a).table for a, b, c in zip(real[f], real[g], real[r]))
+        and any(not _is_after(c, b, a) for a, b, c in zip(real[f], real[g], real[r]))
     ]
 
 
@@ -324,7 +344,8 @@ def _first_by_name(specs) -> dict:
 
 class _Validated:
     """``ensure_valid`` for both presentation kinds: validate once and
-    raise ``InvalidPresentation``, carrying the report, on any violation."""
+    raise ``InvalidPresentation``, carrying the report, on any violation;
+    the view reads the realisation (``_realised``) only past that check."""
 
     _report: ClassVar[Optional[ValidationReport]] = None
 
@@ -335,6 +356,19 @@ class _Validated:
             err = InvalidPresentation(f"invalid presentation: {self._report.summary()}")
             err.report = self._report
             raise err
+
+    @property
+    def _realised(self) -> Realisation:
+        self.ensure_valid()
+        return self._report.realised
+
+    # --- view consumed by the one-step construction ---
+
+    def lifting_generators(self) -> list[tuple[str, ArrowObject]]:
+        return list(self._realised.arrows.items())
+
+    def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
+        return list(self._realised.squares)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +405,6 @@ class PlainPresentation(_Validated):
         self.generators = tuple(self.generators)
         self.morphisms = tuple(self.morphisms)
         self.comp = _as_comp_dict(self.comp)
-        self._gens = _first_by_name(self.generators)
 
     @classmethod
     def build(cls, generators, morphisms=(), comp=()) -> "PlainPresentation":
@@ -390,58 +423,37 @@ class PlainPresentation(_Validated):
             )
         return cls(gens, tuple(mors), _as_comp_dict(comp))
 
-    def category(self) -> FiniteCategory:
-        return FiniteCategory(
-            [g.name for g in self.generators],
-            [CatArrow(m.name, m.dom, m.cod) for m in self.morphisms],
-            self.comp,
-        )
-
     def validate(self) -> ValidationReport:
-        cat = self.category()
+        cat = FiniteCategory([g.name for g in self.generators],
+                             [CatArrow(m.name, m.dom, m.cod) for m in self.morphisms], self.comp)
         out = cat.violations("")
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
-        gen_ok: dict[str, FiniteMap] = {}
-        for g in self._gens.values():
+        real = Realisation()
+        for g in _first_by_name(self.generators).values():
             umap = g.umap.realise()
             if umap is None:
                 bad("realisation-map", f"generator {g.name}")
             else:
-                gen_ok[g.name] = umap
-        mor_ok: dict[str, tuple[FiniteMap, FiniteMap]] = {}
+                real.arrows[g.name] = ArrowObject(umap)
         for m in _first_by_name(self.morphisms).values():
-            if m.name not in cat.ok_arrows or is_id_name(m.name):
+            if (m.name not in cat.ok_arrows or is_id_name(m.name)
+                    or m.dom not in real.arrows or m.cod not in real.arrows):
                 continue
-            if m.dom not in gen_ok or m.cod not in gen_ok:
-                continue
-            dom_map, cod_map = gen_ok[m.dom], gen_ok[m.cod]
+            src, dst = real.arrows[m.dom], real.arrows[m.cod]
             top, bot = m.top.realise(), m.bot.realise()
             if top is None or bot is None:
                 bad("realisation-map", f"morphism {m.name}")
                 continue
-            if (top.dom, top.cod) != (dom_map.dom, cod_map.dom) or (bot.dom, bot.cod) != (
-                    dom_map.cod, cod_map.cod):
+            if (top.dom, top.cod, bot.dom, bot.cod) != (src.top, dst.top, src.bot, dst.bot):
                 bad("realisation-boundary", f"morphism {m.name}")
                 continue
-            if compose(cod_map, top).table != compose(bot, dom_map).table:
+            try:
+                real.squares.append((m.name, m.dom, m.cod, CommSquare(src, dst, top, bot)))
+            except DiagramError:
                 bad("realisation-square", f"morphism {m.name}")
-                continue
-            mor_ok[m.name] = (top, bot)
+        mor_ok = {n: (sq.top.table, sq.bot.table) for n, _, _, sq in real.squares}
         out += _functor_violations(cat, mor_ok, "realisation-functor")
-        return ValidationReport(out)
-
-    # --- view consumed by the one-step construction ---
-
-    def lifting_generators(self) -> list[tuple[str, ArrowObject]]:
-        return [(g.name, ArrowObject(g.umap.build())) for g in self.generators]
-
-    def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
-        out = []
-        for m in self.morphisms:
-            src = ArrowObject(self._gens[m.dom].umap.build())
-            dst = ArrowObject(self._gens[m.cod].umap.build())
-            out.append((m.name, m.dom, m.cod, CommSquare(src, dst, m.top.build(), m.bot.build())))
-        return out
+        return ValidationReport(out, real)
 
 
 # ---------------------------------------------------------------------------
@@ -541,35 +553,19 @@ class DoubleCatPresentation(_Validated):
             _as_comp_dict(square_comp), _as_comp_dict(vcomp), _as_comp_dict(square_vcomp),
         )
 
-    # --- cell accessors (assume a valid presentation) ---
-
-    def j0_category(self) -> FiniteCategory:
-        return FiniteCategory(
-            [n for n, _ in self.objects],
-            [CatArrow(h.name, h.dom, h.cod) for h in self.harrows],
-            self.hcomp,
-            nouns=("object", "horizontal arrow"),
-        )
-
-    def j1_category(self) -> FiniteCategory:
-        return FiniteCategory(
-            [v.name for v in self.varrows],
-            [CatArrow(s.name, s.vsrc, s.vdst) for s in self.squares],
-            self.square_comp,
-            nouns=("vertical arrow", "square"),
-        )
+    # --- cells: names and boundaries; maps from the realisation ---
 
     def hmap(self, name: str) -> FiniteMap:
-        if is_id_name(name):
-            return identity(FinSet(self._sizes[name[len(ID_PREFIX):]]))
-        h = self._harrow[name]
-        return FiniteMap(FinSet(self._sizes[h.dom]), FinSet(self._sizes[h.cod]), h.umap.table)
+        return self._hmap(self._realised.hmaps, name)
+
+    def _hmap(self, hmaps: dict[str, FiniteMap], name: str) -> FiniteMap:
+        """The map ``name`` in ``hmaps``, an identity built there on first use."""
+        if name not in hmaps and is_id_name(name):
+            hmaps[name] = identity(FinSet(self._sizes[name[len(ID_PREFIX):]]))
+        return hmaps[name]
 
     def uarrow(self, vname: str) -> ArrowObject:
-        v = self._varrow[vname]
-        return ArrowObject(
-            FiniteMap(FinSet(self._sizes[v.vdom]), FinSet(self._sizes[v.vcod]), v.umap.table)
-        )
+        return self._realised.arrows[vname]
 
     def vcompose(self, first: str, then: str) -> str:
         """Name of the vertical composite (``first`` above ``then``)."""
@@ -583,10 +579,6 @@ class DoubleCatPresentation(_Validated):
             return (base, base, id_name(v.vdom), id_name(v.vcod))
         s = self._square[name]
         return (s.vsrc, s.vdst, s.h_top, s.h_bot)
-
-    def usquare(self, name: str) -> CommSquare:
-        vsrc, vdst, h_top, h_bot = self.square_boundary(name)
-        return CommSquare(self.uarrow(vsrc), self.uarrow(vdst), self.hmap(h_top), self.hmap(h_bot))
 
     def square_vcompose(self, first: str, then: str) -> str:
         if (first, then) in self.square_vcomp:
@@ -618,7 +610,13 @@ class DoubleCatPresentation(_Validated):
                 continue
             if _valid_name(n) and not is_id_name(n):
                 obj_ok.add(n)
-        j0, vcat, j1 = self.j0_category(), self._vcat, self.j1_category()
+        j0 = FiniteCategory([n for n, _ in self.objects],
+                            [CatArrow(h.name, h.dom, h.cod) for h in self.harrows],
+                            self.hcomp, nouns=("object", "horizontal arrow"))
+        j1 = FiniteCategory([v.name for v in self.varrows],
+                            [CatArrow(s.name, s.vsrc, s.vdst) for s in self.squares],
+                            self.square_comp, nouns=("vertical arrow", "square"))
+        vcat = self._vcat
         out += j0.violations("horizontal-")
         out += vcat.violations("vertical-")
         out += j1.violations("square-")
@@ -749,18 +747,17 @@ class DoubleCatPresentation(_Validated):
                         bad("vertical-composition-functor", f"(({a}, {b}), ({c}, {d}))")
 
         # realisations: horizontal and vertical arrows, squares
-        hmaps: dict[str, tuple[FiniteMap]] = {
-            id_name(o): (identity(FinSet(self._sizes[o])),) for o in obj_ok
-        }
+        real = Realisation()
+        htables: dict[str, tuple] = {id_name(o): (range(self._sizes[o]),) for o in obj_ok}
         for h in map(self._harrow.get, hnames):
             hmap = h.umap.realise()
             if hmap is None or (h.umap.dom, h.umap.cod) != (self._sizes[h.dom], self._sizes[h.cod]):
                 bad("realisation-map", f"horizontal arrow {h.name}")
                 continue
-            hmaps[h.name] = (hmap,)
-        out += _functor_violations(j0, hmaps, "realisation-horizontal-functor")
+            real.hmaps[h.name] = hmap
+            htables[h.name] = (hmap.table,)
+        out += _functor_violations(j0, htables, "realisation-horizontal-functor")
 
-        vmaps: dict[str, tuple[FiniteMap]] = {}
         for v in self._varrow.values():
             if v.name not in v_ok or not {v.vdom, v.vcod} <= obj_ok:
                 continue
@@ -769,31 +766,25 @@ class DoubleCatPresentation(_Validated):
                     self._sizes[v.vdom], self._sizes[v.vcod]):
                 bad("realisation-map", f"vertical arrow {v.name}")
                 continue
-            vmaps[v.name] = (vmap,)
+            real.arrows[v.name] = ArrowObject(vmap)
         for o in sorted(obj_ok):
             vn = self.vid.get(o)
-            if vn in vmaps and (self._varrow[vn].vdom, self._varrow[vn].vcod) == (o, o):
-                if vmaps[vn][0].table != tuple(range(self._sizes[o])):
+            if vn in real.arrows and (self._varrow[vn].vdom, self._varrow[vn].vcod) == (o, o):
+                if real.arrows[vn].map.table != tuple(range(self._sizes[o])):
                     bad("vertical-identity-realisation", f"identity vertical arrow {vn}")
         for s in self._square.values():
-            if s.name not in sq_fit or s.vsrc not in vmaps or s.vdst not in vmaps:
+            if not (s.name in sq_fit and {s.vsrc, s.vdst} <= real.arrows.keys()
+                    and {s.h_top, s.h_bot} <= htables.keys()):
                 continue
-            if s.h_top not in hmaps or s.h_bot not in hmaps:
-                continue
-            lhs = compose(vmaps[s.vdst][0], hmaps[s.h_top][0])
-            rhs = compose(hmaps[s.h_bot][0], vmaps[s.vsrc][0])
-            if lhs.table != rhs.table:
+            top, bot = self._hmap(real.hmaps, s.h_top), self._hmap(real.hmaps, s.h_bot)
+            try:
+                real.squares.append((s.name, s.vsrc, s.vdst, CommSquare(
+                    real.arrows[s.vsrc], real.arrows[s.vdst], top, bot)))
+            except DiagramError:
                 bad("realisation-square", f"square {s.name}")
-        out += _functor_violations(vcat, vmaps, "realisation-vertical-functor")
-        return ValidationReport(out)
-
-    # --- view consumed by the one-step construction ---
-
-    def lifting_generators(self) -> list[tuple[str, ArrowObject]]:
-        return [(v.name, self.uarrow(v.name)) for v in self.varrows]
-
-    def lifting_squares(self) -> list[tuple[str, str, str, CommSquare]]:
-        return [(s.name, s.vsrc, s.vdst, self.usquare(s.name)) for s in self.squares]
+        vtables = {n: (a.map.table,) for n, a in real.arrows.items()}
+        out += _functor_violations(vcat, vtables, "realisation-vertical-functor")
+        return ValidationReport(out, real)
 
     def composable_pairs(self) -> "ComposablePairs":
         self.ensure_valid()

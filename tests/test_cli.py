@@ -1,6 +1,8 @@
 """End-to-end tests of the command line: every subcommand, every exit code."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -338,6 +340,33 @@ class TestLift:
                      "--certificate", cert_path, "--problem", problem])
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_parsed_certificate_is_dropped_before_solving(self, cert_path, tmp_path, capsys,
+                                                          monkeypatch):
+        class Parsed(dict):
+            """A parsed JSON object that a weak reference can watch."""
+
+        refs, read, solve = [], cli.read_json, cli.solve_lift
+
+        def read_json(path):
+            obj = read(path)
+            if path != cert_path:
+                return obj
+            obj = Parsed(obj)
+            refs.append(weakref.ref(obj))
+            return obj
+
+        def solve_lift(cert, problem):
+            gc.collect()
+            assert refs and refs[0]() is None, "the parsed certificate is still alive"
+            return solve(cert, problem)
+
+        monkeypatch.setattr(cli, "read_json", read_json)
+        monkeypatch.setattr(cli, "solve_lift", solve_lift)
+        problem = write(tmp_path, "p.json", {"generator": "j", "top": [], "bot": [1]})
+        assert main(["lift", "--presentation", fx("gen_split_epi.json"),
+                     "--certificate", cert_path, "--problem", problem]) == 0
+        assert "[4]" in capsys.readouterr().out
 
     def test_problem_with_no_table_entry(self, cert_path, tmp_path, capsys):
         obj = json.loads(Path(cert_path).read_text())

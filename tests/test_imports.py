@@ -1,17 +1,24 @@
-"""Every module-level import in ``src/awfskit`` is read by its module.
+"""Every module-level import in ``src/awfskit`` is read by its module, and
+every module parses under the oldest Python ``pyproject.toml`` admits.
 
 An import that nothing reads is dead weight that a reader must still
 trace: this test parses each module (``__init__.py``, whose imports are
 the package's public names, is exempt), lists the names its module-level
 ``import`` and ``from ... import`` statements bind (``from __future__``
 exempt), and fails on any that no name in the module reads (an
-attribute's root is a name).  It uses the standard library only.
+attribute's root is a name).  The grammar check parses each module with
+``feature_version`` set to ``requires-python``'s floor, so syntax newer
+than that floor (``except*``, for one) fails here on any interpreter that
+runs the suite.  It uses the standard library only.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "awfskit"
+OLDEST_PYTHON = (3, 10)  # pyproject.toml: requires-python = ">=3.10"
 
 
 def _bound(tree: ast.Module) -> dict:
@@ -45,3 +52,22 @@ def test_an_unread_import_is_named(tmp_path):
                       "from typing import Optional\n\ndef f(x: Optional[int]):\n"
                       "    return os.sep\n")
     assert unused_imports(module) == ["sample.system (line 2)"]
+
+
+def test_requires_python_floor_is_the_checked_grammar():
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % OLDEST_PYTHON in pyproject
+
+
+def test_every_module_parses_under_the_oldest_supported_python():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_newer_syntax_is_refused_by_the_grammar_check():
+    sample = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(sample, feature_version=(3, 11))  # the release that brought it
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(sample, feature_version=OLDEST_PYTHON)

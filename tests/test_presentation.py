@@ -5,26 +5,38 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from awfskit.arrows import ArrowObject, CommSquare
+from awfskit.chain import run_chain
 from awfskit.errors import InvalidPresentation
-from awfskit.finset import FinSet, FiniteMap
+from awfskit.finset import FinSet, FiniteMap, identity
 from awfskit.presentation import (
+    ID_PREFIX,
     CatArrow,
     ComposablePairs,
     DoubleCatPresentation,
     FiniteCategory,
     PlainPresentation,
     RawMap,
+    id_name,
+    is_id_name,
 )
-from awfskit.serialize import encode_presentation, read_json
+from awfskit.serialize import decode_presentation, encode_presentation, read_json
 
 from fixture_lib import (
     abc_pres,
+    codiag_pres,
     composite_pres,
+    growth_pres,
+    pair_square_pres,
+    plain_split_epi_pres,
+    retract_pres,
     split_epi_pres,
+    square_pres,
     two_gen_plain_pres,
     uniform_monos_pres,
 )
@@ -545,3 +557,138 @@ def test_boolean_carrier_size_is_reported_not_raised():
     assert plain.validate().summary() == "realisation-map[generator g]"
     double = DoubleCatPresentation.build({"a": True}, varrows=[("i", "a", "a", [0])], vid={"a": "i"})
     assert double.validate().summary() == "object-size[object a: True]"
+
+
+# ---------------------------------------------------------------------------
+# the lifting view reads the realisation validation built
+# ---------------------------------------------------------------------------
+
+
+LIBRARY = {
+    "split_epi": split_epi_pres, "abc": abc_pres, "composite": composite_pres,
+    "retract": retract_pres, "square": square_pres, "pair_square": pair_square_pres,
+    "uniform1": lambda: uniform_monos_pres(1), "uniform2": lambda: uniform_monos_pres(2),
+    "codiag": codiag_pres, "growth": growth_pres, "plain_split_epi": plain_split_epi_pres,
+    "two_gen_plain": two_gen_plain_pres,
+}
+LIBRARY.update({
+    path.name: (lambda path=path: decode_presentation(read_json(str(path)), str(path)))
+    for path in sorted(FIXTURES.glob("gen_*.json"))
+})
+
+
+def _built(m: RawMap) -> FiniteMap:
+    return FiniteMap(FinSet(m.dom), FinSet(m.cod), tuple(m.table))
+
+
+def _rebuilt_view(pres) -> dict:
+    """The lifting view built from the specs cell by cell, as each call
+    built it before validation realised it once: generators, squares, and
+    for a double presentation every vertical arrow, every horizontal map
+    (identities included) and the pair extension's generators."""
+    if pres.kind == "plain":
+        gens = {g.name: ArrowObject(_built(g.umap)) for g in pres.generators}
+        squares = [(m.name, m.dom, m.cod, CommSquare(gens[m.dom], gens[m.cod],
+                                                     _built(m.top), _built(m.bot)))
+                   for m in pres.morphisms]
+        return {"generators": list(gens.items()), "squares": squares}
+    sizes = dict(pres.objects)
+
+    def hmap(name):
+        if is_id_name(name):
+            return identity(FinSet(sizes[name[len(ID_PREFIX):]]))
+        h = next(h for h in pres.harrows if h.name == name)
+        return FiniteMap(FinSet(sizes[h.dom]), FinSet(sizes[h.cod]), h.umap.table)
+
+    uarrow = {v.name: ArrowObject(FiniteMap(FinSet(sizes[v.vdom]), FinSet(sizes[v.vcod]),
+                                            v.umap.table)) for v in pres.varrows}
+    return {
+        "generators": list(uarrow.items()),
+        "squares": [(s.name, s.vsrc, s.vdst, CommSquare(uarrow[s.vsrc], uarrow[s.vdst],
+                                                        hmap(s.h_top), hmap(s.h_bot)))
+                    for s in pres.squares],
+        "hmaps": {n: hmap(n) for n in [h.name for h in pres.harrows]
+                  + [id_name(o) for o, _ in pres.objects]},
+        "pairs": [(p.name, uarrow[p.composite]) for p in pres.composable_pairs().pairs],
+    }
+
+
+def _view(pres) -> dict:
+    """The lifting view as the presentation serves it, with every accessor."""
+    view = {"generators": pres.lifting_generators(), "squares": pres.lifting_squares()}
+    if pres.kind == "double":
+        assert [(v.name, pres.uarrow(v.name)) for v in pres.varrows] == view["generators"]
+        view["hmaps"] = {n: pres.hmap(n) for n in [h.name for h in pres.harrows]
+                         + [id_name(o) for o, _ in pres.objects]}
+        pairs = pres.composable_pairs()
+        assert pairs.lifting_squares() == []
+        view["pairs"] = pairs.lifting_generators()
+    return view
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_realised_view_matches_the_cells_built_one_by_one(name):
+    pres = LIBRARY[name]()
+    assert pres.validate().ok
+    assert _view(pres) == _rebuilt_view(pres)
+
+
+@pytest.mark.parametrize("make", [two_gen_plain_pres, abc_pres, pair_square_pres],
+                         ids=["plain", "double", "pair_square"])
+def test_view_builds_no_map_or_square_after_its_first_call(make, monkeypatch):
+    pres = make()
+    _view(pres)  # realises the presentation and any identity hmap asks for
+    built = []
+    for cls in (FiniteMap, CommSquare):
+        check = cls.__post_init__
+
+        def counted(self, check=check):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert [(n, u.top.size) for n, u in pres.lifting_generators()] and not built
+    for _ in range(2):
+        view = _view(pres)
+    assert built == []
+    FiniteMap(FinSet(0), FinSet(0), ())  # the counter is live
+    assert built == ["FiniteMap"]
+    if make is pair_square_pres:
+        assert len(view["squares"]) == 1 and len(view["pairs"]) > 0
+
+
+def _noncommuting_plain() -> PlainPresentation:
+    return PlainPresentation.build(
+        generators=[("j", 1, 2, [0]), ("k", 1, 2, [1])],
+        morphisms=[("s", "j", "k", [0], [0, 1])],
+    )
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.lifting_generators(),
+    lambda p: p.lifting_squares(),
+    lambda p: run_chain(p, FiniteMap(FinSet(3), FinSet(2), (0, 1, 0)), mode="plain"),
+], ids=["lifting_generators", "lifting_squares", "run_chain"])
+def test_view_of_an_invalid_plain_presentation_raises_its_report(call):
+    with pytest.raises(InvalidPresentation) as exc:
+        call(_noncommuting_plain())
+    assert exc.value.report == _noncommuting_plain().validate()
+    assert exc.value.report.axioms() == ["realisation-square"]
+
+
+def test_identity_on_a_carrier_no_map_lives_on_is_not_built():
+    """A declared size alone costs nothing: the identity horizontal arrow
+    is compared as a ``range`` and never spelt out as a table."""
+    obj = {"kind": "double", "objects": {"a": 10**6}, "vmorphisms": [], "vid": {}}
+    pres = decode_presentation(obj, "big.json")
+    small = decode_presentation({**obj, "objects": {"a": 1}}, "small.json")
+    tracemalloc.start()
+    try:
+        report = pres.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        (v.axiom, v.witness) for v in small.validate().violations
+    ] == [("vertical-identity", "object a has no identity vertical arrow")]

@@ -1,13 +1,16 @@
 """Verdicts of ``validate`` on a seeded corpus of single mutations.
 
 Every case takes one base presentation (the four fixture presentations,
-the retract shape, the two-generator plain shape and the codiagonal
-shape), applies one seeded mutation to its JSON encoding and decodes the
-result.  ``validate_corpus.json`` records, per case, the SHA-256 of the
-mutated document and either ``parse-error`` (``ParseError`` at decode) or
-the verdict of ``validate`` (``valid`` / ``invalid``).  The test checks
-that the verdicts still match, that ``validate`` never raises, and that
-no report names the same (axiom, witness) pair twice.
+the retract shape, the two-generator plain shape, the codiagonal shape,
+and three shapes with squares: ``uniform_monos_pres(1)`` and ``(2)`` and
+the pair-square shape), applies one seeded mutation to its JSON encoding
+and decodes the result.  ``validate_corpus.json`` records, per case, the
+SHA-256 of the mutated document and either ``parse-error``
+(``ParseError`` at decode) or the verdict of ``validate`` (``valid`` /
+``invalid``) with the SHA-256 of its whole report: every (axiom, witness)
+pair, in order.  The test checks that the verdicts and reports still
+match, that ``validate`` never raises, and that no report names the same
+(axiom, witness) pair twice.
 
 Cases on which ``validate`` raised when the verdicts were recorded are
 recorded as ``invalid`` and listed under ``raised``.  To record new
@@ -22,13 +25,20 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from awfskit.errors import ParseError
 from awfskit.serialize import decode_presentation, dumps, encode_presentation
 
-from fixture_lib import codiag_pres, retract_pres, two_gen_plain_pres
+from fixture_lib import (
+    codiag_pres,
+    pair_square_pres,
+    retract_pres,
+    two_gen_plain_pres,
+    uniform_monos_pres,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).resolve().parent / "validate_corpus.json"
@@ -45,6 +55,9 @@ def _bases() -> dict:
     out["retract"] = encode_presentation(retract_pres())
     out["two_gen_plain"] = encode_presentation(two_gen_plain_pres())
     out["codiag"] = encode_presentation(codiag_pres())
+    out["uniform_monos_1"] = encode_presentation(uniform_monos_pres(1))
+    out["uniform_monos_2"] = encode_presentation(uniform_monos_pres(2))
+    out["pair_square"] = encode_presentation(pair_square_pres())
     return out
 
 
@@ -246,6 +259,14 @@ def _digest(doc) -> str:
     return hashlib.sha256(dumps(doc).encode()).hexdigest()
 
 
+def report_digest(report) -> Optional[str]:
+    """SHA-256 of a report's (axiom, witness) pairs in order; None for none."""
+    if report is None:
+        return None
+    pairs = [[v.axiom, v.witness] for v in report.violations]
+    return hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+
+
 def corpus_documents() -> dict:
     """Case id -> mutated document, for every mutation that applies; a
     document that an earlier case already produced is left out."""
@@ -294,6 +315,7 @@ def test_verdict_matches_record(case, corpus):
     assert _digest(doc) == record["doc"]
     verdict, report = evaluate(doc)
     assert verdict == record["verdict"]
+    assert report_digest(report) == record["report"], report and report.summary()
     if report is not None:
         pairs = [(v.axiom, v.witness) for v in report.violations]
         assert len(pairs) == len(set(pairs)), report.summary()
@@ -305,10 +327,10 @@ if __name__ == "__main__":
     cases, raised = {}, {}
     for case, doc in sorted(DOCS.items()):
         try:
-            verdict, _ = evaluate(doc)
+            verdict, report = evaluate(doc)
         except Exception as e:  # recorded as invalid and listed
-            verdict = "invalid"
+            verdict, report = "invalid", None
             raised[case] = f"{type(e).__name__}: {e}"
-        cases[case] = {"doc": _digest(doc), "verdict": verdict}
+        cases[case] = {"doc": _digest(doc), "verdict": verdict, "report": report_digest(report)}
     CORPUS.write_text(json.dumps({"cases": cases, "raised": raised}, sort_keys=True, indent=2) + "\n")
     print(f"wrote {len(cases)} cases to {CORPUS}; validate raised on {len(raised)}")

@@ -30,10 +30,18 @@ view reads once ``ensure_valid`` has passed; an identity map is built only
 for a square on it, and compared as a ``range``.  Each composition table
 (the plain category; the horizontal, vertical and square categories of a
 double presentation) is checked by the one ``FiniteCategory`` checker.
-Name and reference faults carry plain labels (``invalid-name``,
-``reserved-name``, ``duplicate-name``, ``unknown-reference``); law faults
-carry the table's prefix (``horizontal-``, ``vertical-``, ``square-``;
-none for a plain presentation), e.g. ``vertical-identity-law``.
+Validation reads every composite from tables built once per call: the
+checker's ``composites`` of each category, and one lookup for vertical
+composites of squares (the declared ``square_vcomp`` entry, or for two
+identity squares the identity square on their arrows' composite).  Square
+boundaries come from one table by name, stacked pairs of squares from an
+index by top arrow.  Vertical composition of squares is checked for its
+boundaries, totality, unit law, associativity and interchange with
+horizontal composition.  Name and reference faults carry plain labels
+(``invalid-name``, ``reserved-name``, ``duplicate-name``,
+``unknown-reference``); law faults carry the table's prefix
+(``horizontal-``, ``vertical-``, ``square-``; none for a plain
+presentation), e.g. ``vertical-identity-law``.
 """
 
 from __future__ import annotations
@@ -188,28 +196,6 @@ class FiniteCategory:
                 self.arrows[self.ids[o]] = CatArrow(self.ids[o], o, o)
         for a in self.gen_arrows:
             self.arrows.setdefault(a.name, a)
-        self._idset = {
-            n for o, n in self.ids.items()
-            if n in self.arrows and (self.arrows[n].dom, self.arrows[n].cod) == (o, o)
-        }
-
-    def _lookup(self, first: str, then: str) -> Optional[str]:
-        if (first, then) in self.comp_given:
-            return self.comp_given[(first, then)]
-        if first in self._idset:
-            return then
-        if then in self._idset:
-            return first
-        return None
-
-    def composite(self, first: str, then: str) -> str:
-        """Name of ``then`` after ``first``; raises if the table has a hole."""
-        if self.arrows[first].cod != self.arrows[then].dom:
-            raise CompositionError(f"arrows {first} and {then} are not composable")
-        name = self._lookup(first, then)
-        if name is None:
-            raise InvalidPresentation(f"missing composite for ({first}, {then})")
-        return name
 
     @property
     def ok_arrows(self) -> set[str]:
@@ -233,6 +219,8 @@ class FiniteCategory:
         out: list[Violation] = []
         bad = lambda axiom, witness: out.append(Violation(axiom, witness))
         obj, arr = self.nouns
+        idset = {n for o, n in self.ids.items()
+                 if n in self.arrows and (self.arrows[n].dom, self.arrows[n].cod) == (o, o)}
 
         seen: set[str] = set()
         for o in self.objects:
@@ -289,8 +277,8 @@ class FiniteCategory:
                 continue
             if ra.dom != fa.dom or ra.cod != ta.cod:
                 bad("composition-boundary", f"({first}, {then}) = {result} has wrong boundary")
-            if first in self._idset or then in self._idset:
-                expected = then if first in self._idset else first
+            if first in idset or then in idset:
+                expected = then if first in idset else first
                 if result != expected:
                     bad("identity-law", f"({first}, {then}) = {result}, expected {expected}")
 
@@ -301,7 +289,8 @@ class FiniteCategory:
         table: dict[tuple[str, str], str] = {}
         for f in names:
             for g in leaving.get(self.arrows[f].cod, ()):
-                fg = self._lookup(f, g)
+                # the given composite, else the one identities imply
+                fg = self.comp_given.get((f, g), g if f in idset else f if g in idset else None)
                 if fg is None:
                     bad("composition-totality", f"({f}, {g})")
                 elif fg in ok:
@@ -345,7 +334,8 @@ def _first_by_name(specs) -> dict:
 class _Validated:
     """``ensure_valid`` for both presentation kinds: validate once and
     raise ``InvalidPresentation``, carrying the report, on any violation;
-    the view reads the realisation (``_realised``) only past that check."""
+    the view reads the tables validation built (the realisation,
+    ``_realised``, and the composites) only past that check."""
 
     _report: ClassVar[Optional[ValidationReport]] = None
 
@@ -568,32 +558,12 @@ class DoubleCatPresentation(_Validated):
         return self._realised.arrows[vname]
 
     def vcompose(self, first: str, then: str) -> str:
-        """Name of the vertical composite (``first`` above ``then``)."""
-        return self._vcat.composite(first, then)
-
-    def square_boundary(self, name: str) -> tuple[str, str, str, str]:
-        """(vsrc, vdst, h_top, h_bot) of a declared or implied identity square."""
-        if is_id_name(name):
-            base = name[len(ID_PREFIX):]
-            v = self._varrow[base]
-            return (base, base, id_name(v.vdom), id_name(v.vcod))
-        s = self._square[name]
-        return (s.vsrc, s.vdst, s.h_top, s.h_bot)
-
-    def square_vcompose(self, first: str, then: str) -> str:
-        if (first, then) in self.square_vcomp:
-            return self.square_vcomp[(first, then)]
-        if is_id_name(first) and is_id_name(then):
-            base = self.vcompose(first[len(ID_PREFIX):], then[len(ID_PREFIX):])
-            return id_name(base)
-        raise InvalidPresentation(f"missing vertical composite of squares ({first}, {then})")
-
-    def _vcomposable(self, above: str, below: str) -> bool:
-        """Whether square ``above`` can be stacked on square ``below``."""
-        asrc, adst, _, abot = self.square_boundary(above)
-        bsrc, bdst, btop, _ = self.square_boundary(below)
-        v = self._varrow
-        return abot == btop and (v[asrc].vcod, v[adst].vcod) == (v[bsrc].vdom, v[bdst].vdom)
+        """Name of the vertical composite (``first`` above ``then``), read
+        from the vertical table; a pair with no composite raises."""
+        name = self._vcat.composites.get((first, then))
+        if name is None:
+            raise CompositionError(f"vertical arrows {first} and {then} have no composite")
+        return name
 
     # --- validation ---
 
@@ -625,7 +595,11 @@ class DoubleCatPresentation(_Validated):
             h.name for h in self._harrow.values()
             if h.name in h_ok and not is_id_name(h.name) and {h.dom, h.cod} <= obj_ok
         ]
-        vtable = vcat.composites
+        htable, vtable, sqtable = j0.composites, vcat.composites, j1.composites
+        # (vsrc, vdst, h_top, h_bot) of every declared and implied identity square
+        bnd = {s.name: (s.vsrc, s.vdst, s.h_top, s.h_bot) for s in self._square.values()}
+        bnd.update((id_name(v.name), (v.name, v.name, id_name(v.vdom), id_name(v.vcod)))
+                   for v in self._varrow.values())
 
         sq_ok: set[str] = set()
         for s in self._square.values():
@@ -656,95 +630,42 @@ class DoubleCatPresentation(_Validated):
         for (first, then), result in self.square_comp.items():
             if not all(n in sq_all_ok for n in (first, then, result)):
                 continue
-            (_, fd, ft, fb), (ts, _, tt, tb), (_, _, rt, rb) = (
-                self.square_boundary(n) for n in (first, then, result)
-            )
+            (_, fd, ft, fb), (ts, _, tt, tb), (_, _, rt, rb) = (bnd[n] for n in (first, then, result))
             if fd != ts:
                 continue  # square-composition boundary errors already reported
-            want_top = j0.composites.get((ft, tt))
-            want_bot = j0.composites.get((fb, tb))
+            want_top = htable.get((ft, tt))
+            want_bot = htable.get((fb, tb))
             if want_top is not None and rt != want_top:
                 bad("source-functor", f"composite ({first}, {then}) = {result}: top {rt} != {want_top}")
             if want_bot is not None and rb != want_bot:
                 bad("target-functor", f"composite ({first}, {then}) = {result}: bottom {rb} != {want_bot}")
 
-        # the identity-vertical functor must send every horizontal arrow to a square
-        vid_complete = all(self.vid.get(o) in v_ok for o in obj_ok)
-        if vid_complete:
+        # the identity-vertical functor must send every horizontal arrow to a
+        # square; the first declared square on its boundary is its image
+        if all(self.vid.get(o) in v_ok for o in obj_ok):
             e_sq: dict[str, str] = {id_name(o): id_name(self.vid[o]) for o in obj_ok}
+            on_boundary: dict[tuple[str, str, str], str] = {}
+            for s in self.squares:
+                if s.name in sq_ok and s.h_top == s.h_bot:
+                    on_boundary.setdefault((s.vsrc, s.vdst, s.h_top), s.name)
             for h in map(self._harrow.get, hnames):
-                matches = [
-                    s.name
-                    for s in self.squares
-                    if s.name in sq_ok
-                    and s.vsrc == self.vid[h.dom]
-                    and s.vdst == self.vid[h.cod]
-                    and s.h_top == h.name
-                    and s.h_bot == h.name
-                ]
-                if not matches:
+                match = on_boundary.get((self.vid[h.dom], self.vid[h.cod], h.name))
+                if match is None:
                     bad("vertical-identity-square", f"no square witnessing the identity vertical image of {h.name}")
                 else:
-                    e_sq[h.name] = matches[0]
+                    e_sq[h.name] = match
             for (first, then), result in self.hcomp.items():
                 if first not in e_sq or then not in e_sq or result not in e_sq:
                     continue
-                got = j1.composites.get((e_sq[first], e_sq[then]))
+                got = sqtable.get((e_sq[first], e_sq[then]))
                 if got is not None and got != e_sq[result]:
                     bad("vertical-identity-functor", f"identity square over ({first}, {then})")
-
-        # vertical composition of squares, over the well-formed squares:
-        # declared entries, totality, boundaries, functoriality
-        if vid_complete:
-            sq_wf = [id_name(v) for v in self._varrow if v in v_ok]
-            sq_wf += [s for s in self._square if s in sq_fit]
-            wf = set(sq_wf)
-            for (a, b), r in self.square_vcomp.items():
-                if not all(n in wf for n in (a, b, r)):
-                    bad("unknown-reference", f"vertical composite of squares ({a}, {b}) = {r}")
-                elif not self._vcomposable(a, b):
-                    bad("vertical-composition-square-boundary", f"({a}, {b}) not composable")
-                elif is_id_name(a) and is_id_name(b):
-                    expected = vtable.get((a[len(ID_PREFIX):], b[len(ID_PREFIX):]))
-                    if expected is not None and r != id_name(expected):
-                        bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
-            # every vertically composable pair but pairs of identity squares
-            pairs_sq = [(a, b) for a in sq_wf for b in sq_wf
-                        if not (is_id_name(a) and is_id_name(b)) and self._vcomposable(a, b)]
-            for a, b in pairs_sq:
-                try:
-                    r = self.square_vcompose(a, b)
-                except InvalidPresentation:
-                    bad("vertical-composition-square-totality", f"({a}, {b})")
-                    continue
-                if r not in wf:
-                    continue  # reported with the declared entries
-                asrc, adst, atop, _ = self.square_boundary(a)
-                bsrc, bdst, _, bbot = self.square_boundary(b)
-                rsrc, rdst, rtop, rbot = self.square_boundary(r)
-                want = (vtable.get((asrc, bsrc)), vtable.get((adst, bdst)))
-                if None in want:
-                    continue  # a hole in the vertical table, reported there
-                if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
-                    bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
-            # functoriality over composition of square pairs, in list order;
-            # the pairs that can follow (a, b) are those starting at its ends
-            pair_list = pairs_sq + [(id_name(f), id_name(g)) for f, g in vtable]
-            ends = {n: self.square_boundary(n)[:2] for pair in pair_list for n in pair}
-            starting: dict[tuple[str, str], list[tuple[str, str]]] = {}
-            for c, d in pair_list:
-                starting.setdefault((ends[c][0], ends[d][0]), []).append((c, d))
-            for a, b in pair_list:
-                for c, d in starting.get((ends[a][1], ends[b][1]), ()):
-                    try:
-                        ac = j1.composite(a, c)
-                        bd = j1.composite(b, d)
-                        lhs = self.square_vcompose(ac, bd)
-                        rhs = j1.composite(self.square_vcompose(a, b), self.square_vcompose(c, d))
-                    except (InvalidPresentation, CompositionError, KeyError):
-                        continue
-                    if lhs != rhs:
-                        bad("vertical-composition-functor", f"(({a}, {b}), ({c}, {d}))")
+            # the unit law holds for these squares once vid names endo-arrows
+            endo = all((self._varrow[self.vid[o]].vdom, self._varrow[self.vid[o]].vcod) == (o, o)
+                       for o in obj_ok)
+            self._square_vcomp_violations(bad, bnd, vtable, sqtable, set(e_sq.values()) if endo else set(),
+                                          [id_name(v) for v in self._varrow if v in v_ok]
+                                          + [s for s in self._square if s in sq_fit])
 
         # realisations: horizontal and vertical arrows, squares
         real = Realisation()
@@ -785,6 +706,79 @@ class DoubleCatPresentation(_Validated):
         vtables = {n: (a.map.table,) for n, a in real.arrows.items()}
         out += _functor_violations(vcat, vtables, "realisation-vertical-functor")
         return ValidationReport(out, real)
+
+    def _square_vcomp_violations(self, bad, bnd, vtable, sqtable, vert_ids, sq_wf) -> None:
+        """Vertical composition of the well-formed squares ``sq_wf``: its
+        declared entries, unit law, totality, boundaries, functoriality
+        over horizontal composition (the interchange law) and associativity.
+        ``vert_ids`` are the vertical identity squares; squares stack when
+        the bottom arrow of the upper one is the top arrow of the lower."""
+        wf = set(sq_wf)
+        # a above b: the declared entry, or for two identity squares with
+        # none, the identity square on the composite of their arrows
+        implied = {(id_name(f), id_name(g)): id_name(fg) for (f, g), fg in vtable.items()}
+        vcomposite = {**implied, **self.square_vcomp}
+        for (a, b), r in self.square_vcomp.items():
+            if not all(n in wf for n in (a, b, r)):
+                bad("unknown-reference", f"vertical composite of squares ({a}, {b}) = {r}")
+            elif bnd[a][3] != bnd[b][2]:
+                bad("vertical-composition-square-boundary", f"({a}, {b}) not composable")
+            elif is_id_name(a) and is_id_name(b):
+                if (a, b) in implied and r != implied[a, b]:
+                    bad("vertical-identity-law", f"squares ({a}, {b}) = {r}")
+            elif a in vert_ids or b in vert_ids:
+                expected = b if a in vert_ids else a
+                if r != expected:
+                    bad("vertical-composition-square-identity-law", f"({a}, {b}) = {r}, expected {expected}")
+        below: dict[str, list[str]] = {}  # top arrow -> squares with it, in sq_wf order
+        for n in sq_wf:
+            below.setdefault(bnd[n][2], []).append(n)
+        # every stacked pair but pairs of identity squares
+        pairs_sq = [(a, b) for a in sq_wf for b in below.get(bnd[a][3], ())
+                    if not (is_id_name(a) and is_id_name(b))]
+        for a, b in pairs_sq:
+            r = vcomposite.get((a, b))
+            if r is None:
+                bad("vertical-composition-square-totality", f"({a}, {b})")
+                continue
+            if r not in wf:
+                continue  # reported with the declared entries
+            asrc, adst, atop, _ = bnd[a]
+            bsrc, bdst, _, bbot = bnd[b]
+            rsrc, rdst, rtop, rbot = bnd[r]
+            want = (vtable.get((asrc, bsrc)), vtable.get((adst, bdst)))
+            if None in want:
+                continue  # a hole in the vertical table, reported there
+            if (rsrc, rdst) != want or rtop != atop or rbot != bbot:
+                bad("vertical-composition-square-boundary", f"({a}, {b}) = {r}")
+        # functoriality over composition of square pairs, in list order;
+        # the pairs that can follow (a, b) are those starting at its ends
+        pair_list = pairs_sq + list(implied)
+        starting: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        for c, d in pair_list:
+            starting.setdefault((bnd[c][0], bnd[d][0]), []).append((c, d))
+        for a, b in pair_list:
+            ab = vcomposite.get((a, b))
+            if ab is None:
+                continue
+            for c, d in starting.get((bnd[a][1], bnd[b][1]), ()):
+                ac, bd, cd = sqtable.get((a, c)), sqtable.get((b, d)), vcomposite.get((c, d))
+                if ac is None or bd is None or cd is None:
+                    continue
+                lhs, rhs = vcomposite.get((ac, bd)), sqtable.get((ab, cd))
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    bad("vertical-composition-functor", f"(({a}, {b}), ({c}, {d}))")
+        # associativity over the composites in wf; triples of identity
+        # squares are the vertical table's associativity, checked there
+        stacked = {ab: vcomposite[ab] for ab in pair_list if vcomposite.get(ab) in wf}
+        for (a, b), ab in stacked.items():
+            for c in below.get(bnd[b][3], ()):
+                if is_id_name(a) and is_id_name(b) and is_id_name(c):
+                    continue
+                bc = stacked.get((b, c))
+                left, right = stacked.get((ab, c)), stacked.get((a, bc))
+                if bc is not None and left is not None and right is not None and left != right:
+                    bad("vertical-composition-square-associativity", f"(({a}, {b}), {c}): {left} != {right}")
 
     def composable_pairs(self) -> "ComposablePairs":
         self.ensure_valid()

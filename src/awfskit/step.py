@@ -374,49 +374,53 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
 
     The colimit of the problems over the comma category is one coequaliser
     in the arrow category, into ``U = ∐ₚ uₚ`` from ``V``, which holds one
-    copy of ``sq.src`` per connecting square ``sq: u' → u`` and problem
-    ``p`` of ``u``.  Each generator's problems fill one block of each of
-    ``U``'s carriers, in problem order, so every edge column is block
-    arithmetic: one edge copies the identity of ``u'`` into the problem
-    ``p ∘ sq`` (numbered by its rank), the other ``sq`` into ``p``.  Every
-    point of ``V`` is merged with a point of ``U``, so the classes are
-    numbered by their least point of ``U``, in problem order.  The
-    extension is the pushout of the colimit along its counit into
-    ``target``."""
+    copy of ``sq.src.bot`` per connecting square ``sq: u' → u`` and
+    problem ``p`` of ``u``, under an empty top.  Each generator's problems
+    fill one block of each of ``U``'s carriers, in problem order, so every
+    edge column is block arithmetic: one edge copies the identity of the
+    bottom of ``u'`` into the problem ``p ∘ sq`` (numbered by its rank),
+    the other ``sq.bot`` into ``p``.  Every point of ``V`` is merged with a
+    point of ``U``, so the classes are numbered by their least point of
+    ``U``, in problem order.  The extension is the pushout of the colimit
+    along its counit into ``target``.
+
+    ``V`` needs no top: merging a top point ``a'`` of ``p ∘ sq`` with
+    ``sq.top(a')`` of ``p`` would add nothing to the pushout.  Both land on
+    one point of ``target.top``, as ``p ∘ sq`` has top ``p.top ∘ sq.top``;
+    and their bottoms ``u'(a')`` and ``u(sq.top(a')) = sq.bot(u'(a'))`` are
+    merged by ``V``'s bottom.  So the colimit's top is ``U``'s, and the
+    counit's descent check is the bottom one."""
     x, y = target.top.size, target.bot.size
     gens = _layouts(shape, x, y, False)
     check_listable(sum(meta.block for meta in gens.values()), budget,
                    "general step lists", "problems at most")
-    cols, starts = {}, {}  # generator -> its key columns, where its blocks of U start
+    cols, starts = {}, {}  # generator -> its key columns, where its block of U's bottom starts
     utable, to_top, to_bot = [], [], []
     for name, meta in gens.items():
         meta.ranks, tops, bots = meta.columns(target)
         count = len(meta.ranks)
-        cols[name], starts[name] = (tops, bots), (len(to_top), len(to_bot))
+        cols[name], starts[name] = (tops, bots), len(to_bot)
         utable += _copies(meta.u.map.table, meta.u.bot.size, range(count), len(to_bot))
         to_top += _interleave(tops, count)
         to_bot += _interleave(bots, count)
     big_u = ArrowObject(FiniteMap(FinSet(len(to_top)), FinSet(len(to_bot)), tuple(utable)))
-    vtable, moved_top, moved_bot, along_top, along_bot = [], [], [], [], []
+    moved_bot, along_bot = [], []
     for _, src_gen, dst_gen, sq in shape.lifting_squares():
         st, sb, (tops, bots) = sq.top.table, sq.bot.table, cols[dst_gen]
         src, rows = gens[src_gen], range(len(gens[dst_gen].ranks))
-        vtable += _copies(sq.src.map.table, len(sb), rows, len(along_bot))
         # the number of p ∘ sq among the problems of src_gen, for each problem p
         digits = [(x, tops[v]) for v in st] + [(y, bots[sb[b]]) for b in src.free]
         ranks = _rank_column(digits, 1, 0) if digits else [0] * len(rows)
         numbers = _gather(src.by_rank(range(len(src.ranks))), ranks)
-        moved_top += _copies(range(len(st)), len(st), numbers, starts[src_gen][0])
-        moved_bot += _copies(range(len(sb)), len(sb), numbers, starts[src_gen][1])
-        along_top += _copies(st, sq.dst.top.size, rows, starts[dst_gen][0])
-        along_bot += _copies(sb, sq.dst.bot.size, rows, starts[dst_gen][1])
-    big_v = ArrowObject(FiniteMap(FinSet(len(along_top)), FinSet(len(along_bot)), tuple(vtable)))
+        moved_bot += _copies(range(len(sb)), len(sb), numbers, starts[src_gen])
+        along_bot += _copies(sb, sq.dst.bot.size, rows, starts[dst_gen])
+    big_v = ArrowObject(FiniteMap(FinSet(0), FinSet(len(along_bot)), ()))
 
-    def edge(top: list, bot: list) -> CommSquare:
-        return CommSquare(big_v, big_u, FiniteMap(big_v.top, big_u.top, tuple(top)),
+    def edge(bot: list) -> CommSquare:
+        return CommSquare(big_v, big_u, FiniteMap(big_v.top, big_u.top, ()),
                           FiniteMap(big_v.bot, big_u.bot, tuple(bot)))
 
-    moved, along = edge(moved_top, moved_bot), edge(along_top, along_bot)
+    moved, along = edge(moved_bot), edge(along_bot)
     colim = ArrowColimit([big_u, big_v], [(1, 0, moved), (1, 0, along)])
     to_f = CommSquare(big_u, target, FiniteMap(big_u.top, target.top, tuple(to_top)),
                       FiniteMap(big_u.bot, target.bot, tuple(to_bot)))
@@ -428,7 +432,7 @@ def step(shape, target: ArrowObject, budget: Optional[SizeBudget] = None) -> Ste
     cover = list(po.left.table)
     for name, meta in gens.items():
         nb = meta.u.bot.size
-        entries = _gather(copair.table, _copies(meta.free, nb, range(len(meta.ranks)), starts[name][1]))
+        entries = _gather(copair.table, _copies(meta.free, nb, range(len(meta.ranks)), starts[name]))
         cover += entries
         meta.points = meta.by_rank(entries, meta.fcount)
     return StepStructure(shape, target, gens, ArrowObject(po.induced(target.map, counit.bot)),

@@ -223,12 +223,23 @@ def pairs_with_squares(pres) -> PairsWithSquares:
                         pres.vcompose(left.name, right.name),
                     )
                 )
+    # (vsrc, vdst, h_top, h_bot) of every square, identity squares included
+    boundary = {id_name(v.name): (v.name, v.name, id_name(v.vdom), id_name(v.vcod))
+                for v in pres.varrows}
+    boundary.update((s.name, (s.vsrc, s.vdst, s.h_top, s.h_bot)) for s in pres.squares)
+    ends = {v.name: (v.vdom, v.vcod) for v in pres.varrows}
+
+    def stacked(above: str, below: str) -> bool:
+        asrc, adst, _, abot = boundary[above]
+        bsrc, bdst, btop, _ = boundary[below]
+        return abot == btop and (ends[asrc][1], ends[adst][1]) == (ends[bsrc][0], ends[bdst][0])
+
     squares = []
     names = [id_name(v.name) for v in pres.varrows] + [s.name for s in pres.squares]
     for a, b in [(a, b) for a in names for b in names
-                 if not (is_id_name(a) and is_id_name(b)) and pres._vcomposable(a, b)]:
-        asrc, adst, atop, _ = pres.square_boundary(a)
-        bsrc, bdst, _, bbot = pres.square_boundary(b)
+                 if not (is_id_name(a) and is_id_name(b)) and stacked(a, b)]:
+        asrc, adst, atop, _ = boundary[a]
+        bsrc, bdst, _, bbot = boundary[b]
         src, dst = pair_name(asrc, bsrc), pair_name(adst, bdst)
         cs = CommSquare(
             pres.uarrow(pres.vcompose(asrc, bsrc)),

@@ -10,6 +10,15 @@ attribute's root is a name).  The grammar check parses each module with
 ``feature_version`` set to ``requires-python``'s floor, so syntax newer
 than that floor (``except*``, for one) fails here on any interpreter that
 runs the suite.  It uses the standard library only.
+
+Every function and class that ``src/awfskit`` defines is read somewhere
+in ``src/awfskit`` (``__init__.py`` included), or is listed in
+``UNREFERENCED`` with the reason it is kept.  A definition counts as read
+when any name, attribute or imported name in the package spells it.  The
+check matches bare names, so a method shares cover with every other use
+of its name: a method named like another definition, or like an
+attribute of some other object, passes although nothing calls it.
+Dunder methods, which Python calls, are exempt.
 """
 
 import ast
@@ -38,6 +47,71 @@ def unused_imports(path: Path) -> list:
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{path.stem}.{name} (line {line})"
             for name, line in _bound(tree).items() if name not in read]
+
+
+# definitions nothing in the package reads, by qualified name, with why they stay
+UNREFERENCED = {
+    "verify._enumerate_liftings": "the benchmark tracer wraps it (perfbench/tracing.py)",
+    "step.compose_mediated": "cross-check of the comparison squares, run by the tests",
+    "step.iterate_mediated": "cross-check of the comparison squares, run by the tests",
+    "chain.Certificate.from_result": "the certificate of a run; the tests build theirs with it",
+    "chain.ChainTrace.verify_laws": "the chain-law check, called by the acceptance tests",
+    "cli._Parser.error": "overrides argparse.ArgumentParser.error, which argparse calls",
+    "serialize.dumps": "public API: canonical JSON text",
+    "presentation.ValidationReport.axioms": "public API: the labels of a report",
+    "presentation.PlainPresentation.build": "public API: constructor from plain tuples",
+    "presentation.DoubleCatPresentation.build": "public API: constructor from plain tuples",
+}
+
+
+def _definitions(tree: ast.Module, prefix: str) -> dict:
+    """Qualified name -> bare name of every function and class, nested ones included."""
+    out = {}
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[f"{prefix}.{node.name}"] = node.name
+            out.update(_definitions(node, f"{prefix}.{node.name}"))
+        else:
+            out.update(_definitions(node, prefix))
+    return out
+
+
+def _reads(tree: ast.Module) -> set:
+    """Every name, attribute and imported name the module spells."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def unreferenced_definitions(modules) -> set:
+    defs, read = {}, set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs.update(_definitions(tree, path.stem))
+        read |= _reads(tree)
+    return {q for q, name in defs.items()
+            if name not in read and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_definition_is_read_or_has_a_stated_reason():
+    modules = sorted(SRC.glob("*.py"))
+    assert any(p.name == "__init__.py" for p in modules)
+    assert unreferenced_definitions(modules) == set(UNREFERENCED)
+
+
+def test_an_unread_definition_is_named(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("class A:\n    def __init__(self):\n        self.used()\n\n"
+                      "    def used(self):\n        def inner():\n            pass\n\n"
+                      "    def unused(self):\n        pass\n")
+    assert unreferenced_definitions([module]) == {"sample.A", "sample.A.used.inner",
+                                                  "sample.A.unused"}
 
 
 def test_every_module_level_import_is_read():

@@ -1,5 +1,6 @@
 """Tests for presentation validation and the composable-pairs derivation."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -51,8 +52,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def test_category_composite_with_identity_absorption():
     cat = FiniteCategory(["x", "y"], [CatArrow("f", "x", "y")], {})
-    assert cat.composite("1_x", "f") == "f"
-    assert cat.composite("f", "1_y") == "f"
+    assert cat.composites[("1_x", "f")] == "f"
+    assert cat.composites[("f", "1_y")] == "f"
 
 
 def test_category_detects_missing_composite():
@@ -108,9 +109,9 @@ def test_explicit_identities_give_a_valid_category():
 
 def test_explicit_identities_are_absorbed_by_composites():
     cat = _explicit([("f", "x", "y")])
-    assert cat.composite("ex", "f") == "f"
-    assert cat.composite("f", "ey") == "f"
-    assert cat.composite("ey", "ey") == "ey"
+    assert cat.composites[("ex", "f")] == "f"
+    assert cat.composites[("f", "ey")] == "f"
+    assert cat.composites[("ey", "ey")] == "ey"
     assert "1_x" not in cat.arrows
 
 
@@ -127,9 +128,10 @@ def test_explicit_identity_not_an_endo_arrow():
     cat = _explicit([("f", "x", "y")], ids={"x": "ex", "y": "f"})
     witnesses = [v.witness for v in cat.violations() if v.axiom == "identity"]
     assert witnesses == ["object y: f is not an endo-arrow on it"]
-    assert cat.composite("ex", "f") == "f"
-    with pytest.raises(InvalidPresentation):
-        cat.composite("f", "ey")
+    assert cat.composites[("ex", "f")] == "f"
+    # ey is then an ordinary endo-arrow: (f, ey) is a hole, not a composite
+    assert ("f", "ey") not in cat.composites
+    assert ("composition-totality", "(f, ey)") in [(v.axiom, v.witness) for v in cat.violations()]
 
 
 def test_explicit_identity_unknown_arrow_or_object():
@@ -444,6 +446,7 @@ def test_vertical_square_fault_is_reported_next_to_an_unrelated_fault():
     )
     assert [(v.axiom, v.witness) for v in pres.validate().violations] == [
         ("horizontal-composition-boundary", "(1_a, 1_b) not composable"),
+        ("vertical-composition-square-identity-law", "(s, 1_eb) = 1_eb, expected s"),
         ("vertical-composition-square-boundary", "(s, 1_eb) = 1_eb"),
     ]
 
@@ -479,7 +482,8 @@ def test_vertical_square_checks_skip_squares_with_faults():
 def _functor_fault_pres() -> DoubleCatPresentation:
     """Two parallel squares ``s`` and ``t`` next to the identity square
     ``eh`` of ``h``, whose vertical composites break functoriality over
-    horizontal composition in four ways."""
+    horizontal composition in four ways; ``eh`` above ``s`` being ``t``
+    also breaks the unit law, and with it associativity."""
     bound = {"eh": ("ex", "ex"), "s": ("v", "v"), "t": ("v", "v")}
     return DoubleCatPresentation.build(
         objects={"x": 1},
@@ -497,13 +501,71 @@ def _functor_fault_pres() -> DoubleCatPresentation:
     )
 
 
-FUNCTOR_FAULTS = [("vertical-composition-functor", w) for w in (
-    "((eh, s), (eh, s))", "((eh, s), (eh, t))", "((eh, t), (eh, s))", "((eh, t), (eh, t))")]
+FUNCTOR_FAULTS = (
+    [("vertical-composition-square-identity-law", "(eh, s) = t, expected s")]
+    + [("vertical-composition-functor", w) for w in (
+        "((eh, s), (eh, s))", "((eh, s), (eh, t))", "((eh, t), (eh, s))", "((eh, t), (eh, t))")]
+    + [("vertical-composition-square-associativity", w) for w in (
+        "((eh, s), t): s != t", "((eh, t), t): s != t", "((s, eh), s): s != t",
+        "((t, eh), s): t != s")])
 
 
 def test_functoriality_faults_are_listed_in_pair_order():
     assert [(v.axiom, v.witness) for v in _functor_fault_pres().validate().violations] == (
         FUNCTOR_FAULTS)
+
+
+UNIT_LAW_DOC = {
+    "kind": "double", "objects": {"a": 1},
+    "vmorphisms": [{"name": "e", "vdom": "a", "vcod": "a",
+                    "umap": {"dom": 1, "cod": 1, "table": [0]}}],
+    "vid": {"a": "e"},
+    "squares": [{"name": "s", "vsrc": "e", "vdst": "e", "h_top": "1_a", "h_bot": "1_a"}],
+    "square_comp": [{"left": "s", "right": "s", "result": "s"}],
+    "square_vcomp": [{"left": "1_e", "right": "s", "result": "1_e"},
+                     {"left": "s", "right": "1_e", "result": "s"},
+                     {"left": "s", "right": "s", "result": "s"}],
+}
+
+
+def test_vertical_identity_square_is_a_unit_for_stacking():
+    # 1_e is the vertical identity square on 1_a, so 1_e above s must be s
+    report = decode_presentation(UNIT_LAW_DOC).validate()
+    assert [(v.axiom, v.witness) for v in report.violations] == [
+        ("vertical-composition-square-identity-law", "(1_e, s) = 1_e, expected s")]
+    lawful = copy.deepcopy(UNIT_LAW_DOC)
+    lawful["square_vcomp"][0]["result"] = "s"
+    assert decode_presentation(lawful).validate().ok
+
+
+def _assoc_pres(vs_result: str) -> DoubleCatPresentation:
+    """Squares ``s`` and ``t`` on an idempotent vertical endo-arrow ``v``
+    beside the identity ``e``; ``1_v`` above ``s`` is ``vs_result``, and
+    the other composites keep both square compositions lawful.  With one
+    vertical arrow, interchange and the two unit laws force associativity
+    (Eckmann-Hilton); here the horizontal unit ``1_v`` of these squares is
+    not their vertical unit ``1_e``, so associativity can fail alone."""
+    return DoubleCatPresentation.build(
+        objects={"a": 1},
+        varrows=[("e", "a", "a", [0]), ("v", "a", "a", [0])],
+        vid={"a": "e"},
+        vcomp=[("v", "v", "v")],
+        squares=[(n, "v", "v", "1_a", "1_a") for n in ("s", "t")],
+        square_comp=[("s", "s", "s"), ("s", "t", "s"), ("t", "s", "s"), ("t", "t", "t")],
+        square_vcomp=[("1_e", "s", "s"), ("1_e", "t", "t"), ("s", "1_e", "s"), ("t", "1_e", "t"),
+                      ("1_v", "s", vs_result), ("1_v", "t", "1_v"), ("s", "1_v", "s"),
+                      ("s", "s", "s"), ("s", "t", "s"), ("t", "1_v", "s"), ("t", "s", "s"),
+                      ("t", "t", "s")],
+    )
+
+
+def test_vertical_composition_of_squares_is_associative():
+    assert _assoc_pres("1_v").validate().ok
+    # (1_v above t) above 1_v is 1_v, but 1_v above (t above 1_v) is s
+    assert [(v.axiom, v.witness) for v in _assoc_pres("s").validate().violations] == [
+        ("vertical-composition-square-associativity", "((1_v, t), 1_v): 1_v != s"),
+        ("vertical-composition-square-associativity", "((1_v, t), t): 1_v != s"),
+    ]
 
 
 def test_validate_report_does_not_depend_on_string_hashing():

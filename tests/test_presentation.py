@@ -501,7 +501,7 @@ def _functor_fault_pres() -> DoubleCatPresentation:
     )
 
 
-FUNCTOR_FAULTS = (
+FUNCTOR_FAULT_REPORT = (
     [("vertical-composition-square-identity-law", "(eh, s) = t, expected s")]
     + [("vertical-composition-functor", w) for w in (
         "((eh, s), (eh, s))", "((eh, s), (eh, t))", "((eh, t), (eh, s))", "((eh, t), (eh, t))")]
@@ -512,7 +512,7 @@ FUNCTOR_FAULTS = (
 
 def test_functoriality_faults_are_listed_in_pair_order():
     assert [(v.axiom, v.witness) for v in _functor_fault_pres().validate().violations] == (
-        FUNCTOR_FAULTS)
+        FUNCTOR_FAULT_REPORT)
 
 
 UNIT_LAW_DOC = {
@@ -584,7 +584,7 @@ def test_validate_report_does_not_depend_on_string_hashing():
         assert run.returncode == 0, run.stderr
         reports.append(run.stdout)
     assert reports[0] == reports[1]
-    assert [tuple(v) for v in json.loads(reports[0])] == FUNCTOR_FAULTS
+    assert [tuple(v) for v in json.loads(reports[0])] == FUNCTOR_FAULT_REPORT
 
 
 def test_square_with_wrong_boundary_is_reported_not_raised():

@@ -34,6 +34,7 @@ certificate encoder, the decoder and ``verify`` read the same columns.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain, groupby, repeat
@@ -226,10 +227,13 @@ class LiftTable(Mapping):
     fillers' domain, the number of keys, and their top and bottom tables as
     columns, one per position.  All fillers are one checked map,
     ``fillers``, out of ∐ₚ Bₚ in the order of the keys, which is the order
-    of iteration; a lookup slices one out as a checked map (KeyError when
-    the key is no entry).  ``extract`` gives one run per generator,
-    problems in canonical order and fillers ``beta0`` after the copaired
-    cells; the decoder and ``from_items`` give the keys sorted."""
+    of iteration; a lookup bisects the runs of its key's generator and
+    table lengths, whose keys are sorted, and slices one out as a checked
+    map (KeyError when the key is no entry).  ``extract`` gives one run per
+    generator, problems in canonical order, which sorts each run's keys, and
+    fillers ``beta0`` after the copaired cells; the decoder and
+    ``from_items`` give all keys sorted, though two runs may then share a
+    generator and table lengths."""
 
     def __init__(self, runs: list, fillers: FiniteMap):
         self.runs = runs
@@ -296,11 +300,31 @@ class LiftTable(Mapping):
         return self._filler_tables
 
     def __getitem__(self, key) -> FiniteMap:
+        """The filler of ``key``, without the index of every key
+        (``filler_tables``): KeyError wherever the index would raise it."""
         try:
-            table = self.filler_tables()[key]
-        except TypeError:  # an unhashable key
+            hash(key)
+            gen, top, bot = key
+            shape = (gen, len(top), len(bot))
+        except (TypeError, ValueError):  # unhashable, or no (generator, top, bottom)
             raise KeyError(key) from None
-        return FiniteMap(FinSet(len(table)), self.fillers.cod, table)
+        start, table = 0, self.fillers.table
+        for name, bottom, count, tops, bots in self.runs:
+            n = bottom.size
+            if (name, len(tops), len(bots)) == shape:
+                # the run's keys are sorted, so each column is sorted where
+                # the columns before it equal the key's entries
+                lo, hi = 0, count
+                try:
+                    for col, v in zip(chain(tops, bots), chain(top, bot)):
+                        lo, hi = bisect_left(col, v, lo, hi), bisect_right(col, v, lo, hi)
+                except TypeError:  # an entry that does not compare with integers
+                    raise KeyError(key) from None
+                at = itemgetter(lo)
+                if lo < hi and (tuple(map(at, tops)), tuple(map(at, bots))) == (top, bot):
+                    return FiniteMap(bottom, self.fillers.cod, table[start + lo * n : start + lo * n + n])
+            start += count * n
+        raise KeyError(key)
 
 
 @dataclass

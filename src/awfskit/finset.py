@@ -15,7 +15,8 @@ C (``map``, ``itemgetter``, ``min``/``max``, ``sum``); a Python loop walks a
 table only to name its first bad entry.  A quotient's mediator copies the
 least members with slices and compares only the points it merged; the
 pushout and cocone mediators keep one Python walk per leg, which measured
-faster than rebuilding their tables with ``dict``/``map``.
+faster than rebuilding their tables with ``dict``/``map`` for legs used once
+(the step's mediator reuses its legs, so it gathers: ``step._MediationPlan``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter, ne
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CompositionError, DiagramError, UniversalityError
 
@@ -90,6 +91,14 @@ def _gather(table: Sequence, positions: Sequence[int]) -> tuple:
     if len(positions) > 1:
         return itemgetter(*positions)(table)
     return tuple(map(table.__getitem__, positions))
+
+
+def _gatherer(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``_gather`` at fixed ``positions``, built once for many tables."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda table: (table[p],)
+    return itemgetter(*positions) if positions else lambda table: ()
 
 
 def identity(s: FinSet) -> FiniteMap:

@@ -641,9 +641,14 @@ class DoubleCatPresentation(_Validated):
                 bad("target-functor", f"composite ({first}, {then}) = {result}: bottom {rb} != {want_bot}")
 
         # the identity-vertical functor must send every horizontal arrow to a
-        # square; the first declared square on its boundary is its image
-        if all(self.vid.get(o) in v_ok for o in obj_ok):
-            e_sq: dict[str, str] = {id_name(o): id_name(self.vid[o]) for o in obj_ok}
+        # square; the first declared square on its boundary is its image.  It
+        # and the unit law are checked only once vid names endo-arrows, so a
+        # vid entry that is not one is reported once, as vertical-identity
+        vid_ok = all(self.vid.get(o) in v_ok for o in obj_ok)
+        endo = vid_ok and all(
+            (self._varrow[self.vid[o]].vdom, self._varrow[self.vid[o]].vcod) == (o, o) for o in obj_ok)
+        e_sq: dict[str, str] = {id_name(o): id_name(self.vid[o]) for o in obj_ok} if endo else {}
+        if endo:
             on_boundary: dict[tuple[str, str, str], str] = {}
             for s in self.squares:
                 if s.name in sq_ok and s.h_top == s.h_bot:
@@ -660,10 +665,8 @@ class DoubleCatPresentation(_Validated):
                 got = sqtable.get((e_sq[first], e_sq[then]))
                 if got is not None and got != e_sq[result]:
                     bad("vertical-identity-functor", f"identity square over ({first}, {then})")
-            # the unit law holds for these squares once vid names endo-arrows
-            endo = all((self._varrow[self.vid[o]].vdom, self._varrow[self.vid[o]].vcod) == (o, o)
-                       for o in obj_ok)
-            self._square_vcomp_violations(bad, bnd, vtable, sqtable, set(e_sq.values()) if endo else set(),
+        if vid_ok:
+            self._square_vcomp_violations(bad, bnd, vtable, sqtable, set(e_sq.values()),
                                           [id_name(v) for v in self._varrow if v in v_ok]
                                           + [s for s in self._square if s in sq_fit])
 

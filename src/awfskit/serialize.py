@@ -40,7 +40,9 @@ pass refuses (a fault, or records out of key order) are the records walked
 one at a time, to the first fault or, when they are well formed, through
 ``LiftTable.from_items``, which sorts them.  Fillers into more than one
 codomain are a fault, named at the first record whose codomain differs
-from record 0's.
+from record 0's.  Parsing and the column pass build no reference cycle, so
+they run with the cyclic collector off (``_acyclic``); on large
+certificates its collections took about half the decoding time.
 
 Encoding is canonical: keys are sorted, composition triples are sorted
 by operand names, and lift-table records are sorted by key, so encoding
@@ -59,6 +61,7 @@ into one string on its way to the file.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import fields
 from itertools import chain, repeat
@@ -89,14 +92,29 @@ CERTIFICATE_SCHEMA = "awfskit/certificate-v1"
 # text layer
 
 
+def _acyclic(make, *args):
+    """``make(*args)`` with the cyclic garbage collector off, its state
+    restored after: for builders whose containers hold no reference cycle,
+    which a collection could not free, and whose many containers would
+    otherwise set off full collections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return make(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_text(text: str, path: Optional[str] = None):
     """Decode a JSON document, converting syntax errors, and too deep a
     nesting, into ParseError; a syntax error carries line and column
     attributes.  Given the ``path`` the text was read from, the message
-    starts with it."""
+    starts with it.  A parsed document holds no cycle, so it is parsed
+    without the cyclic collector (``_acyclic``)."""
     prefix = "" if path is None else f"{path}: "
     try:
-        return json.loads(text)
+        return _acyclic(json.loads, text)
     except json.JSONDecodeError as e:
         err = ParseError(f"{prefix}line {e.lineno}, column {e.colno}: {e.msg}")
         err.line = e.lineno
@@ -598,7 +616,7 @@ def decode_certificate(obj, pres, path: str = "$") -> Certificate:
     if "schema" in obj and obj["schema"] != CERTIFICATE_SCHEMA:
         _fail(f"{path}.schema", f"expected {CERTIFICATE_SCHEMA!r}, got {obj['schema']!r}")
     records = _as_list(obj["lift_table"], f"{path}.lift_table")
-    lift_table = _checked_lift_table(records)
+    lift_table = _acyclic(_checked_lift_table, records)
     if lift_table is None:
         lift_table = _walk_lift_table(records, f"{path}.lift_table")
     stage = obj.get("stage")

@@ -44,7 +44,10 @@ general steps alike.  A lifting is one map out of the coproduct ∐ₚ Bₚ of
 the problems' bottoms, read against the copaired cells.  ``mediate`` and
 ``restrict_square`` wrap two table kernels, ``_mediated_top`` and
 ``_restricted``, which ``oracle_kappa`` runs on raw tables in its
-exhaustive branch.
+exhaustive branch.  Both read the step's mediation plan (``plan``), the
+gathers of the inclusion and the cells and of their classes, built once
+per step, so a square costs a few C-level gathers; the kernel walks the
+legs in Python only to name a fault.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .arrows import ArrowColimit, ArrowObject, CommSquare, identity_square, square_compose
 from .errors import (
@@ -63,8 +66,8 @@ from .errors import (
     SizeBudgetExceeded,
     UniversalityError,
 )
-from .finset import (_NOT_COEQUALISED, _NOT_COMMUTING, FinSet, FiniteMap, _gather, _mediate,
-                     compose, identity, pushout)
+from .finset import (_NOT_COEQUALISED, _NOT_COMMUTING, FinSet, FiniteMap, _gather, _gatherer,
+                     _mediate, compose, identity, pushout)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +240,17 @@ def _layouts(shape, x: int, y: int, fast: bool) -> dict[str, _GenLayout]:
     return out
 
 
+class _MediationPlan(NamedTuple):
+    """An extension's pushout legs, inclusion then cells, as prebuilt gathers."""
+
+    lengths: tuple[int, int]  # of the two legs
+    incl: Callable  # a top table along the inclusion
+    cells: Callable  # a top table along the copaired cells
+    rep: Callable  # the legs' values, each at the first position of its class
+    firsts: Optional[Callable]  # the legs' values at each class's first position, if all reached
+    brep: Optional[Callable]  # ``rep`` for the classes of ``bottoms``, if it merges any
+
+
 class StepStructure:
     """The one-step extension of ``target``: carrier, inclusion, unit and
     the adjoined cell of every lifting problem.
@@ -266,6 +280,17 @@ class StepStructure:
     @property
     def size(self) -> int:
         return self.extended.top.size
+
+    @cached_property
+    def plan(self) -> _MediationPlan:
+        """The gathers of ``_restricted`` and ``_mediated_top``, built once."""
+        incl, cells, first, seen, brep = self.inclusion.table, self.copaired().table, {}, {}, None
+        rep = [first.setdefault(c, i) for i, c in enumerate(incl + cells)]
+        firsts = [first.get(c) for c in range(self.size)]
+        if self.bottoms is not None and self.bottoms.cod.size != self.bottoms.dom.size:
+            brep = _gatherer([seen.setdefault(c, i) for i, c in enumerate(self.bottoms.table)])
+        return _MediationPlan((len(incl), len(cells)), _gatherer(incl), _gatherer(cells),
+                              _gatherer(rep), None if None in firsts else _gatherer(firsts), brep)
 
     @cached_property
     def problem_list(self) -> list[LiftingProblem]:
@@ -466,8 +491,8 @@ def restrict_square(struct: StepStructure, t: CommSquare) -> OneStepLifting:
 
 def _restricted(struct: StepStructure, top: tuple) -> tuple[tuple, tuple]:
     """The kernel of ``restrict_square``: the top table of a square after the
-    inclusion, and after the copaired cells."""
-    return _gather(top, struct.inclusion.table), _gather(top, struct.copaired().table)
+    inclusion, and after the copaired cells, by the plan's gathers."""
+    return struct.plan.incl(top), struct.plan.cells(top)
 
 
 def mediate(struct: StepStructure, lifting: OneStepLifting) -> CommSquare:
@@ -490,15 +515,27 @@ def _mediated_top(struct: StepStructure, base_top: tuple, fillers: tuple, cod_si
     and the copaired cells to ``fillers``.  The fillers descend through
     ``bottoms`` (else ``NonNaturalLifting``), the pushout of the inclusion
     and the cells induces the top (else ``UniversalityError``), and every
-    point must land in range, as ``FiniteMap`` checks (else ``DiagramError``)."""
-    bottoms = struct.bottoms
-    if bottoms is not None and bottoms.cod.size != bottoms.dom.size:
-        try:
-            _mediate(bottoms.cod.size, [(bottoms.table, fillers)], _NOT_COEQUALISED)
-        except UniversalityError as exc:
-            raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
-    legs = [(struct.inclusion.table, base_top), (struct.copaired().table, fillers)]
-    top = _mediate(struct.size, legs, _NOT_COMMUTING)
+    point must land in range, as ``FiniteMap`` checks (else ``DiagramError``).
+    The plan's gathers decide the first two; the walk (``_mediate``) runs
+    only when a comparison fails or a class is unreached, to raise or build.
+    It sets each class at its first leg position and raises at the first
+    position that differs, so when each position holds its class's first
+    value (``rep(h) == h``) it raises nothing and builds ``firsts(h)``, for
+    any values (a -1 leaves its class unset in both); likewise ``brep``."""
+    plan, top = struct.plan, None
+    if plan.firsts is not None and (len(base_top), len(fillers)) == plan.lengths:
+        h = tuple(base_top) + tuple(fillers)
+        if (plan.brep is None or plan.brep(fillers) == fillers) and plan.rep(h) == h:
+            top = plan.firsts(h)
+    if top is None:
+        bottoms = struct.bottoms
+        if bottoms is not None and bottoms.cod.size != bottoms.dom.size:
+            try:
+                _mediate(bottoms.cod.size, [(bottoms.table, fillers)], _NOT_COEQUALISED)
+            except UniversalityError as exc:
+                raise NonNaturalLifting(f"fillers are not natural across connecting squares: {exc}") from None
+        legs = [(struct.inclusion.table, base_top), (struct.copaired().table, fillers)]
+        top = _mediate(struct.size, legs, _NOT_COMMUTING)
     if top and not (0 <= min(top) and max(top) < cod_size):
         FiniteMap(FinSet(len(top)), FinSet(cod_size), top)  # raises, naming the first bad entry
     return top

@@ -47,7 +47,7 @@ from typing import Optional
 from .arrows import ArrowObject, CommSquare
 from .chain import Certificate, LiftTable, _keys, _mismatches, algebra_violations
 from .errors import EngineError, SizeBudgetExceeded
-from .finset import FinSet, FiniteMap, _gather, compose
+from .finset import FinSet, FiniteMap, _gather, _gatherer, compose
 from . import step
 from .step import (
     OneStepLifting,
@@ -455,7 +455,7 @@ def _lifting_tables(template, fib, classes):
     values, slots = template
     at = {c: len(values) + i for i, (c, _) in enumerate(slots)}
     index = [at.get(c, c) for c in classes]
-    pick = itemgetter(*index) if len(index) > 1 else lambda row: _gather(row, index)
+    pick = _gatherer(index)
     for combo in itertools.product(*[fib[w] for _, w in slots]):
         yield pick(values + combo)
 
@@ -565,10 +565,11 @@ def oracle_kappa(
         # against the listing) make it a bijection, so restrict∘mediate = id
         # follows.
         inverse, listed = cells_fit, 0
+        mediated, restricted, cod = _mediated_top, _restricted, g.top.size
         for top, _ in _square_tables(struct.extended, g):
             listed += 1
             try:
-                back = _mediated_top(struct, *_restricted(struct, top), g.top.size)
+                back = mediated(struct, *restricted(struct, top), cod)
             except EngineError:
                 back = None  # a round trip that raises is a miss
             inverse = back == top and inverse

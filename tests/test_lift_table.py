@@ -381,3 +381,82 @@ def test_decoded_certificate_encodes_to_the_written_bytes(name, mode, f):
     assert dumps(encode_certificate(back)) == text
     report = verify_certificate(back)
     assert {e.label for e in report.failures()} == FAILURES.get((name, mode), set())
+
+
+# ---------------------------------------------------------------------------
+# lookups by bisection against the index of every key
+
+
+def index_lookup(table: LiftTable, key):
+    """The filler table the index of every key (``filler_tables``) holds for
+    ``key``, or ``KeyError`` where a dict lookup refuses it."""
+    try:
+        return table.filler_tables()[key]
+    except (KeyError, TypeError):
+        return KeyError
+
+
+def bisect_lookup(table: LiftTable, key):
+    try:
+        return table[key].table
+    except KeyError:
+        return KeyError
+
+
+def near_misses(table: LiftTable) -> list:
+    """Keys around a table's own: entries moved past either end, dropped or
+    added, floats and booleans equal to the integers, list tables, other
+    sequences, and keys that are no triple or not hashable."""
+    out = [("no-such-generator", (), ()), (), ("g",), "abc", None, 7, [], {}, ["g", (), ()]]
+    keys = list(table)
+    for gen, top, bot in keys[:: max(1, len(keys) // 12)] + keys[-1:]:
+        for t in {top, top[:-1], top + (0,)}:
+            for b in {bot, bot[:-1], bot + (0,), tuple(v + 1 for v in bot), tuple(v - 1 for v in bot)}:
+                out += [(gen, t, b), (gen + "x", t, b)]
+        out += [(gen, tuple(map(float, top)), bot), (gen, top, tuple(map(bool, bot))),
+                (gen, list(top), bot), (gen, top, list(bot)), [gen, top, bot],
+                (gen, range(len(top)), bot), (gen, top, bot, ()), (gen, top + ("x",), bot),
+                (gen, top + (None,), bot), (gen, top + (float("nan"),), bot)]
+    return out
+
+
+def fixture_certificates():
+    """Certificates of the fixture presentations and the two-generator
+    shape, as ``extract`` gives them and as decoded from their bytes."""
+    for name, mode in ROUND_TRIP:
+        pres = two_gen_plain_pres() if name == "two_gen" else _fixture(name)
+        for f in small_maps():
+            try:
+                result = factorise(pres, f, mode=mode, max_stage=4,
+                                   budget=SizeBudget(max_problems=20_000))
+            except (NotStabilised, SizeBudgetExceeded):
+                continue
+            text = dumps(encode_certificate(Certificate.from_result(pres, result)))
+            yield result.lift_table
+            yield decode_certificate(parse_text(text), pres).lift_table
+
+
+def test_lookup_bisects_like_the_index_of_every_key():
+    tables = hits = misses = 0
+    for table in fixture_certificates():
+        tables += 1
+        for key in list(table) + near_misses(table):
+            got = bisect_lookup(table, key)
+            assert got == index_lookup(table, key), key
+            hits += got is not KeyError
+            misses += got is KeyError
+    assert tables > 40 and hits > 1000 and misses > 1000
+
+
+def test_lookup_finds_keys_in_runs_that_share_a_shape():
+    """Sorted keys of one generator with tops of two lengths interleave, so
+    ``from_items`` gives two runs of the same generator and lengths; a
+    lookup bisects both."""
+    keys = [("a", (0,), ()), ("a", (0, 0), ()), ("a", (1,), ()), ("a", (1, 0), (1,)), ("b", (), ())]
+    table = LiftTable.from_items((k, fmap(1, 5, [i])) for i, k in enumerate(keys))
+    assert [(run[0], len(run[3]), len(run[4])) for run in table.runs] == [
+        ("a", 1, 0), ("a", 2, 0), ("a", 1, 0), ("a", 2, 1), ("b", 0, 0)]
+    for i, key in enumerate(keys):
+        assert table[key] == fmap(1, 5, [i])
+    for key in near_misses(table) + [("a", (2,), ()), ("a", (0, 1), ())]:
+        assert bisect_lookup(table, key) == index_lookup(table, key), key

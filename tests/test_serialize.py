@@ -565,3 +565,44 @@ def test_from_items_in_any_order_is_the_decoded_table(written_certificates, data
     assert table == decoded.lift_table
     assert table.runs == decoded.lift_table.runs
     assert dumps(encode_certificate(replace(decoded, lift_table=table))) == text
+
+
+class TestCyclicCollector:
+    """Parsing and the column pass over a lift table build no reference
+    cycle, so they run with the cyclic collector off, and leave it as they
+    found it, on success and on every fault."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_parse_and_decode_restore_the_collector(self, enabled, monkeypatch):
+        import gc
+
+        from awfskit import serialize
+
+        pres = split_epi_pres()
+        cert = Certificate.from_result(pres, factorise(pres, f_3to2(), max_stage=4))
+        text = dumps(encode_certificate(cert))
+        during = []
+        real_loads, real_columns = json.loads, serialize._checked_lift_table
+        monkeypatch.setattr(serialize.json, "loads",
+                            lambda s: during.append(gc.isenabled()) or real_loads(s))
+        monkeypatch.setattr(serialize, "_checked_lift_table",
+                            lambda records: during.append(gc.isenabled()) or real_columns(records))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert decode_certificate(parse_text(text), pres) == cert
+            assert gc.isenabled() == enabled
+            with pytest.raises(ParseError):
+                parse_text(text[:-3])
+            assert gc.isenabled() == enabled
+            with pytest.raises(ParseError):
+                parse_text("[" * 100_000)
+            assert gc.isenabled() == enabled
+            obj = parse_text(text)
+            obj["lift_table"][0]["filler"]["table"] = [-1]
+            with pytest.raises(ParseError):
+                decode_certificate(obj, pres)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during and not any(during)
